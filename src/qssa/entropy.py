@@ -32,6 +32,15 @@ def entropy_from_eigs(eigs: np.ndarray) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
+def block_entropy(b: np.ndarray) -> tuple[float, float]:
+    """(-Tr B ln B, Tr B) of an unnormalized PSD block B, from one eigensolve.
+
+    With n = Tr B, the first value equals n S[B/n] - n ln n.
+    """
+    eigs = np.linalg.eigvalsh((b + b.conj().T) / 2)
+    return entropy_from_eigs(eigs), float(eigs.sum())
+
+
 def von_neumann(rho: DensityMatrix) -> float:
     """-Tr(rho ln rho) via the eigenvalues of rho."""
     return entropy_from_eigs(np.linalg.eigvalsh(rho.mat))
@@ -102,5 +111,5 @@ def classical_quantum_entropy(rho12: DensityMatrix, p: Povm) -> float:
         raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
     total = 0.0
     for b in povm_conditionals(rho12, p, factor=1):
-        total += entropy_from_eigs(np.linalg.eigvalsh((b + b.conj().T) / 2))
+        total += block_entropy(b)[0]
     return total

@@ -2,16 +2,14 @@
 
 Every suite is a pure function of (config, master seed). Instance objects
 draw from substreams keyed as (suite_id, instance, slot), so replaying a
-seed reproduces each report bit for bit and instances are independent,
-which makes parallel evaluation safe. Reports are emitted in (suite,
-instance) order regardless of how they were computed.
+seed reproduces each report bit for bit and instances are independent.
+Reports are emitted in (suite, instance) order.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,31 +64,11 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.fmt!r}")
         self.dims = as_dims(self.dims).dims
-
-
-def thread_count() -> int:
-    raw = os.environ.get("QSSA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_instances(fn: Callable[[int], list], n: int) -> list:
-    """Evaluate fn(0..n-1); results concatenated in index order."""
-    workers = thread_count()
-    if workers == 1:
-        batches = [fn(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(fn, range(n)))
-    out = []
-    for b in batches:
-        out.extend(b)
-    return out
 
 
 def _finish(reports: list[InequalityReport], cfg: SuiteConfig, suite: str, index: int) -> list[InequalityReport]:
@@ -108,210 +86,158 @@ def _two_factor(cfg: SuiteConfig) -> tuple[int, int]:
     return cfg.dims[0], cfg.dims[1]
 
 
-def suite_ssa(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["ssa"]
-    total = int(np.prod(cfg.dims))
+def _instances(name: str):
+    """Turn a per-instance builder into the suite function `(cfg) -> reports`.
 
-    def one(i: int):
-        rank = total if i % 2 == 0 else max(1, total // 2)
-        rho = random_density(cfg.dims, rank, cfg.seed, (sid, i, 0))
-        r = checks.check_ssa(rho, tol=cfg.tol)
-        r.meta["rank"] = rank
-        return _finish([r], cfg, "ssa", i)
+    The builder is called as `build(cfg, i, key)` for i in 0..trials-1 and
+    returns that instance's reports; `key(*slot)` is the substream
+    (SUITE_IDS[name], i, *slot) its objects must draw from.
+    """
+    sid = SUITE_IDS[name]
 
-    return map_instances(one, cfg.trials)
+    def decorate(build):
+        def suite(cfg: SuiteConfig) -> list[InequalityReport]:
+            reports = []
+            for i in range(cfg.trials):
+                key = lambda *slot, i=i: (sid, i, *slot)
+                reports.extend(_finish(build(cfg, i, key), cfg, name, i))
+            return reports
 
+        suite.__name__ = suite.__qualname__ = build.__name__
+        return suite
 
-def suite_stronger_ssa(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["stronger-ssa"]
-    total = int(np.prod(cfg.dims))
-    counts = (1, 2, 4)
-
-    def one(i: int):
-        rho = random_density(cfg.dims, total, cfg.seed, (sid, i, 0))
-        count = counts[i % len(counts)]
-        k = random_kraus(cfg.dims[0] * cfg.dims[1], count, cfg.seed, (sid, i, 1), acts_on=(1, 2))
-        r = checks.check_stronger_ssa(rho, k, tol=cfg.tol)
-        return _finish([r], cfg, "stronger-ssa", i)
-
-    return map_instances(one, cfg.trials)
+    return decorate
 
 
-def suite_sandwich(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["sandwich"]
-    total = int(np.prod(cfg.dims))
-    counts = (2, 3, 4)
-
-    def one(i: int):
-        rho = random_density(cfg.dims, total, cfg.seed, (sid, i, 0))
-        count = counts[i % len(counts)]
-        k = random_kraus(cfg.dims[0], count, cfg.seed, (sid, i, 1), acts_on=(1,))
-        left, right = checks.check_sandwich(rho, k, tol=cfg.tol)
-        return _finish([left, right], cfg, "sandwich", i)
-
-    return map_instances(one, cfg.trials)
+@_instances("ssa")
+def suite_ssa(cfg, i, key):
+    total = math.prod(cfg.dims)
+    rank = total if i % 2 == 0 else max(1, total // 2)
+    rho = random_density(cfg.dims, rank, cfg.seed, key(0))
+    r = checks.check_ssa(rho, tol=cfg.tol)
+    r.meta["rank"] = rank
+    return [r]
 
 
-def suite_concavity(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["concavity"]
-    dims_cycle = (2, 3, 4)
-    m_cycle = (1, 2, 3)
-
-    def one(i: int):
-        dim = dims_cycle[i % len(dims_cycle)]
-        m = m_cycle[(i // 3) % len(m_cycle)]
-        l_op = random_hermitian(dim, cfg.seed, (sid, i, 0))
-        k = random_kraus(dim, m, cfg.seed, (sid, i, 1), acts_on=(1,))
-        if i % 3 == 2:
-            # exercise the sub-complete case sum K†K < I
-            k = KrausSet([op * np.sqrt(0.9) for op in k.ops], acts_on=(1,),
-                         tol=k.tol, sub_complete=True)
-        a_ops = [random_positive(dim, cfg.seed, (sid, i, 2, j)) for j in range(m)]
-        b_ops = [random_positive(dim, cfg.seed, (sid, i, 3, j)) for j in range(m)]
-        r = checks.check_concave_map(
-            ConcavityInstance(l_op, k, a_ops),
-            ConcavityInstance(l_op, k, b_ops),
-            tol=cfg.tol,
-        )
-        r.meta["sub_complete"] = k.sub_complete
-        return _finish([r], cfg, "concavity", i)
-
-    return map_instances(one, cfg.trials)
+@_instances("stronger-ssa")
+def suite_stronger_ssa(cfg, i, key):
+    d1, d2 = _two_factor(cfg)
+    rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
+    k = random_kraus(d1 * d2, (1, 2, 4)[i % 3], cfg.seed, key(1), acts_on=(1, 2))
+    return [checks.check_stronger_ssa(rho, k, tol=cfg.tol)]
 
 
-def suite_gibbs(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["gibbs"]
-    total = int(np.prod(cfg.dims))
-
-    def one(i: int):
-        rho = random_density(cfg.dims, total if i % 2 == 0 else 1, cfg.seed, (sid, i, 0))
-        h = random_hermitian(total, cfg.seed, (sid, i, 1))
-        r = checks.check_gibbs_variational(rho, h, tol=cfg.tol)
-        return _finish([r], cfg, "gibbs", i)
-
-    return map_instances(one, cfg.trials)
+@_instances("sandwich")
+def suite_sandwich(cfg, i, key):
+    rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
+    k = random_kraus(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1), acts_on=(1,))
+    return list(checks.check_sandwich(rho, k, tol=cfg.tol))
 
 
-def suite_cpt(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["cpt"]
-    total = int(np.prod(cfg.dims))
-    counts = (2, 3)
+@_instances("concavity")
+def suite_concavity(cfg, i, key):
+    dim = (2, 3, 4)[i % 3]
+    m = (1, 2, 3)[(i // 3) % 3]
+    l_op = random_hermitian(dim, cfg.seed, key(0))
+    k = random_kraus(dim, m, cfg.seed, key(1), acts_on=(1,))
+    if i % 3 == 2:
+        # exercise the sub-complete case sum K†K < I
+        k = KrausSet([op * np.sqrt(0.9) for op in k.ops], acts_on=(1,),
+                     tol=k.tol, sub_complete=True)
+    a_ops = [random_positive(dim, cfg.seed, key(2, j)) for j in range(m)]
+    b_ops = [random_positive(dim, cfg.seed, key(3, j)) for j in range(m)]
+    r = checks.check_concave_map(
+        ConcavityInstance(l_op, k, a_ops),
+        ConcavityInstance(l_op, k, b_ops),
+        tol=cfg.tol,
+    )
+    r.meta["sub_complete"] = k.sub_complete
+    return [r]
 
-    def one(i: int):
-        rho = random_density(cfg.dims, total, cfg.seed, (sid, i, 0))
-        count = counts[i % len(counts)]
-        k = random_kraus(cfg.dims[0] * cfg.dims[1], count, cfg.seed, (sid, i, 1), acts_on=(1, 2))
-        r = checks.check_cpt_monotonicity(rho, k, tol=cfg.tol)
-        return _finish([r], cfg, "cpt", i)
 
-    return map_instances(one, cfg.trials)
+@_instances("gibbs")
+def suite_gibbs(cfg, i, key):
+    total = math.prod(cfg.dims)
+    rho = random_density(cfg.dims, total if i % 2 == 0 else 1, cfg.seed, key(0))
+    h = random_hermitian(total, cfg.seed, key(1))
+    return [checks.check_gibbs_variational(rho, h, tol=cfg.tol)]
 
 
-def suite_improved_subadd(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["improved-subadd"]
+@_instances("cpt")
+def suite_cpt(cfg, i, key):
+    d1, d2 = _two_factor(cfg)
+    rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
+    k = random_kraus(d1 * d2, (2, 3)[i % 2], cfg.seed, key(1), acts_on=(1, 2))
+    return [checks.check_cpt_monotonicity(rho, k, tol=cfg.tol)]
+
+
+@_instances("improved-subadd")
+def suite_improved_subadd(cfg, i, key):
+    d1, d2 = _two_factor(cfg)
+    rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
+    p = random_povm(d1, (2, 3, 4)[i % 3], cfg.seed, key(1))
+    return list(checks.check_improved_subadd(rho, p, tol=cfg.tol))
+
+
+@_instances("mutual-info")
+def suite_mutual_info(cfg, i, key):
     d1, d2 = _two_factor(cfg)
     counts = (2, 3, 4)
-
-    def one(i: int):
-        rho = random_density((d1, d2), d1 * d2, cfg.seed, (sid, i, 0))
-        p = random_povm(d1, counts[i % len(counts)], cfg.seed, (sid, i, 1))
-        left, right = checks.check_improved_subadd(rho, p, tol=cfg.tol)
-        return _finish([left, right], cfg, "improved-subadd", i)
-
-    return map_instances(one, cfg.trials)
+    rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
+    p = random_povm(d1, counts[i % 3], cfg.seed, key(1))
+    q = random_povm(d2, counts[(i + 1) % 3], cfg.seed, key(2))
+    return [checks.check_classical_mutual_info(rho, p, q, tol=cfg.tol)]
 
 
-def suite_mutual_info(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["mutual-info"]
-    d1, d2 = _two_factor(cfg)
-    counts = (2, 3, 4)
-
-    def one(i: int):
-        rho = random_density((d1, d2), d1 * d2, cfg.seed, (sid, i, 0))
-        p = random_povm(d1, counts[i % len(counts)], cfg.seed, (sid, i, 1))
-        q = random_povm(d2, counts[(i + 1) % len(counts)], cfg.seed, (sid, i, 2))
-        r = checks.check_classical_mutual_info(rho, p, q, tol=cfg.tol)
-        return _finish([r], cfg, "mutual-info", i)
-
-    return map_instances(one, cfg.trials)
-
-
-def suite_cq_chain(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["cq-chain"]
+@_instances("cq-chain")
+def suite_cq_chain(cfg, i, key):
     d1, d2 = _two_factor(cfg)
     counts = (2, 3)
-
-    def one(i: int):
-        rho = random_density((d1, d2), d1 * d2, cfg.seed, (sid, i, 0))
-        p = random_povm(d1, counts[i % len(counts)], cfg.seed, (sid, i, 1))
-        q = random_povm(d2, counts[(i + 1) % len(counts)], cfg.seed, (sid, i, 2))
-        first, second = checks.check_cq_chain(rho, p, q, tol=cfg.tol)
-        return _finish([first, second], cfg, "cq-chain", i)
-
-    return map_instances(one, cfg.trials)
+    rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
+    p = random_povm(d1, counts[i % 2], cfg.seed, key(1))
+    q = random_povm(d2, counts[(i + 1) % 2], cfg.seed, key(2))
+    return list(checks.check_cq_chain(rho, p, q, tol=cfg.tol))
 
 
-def suite_cqq(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["cqq"]
-    total = int(np.prod(cfg.dims))
-    counts = (2, 3, 4)
-
-    def one(i: int):
-        rho = random_density(cfg.dims, total, cfg.seed, (sid, i, 0))
-        p = random_povm(cfg.dims[0], counts[i % len(counts)], cfg.seed, (sid, i, 1))
-        r = checks.check_cqq(rho, p, tol=cfg.tol)
-        return _finish([r], cfg, "cqq", i)
-
-    return map_instances(one, cfg.trials)
+@_instances("cqq")
+def suite_cqq(cfg, i, key):
+    rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
+    p = random_povm(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1))
+    return [checks.check_cqq(rho, p, tol=cfg.tol)]
 
 
-def suite_convexity(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["convexity"]
+@_instances("convexity")
+def suite_convexity(cfg, i, key):
     d1, d2 = _two_factor(cfg)
-
-    def one(i: int):
-        a = random_density((d1, d2), d1 * d2, cfg.seed, (sid, i, 0))
-        b = random_density((d1, d2), max(1, d1 * d2 // 2), cfg.seed, (sid, i, 1))
-        p = random_povm(d1, 2 + i % 2, cfg.seed, (sid, i, 2))
-        r = checks.check_convexity_cl_minus_q(a, b, p, tol=cfg.tol)
-        return _finish([r], cfg, "convexity", i)
-
-    return map_instances(one, cfg.trials)
+    a = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
+    b = random_density((d1, d2), max(1, d1 * d2 // 2), cfg.seed, key(1))
+    p = random_povm(d1, 2 + i % 2, cfg.seed, key(2))
+    return [checks.check_convexity_cl_minus_q(a, b, p, tol=cfg.tol)]
 
 
-def suite_holevo(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["holevo"]
-    d = cfg.dims[0] * cfg.dims[1]
-    sizes = (2, 3, 4)
-
-    def one(i: int):
-        m = sizes[i % len(sizes)]
-        weights = rng_for(cfg.seed, (sid, i, 0)).dirichlet(np.ones(m))
-        states = [random_density((d,), d if j % 2 == 0 else 1, cfg.seed, (sid, i, 1, j))
-                  for j in range(m)]
-        q = random_povm(d, 2 + i % 3, cfg.seed, (sid, i, 2))
-        r = checks.check_holevo(weights, states, q, tol=cfg.tol)
-        return _finish([r], cfg, "holevo", i)
-
-    return map_instances(one, cfg.trials)
+@_instances("holevo")
+def suite_holevo(cfg, i, key):
+    d1, d2 = _two_factor(cfg)
+    d = d1 * d2
+    m = (2, 3, 4)[i % 3]
+    weights = rng_for(cfg.seed, key(0)).dirichlet(np.ones(m))
+    states = [random_density((d,), d if j % 2 == 0 else 1, cfg.seed, key(1, j))
+              for j in range(m)]
+    q = random_povm(d, 2 + i % 3, cfg.seed, key(2))
+    return [checks.check_holevo(weights, states, q, tol=cfg.tol)]
 
 
-def suite_wehrl(cfg: SuiteConfig) -> list[InequalityReport]:
-    sid = SUITE_IDS["wehrl"]
+@_instances("wehrl")
+def suite_wehrl(cfg, i, key):
     dim = cfg.two_j + 1
-
-    def one(i: int):
-        rho12 = random_density((dim, dim), dim * dim, cfg.seed, (sid, i, 0))
-        a = random_density((dim,), dim, cfg.seed, (sid, i, 1))
-        b = random_density((dim,), max(1, dim // 2) if i % 2 else dim, cfg.seed, (sid, i, 2))
-        out = [
-            wehrl.check_wehrl_dominates(rho12, tol=cfg.tol),
-            wehrl.check_wehrl_mutual_info(rho12, tol=cfg.tol),
-            wehrl.check_wehrl_convexity(a, b, tol=cfg.tol),
-        ]
-        return _finish(out, cfg, "wehrl", i)
-
-    return map_instances(one, cfg.trials)
+    rho12 = random_density((dim, dim), dim * dim, cfg.seed, key(0))
+    a = random_density((dim,), dim, cfg.seed, key(1))
+    b = random_density((dim,), max(1, dim // 2) if i % 2 else dim, cfg.seed, key(2))
+    return [
+        wehrl.check_wehrl_dominates(rho12, tol=cfg.tol),
+        wehrl.check_wehrl_mutual_info(rho12, tol=cfg.tol),
+        wehrl.check_wehrl_convexity(a, b, tol=cfg.tol),
+    ]
 
 
 def suite_counterexample(cfg: SuiteConfig) -> list[InequalityReport]:

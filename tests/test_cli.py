@@ -9,6 +9,7 @@ import pytest
 from qssa.cli import main
 from qssa.linalg import density_from_json
 from qssa.measurement import check_completeness, kraus_from_json, povm_from_json
+from qssa.suites import SUITES
 
 
 def run(argv):
@@ -44,6 +45,21 @@ class TestCheckCommand:
     def test_too_few_factors_exits_2(self, capsys):
         assert run(["check", "--suite", "improved-subadd", "--dims", "2", "--trials", "1"]) == 2
         assert run(["check", "--suite", "ssa", "--dims", "2,2", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
+        out = tmp_path / "r.ndjson"
+        assert run(["check", "--suite", "ssa", "--trials", "1", f"--tol={tol}",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", ["2", "2,2"])
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_few_factors_never_report_failure(self, tmp_path, capsys, suite, dims):
+        # exit 1 means an inequality failed; too few factors is a bad argument
+        code = run(["check", "--suite", suite, "--dims", dims, "--trials", "1",
+                    "--out", str(tmp_path / "r.ndjson")])
+        assert code in (0, 2)
 
     def test_io_failure_exits_3(self, capsys):
         code = run(["check", "--suite", "ssa", "--trials", "1",

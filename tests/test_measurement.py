@@ -8,8 +8,8 @@ from qssa.linalg import DensityMatrix, kron, partial_trace
 from qssa.measurement import (
     KrausSet,
     Povm,
+    apply_kraus_op,
     check_completeness,
-    conjugate_on_factors,
     cpt_phi,
     embed_operator,
     kraus_from_json,
@@ -69,7 +69,7 @@ class TestOperatorExtension:
         rho = random_density(dims, 12, 33)
         full = embed_operator(op, dims, acts_on)
         direct = full @ rho.mat @ full.conj().T
-        fast = conjugate_on_factors(op, rho.mat, dims, acts_on)
+        fast = apply_kraus_op(op, rho.mat, dims, acts_on)
         assert np.abs(direct - fast).max() < 1e-13
 
     def test_embed_identity_is_identity(self):
