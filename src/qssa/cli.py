@@ -1,8 +1,9 @@
 """Command-line frontend: generate instances, run check suites, emit reports.
 
 Exit codes: 0 all non-skipped checks passed, 1 a check failed, 2 bad
-arguments or unknown suite/kind, 3 I/O failure. Replaying with the same
-seed produces byte-identical output files.
+arguments or unknown suite/kind, 3 I/O failure, 4 internal error (the
+traceback goes to stderr). Replaying with the same seed produces
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import sys
 
 import numpy as np
 
-from .linalg import DensityMatrix, density_to_json
+from .linalg import density_to_json
 from .measurement import kraus_to_json, povm_to_json
 from .randgen import random_cq_state, random_density, random_kraus, random_povm
 from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites
-from .wehrl import SpinJ, husimi, joint_weights, make_grid, wehrl_min_scan
+from .wehrl import SpinJ, husimi_field, scan_state, wehrl_min_scan
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -82,8 +83,6 @@ def cmd_check(args) -> int:
             tol=args.tol,
             d=args.d,
             two_j=args.two_j,
-            out=args.out,
-            fmt=args.format,
         )
         reports = run_suites(cfg)
     except KeyError as exc:
@@ -92,9 +91,9 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = reports_to_csv(reports) if cfg.fmt == "csv" else reports_to_ndjson(reports)
+    text = reports_to_csv(reports) if args.format == "csv" else reports_to_ndjson(reports)
     try:
-        _write(cfg.out, text)
+        _write(args.out, text)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
@@ -167,16 +166,10 @@ def _husimi_path(out: str) -> str:
 
 
 def _husimi_csv(spin: SpinJ, scan: dict, seed: int) -> str:
-    from .randgen import random_pure_state, rng_for
-
     best = min(scan["rows"], key=lambda r: r["S_W"])
-    psi = random_pure_state(spin.dim, rng_for(seed, (best["trial"],)))
-    rho = DensityMatrix(np.outer(psi, psi.conj()), (spin.dim,), trace_tol=1e-9, psd_tol=1e-12)
-    grid = make_grid(spin)
-    values = husimi(rho, (grid,))
-    weights = joint_weights((grid,))
+    field = husimi_field(scan_state(spin, seed, best["trial"]))
     lines = ["theta,phi,weight,value"]
-    for (th, ph), w, v in zip(grid.nodes, weights, values):
+    for (th, ph), w, v in zip(field.grids[0].nodes, field.weights, field.values):
         lines.append(f"{float(th)!r},{float(ph)!r},{float(w)!r},{float(v)!r}")
     return "\n".join(lines) + "\n"
 
@@ -184,11 +177,17 @@ def _husimi_csv(spin: SpinJ, scan: dict, seed: int) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "gen":
-        return cmd_gen(args)
-    return cmd_wehrl(args)
+    try:
+        if args.command == "check":
+            return cmd_check(args)
+        if args.command == "gen":
+            return cmd_gen(args)
+        return cmd_wehrl(args)
+    except Exception:
+        import traceback  # only on this path: importing it costs ~3 ms of start-up
+
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -96,8 +96,6 @@ class DensityMatrix:
         if mat.shape != (dims.total, dims.total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} (total {dims.total})")
         herm, asym = hermitize(mat, asym_tol=trace_tol)
-        if asym > trace_tol:
-            raise ValueError(f"asymmetry {asym:.3e} exceeds trace_tol {trace_tol:.3e}")
         eigs = np.linalg.eigvalsh(herm)
         if eigs[0] < -psd_tol:
             raise ValueError(f"matrix is not PSD: min eigenvalue {eigs[0]:.3e} < -{psd_tol:.3e}")

@@ -19,6 +19,8 @@ from .linalg import (
     HilbertDims,
     as_dims,
     kron,
+    matrix_from_json,
+    matrix_to_json,
     ptrace_mat,
     sqrtm_psd,
 )
@@ -291,8 +293,6 @@ def povm_joint_distribution(rho12: DensityMatrix, p: Povm, q: Povm) -> np.ndarra
 
 
 # --- JSON wire formats -----------------------------------------------------
-
-from .linalg import matrix_from_json, matrix_to_json  # noqa: E402
 
 
 def kraus_to_json(k: KrausSet) -> dict:

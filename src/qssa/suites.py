@@ -58,16 +58,12 @@ class SuiteConfig:
     tol: float | None = None
     d: int = 2
     two_j: int = 1
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt!r}")
         self.dims = as_dims(self.dims).dims
 
 

@@ -9,7 +9,9 @@ cos(theta) and trigonometric degree two_j in phi. The entropy integrand
 h ln h is not polynomial, so the default grid is finer than the resolution
 minimum; the floor below keeps the coherent-state entropy accurate to
 better than 1e-6 for all j (smoothness improves quickly with j, small j is
-the worst case).
+the worst case). The inequality checks default to the resolution-exact base
+grids instead: every inequality among Wehrl-type entropies holds exactly on
+them, only the absolute values are less converged.
 """
 
 from __future__ import annotations
@@ -73,6 +75,20 @@ class BlochGrid:
         return f"BlochGrid(two_j={self.spin.two_j}, nodes={len(self)})"
 
 
+def _coherent_states(two_j: int, thetas, phis) -> np.ndarray:
+    """Coherent vectors at (thetas[i], phis[p]) in row i * len(phis) + p.
+
+    float(C(2j,k)) is correctly rounded up to 2j = 1029, past any grid that
+    fits in memory; as int64 the binomials overflow from 2j = 68 on.
+    """
+    k = np.arange(two_j + 1)
+    binom = np.sqrt([float(math.comb(two_j, kk)) for kk in range(two_j + 1)])
+    half = np.asarray(thetas, dtype=float)[:, None] / 2
+    amps = binom * np.cos(half) ** (two_j - k) * np.sin(half) ** k
+    phases = np.exp(-1j * np.outer(phis, k))
+    return (amps[:, None, :] * phases).reshape(-1, two_j + 1)
+
+
 def bloch_state(spin: SpinJ, theta: float, phi: float) -> np.ndarray:
     """Coherent unit vector at sphere direction (theta, phi).
 
@@ -82,11 +98,7 @@ def bloch_state(spin: SpinJ, theta: float, phi: float) -> np.ndarray:
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    two_j = spin.two_j
-    k = np.arange(two_j + 1)
-    binom = np.array([math.comb(two_j, int(kk)) for kk in k], dtype=float)
-    amp = np.sqrt(binom) * np.cos(theta / 2) ** (two_j - k) * np.sin(theta / 2) ** k
-    return amp * np.exp(-1j * k * phi)
+    return _coherent_states(spin.two_j, [theta], [phi])[0]
 
 
 def base_grid_sizes(spin: SpinJ) -> tuple[int, int]:
@@ -116,18 +128,9 @@ def make_grid(spin: SpinJ, n_theta: int | None = None, n_phi: int | None = None)
     phis = 2 * np.pi * np.arange(n_phi) / n_phi
     # Node weight = (2j+1)/(4pi) * (GL weight in cos theta) * (2pi / n_phi).
     w_theta = (spin.two_j + 1) / (2.0 * n_phi) * wx
-    nodes = np.empty((n_theta * n_phi, 2))
-    weights = np.empty(n_theta * n_phi)
-    states = np.empty((n_theta * n_phi, spin.dim), dtype=complex)
-    k = np.arange(spin.two_j + 1)
-    binom = np.sqrt([math.comb(spin.two_j, int(kk)) for kk in k])
-    for i, (th, wt) in enumerate(zip(thetas, w_theta)):
-        amp = binom * np.cos(th / 2) ** (spin.two_j - k) * np.sin(th / 2) ** k
-        block = slice(i * n_phi, (i + 1) * n_phi)
-        nodes[block, 0] = th
-        nodes[block, 1] = phis
-        weights[block] = wt
-        states[block] = amp[None, :] * np.exp(-1j * np.outer(phis, k))
+    nodes = np.column_stack([np.repeat(thetas, n_phi), np.tile(phis, n_theta)])
+    weights = np.repeat(w_theta, n_phi)
+    states = _coherent_states(spin.two_j, thetas, phis)
     return BlochGrid(spin, nodes, weights, states)
 
 
@@ -137,24 +140,27 @@ def resolution_residual(grid: BlochGrid) -> float:
     return float(np.abs(acc - np.eye(grid.spin.dim)).max())
 
 
-def _grids_for(rho: DensityMatrix, grids, fast: bool) -> tuple[BlochGrid, ...]:
-    if grids is not None:
-        grids = tuple(grids) if isinstance(grids, (tuple, list)) else (grids,)
-        if len(grids) != len(rho.dims):
-            raise ValueError(f"{len(grids)} grids for {len(rho.dims)} factors")
-        for g, d in zip(grids, rho.dims):
-            if g.spin.dim != d:
-                raise ValueError(f"grid dim {g.spin.dim} does not match factor dim {d}")
-        return grids
-    out = []
-    for d in rho.dims:
-        spin = SpinJ(d - 1)
-        if fast:
-            nt, nph = base_grid_sizes(spin)
-            out.append(make_grid(spin, nt, nph))
-        else:
-            out.append(make_grid(spin))
-    return tuple(out)
+def _as_tuple(grids) -> tuple[BlochGrid, ...]:
+    """One grid, or a tuple or list of grids (one per factor), as a tuple."""
+    return tuple(grids) if isinstance(grids, (tuple, list)) else (grids,)
+
+
+def _grids_for(rho: DensityMatrix, grids, lean: bool = False) -> tuple[BlochGrid, ...]:
+    """`grids` as a tuple checked against rho's factors.
+
+    None builds one grid per factor: of the resolution-exact base sizes if
+    `lean`, else of make_grid's defaults.
+    """
+    if grids is None:
+        spins = [SpinJ(d - 1) for d in rho.dims]
+        return tuple(make_grid(s, *(base_grid_sizes(s) if lean else ())) for s in spins)
+    grids = _as_tuple(grids)
+    if len(grids) != len(rho.dims):
+        raise ValueError(f"{len(grids)} grids for {len(rho.dims)} factors")
+    for g, d in zip(grids, rho.dims):
+        if g.spin.dim != d:
+            raise ValueError(f"grid dim {g.spin.dim} does not match factor dim {d}")
+    return grids
 
 
 def husimi(rho: DensityMatrix, grids) -> np.ndarray:
@@ -163,9 +169,7 @@ def husimi(rho: DensityMatrix, grids) -> np.ndarray:
     For two factors the product grid is traversed in C order (first factor
     outer); the result is flattened accordingly.
     """
-    grids = tuple(grids) if isinstance(grids, (tuple, list)) else (grids,)
-    if len(grids) != len(rho.dims):
-        raise ValueError(f"{len(grids)} grids for {len(rho.dims)} factors")
+    grids = _grids_for(rho, grids)
     if len(grids) == 1:
         v = grids[0].states
         return np.einsum("na,ab,nb->n", v.conj(), rho.mat, v, optimize=True).real
@@ -179,7 +183,7 @@ def husimi(rho: DensityMatrix, grids) -> np.ndarray:
 
 
 def joint_weights(grids) -> np.ndarray:
-    grids = tuple(grids) if isinstance(grids, (tuple, list)) else (grids,)
+    grids = _as_tuple(grids)
     w = grids[0].weights
     for g in grids[1:]:
         w = np.outer(w, g.weights).ravel()
@@ -200,25 +204,21 @@ class HusimiField:
 
 
 def husimi_field(rho: DensityMatrix, grids=None) -> HusimiField:
-    grids = _grids_for(rho, grids, fast=False)
-    values = husimi(rho, grids)
-    if values.min() < -1e-12:
-        raise RuntimeError(f"Husimi value {values.min():.3e} below -1e-12")
-    weights = joint_weights(grids)
-    mass = float(np.dot(weights, values))
-    if abs(mass - rho.trace()) > 1e-10:
-        raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {rho.trace()!r}")
-    return HusimiField(grids, values, weights)
+    grids = _grids_for(rho, grids)
+    field = HusimiField(grids, husimi(rho, grids), joint_weights(grids))
+    if field.values.min() < -1e-12:
+        raise RuntimeError(f"Husimi value {field.values.min():.3e} below -1e-12")
+    if abs(field.mass - rho.trace()) > 1e-10:
+        raise RuntimeError(f"Husimi mass {field.mass!r} disagrees with trace {rho.trace()!r}")
+    return field
 
 
-def wehrl_entropy(rho: DensityMatrix, grids=None, fast: bool = False) -> float:
+def wehrl_entropy(rho: DensityMatrix, grids=None) -> float:
     """Quadrature value of -integral h ln h over the sphere(s).
 
-    `fast=True` uses the resolution-exact base grids: every inequality among
-    Wehrl-type entropies still holds exactly for them, only the absolute
-    value is less converged.
+    Without `grids`, each factor gets make_grid's accuracy-floored default.
     """
-    grids = _grids_for(rho, grids, fast=fast)
+    grids = _grids_for(rho, grids)
     h = husimi(rho, grids)
     w = joint_weights(grids)
     mask = h > HUSIMI_FLOOR
@@ -230,22 +230,22 @@ def coherent_wehrl_value(spin: SpinJ) -> float:
     return spin.two_j / (spin.two_j + 1)
 
 
-def check_wehrl_dominates(rho: DensityMatrix, grids=None, fast: bool = True,
+def check_wehrl_dominates(rho: DensityMatrix, grids=None,
                           tol: float | None = None) -> InequalityReport:
     """S[rho] <= S_W[rho]; holds for every resolution grid, any state."""
-    grids = _grids_for(rho, grids, fast=fast)
+    grids = _grids_for(rho, grids, lean=True)
     s = von_neumann(rho)
     sw = wehrl_entropy(rho, grids)
     return make_report("wehrl_dominates", s, sw, tol=tol, dims=rho.dims.dims,
                        grid_nodes=[len(g) for g in grids])
 
 
-def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None, fast: bool = True,
+def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None,
                             tol: float | None = None) -> InequalityReport:
     """Wehrl mutual information is dominated by quantum mutual information."""
     if len(rho12.dims) != 2:
         raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
-    grids = _grids_for(rho12, grids, fast=fast)
+    grids = _grids_for(rho12, grids, lean=True)
     sw12 = wehrl_entropy(rho12, grids)
     sw1 = wehrl_entropy(rho12.reduced({1}), (grids[0],))
     sw2 = wehrl_entropy(rho12.reduced({2}), (grids[1],))
@@ -257,12 +257,11 @@ def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None, fast: bool = True,
 
 def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
                           lambdas: Iterable[float] = (0.25, 0.5, 0.75),
-                          grids=None, fast: bool = True,
-                          tol: float | None = None) -> InequalityReport:
+                          grids=None, tol: float | None = None) -> InequalityReport:
     """Convexity of rho -> S_W[rho] - S[rho] along the segment [a, b]."""
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    grids = _grids_for(a, grids, fast=fast)
+    grids = _grids_for(a, grids, lean=True)
 
     def g(rho: DensityMatrix) -> float:
         return wehrl_entropy(rho, grids) - von_neumann(rho)
@@ -281,12 +280,20 @@ def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
                        lambda_at_min=lam, grid_nodes=[len(g_) for g_ in grids])
 
 
+def scan_state(spin: SpinJ, seed: Seed, trial: int) -> DensityMatrix:
+    """Pure state of trial `trial` in wehrl_min_scan(spin, ..., seed)."""
+    psi = random_pure_state(spin.dim, rng_for(seed, (trial,)))
+    return DensityMatrix(np.outer(psi, psi.conj()), (spin.dim,), trace_tol=1e-9, psd_tol=1e-12)
+
+
 def wehrl_min_scan(spin: SpinJ, trials: int, seed: Seed) -> dict:
     """Wehrl entropies of random pure states versus the coherent value.
 
-    The map rho -> S_W - S is convex with maximum on pure states, where
-    S = 0; whether coherent states minimize S_W among pure states is an
-    open question, so the scan records what it finds and asserts nothing.
+    Coherent states minimize the spin Wehrl entropy, S_W >= 2j/(2j+1)
+    (Lieb and Solovej, Acta Math. 212 (2014), arXiv:1208.3632). The scan
+    checks that theorem numerically on make_grid's default grid;
+    `min_is_at_least_coherent` allows 1e-6 below the coherent value for
+    quadrature error.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -294,9 +301,7 @@ def wehrl_min_scan(spin: SpinJ, trials: int, seed: Seed) -> dict:
     rows = []
     min_sw = math.inf
     for t in range(trials):
-        psi = random_pure_state(spin.dim, rng_for(seed, (t,)))
-        rho = DensityMatrix(np.outer(psi, psi.conj()), (spin.dim,),
-                            trace_tol=1e-9, psd_tol=1e-12)
+        rho = scan_state(spin, seed, t)
         sw = wehrl_entropy(rho, (grid,))
         s = von_neumann(rho)
         rows.append({"trial": t, "seed": int(seed), "two_j": spin.two_j,

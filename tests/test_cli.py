@@ -61,6 +61,15 @@ class TestCheckCommand:
                     "--out", str(tmp_path / "r.ndjson")])
         assert code in (0, 2)
 
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        # exit 1 means an inequality failed; a crash gets its own code
+        def boom(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("qssa.cli.run_suites", boom)
+        assert run(["check", "--suite", "ssa", "--trials", "1"]) == 4
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
     def test_io_failure_exits_3(self, capsys):
         code = run(["check", "--suite", "ssa", "--trials", "1",
                     "--out", "/nonexistent-dir/x.ndjson"])
@@ -183,3 +192,12 @@ class TestWehrlCommand:
         assert rows[0] == "theta,phi,weight,value"
         mass = sum(float(r.split(",")[2]) * float(r.split(",")[3]) for r in rows[1:])
         assert abs(mass - 1.0) < 1e-10
+
+    def test_large_spin_emit_husimi(self, tmp_path, capsys):
+        # from 2j = 68 on, C(2j, k) no longer fits in an int64
+        out = tmp_path / "scan.csv"
+        assert run(["wehrl", "--two-j", "68", "--trials", "2", "--seed", "0",
+                    "--out", str(out), "--emit-husimi"]) == 0
+        assert (tmp_path / "scan.husimi.csv").exists()
+        residual = capsys.readouterr().out.split("residual=")[1]
+        assert float(residual) <= 1e-12

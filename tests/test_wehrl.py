@@ -81,8 +81,10 @@ class TestGrid:
     def test_two_j_one(self):
         assert resolution_residual(make_grid(SpinJ(1))) <= 1e-14
 
-    def test_two_j_ten(self):
-        assert resolution_residual(make_grid(SpinJ(10))) <= 1e-12
+    @pytest.mark.parametrize("two_j", [10, 68, 100])
+    def test_two_j_resolves(self, two_j):
+        # from 2j = 68 on, C(2j, k) no longer fits in an int64
+        assert resolution_residual(make_grid(SpinJ(two_j))) <= 1e-12
 
     def test_minimal_sizes_still_resolve(self):
         spin = SpinJ(6)
@@ -94,6 +96,14 @@ class TestGrid:
             make_grid(SpinJ(4), n_theta=4)
         with pytest.raises(ValueError):
             make_grid(SpinJ(4), n_phi=9)
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 5, 16, 40])
+    @pytest.mark.parametrize("lean", [False, True])
+    def test_states_are_bloch_states(self, two_j, lean):
+        spin = SpinJ(two_j)
+        g = make_grid(spin, *(base_grid_sizes(spin) if lean else ()))
+        for (theta, phi), state in zip(g.nodes, g.states):
+            assert np.array_equal(state, bloch_state(spin, theta, phi))
 
     def test_weights_sum_to_dim(self):
         for two_j in (1, 5, 12):
@@ -116,9 +126,10 @@ class TestWehrlEntropy:
         assert abs(wehrl_entropy(rho) - coherent_wehrl_value(spin)) < 1e-6
 
     def test_dominates_von_neumann(self):
+        grids = (make_grid(SpinJ(3), *base_grid_sizes(SpinJ(3))),)
         for seed in range(10):
             rho = random_density((4,), 4 if seed % 2 else 1, seed, substream=90)
-            assert wehrl_entropy(rho, fast=True) >= von_neumann(rho) - 1e-8
+            assert wehrl_entropy(rho, grids=grids) >= von_neumann(rho) - 1e-8
 
     def test_husimi_mass(self):
         rho = random_density((3,), 3, 91)
