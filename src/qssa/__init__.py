@@ -2,7 +2,6 @@
 
 from .linalg import (
     DensityMatrix,
-    HilbertDims,
     hermitian_eig,
     kron,
     matrix_exp,

@@ -93,22 +93,28 @@ def _ensemble_bound(ens: MeasurementEnsemble) -> float:
     return sum(n * (von_neumann(r23) - von_neumann(r2)) for n, r23, r2 in ens.entries)
 
 
+def _s123_minus_s12(rho123: DensityMatrix) -> float:
+    """S123 - S12, the side every SSA-type bound here starts from."""
+    return von_neumann(rho123) - von_neumann(partial_trace(rho123, {1, 2}))
+
+
+def _s23_minus_s2(rho123: DensityMatrix) -> float:
+    """S23 - S2, the plain SSA bound."""
+    return von_neumann(partial_trace(rho123, {2, 3})) - von_neumann(partial_trace(rho123, {2}))
+
+
 def check_ssa(rho123: DensityMatrix, tol: float | None = None) -> InequalityReport:
     """Strong subadditivity: S123 - S12 <= S23 - S2."""
     if len(rho123.dims) != 3:
         raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
-    lhs = von_neumann(rho123) - von_neumann(partial_trace(rho123, {1, 2}))
-    rhs = von_neumann(partial_trace(rho123, {2, 3})) - von_neumann(partial_trace(rho123, {2}))
-    return make_report("ssa", lhs, rhs, tol=tol, dims=rho123.dims.dims)
+    return make_report("ssa", _s123_minus_s12(rho123), _s23_minus_s2(rho123), tol=tol, dims=rho123.dims)
 
 
 def check_stronger_ssa(rho123: DensityMatrix, k: KrausSet, tol: float | None = None) -> InequalityReport:
     """Measured refinement: S123 - S12 <= sum_a n_a (S[rho23_a] - S[rho2_a])."""
     ens = measurement_ensemble(rho123, k)
-    lhs = von_neumann(rho123) - von_neumann(partial_trace(rho123, {1, 2}))
-    rhs = _ensemble_bound(ens)
     return make_report(
-        "stronger_ssa", lhs, rhs, tol=tol, dims=rho123.dims.dims,
+        "stronger_ssa", _s123_minus_s12(rho123), _ensemble_bound(ens), tol=tol, dims=rho123.dims,
         kraus_count=len(k), acts_on=list(k.acts_on),
         skipped_terms=ens.skipped, skipped_mass=ens.skipped_mass,
     )
@@ -125,11 +131,9 @@ def check_sandwich(rho123: DensityMatrix, k: KrausSet, tol: float | None = None)
         raise ValueError(f"sandwich requires a Kraus set acting on factor 1 only, got {k.acts_on}")
     ens = measurement_ensemble(rho123, k)
     middle = _ensemble_bound(ens)
-    lhs = von_neumann(rho123) - von_neumann(partial_trace(rho123, {1, 2}))
-    rhs = von_neumann(partial_trace(rho123, {2, 3})) - von_neumann(partial_trace(rho123, {2}))
-    left = make_report("sandwich_left", lhs, middle, tol=tol, dims=rho123.dims.dims,
+    left = make_report("sandwich_left", _s123_minus_s12(rho123), middle, tol=tol, dims=rho123.dims,
                        kraus_count=len(k))
-    right = make_report("sandwich_right", middle, rhs, tol=tol, dims=rho123.dims.dims,
+    right = make_report("sandwich_right", middle, _s23_minus_s2(rho123), tol=tol, dims=rho123.dims,
                         kraus_count=len(k))
     return left, right
 
@@ -179,7 +183,7 @@ def check_gibbs_variational(rho: DensityMatrix, h: np.ndarray, tol: float | None
     # log-sum-exp for a stable ln Tr e^H
     top = w[-1]
     rhs = float(top + np.log(np.sum(np.exp(w - top))))
-    return make_report("gibbs_variational", lhs, rhs, tol=tol, dims=rho.dims.dims,
+    return make_report("gibbs_variational", lhs, rhs, tol=tol, dims=rho.dims,
                        h_asymmetry=h_asym)
 
 
@@ -193,7 +197,7 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet, tol: float | None
     """
     if len(rho123.dims) != 3:
         raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
-    d = rho123.dims.dims
+    d = rho123.dims
     rho12 = partial_trace(rho123, {1, 2})
     rho3 = partial_trace(rho123, {3})
     product = DensityMatrix(kron(rho12.mat, rho3.mat), d, trace_tol=1e-8, psd_tol=1e-9)
@@ -213,18 +217,15 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet, tol: float | None
     )
 
 
-def improved_subadd_middle(rho12: DensityMatrix, p: Povm) -> tuple[float, np.ndarray]:
-    """S[rho1] + sum_a n_a S[rho2_a] and the outcome weights."""
-    s1 = von_neumann(partial_trace(rho12, {1}))
-    weights = []
+def _measured_conditional_entropy(rho12: DensityMatrix, p: Povm) -> float:
+    """sum_a n_a S[rho2_a] for the POVM measured on factor 1."""
     cond_entropy = 0.0
     for b in povm_conditionals(rho12, p, factor=1):
         s_b, n = block_entropy(b)
-        weights.append(n)
         # adding n ln n to -Tr B ln B recovers the weighted conditional
         # entropy n S[rho2_a]
         cond_entropy += s_b + (n * np.log(n) if n > 1e-15 else 0.0)
-    return s1 + cond_entropy, np.array(weights)
+    return cond_entropy
 
 
 def check_improved_subadd(rho12: DensityMatrix, p: Povm, tol: float | None = None) -> tuple[InequalityReport, InequalityReport]:
@@ -234,10 +235,10 @@ def check_improved_subadd(rho12: DensityMatrix, p: Povm, tol: float | None = Non
     s12 = von_neumann(rho12)
     s1 = von_neumann(partial_trace(rho12, {1}))
     s2 = von_neumann(partial_trace(rho12, {2}))
-    middle, _ = improved_subadd_middle(rho12, p)
-    left = make_report("improved_subadd_left", s12, middle, tol=tol, dims=rho12.dims.dims,
+    middle = s1 + _measured_conditional_entropy(rho12, p)
+    left = make_report("improved_subadd_left", s12, middle, tol=tol, dims=rho12.dims,
                        povm_count=len(p))
-    right = make_report("improved_subadd_right", middle, s1 + s2, tol=tol, dims=rho12.dims.dims,
+    right = make_report("improved_subadd_right", middle, s1 + s2, tol=tol, dims=rho12.dims,
                         povm_count=len(p))
     return left, right
 
@@ -280,7 +281,7 @@ def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm, tol: flo
         raise RuntimeError(f"outcome-table marginal disagrees with direct weights by {marginal_residual:.3e}")
     return make_report(
         "classical_mutual_info", quantum_mi, classical_mi, relation=">=", tol=tol,
-        dims=rho12.dims.dims, p_count=len(p), q_count=len(q),
+        dims=rho12.dims, p_count=len(p), q_count=len(q),
         marginal_residual=marginal_residual,
     )
 
@@ -305,11 +306,11 @@ def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm, tol: float | None = N
     s_cl_2 = weighted_entropy_sum(r.sum(axis=0))
     first = make_report(
         "cq_chain_quantum_to_cq", s12 - s1 - s2, s_cq - s_cl_1 - s2, tol=tol,
-        dims=rho12.dims.dims, p_count=len(p),
+        dims=rho12.dims, p_count=len(p),
     )
     second = make_report(
         "cq_chain_cq_to_classical", s_cq - s_cl_1 - s2, s_cl_12 - s_cl_1 - s_cl_2, tol=tol,
-        dims=rho12.dims.dims, p_count=len(p), q_count=len(q),
+        dims=rho12.dims, p_count=len(p), q_count=len(q),
     )
     return first, second
 
@@ -323,17 +324,15 @@ def check_cqq(rho123: DensityMatrix, p: Povm, tol: float | None = None) -> Inequ
     """
     if len(rho123.dims) != 3:
         raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
-    s123 = von_neumann(rho123)
-    s12 = von_neumann(partial_trace(rho123, {1, 2}))
     s_cqq = 0.0
     s_cq = 0.0
-    d = rho123.dims.dims
+    d = rho123.dims
     for b in povm_conditionals(rho123, p, factor=1):
         s_cqq += block_entropy(b)[0]
         b2 = np.trace(b.reshape(d[1], d[2], d[1], d[2]), axis1=1, axis2=3)
         s_cq += block_entropy(b2)[0]
     return make_report(
-        "cqq", s123 - s12, s_cqq - s_cq, tol=tol, dims=d, povm_count=len(p),
+        "cqq", _s123_minus_s12(rho123), s_cqq - s_cq, tol=tol, dims=d, povm_count=len(p),
     )
 
 
@@ -362,7 +361,7 @@ def check_convexity_cl_minus_q(
             worst = (margin, lam, g(mix), lam * ga + (1 - lam) * gb)
     _, lam, gmix, combo = worst
     return make_report(
-        "convexity_cl_minus_q", gmix, combo, tol=tol, dims=a12.dims.dims,
+        "convexity_cl_minus_q", gmix, combo, tol=tol, dims=a12.dims,
         lambda_at_min=lam, g_a=ga, g_b=gb,
     )
 
@@ -378,8 +377,8 @@ def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm, tol: float |
     for s in states:
         if s.dims != dims:
             raise ValueError("ensemble states must share dimensions")
-    if q.dim != dims.total:
-        raise ValueError(f"POVM dim {q.dim} does not match state dim {dims.total}")
+    if q.dim != states[0].dim:
+        raise ValueError(f"POVM dim {q.dim} does not match state dim {states[0].dim}")
     r = np.array([[w * float(np.trace(el @ s.mat).real) for el in q.elements]
                   for w, s in zip(weights, states)])
     accessible = shannon(r.sum(axis=1)) + shannon(r.sum(axis=0)) - shannon(r.ravel())
@@ -387,6 +386,6 @@ def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm, tol: float |
                         trace_tol=1e-8, psd_tol=1e-9)
     chi = von_neumann(avg) - sum(w * von_neumann(s) for w, s in zip(weights, states))
     return make_report(
-        "holevo", accessible, chi, tol=tol, dims=dims.dims,
+        "holevo", accessible, chi, tol=tol, dims=dims,
         ensemble_size=len(states), povm_count=len(q),
     )

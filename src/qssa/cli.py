@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-import numpy as np
-
-from .linalg import density_to_json
+from .linalg import as_dims, density_to_json
 from .measurement import kraus_to_json, povm_to_json
 from .randgen import random_cq_state, random_density, random_kraus, random_povm
 from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites
@@ -23,12 +22,9 @@ from .wehrl import SpinJ, husimi_field, scan_state, wehrl_min_scan
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad dims {text!r}; expected e.g. 2,3,2")
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"bad dims {text!r}; entries must be >= 1")
-    return dims
+        return as_dims(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad dims {text!r} (expected e.g. 2,3,2): {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,9 +102,8 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     try:
         if args.kind == "density":
-            dims = args.dims
-            rank = args.rank if args.rank is not None else int(np.prod(dims))
-            obj = density_to_json(random_density(dims, rank, args.seed))
+            rank = args.rank if args.rank is not None else math.prod(args.dims)
+            obj = density_to_json(random_density(args.dims, rank, args.seed))
         elif args.kind == "kraus":
             if len(args.dims) != 1:
                 print("error: gen kraus expects a single operator dimension, e.g. --dims 4", file=sys.stderr)

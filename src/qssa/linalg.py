@@ -1,13 +1,16 @@
 """Dense complex linear algebra on tensor-product spaces.
 
-States live on a product of finite-dimensional factors. Factors are labeled
-1..n throughout the public API (the same labels appear in the JSON wire
-formats). All operations are pure functions of immutable inputs; arrays
-held by :class:`DensityMatrix` are frozen after construction.
+States live on a product of finite-dimensional factors, described by a
+plain tuple of factor dimensions (d1, ..., dn) that `as_dims` validates.
+Factors are labeled 1..n throughout the public API, `ptrace_mat` included
+(the same labels appear in the JSON wire formats). All operations are pure
+functions of immutable inputs; arrays held by :class:`DensityMatrix` are
+frozen after construction.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,44 +24,14 @@ CLAMP_REL = 1e-12
 ASYM_TOL = 1e-8
 
 
-class HilbertDims:
-    """Ordered factor dimensions (d1, d2, ...) of a tensor-product space."""
-
-    __slots__ = ("dims",)
-
-    def __init__(self, dims: Iterable[int]):
-        dims = tuple(int(d) for d in dims)
-        if len(dims) < 1:
-            raise ValueError("need at least one factor")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"factor dimensions must be >= 1, got {dims}")
-        self.dims = dims
-
-    @property
-    def total(self) -> int:
-        return int(np.prod(self.dims))
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, i: int) -> int:
-        return self.dims[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HilbertDims) and self.dims == other.dims
-
-    def __hash__(self) -> int:
-        return hash(self.dims)
-
-    def __repr__(self) -> str:
-        return f"HilbertDims{self.dims}"
-
-
-def as_dims(dims) -> HilbertDims:
-    return dims if isinstance(dims, HilbertDims) else HilbertDims(dims)
+def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """Factor dimensions (d1, d2, ...) as a tuple: at least one, each >= 1."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 1:
+        raise ValueError("need at least one factor")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"factor dimensions must be >= 1, got {dims}")
+    return dims
 
 
 def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, float]:
@@ -92,9 +65,10 @@ class DensityMatrix:
         unnormalized: bool = False,
     ):
         dims = as_dims(dims)
+        total = math.prod(dims)
         mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (dims.total, dims.total):
-            raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} (total {dims.total})")
+        if mat.shape != (total, total):
+            raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} (total {total})")
         herm, asym = hermitize(mat, asym_tol=trace_tol)
         eigs = np.linalg.eigvalsh(herm)
         if eigs[0] < -psd_tol:
@@ -115,16 +89,13 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.dims.total
+        return self.mat.shape[0]
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
-    def reduced(self, keep: Iterable[int]) -> "DensityMatrix":
-        return partial_trace(self, keep)
-
     def __repr__(self) -> str:
-        return f"DensityMatrix(dims={self.dims.dims}, trace={self.trace():.6f})"
+        return f"DensityMatrix(dims={self.dims}, trace={self.trace():.6f})"
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,30 +112,29 @@ def _keep_to_zero_based(keep: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(k - 1 for k in keep)
 
 
-def ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep0: Sequence[int]) -> np.ndarray:
-    """Partial trace of a raw square matrix over the factors not in `keep0`.
+def ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Partial trace of a raw square matrix over the factors not in `keep`.
 
-    `keep0` holds zero-based factor indices; kept factors retain their
-    original relative order.
+    `keep` holds 1-based factor labels; kept factors retain their original
+    relative order.
     """
     dims = list(dims)
     n = len(dims)
+    kept = _keep_to_zero_based(keep, n)
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    for ax in sorted(set(range(n)) - set(keep0), reverse=True):
+    for ax in sorted(set(range(n)) - set(kept), reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + len(dims))
         del dims[ax]
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return t.reshape(d, d)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduce a state to the factors in `keep` (1-based labels)."""
-    keep0 = _keep_to_zero_based(keep, len(rho.dims))
-    sub = ptrace_mat(rho.mat, rho.dims.dims, keep0)
-    new_dims = tuple(rho.dims[i] for i in keep0)
+    keep = tuple(keep)
     return DensityMatrix(
-        sub,
-        new_dims,
+        ptrace_mat(rho.mat, rho.dims, keep),
+        tuple(rho.dims[k] for k in _keep_to_zero_based(keep, len(rho.dims))),
         trace_tol=rho.trace_tol,
         psd_tol=rho.psd_tol,
         unnormalized=rho.unnormalized,
@@ -253,7 +223,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 def density_to_json(rho: DensityMatrix) -> dict:
     out = matrix_to_json(rho.mat)
-    out["dims"] = list(rho.dims.dims)
+    out["dims"] = list(rho.dims)
     return out
 
 

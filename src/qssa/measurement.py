@@ -9,6 +9,7 @@ serves as the test oracle for that path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
-    HilbertDims,
     as_dims,
     kron,
     matrix_from_json,
@@ -132,10 +132,10 @@ class MeasurementEnsemble:
     total_weight: float
 
 
-def _check_factor_dim(ops_dim: int, dims: HilbertDims, acts_on: Sequence[int]) -> None:
-    sub = int(np.prod([dims[a - 1] for a in acts_on]))
+def _check_factor_dim(ops_dim: int, dims: tuple[int, ...], acts_on: Sequence[int]) -> None:
     if max(acts_on) > len(dims):
         raise ValueError(f"acts_on {tuple(acts_on)} out of range for dims {dims}")
+    sub = math.prod(dims[a - 1] for a in acts_on)
     if sub != ops_dim:
         raise ValueError(f"operator dim {ops_dim} does not match factors {tuple(acts_on)} of {dims} (product {sub})")
 
@@ -146,7 +146,7 @@ def embed_operator(op: np.ndarray, dims, acts_on: Sequence[int]) -> np.ndarray:
     acts_on = tuple(sorted(acts_on))
     _check_factor_dim(op.shape[0], dims, acts_on)
     rest = [i for i in range(1, len(dims) + 1) if i not in acts_on]
-    rest_dim = int(np.prod([dims[i - 1] for i in rest])) if rest else 1
+    rest_dim = math.prod(dims[i - 1] for i in rest)
     full = kron(op, np.eye(rest_dim, dtype=complex))
     # `full` lives on factor order acts_on + rest; permute back to 1..n.
     order = [a - 1 for a in acts_on] + [r - 1 for r in rest]
@@ -154,7 +154,7 @@ def embed_operator(op: np.ndarray, dims, acts_on: Sequence[int]) -> np.ndarray:
     inv = np.argsort(order)
     t = full.reshape(perm_dims + perm_dims)
     t = np.transpose(t, axes=list(inv) + [len(dims) + i for i in inv])
-    return t.reshape(dims.total, dims.total)
+    return t.reshape(full.shape)
 
 
 def _apply_rows(op_t: np.ndarray, t: np.ndarray, axes: Sequence[int], k: int) -> np.ndarray:
@@ -175,10 +175,11 @@ def apply_kraus_op(op: np.ndarray, rho_mat: np.ndarray, dims, acts_on: Sequence[
     sub = [dims[a - 1] for a in acts_on]
     k = len(acts_on)
     op_t = op.reshape(sub + sub)
-    t = np.asarray(rho_mat, dtype=complex).reshape(tuple(dims) * 2)
+    t = np.asarray(rho_mat, dtype=complex).reshape(dims * 2)
     t = _apply_rows(op_t, t, [a - 1 for a in acts_on], k)
     t = _apply_rows(op_t.conj(), t, [n + a - 1 for a in acts_on], k)
-    return t.reshape(dims.total, dims.total)
+    total = math.prod(dims)
+    return t.reshape(total, total)
 
 
 def check_completeness(k: KrausSet) -> float:
@@ -200,8 +201,7 @@ def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsem
         raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {k.acts_on}")
     if k.sub_complete:
         raise ValueError("measurement ensembles require a complete Kraus set")
-    _check_factor_dim(k.dim, rho123.dims, k.acts_on)
-    d = rho123.dims.dims
+    d = rho123.dims
     entries = []
     skipped = 0
     skipped_mass = 0.0
@@ -212,9 +212,9 @@ def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsem
             skipped += 1
             skipped_mass += max(n, 0.0)
             continue
-        r23 = DensityMatrix(ptrace_mat(c, d, (1, 2)) / n, (d[1], d[2]),
+        r23 = DensityMatrix(ptrace_mat(c, d, (2, 3)) / n, (d[1], d[2]),
                             trace_tol=1e-8, psd_tol=1e-7)
-        r2 = DensityMatrix(ptrace_mat(c, d, (1,)) / n, (d[1],),
+        r2 = DensityMatrix(ptrace_mat(c, d, (2,)) / n, (d[1],),
                            trace_tol=1e-8, psd_tol=1e-7)
         entries.append((n, r23, r2))
     total = sum(e[0] for e in entries) + skipped_mass
@@ -232,14 +232,13 @@ def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:
         raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
     if k.sub_complete:
         raise ValueError("the block-diagonal channel requires a complete Kraus set")
-    _check_factor_dim(k.dim, rho123.dims, k.acts_on)
-    d = rho123.dims.dims
+    d = rho123.dims
     m = len(k.ops)
     d23 = d[1] * d[2]
     out = np.zeros((m * d23, m * d23), dtype=complex)
     for a, op in enumerate(k.ops):
         c = apply_kraus_op(op, rho123.mat, rho123.dims, k.acts_on)
-        out[a * d23 : (a + 1) * d23, a * d23 : (a + 1) * d23] = ptrace_mat(c, d, (1, 2))
+        out[a * d23 : (a + 1) * d23, a * d23 : (a + 1) * d23] = ptrace_mat(c, d, (2, 3))
     return DensityMatrix(out, (m, d[1], d[2]), trace_tol=1e-9, psd_tol=1e-9,
                          unnormalized=rho123.unnormalized)
 
@@ -263,9 +262,9 @@ def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> list[np.n
     if p.dim != dims[factor - 1]:
         raise ValueError(f"POVM dim {p.dim} does not match factor {factor} of {dims}")
     n = len(dims)
-    t = rho.mat.reshape(tuple(dims) * 2)
+    t = rho.mat.reshape(dims * 2)
     out = []
-    rest = int(dims.total // dims[factor - 1])
+    rest = rho.dim // dims[factor - 1]
     for el in p.elements:
         b = np.tensordot(el, t, axes=([1, 0], [factor - 1, n + factor - 1]))
         out.append(b.reshape(rest, rest))
@@ -274,7 +273,7 @@ def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> list[np.n
 
 def povm_weights(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarray:
     """Outcome probabilities Tr(P_a rho) of measuring one factor."""
-    reduced = ptrace_mat(rho.mat, rho.dims.dims, (factor - 1,))
+    reduced = ptrace_mat(rho.mat, rho.dims, (factor,))
     return np.array([float(np.trace(el @ reduced).real) for el in p.elements])
 
 

@@ -10,6 +10,8 @@ normal (numpy ziggurat `standard_normal`).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import DensityMatrix, as_dims, hermitian_eig
@@ -35,9 +37,10 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:
     """Random state G G† / Tr(G G†) with G a (total x rank) complex Gaussian."""
     dims = as_dims(dims)
-    if not 1 <= rank <= dims.total:
-        raise ValueError(f"rank {rank} out of range 1..{dims.total}")
-    g = complex_gaussian(rng_for(seed, substream), (dims.total, rank))
+    total = math.prod(dims)
+    if not 1 <= rank <= total:
+        raise ValueError(f"rank {rank} out of range 1..{total}")
+    g = complex_gaussian(rng_for(seed, substream), (total, rank))
     m = g @ g.conj().T
     m /= np.trace(m).real
     return DensityMatrix(m, dims, trace_tol=1e-12, psd_tol=1e-12)
@@ -97,10 +100,10 @@ def random_cq_state(dims, seed: Seed, substream=0) -> DensityMatrix:
     dims = as_dims(dims)
     if len(dims) != 3:
         raise ValueError(f"need exactly 3 factors, got {dims}")
-    d1, d2, d3 = dims.dims
+    d1, d2, d3 = dims
     rng = rng_for(seed, substream)
     p = rng.dirichlet(np.ones(d1 * d2)).reshape(d1, d2)
-    mat = np.zeros((dims.total, dims.total), dtype=complex)
+    mat = np.zeros((d1 * d2 * d3, d1 * d2 * d3), dtype=complex)
     for i in range(d1):
         for j in range(d2):
             g = complex_gaussian(rng, (d3, d3))

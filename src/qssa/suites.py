@@ -64,7 +64,7 @@ class SuiteConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-        self.dims = as_dims(self.dims).dims
+        self.dims = as_dims(self.dims)
 
 
 def _finish(reports: list[InequalityReport], cfg: SuiteConfig, suite: str, index: int) -> list[InequalityReport]:

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, partial_trace
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_pure_state, rng_for
 from .report import InequalityReport, make_report
@@ -175,7 +175,7 @@ def husimi(rho: DensityMatrix, grids) -> np.ndarray:
         return np.einsum("na,ab,nb->n", v.conj(), rho.mat, v, optimize=True).real
     if len(grids) == 2:
         u, v = grids[0].states, grids[1].states
-        d1, d2 = rho.dims.dims
+        d1, d2 = rho.dims
         t = rho.mat.reshape(d1, d2, d1, d2)
         h = np.einsum("ia,kb,abcd,ic,kd->ik", u.conj(), v.conj(), t, u, v, optimize=True).real
         return h.ravel()
@@ -236,7 +236,7 @@ def check_wehrl_dominates(rho: DensityMatrix, grids=None,
     grids = _grids_for(rho, grids, lean=True)
     s = von_neumann(rho)
     sw = wehrl_entropy(rho, grids)
-    return make_report("wehrl_dominates", s, sw, tol=tol, dims=rho.dims.dims,
+    return make_report("wehrl_dominates", s, sw, tol=tol, dims=rho.dims,
                        grid_nodes=[len(g) for g in grids])
 
 
@@ -247,12 +247,12 @@ def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None,
         raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
     grids = _grids_for(rho12, grids, lean=True)
     sw12 = wehrl_entropy(rho12, grids)
-    sw1 = wehrl_entropy(rho12.reduced({1}), (grids[0],))
-    sw2 = wehrl_entropy(rho12.reduced({2}), (grids[1],))
+    sw1 = wehrl_entropy(partial_trace(rho12, {1}), (grids[0],))
+    sw2 = wehrl_entropy(partial_trace(rho12, {2}), (grids[1],))
     wehrl_mi = sw1 + sw2 - sw12
     quantum_mi = mutual_information(rho12)
     return make_report("wehrl_mutual_info", wehrl_mi, quantum_mi, tol=tol,
-                       dims=rho12.dims.dims, grid_nodes=[len(g) for g in grids])
+                       dims=rho12.dims, grid_nodes=[len(g) for g in grids])
 
 
 def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
@@ -276,7 +276,7 @@ def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
         if worst is None or margin < worst[0]:
             worst = (margin, lam, g(mix), lam * ga + (1 - lam) * gb)
     _, lam, gmix, combo = worst
-    return make_report("wehrl_convexity", gmix, combo, tol=tol, dims=a.dims.dims,
+    return make_report("wehrl_convexity", gmix, combo, tol=tol, dims=a.dims,
                        lambda_at_min=lam, grid_nodes=[len(g_) for g_ in grids])
 
 

@@ -142,7 +142,7 @@ class TestGenCommand:
         assert run(["gen", "--kind", "cq", "--dims", "2,2,2", "--seed", "5",
                     "--out", str(out)]) == 0
         rho = density_from_json(json.loads(out.read_text()))
-        assert rho.dims.dims == (2, 2, 2)
+        assert rho.dims == (2, 2, 2)
 
     def test_bad_dims_exit_2(self, capsys):
         assert run(["gen", "--kind", "kraus", "--dims", "2,2", "--seed", "1",
@@ -153,6 +153,17 @@ class TestGenCommand:
             run(["gen", "--kind", "density", "--dims", "0,2", "--seed", "1",
                  "--out", "/tmp/x.json"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--kind", "density", "--seed", "1", "--out", "/tmp/x.json"],
+        ["check", "--suite", "ssa", "--trials", "1"],
+    ], ids=["gen", "check"])
+    @pytest.mark.parametrize("dims", ["0,2", "2,x", "2,,2"])
+    def test_invalid_dims_message(self, command, dims, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--dims", dims])
+        assert exc.value.code == 2
+        assert f"bad dims {dims!r}" in capsys.readouterr().err
 
 
 class TestWehrlCommand:

@@ -5,7 +5,7 @@ import pytest
 
 from qssa.linalg import (
     DensityMatrix,
-    HilbertDims,
+    as_dims,
     density_from_json,
     density_to_json,
     hermitian_eig,
@@ -17,6 +17,7 @@ from qssa.linalg import (
     matrix_log,
     matrix_to_json,
     partial_trace,
+    ptrace_mat,
     sqrtm_psd,
     trace_distance,
 )
@@ -72,13 +73,21 @@ def ptrace_oracle(mat, dims, keep):
 
 class TestHilbertDims:
     def test_total(self):
-        assert HilbertDims((2, 3, 2)).total == 12
+        rho = DensityMatrix(np.eye(12) / 12, (2, 3, 2))
+        assert rho.mat.shape == (12, 12)
+        with pytest.raises(ValueError):
+            DensityMatrix(np.eye(6) / 6, (2, 3, 2))
+
+    def test_tuple_of_ints(self):
+        dims = as_dims([2, "3", np.int64(2)])
+        assert dims == (2, 3, 2) and type(dims) is tuple
+        assert all(type(d) is int for d in dims)
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
-            HilbertDims(())
+            as_dims(())
         with pytest.raises(ValueError):
-            HilbertDims((2, 0))
+            as_dims((2, 0))
 
 
 class TestKron:
@@ -122,7 +131,7 @@ class TestPartialTrace:
         out = partial_trace(rho, {1, 3})
         expect = ptrace_oracle(rho.mat, (2, 3, 2), (1, 3))
         assert np.abs(out.mat - expect).max() < 1e-12
-        assert out.dims == HilbertDims((2, 2))
+        assert out.dims == (2, 2)
 
     def test_composition(self):
         rho = random_density((2, 2, 3), 12, 9)
@@ -141,6 +150,17 @@ class TestPartialTrace:
             partial_trace(rho, set())
         with pytest.raises(ValueError):
             partial_trace(rho, {3})
+
+    def test_ptrace_mat_labels_are_1_based(self):
+        rho = random_density((2, 3, 2), 12, 7)
+        out = ptrace_mat(rho.mat, (2, 3, 2), {1, 3})
+        assert np.array_equal(out, partial_trace(rho, {1, 3}).mat)
+
+    @pytest.mark.parametrize("keep", [{0}, {4}, {-1}, set()], ids=["0", "4", "-1", "empty"])
+    def test_ptrace_mat_rejects_bad_labels(self, keep):
+        rho = random_density((2, 2, 2), 8, 3)
+        with pytest.raises(ValueError):
+            ptrace_mat(rho.mat, (2, 2, 2), keep)
 
 
 class TestHermitianEig:

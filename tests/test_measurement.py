@@ -95,7 +95,7 @@ class TestMeasurementEnsemble:
         rho = random_cq_state((2, 2, 2), 17)
         k = product_basis_kraus(2, 2)
         ens = measurement_ensemble(rho, k)
-        joint = np.real(np.diag(rho.reduced({1, 2}).mat))
+        joint = np.real(np.diag(partial_trace(rho, {1, 2}).mat))
         weights = sorted(n for n, _, _ in ens.entries)
         assert np.allclose(weights, sorted(joint[joint > 1e-12]), atol=1e-12)
         for n, r23, r2 in ens.entries:
@@ -126,7 +126,20 @@ class TestMeasurementEnsemble:
         with pytest.raises(ValueError):
             measurement_ensemble(rho, KrausSet([np.eye(2)], acts_on=(2,)))
         with pytest.raises(ValueError):
-            measurement_ensemble(rho.reduced({1, 2}), KrausSet([np.eye(4)], acts_on=(1, 2)))
+            measurement_ensemble(partial_trace(rho, {1, 2}), KrausSet([np.eye(4)], acts_on=(1, 2)))
+
+    @pytest.mark.parametrize("fn", [measurement_ensemble, cpt_phi])
+    def test_rejects_operator_dim_mismatch(self, fn):
+        rho = random_density((2, 2, 2), 8, 13)
+        with pytest.raises(ValueError, match="does not match factors"):
+            fn(rho, KrausSet([np.eye(3)], acts_on=(1,)))
+
+    def test_rejects_acts_on_past_last_factor(self):
+        rho = random_density((2, 2, 2), 8, 13)
+        with pytest.raises(ValueError, match="out of range"):
+            cpt_phi(rho, KrausSet([np.eye(2)], acts_on=(4,)))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_kraus_op(np.eye(2), rho.mat, (2, 2, 2), (4,))
 
     def test_rejects_sub_complete(self):
         rho = random_density((2, 2, 2), 8, 14)
@@ -140,7 +153,7 @@ class TestCptPhi:
     def test_identity_kraus_gives_reduction(self):
         rho = random_density((2, 2, 2), 8, 16)
         out = cpt_phi(rho, KrausSet([np.eye(4)], acts_on=(1, 2)))
-        assert out.dims.dims == (1, 2, 2)
+        assert out.dims == (1, 2, 2)
         assert np.abs(out.mat - partial_trace(rho, {2, 3}).mat).max() < 1e-12
 
     def test_product_input_blocks(self):

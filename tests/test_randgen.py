@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qssa.entropy import von_neumann
+from qssa.linalg import partial_trace
 from qssa.measurement import check_completeness
 from qssa.randgen import (
     random_cq_state,
@@ -113,7 +114,7 @@ class TestRandomCqState:
 
     def test_first_two_factors_classical(self):
         rho = random_cq_state((2, 3, 2), 29)
-        r12 = rho.reduced({1, 2}).mat
+        r12 = partial_trace(rho, {1, 2}).mat
         off = r12 - np.diag(np.diag(r12))
         assert np.abs(off).max() < 1e-14
 
