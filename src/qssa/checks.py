@@ -29,10 +29,8 @@ from .entropy import (
 )
 from .linalg import (
     DensityMatrix,
-    hermitian_eig,
     hermitize,
     kron,
-    matrix_exp,
     matrix_log,
     partial_trace,
 )
@@ -85,7 +83,8 @@ def trace_exp_map(inst: ConcavityInstance, a_ops: Sequence[np.ndarray] | None = 
     h = inst.l_op.copy()
     for k, a in zip(inst.kraus.ops, a_ops):
         h = h + k.conj().T @ matrix_log(a, clamp=False) @ k
-    return float(np.trace(matrix_exp(h)).real)
+    # Tr exp(H) = sum exp(spectrum); exp(H) itself is never needed
+    return float(np.sum(np.exp(np.linalg.eigvalsh(hermitize(h)[0]))))
 
 
 def _ensemble_bound(ens: MeasurementEnsemble) -> float:
@@ -178,8 +177,9 @@ def check_gibbs_variational(rho: DensityMatrix, h: np.ndarray, tol: float | None
     h, h_asym = hermitize(h)
     if h.shape != rho.mat.shape:
         raise ValueError(f"dimension mismatch: state {rho.mat.shape} vs H {h.shape}")
-    lhs = von_neumann(rho) + float(np.trace(rho.mat @ h).real)
-    w, _ = hermitian_eig(h)
+    # Tr(rho H) = sum_ij rho_ij H_ji, without the n^3 product
+    lhs = von_neumann(rho) + float(np.sum(rho.mat * h.T).real)
+    w = np.linalg.eigvalsh(h)
     # log-sum-exp for a stable ln Tr e^H
     top = w[-1]
     rhs = float(top + np.log(np.sum(np.exp(w - top))))

@@ -4,6 +4,10 @@ Exit codes: 0 all non-skipped checks passed, 1 a check failed, 2 bad
 arguments or unknown suite/kind, 3 I/O failure, 4 internal error (the
 traceback goes to stderr). Replaying with the same seed produces
 byte-identical output files.
+
+`qssa diff A B` compares two NDJSON report files line by line: 0 when they
+agree within --rtol, 1 on a verdict flip or a larger change, 2 when the
+files do not list the same reports, 3 on an I/O failure.
 """
 
 from __future__ import annotations
@@ -58,6 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_wehrl.add_argument("--out", required=True, help="scan CSV path")
     p_wehrl.add_argument("--emit-husimi", action="store_true",
                          help="also dump node values of the minimizing state")
+
+    p_diff = sub.add_parser("diff", help="compare lhs/rhs/verdicts of two NDJSON report files")
+    p_diff.add_argument("a", help="reference reports")
+    p_diff.add_argument("b", help="reports to compare")
+    p_diff.add_argument("--rtol", type=float, default=1e-9,
+                        help="allowed |change| per value, relative to max(1, |value in A|)")
     return parser
 
 
@@ -80,13 +90,13 @@ def cmd_check(args) -> int:
             d=args.d,
             two_j=args.two_j,
         )
-        reports = run_suites(cfg)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    reports = run_suites(cfg)
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_ndjson(reports)
     try:
         _write(args.out, text)
@@ -156,6 +166,66 @@ def cmd_wehrl(args) -> int:
     return 0
 
 
+def _delta(x, y) -> float:
+    """|x - y| of two report values; inf when one is missing, non-numeric or NaN."""
+    if x == y or (x != x and y != y):  # equal, both None, or both NaN
+        return 0.0
+    try:
+        d = abs(x - y)
+    except TypeError:
+        return math.inf
+    return d if d == d else math.inf
+
+
+def cmd_diff(args) -> int:
+    if not (math.isfinite(args.rtol) and args.rtol >= 0):
+        print(f"error: rtol must be finite and >= 0, got {args.rtol!r}", file=sys.stderr)
+        return 2
+    try:
+        with open(args.a) as fa, open(args.b) as fb:
+            lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
+    if len(lines_a) != len(lines_b):
+        print(f"error: {len(lines_a)} reports in {args.a}, {len(lines_b)} in {args.b}", file=sys.stderr)
+        return 2
+    by_name = {}  # report name -> lines changed, lines, largest |dlhs| and |drhs|
+    flips, over = [], 0
+    for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
+        try:
+            ra, rb = json.loads(la), json.loads(lb)
+            id_a, id_b = ((r["name"], r["seed"], r["meta"].get("suite"), r["meta"].get("instance"))
+                          for r in (ra, rb))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(f"error: line {i} is not a report: {exc!r}", file=sys.stderr)
+            return 2
+        if id_a != id_b:
+            print(f"error: line {i} is {id_a} in {args.a} but {id_b} in {args.b}", file=sys.stderr)
+            return 2
+        row = by_name.setdefault(ra["name"], {"changed": 0, "lines": 0, "lhs": 0.0, "rhs": 0.0})
+        row["changed"] += la != lb
+        row["lines"] += 1
+        for key in ("lhs", "rhs"):
+            d = _delta(ra.get(key), rb.get(key))
+            if d:
+                row[key] = max(row[key], d)
+                over += d == math.inf or d > args.rtol * max(1.0, abs(ra[key]))
+        if (ra.get("pass"), ra.get("status")) != (rb.get("pass"), rb.get("status")):
+            flips.append(f"flip: line {i} {ra['name']} (suite {id_a[2]}, instance {id_a[3]}): "
+                         f"pass {ra.get('pass')} -> {rb.get('pass')}, "
+                         f"status {ra.get('status')} -> {rb.get('status')}")
+    print(f"{'name':<28} {'changed':>11} {'max|dlhs|':>10} {'max|drhs|':>10}")
+    for name, row in by_name.items():
+        counts = f"{row['changed']}/{row['lines']}"
+        print(f"{name:<28} {counts:>11} {row['lhs']:>10.2e} {row['rhs']:>10.2e}")
+    print("\n".join(flips) if flips else "no verdict flips")
+    changed = sum(row["changed"] for row in by_name.values())
+    print(f"{changed} of {len(lines_a)} lines changed; {over} values beyond rtol {args.rtol:g}; "
+          f"{len(flips)} verdict flips")
+    return 1 if flips or over else 0
+
+
 def _husimi_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".husimi.csv"
 
@@ -177,6 +247,8 @@ def main(argv=None) -> int:
             return cmd_check(args)
         if args.command == "gen":
             return cmd_gen(args)
+        if args.command == "diff":
+            return cmd_diff(args)
         return cmd_wehrl(args)
     except Exception:
         import traceback  # only on this path: importing it costs ~3 ms of start-up

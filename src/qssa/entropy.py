@@ -77,7 +77,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     w, v = hermitian_eig(sigma.mat)
     eps = clamp_threshold(w)
-    diag = np.einsum("ij,jk,ki->i", v.conj().T, rho.mat, v).real
+    # diag(V† rho V): the one O(n^3) step is a BLAS matmul, the rest a row sum
+    diag = np.einsum("ij,ji->i", v.conj().T @ rho.mat, v).real
     outside = w < eps
     if float(diag[outside].sum()) > SUPPORT_LEAK_TOL:
         return float("inf")

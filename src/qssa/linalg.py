@@ -24,9 +24,17 @@ CLAMP_REL = 1e-12
 ASYM_TOL = 1e-8
 
 
+def _as_int(x) -> int:
+    """x as an int; ValueError for a non-integral number (int() would truncate it)."""
+    n = int(x)
+    if not isinstance(x, str) and n != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return n
+
+
 def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """Factor dimensions (d1, d2, ...) as a tuple: at least one, each >= 1."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_as_int(d) for d in dims)
     if len(dims) < 1:
         raise ValueError("need at least one factor")
     if any(d < 1 for d in dims):
@@ -104,7 +112,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _keep_to_zero_based(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_as_int(k) for k in keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 1 or keep[-1] > n:

@@ -60,11 +60,25 @@ class SuiteConfig:
     two_j: int = 1
 
     def __post_init__(self):
+        """Reject every bad setting before any suite runs (unknown suite: KeyError)."""
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
         self.dims = as_dims(self.dims)
+        names = resolve_suites(self.suites)
+        for name in names:
+            need = DIMS_FACTORS.get(name)
+            if need == 3 and len(self.dims) != 3:
+                raise ValueError(f"suite {name} needs a 3-factor state, got dims {self.dims}")
+            if need == 2 and len(self.dims) < 2:
+                raise ValueError(f"suite {name} needs at least two factors, got dims {self.dims}")
+        if "counterexample" in names and self.d < 2:
+            raise ValueError(f"counterexample needs d >= 2, got {self.d}")
+        if "wehrl" in names and self.two_j < 0:
+            raise ValueError(f"two_j must be >= 0, got {self.two_j}")
 
 
 def _finish(reports: list[InequalityReport], cfg: SuiteConfig, suite: str, index: int) -> list[InequalityReport]:
@@ -74,12 +88,6 @@ def _finish(reports: list[InequalityReport], cfg: SuiteConfig, suite: str, index
         r.meta.setdefault("instance", index)
         r.meta.setdefault("rng", RNG_NAME)
     return reports
-
-
-def _two_factor(cfg: SuiteConfig) -> tuple[int, int]:
-    if len(cfg.dims) < 2:
-        raise ValueError(f"suite needs at least two factors, got dims {cfg.dims}")
-    return cfg.dims[0], cfg.dims[1]
 
 
 def _instances(name: str):
@@ -117,7 +125,7 @@ def suite_ssa(cfg, i, key):
 
 @_instances("stronger-ssa")
 def suite_stronger_ssa(cfg, i, key):
-    d1, d2 = _two_factor(cfg)
+    d1, d2 = cfg.dims[:2]
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(d1 * d2, (1, 2, 4)[i % 3], cfg.seed, key(1), acts_on=(1, 2))
     return [checks.check_stronger_ssa(rho, k, tol=cfg.tol)]
@@ -161,7 +169,7 @@ def suite_gibbs(cfg, i, key):
 
 @_instances("cpt")
 def suite_cpt(cfg, i, key):
-    d1, d2 = _two_factor(cfg)
+    d1, d2 = cfg.dims[:2]
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(d1 * d2, (2, 3)[i % 2], cfg.seed, key(1), acts_on=(1, 2))
     return [checks.check_cpt_monotonicity(rho, k, tol=cfg.tol)]
@@ -169,7 +177,7 @@ def suite_cpt(cfg, i, key):
 
 @_instances("improved-subadd")
 def suite_improved_subadd(cfg, i, key):
-    d1, d2 = _two_factor(cfg)
+    d1, d2 = cfg.dims[:2]
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     p = random_povm(d1, (2, 3, 4)[i % 3], cfg.seed, key(1))
     return list(checks.check_improved_subadd(rho, p, tol=cfg.tol))
@@ -177,7 +185,7 @@ def suite_improved_subadd(cfg, i, key):
 
 @_instances("mutual-info")
 def suite_mutual_info(cfg, i, key):
-    d1, d2 = _two_factor(cfg)
+    d1, d2 = cfg.dims[:2]
     counts = (2, 3, 4)
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     p = random_povm(d1, counts[i % 3], cfg.seed, key(1))
@@ -187,7 +195,7 @@ def suite_mutual_info(cfg, i, key):
 
 @_instances("cq-chain")
 def suite_cq_chain(cfg, i, key):
-    d1, d2 = _two_factor(cfg)
+    d1, d2 = cfg.dims[:2]
     counts = (2, 3)
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     p = random_povm(d1, counts[i % 2], cfg.seed, key(1))
@@ -204,7 +212,7 @@ def suite_cqq(cfg, i, key):
 
 @_instances("convexity")
 def suite_convexity(cfg, i, key):
-    d1, d2 = _two_factor(cfg)
+    d1, d2 = cfg.dims[:2]
     a = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     b = random_density((d1, d2), max(1, d1 * d2 // 2), cfg.seed, key(1))
     p = random_povm(d1, 2 + i % 2, cfg.seed, key(2))
@@ -213,7 +221,7 @@ def suite_convexity(cfg, i, key):
 
 @_instances("holevo")
 def suite_holevo(cfg, i, key):
-    d1, d2 = _two_factor(cfg)
+    d1, d2 = cfg.dims[:2]
     d = d1 * d2
     m = (2, 3, 4)[i % 3]
     weights = rng_for(cfg.seed, key(0)).dirichlet(np.ones(m))
@@ -246,6 +254,22 @@ def suite_counterexample(cfg: SuiteConfig) -> list[InequalityReport]:
     )
     return _finish([r], cfg, "counterexample", 0)
 
+
+# Factors of --dims each suite reads, checked by SuiteConfig: 3 means a
+# tripartite state (exactly three factors), 2 means the first two of at least
+# two. Suites not listed ignore --dims.
+DIMS_FACTORS = {
+    "ssa": 3,
+    "stronger-ssa": 3,
+    "sandwich": 3,
+    "cpt": 3,
+    "cqq": 3,
+    "improved-subadd": 2,
+    "mutual-info": 2,
+    "cq-chain": 2,
+    "convexity": 2,
+    "holevo": 2,
+}
 
 SUITES: dict[str, Callable[[SuiteConfig], list[InequalityReport]]] = {
     "ssa": suite_ssa,

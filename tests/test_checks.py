@@ -23,7 +23,7 @@ from qssa.checks import (
     trace_exp_map,
 )
 from qssa.entropy import mutual_information, shannon, von_neumann
-from qssa.linalg import DensityMatrix, kron, matrix_exp, partial_trace
+from qssa.linalg import DensityMatrix, kron, matrix_exp, matrix_log, partial_trace
 from qssa.measurement import KrausSet, Povm, povm_to_kraus
 from qssa.randgen import (
     basis_projectors,
@@ -178,6 +178,15 @@ class TestConcaveMap:
         b = ConcavityInstance(l_op, k, [random_positive(2, 32, j) for j in range(2)])
         assert check_concave_map(a, b).slack >= -1e-9
 
+    @pytest.mark.parametrize("dim,m", [(2, 1), (3, 2), (4, 3)])
+    def test_trace_exp_matches_matrix_exp_oracle(self, dim, m):
+        k = random_kraus(dim, m, 37, acts_on=(1,))
+        inst = ConcavityInstance(random_hermitian(dim, 38),
+                                 k, [random_positive(dim, 39, j) for j in range(m)])
+        h = inst.l_op + sum(op.conj().T @ matrix_log(a) @ op for op, a in zip(k.ops, inst.a_ops))
+        oracle = np.trace(matrix_exp(h)).real
+        assert trace_exp_map(inst) == pytest.approx(oracle, rel=1e-12)
+
     def test_rejects_indefinite_argument(self):
         k = KrausSet([np.eye(2)], acts_on=(1,))
         with pytest.raises(ValueError):
@@ -202,6 +211,16 @@ class TestGibbs:
         rho = random_density((2, 3), 6, 35)
         h = random_hermitian(6, 36)
         assert check_gibbs_variational(rho, h).passed
+
+    @pytest.mark.parametrize("dims,rank", [((2, 3), 6), ((2, 3), 1), ((4, 4, 4), 64)])
+    def test_sides_match_dense_oracle(self, dims, rank):
+        d = math.prod(dims)
+        rho = random_density(dims, rank, 40)
+        h = random_hermitian(d, 41)
+        r = check_gibbs_variational(rho, h)
+        assert r.rhs == pytest.approx(math.log(np.trace(matrix_exp(h)).real), rel=1e-12)
+        trace_term = np.trace(rho.mat @ h).real
+        assert r.lhs - von_neumann(rho) == pytest.approx(trace_term, rel=1e-12, abs=1e-12)
 
 
 class TestCptMonotonicity:

@@ -70,6 +70,31 @@ class TestCheckCommand:
         assert run(["check", "--suite", "ssa", "--trials", "1"]) == 4
         assert "RuntimeError: boom" in capsys.readouterr().err
 
+    def test_value_error_during_run_exits_4(self, monkeypatch, capsys):
+        # a ValueError from the numerics is a crash, not a bad argument
+        def boom(cfg):
+            raise ValueError("numerics")
+
+        monkeypatch.setitem(SUITES, "ssa", boom)
+        assert run(["check", "--suite", "ssa", "--trials", "1"]) == 4
+        assert "ValueError: numerics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--suite", "ssa", "--dims", "2,2"],
+        ["--suite", "counterexample", "--d", "1"],
+        ["--suite", "wehrl", "--two-j", "-1"],
+        ["--suite", "gibbs", "--seed", "-1"],
+    ], ids=["dims", "d", "two-j", "seed"])
+    def test_bad_arguments_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, args):
+        def never(cfg):
+            raise AssertionError("suite ran")
+
+        monkeypatch.setattr("qssa.cli.run_suites", never)
+        out = tmp_path / "r.ndjson"
+        assert run(["check", *args, "--trials", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_io_failure_exits_3(self, capsys):
         code = run(["check", "--suite", "ssa", "--trials", "1",
                     "--out", "/nonexistent-dir/x.ndjson"])
@@ -212,3 +237,65 @@ class TestWehrlCommand:
         assert (tmp_path / "scan.husimi.csv").exists()
         residual = capsys.readouterr().out.split("residual=")[1]
         assert float(residual) <= 1e-12
+
+
+class TestDiffCommand:
+    @pytest.fixture
+    def reports(self, tmp_path):
+        path = tmp_path / "a.ndjson"
+        assert run(["check", "--suite", "ssa,gibbs", "--trials", "3", "--seed", "5",
+                    "--out", str(path)]) == 0
+        return path
+
+    def rewrite(self, src, dst, line, **changes):
+        recs = [json.loads(l) for l in src.read_text().splitlines()]
+        recs[line].update(changes)
+        dst.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in recs))
+        return dst
+
+    def test_identical_files(self, reports, capsys):
+        assert run(["diff", str(reports), str(reports), "--rtol", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "0 of 6 lines changed" in out and "no verdict flips" in out
+
+    def test_perturbed_lhs(self, reports, tmp_path, capsys):
+        lhs = json.loads(reports.read_text().splitlines()[4])["lhs"]
+        for delta, rtol, code in ((1e-13, "1e-9", 0), (1e-6, "1e-9", 1), (1e-13, "0", 1)):
+            b = self.rewrite(reports, tmp_path / "b.ndjson", 4, lhs=lhs + delta)
+            assert run(["diff", str(reports), str(b), "--rtol", rtol]) == code
+            out = capsys.readouterr().out
+            row = next(l for l in out.splitlines() if l.startswith("gibbs_variational"))
+            assert row.split()[1] == "1/3"
+            assert float(row.split()[2]) == pytest.approx(delta, rel=1e-2)
+
+    def test_missing_values(self, tmp_path, capsys):
+        a = tmp_path / "a.ndjson"
+        b = tmp_path / "b.ndjson"
+        skipped = {"name": "cpt_monotonicity", "seed": 1, "lhs": None, "rhs": None, "pass": True,
+                   "status": "skipped", "meta": {"suite": "cpt", "instance": 0}}
+        a.write_text(json.dumps(skipped) + "\n")
+        assert run(["diff", str(a), str(a), "--rtol", "0"]) == 0
+        b.write_text(json.dumps({**skipped, "lhs": 0.5}) + "\n")
+        assert run(["diff", str(a), str(b)]) == 1
+        assert "inf" in capsys.readouterr().out
+
+    def test_flipped_verdict(self, reports, tmp_path, capsys):
+        b = self.rewrite(reports, tmp_path / "b.ndjson", 1, **{"pass": False})
+        assert run(["diff", str(reports), str(b)]) == 1
+        assert "flip: line 2 ssa (suite ssa, instance 1)" in capsys.readouterr().out
+
+    def test_mismatched_files(self, reports, tmp_path, capsys):
+        lines = reports.read_text().splitlines(keepends=True)
+        short = tmp_path / "short.ndjson"
+        short.write_text("".join(lines[:-1]))
+        assert run(["diff", str(reports), str(short)]) == 2
+        swapped = tmp_path / "swapped.ndjson"
+        swapped.write_text("".join([lines[1], lines[0], *lines[2:]]))
+        assert run(["diff", str(reports), str(swapped)]) == 2
+        other_seed = self.rewrite(reports, tmp_path / "seed.ndjson", 0, seed=6)
+        assert run(["diff", str(reports), str(other_seed)]) == 2
+        garbage = tmp_path / "garbage.ndjson"
+        garbage.write_text("not json\n" * len(lines))
+        assert run(["diff", str(reports), str(garbage)]) == 2
+        assert run(["diff", str(reports), str(tmp_path / "missing.ndjson")]) == 3
+        assert run(["diff", str(reports), str(reports), "--rtol", "nan"]) == 2

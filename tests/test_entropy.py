@@ -14,7 +14,7 @@ from qssa.entropy import (
     von_neumann,
     weighted_entropy_sum,
 )
-from qssa.linalg import DensityMatrix, kron, partial_trace, trace_distance
+from qssa.linalg import DensityMatrix, kron, matrix_log, partial_trace, trace_distance
 from qssa.measurement import Povm, povm_conditionals, povm_weights
 from qssa.randgen import basis_projectors, random_density, random_povm, random_unitary
 
@@ -84,6 +84,21 @@ class TestRelativeEntropy:
         b[1, 1] = 1.0
         val = relative_entropy(DensityMatrix(a, (2,)), DensityMatrix(b, (2,)))
         assert math.isinf(val)
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 3), (4, 4, 4)], ids=["3", "2x3", "4x4x4"])
+    def test_matches_matrix_log_oracle(self, dims):
+        d = math.prod(dims)
+        rho = random_density(dims, d, 60, substream=1)
+        sigma = random_density(dims, d, 60, substream=2)
+        oracle = np.trace(rho.mat @ (matrix_log(rho.mat) - matrix_log(sigma.mat))).real
+        assert relative_entropy(rho, sigma) == pytest.approx(oracle, rel=1e-12)
+
+    def test_rank_deficient_sigma_with_leak_is_infinite(self):
+        # sigma has rank 3 of 6; a full-rank rho puts weight outside its support
+        rho = random_density((2, 3), 6, 61, substream=1)
+        sigma = random_density((2, 3), 3, 61, substream=2)
+        assert math.isinf(relative_entropy(rho, sigma))
+        assert math.isfinite(relative_entropy(sigma, rho))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

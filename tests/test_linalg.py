@@ -89,6 +89,15 @@ class TestHilbertDims:
         with pytest.raises(ValueError):
             as_dims((2, 0))
 
+    @pytest.mark.parametrize("dims", [[2.7, 3], [2, np.float64(1.5)], ["2.5"]], ids=["float", "np-float", "str"])
+    def test_rejects_non_integral(self, dims):
+        # int() would truncate 2.7 to 2 and accept the wrong factor
+        with pytest.raises(ValueError):
+            as_dims(dims)
+
+    def test_integral_floats_are_ints(self):
+        assert as_dims([2.0, np.float64(3.0)]) == (2, 3)
+
 
 class TestKron:
     def test_identity_case(self):
@@ -155,6 +164,15 @@ class TestPartialTrace:
         rho = random_density((2, 3, 2), 12, 7)
         out = ptrace_mat(rho.mat, (2, 3, 2), {1, 3})
         assert np.array_equal(out, partial_trace(rho, {1, 3}).mat)
+
+    @pytest.mark.parametrize("keep", [{1.9}, {1, 2.5}], ids=["1.9", "2.5"])
+    def test_rejects_non_integral_labels(self, keep):
+        # int() would truncate 1.9 to 1 and keep factor 1
+        rho = random_density((2, 3, 2), 12, 7)
+        with pytest.raises(ValueError):
+            partial_trace(rho, keep)
+        with pytest.raises(ValueError):
+            ptrace_mat(rho.mat, rho.dims, keep)
 
     @pytest.mark.parametrize("keep", [{0}, {4}, {-1}, set()], ids=["0", "4", "-1", "empty"])
     def test_ptrace_mat_rejects_bad_labels(self, keep):

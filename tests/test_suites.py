@@ -59,6 +59,27 @@ class TestRun:
         with pytest.raises(ValueError):
             SuiteConfig(trials=0)
 
+    @pytest.mark.parametrize("suites,kwargs", [
+        (["ssa"], {"dims": (2, 2)}),
+        (["cpt"], {"dims": (2, 2, 2, 2)}),
+        (["holevo"], {"dims": (4,)}),
+        (["all"], {"dims": (2, 2)}),
+        (["counterexample"], {"d": 1}),
+        (["wehrl"], {"two_j": -1}),
+        (["gibbs"], {"seed": -1}),
+    ], ids=["ssa-2", "cpt-4", "holevo-1", "all-2", "d-1", "two_j", "seed"])
+    def test_bad_settings_rejected_before_running(self, suites, kwargs):
+        with pytest.raises(ValueError):
+            SuiteConfig(suites=suites, trials=1, **kwargs)
+
+    def test_settings_of_unselected_suites_are_not_checked(self):
+        SuiteConfig(suites=["gibbs", "wehrl"], dims=(4,), d=1)
+        SuiteConfig(suites=["mutual-info"], dims=(2, 3, 4, 5), two_j=-1)
+
+    def test_unknown_suite_rejected_at_construction(self):
+        with pytest.raises(KeyError):
+            SuiteConfig(suites=["bogus"])
+
 
 class TestSerialization:
     def test_ndjson_line_count(self):
