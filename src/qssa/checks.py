@@ -28,6 +28,7 @@ from .entropy import (
     weighted_entropy_sum,
 )
 from .linalg import (
+    STATE_TOL,
     DensityMatrix,
     hermitize,
     kron,
@@ -200,7 +201,7 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet, tol: float | None
     d = rho123.dims
     rho12 = partial_trace(rho123, {1, 2})
     rho3 = partial_trace(rho123, {3})
-    product = DensityMatrix(kron(rho12.mat, rho3.mat), d, trace_tol=1e-8, psd_tol=1e-9)
+    product = DensityMatrix(kron(rho12.mat, rho3.mat), d)
     big = relative_entropy(rho123, product)
     phi_rho = cpt_phi(rho123, k)
     phi_prod = cpt_phi(product, k)
@@ -217,13 +218,13 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet, tol: float | None
     )
 
 
-def _measured_conditional_entropy(rho12: DensityMatrix, p: Povm) -> float:
-    """sum_a n_a S[rho2_a] for the POVM measured on factor 1."""
+def _measured_conditional_entropy(rho12: DensityMatrix, p: Povm, factor: int = 1) -> float:
+    """sum_a n_a S[rho_a] for the POVM measured on `factor`, rho_a on the other."""
     cond_entropy = 0.0
-    for b in povm_conditionals(rho12, p, factor=1):
+    for b in povm_conditionals(rho12, p, factor=factor):
         s_b, n = block_entropy(b)
         # adding n ln n to -Tr B ln B recovers the weighted conditional
-        # entropy n S[rho2_a]
+        # entropy n S[rho_a]
         cond_entropy += s_b + (n * np.log(n) if n > 1e-15 else 0.0)
     return cond_entropy
 
@@ -256,15 +257,10 @@ def counterexample_two_sided(d: int) -> tuple[float, float]:
     mat = np.zeros((d * d, d * d), dtype=complex)
     for a in range(d):
         mat[a * d + a, a * d + a] = 1.0 / d
-    rho12 = DensityMatrix(mat, (d, d), trace_tol=1e-12, psd_tol=1e-12)
+    rho12 = DensityMatrix(mat, (d, d))
     lhs = von_neumann(rho12)
-    projectors = Povm([np.outer(eye[:, a], eye[:, a].conj()) for a in range(d)], tol=1e-12)
-    rhs = 0.0
-    for factor in (1, 2):
-        for b in povm_conditionals(rho12, projectors, factor=factor):
-            s_b, n = block_entropy(b)
-            if n > 1e-15:
-                rhs += s_b + n * np.log(n)
+    projectors = Povm([np.outer(eye[:, a], eye[:, a].conj()) for a in range(d)])
+    rhs = sum(_measured_conditional_entropy(rho12, projectors, factor) for factor in (1, 2))
     return lhs, rhs
 
 
@@ -354,8 +350,7 @@ def check_convexity_cl_minus_q(
     gb = g(b12)
     worst = None
     for lam in lambdas:
-        mix = DensityMatrix(lam * a12.mat + (1 - lam) * b12.mat, a12.dims,
-                            trace_tol=1e-9, psd_tol=1e-9)
+        mix = DensityMatrix(lam * a12.mat + (1 - lam) * b12.mat, a12.dims)
         margin = lam * ga + (1 - lam) * gb - g(mix)
         if worst is None or margin < worst[0]:
             worst = (margin, lam, g(mix), lam * ga + (1 - lam) * gb)
@@ -369,7 +364,7 @@ def check_convexity_cl_minus_q(
 def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm, tol: float | None = None) -> InequalityReport:
     """Accessible information of an ensemble is at most its Holevo quantity."""
     weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-9:
+    if abs(weights.sum() - 1.0) > STATE_TOL:
         raise ValueError(f"ensemble weights sum to {weights.sum()!r}")
     if len(weights) != len(states):
         raise ValueError(f"{len(weights)} weights for {len(states)} states")
@@ -382,8 +377,7 @@ def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm, tol: float |
     r = np.array([[w * float(np.trace(el @ s.mat).real) for el in q.elements]
                   for w, s in zip(weights, states)])
     accessible = shannon(r.sum(axis=1)) + shannon(r.sum(axis=0)) - shannon(r.ravel())
-    avg = DensityMatrix(sum(w * s.mat for w, s in zip(weights, states)), dims,
-                        trace_tol=1e-8, psd_tol=1e-9)
+    avg = DensityMatrix(sum(w * s.mat for w, s in zip(weights, states)), dims)
     chi = von_neumann(avg) - sum(w * von_neumann(s) for w, s in zip(weights, states))
     return make_report(
         "holevo", accessible, chi, tol=tol, dims=dims,

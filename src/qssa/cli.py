@@ -109,29 +109,39 @@ def cmd_check(args) -> int:
     return 1 if n_fail else 0
 
 
+def _reject(*rules: tuple[bool, str]) -> bool:
+    """Print the message of the first rule that is violated; True if one is."""
+    for violated, message in rules:
+        if violated:
+            print(f"error: {message}", file=sys.stderr)
+            return True
+    return False
+
+
+# Factor count and an example --dims for the kinds of `gen` that need one.
+GEN_DIMS = {"kraus": (1, "4"), "povm": (1, "3"), "cq": (3, "2,2,2")}
+
+
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "density":
-            rank = args.rank if args.rank is not None else math.prod(args.dims)
-            obj = density_to_json(random_density(args.dims, rank, args.seed))
-        elif args.kind == "kraus":
-            if len(args.dims) != 1:
-                print("error: gen kraus expects a single operator dimension, e.g. --dims 4", file=sys.stderr)
-                return 2
-            obj = kraus_to_json(random_kraus(args.dims[0], args.count, args.seed))
-        elif args.kind == "povm":
-            if len(args.dims) != 1:
-                print("error: gen povm expects a single dimension, e.g. --dims 3", file=sys.stderr)
-                return 2
-            obj = povm_to_json(random_povm(args.dims[0], args.count, args.seed))
-        else:
-            if len(args.dims) != 3:
-                print("error: gen cq expects three factors, e.g. --dims 2,2,2", file=sys.stderr)
-                return 2
-            obj = density_to_json(random_cq_state(args.dims, args.seed))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    total = math.prod(args.dims)
+    rank = total if args.rank is None else args.rank
+    factors, example = GEN_DIMS.get(args.kind, (None, None))
+    if _reject(
+        (args.seed < 0, f"seed must be >= 0, got {args.seed}"),
+        (factors is not None and len(args.dims) != factors,
+         f"gen {args.kind} expects {factors} factor(s), e.g. --dims {example}, got {args.dims}"),
+        (args.kind == "density" and not 1 <= rank <= total, f"rank {rank} out of range 1..{total}"),
+        (args.kind in ("kraus", "povm") and args.count < 1, f"count must be >= 1, got {args.count}"),
+    ):
         return 2
+    if args.kind == "density":
+        obj = density_to_json(random_density(args.dims, rank, args.seed))
+    elif args.kind == "kraus":
+        obj = kraus_to_json(random_kraus(args.dims[0], args.count, args.seed))
+    elif args.kind == "povm":
+        obj = povm_to_json(random_povm(args.dims[0], args.count, args.seed))
+    else:
+        obj = density_to_json(random_cq_state(args.dims, args.seed))
     try:
         _write(args.out, json.dumps(obj, separators=(",", ":")) + "\n")
     except OSError as exc:
@@ -141,12 +151,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_wehrl(args) -> int:
-    try:
-        spin = SpinJ(args.two_j)
-        scan = wehrl_min_scan(spin, args.trials, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if _reject(
+        (args.two_j < 0, f"two_j must be >= 0, got {args.two_j}"),
+        (args.trials < 1, f"trials must be >= 1, got {args.trials}"),
+        (args.seed < 0, f"seed must be >= 0, got {args.seed}"),
+    ):
         return 2
+    spin = SpinJ(args.two_j)
+    scan = wehrl_min_scan(spin, args.trials, args.seed)
     lines = ["trial,seed,two_j,S_W,S,diff"]
     for row in scan["rows"]:
         lines.append(f"{row['trial']},{row['seed']},{row['two_j']},{row['S_W']!r},{row['S']!r},{row['diff']!r}")

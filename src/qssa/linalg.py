@@ -5,7 +5,9 @@ plain tuple of factor dimensions (d1, ..., dn) that `as_dims` validates.
 Factors are labeled 1..n throughout the public API, `ptrace_mat` included
 (the same labels appear in the JSON wire formats). All operations are pure
 functions of immutable inputs; arrays held by :class:`DensityMatrix` are
-frozen after construction.
+frozen after construction. Validation uses two module constants:
+`STATE_TOL` for states (and, in `measurement`, Kraus sets and POVMs) and
+`ASYM_TOL` for the asymmetry of Hermitian operators such as a Gibbs H.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ CLAMP_REL = 1e-12
 # Operations expecting Hermitian input symmetrize first; beyond this
 # max-abs asymmetry the input is considered malformed.
 ASYM_TOL = 1e-8
+
+# The one bound for validating states, Kraus sets and POVMs (trace, negative
+# eigenvalues, asymmetry, completeness); generated objects stay below 1e-12.
+STATE_TOL = 1e-9
 
 
 def _as_int(x) -> int:
@@ -56,44 +62,34 @@ def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, fl
 class DensityMatrix:
     """A PSD, unit-trace complex matrix tagged with tensor factor dimensions.
 
+    Trace, PSD and asymmetry are checked against `STATE_TOL`.
     `unnormalized=True` relaxes the unit-trace requirement to any positive
     trace (the inequalities checked downstream are homogeneous of order one,
     so they remain meaningful for positive trace-class operators).
     """
 
-    __slots__ = ("mat", "dims", "trace_tol", "psd_tol", "unnormalized", "asymmetry")
+    __slots__ = ("mat", "dims", "unnormalized")
 
-    def __init__(
-        self,
-        mat,
-        dims,
-        *,
-        trace_tol: float = 1e-9,
-        psd_tol: float = 1e-9,
-        unnormalized: bool = False,
-    ):
+    def __init__(self, mat, dims, *, unnormalized: bool = False):
         dims = as_dims(dims)
         total = math.prod(dims)
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} (total {total})")
-        herm, asym = hermitize(mat, asym_tol=trace_tol)
+        herm, _ = hermitize(mat, asym_tol=STATE_TOL)
         eigs = np.linalg.eigvalsh(herm)
-        if eigs[0] < -psd_tol:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {eigs[0]:.3e} < -{psd_tol:.3e}")
+        if eigs[0] < -STATE_TOL:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {eigs[0]:.3e} < -{STATE_TOL:.3e}")
         tr = float(np.trace(herm).real)
         if unnormalized:
             if tr <= 0:
                 raise ValueError(f"unnormalized state must have positive trace, got {tr:.3e}")
-        elif abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace {tr!r} is not 1 within {trace_tol:.3e}")
+        elif abs(tr - 1.0) > STATE_TOL:
+            raise ValueError(f"trace {tr!r} is not 1 within {STATE_TOL:.3e}")
         herm.flags.writeable = False
         self.mat = herm
         self.dims = dims
-        self.trace_tol = trace_tol
-        self.psd_tol = psd_tol
         self.unnormalized = unnormalized
-        self.asymmetry = asym
 
     @property
     def dim(self) -> int:
@@ -143,19 +139,18 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(
         ptrace_mat(rho.mat, rho.dims, keep),
         tuple(rho.dims[k] for k in _keep_to_zero_based(keep, len(rho.dims))),
-        trace_tol=rho.trace_tol,
-        psd_tol=rho.psd_tol,
         unnormalized=rho.unnormalized,
     )
 
 
-def hermitian_eig(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a (nearly) Hermitian matrix.
 
     Returns eigenvalues ascending and the matrix whose columns are the
-    corresponding orthonormal eigenvectors. Input is symmetrized first.
+    corresponding orthonormal eigenvectors. Input is symmetrized first
+    (asymmetry beyond `ASYM_TOL` is an error).
     """
-    herm, _ = hermitize(m, asym_tol=asym_tol)
+    herm, _ = hermitize(m)
     w, v = np.linalg.eigh(herm)
     return w, v
 
@@ -190,10 +185,10 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return matrix_fn(m, np.exp)
 
 
-def sqrtm_psd(m: np.ndarray, psd_tol: float = 1e-9) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix."""
+def sqrtm_psd(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix (eigenvalues >= -STATE_TOL)."""
     w, v = hermitian_eig(m)
-    if w[0] < -psd_tol:
+    if w[0] < -STATE_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 
@@ -235,5 +230,5 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return out
 
 
-def density_from_json(obj: dict, **kwargs) -> DensityMatrix:
-    return DensityMatrix(matrix_from_json(obj), obj["dims"], **kwargs)
+def density_from_json(obj: dict) -> DensityMatrix:
+    return DensityMatrix(matrix_from_json(obj), obj["dims"])

@@ -4,7 +4,8 @@ Operators that act on a subset of tensor factors are extended by the
 identity on the remaining factors. The extension is applied by index
 arithmetic on the reshaped state, which never builds the full operator;
 ``embed_operator`` materializes it as an explicit Kronecker product and
-serves as the test oracle for that path.
+serves as the test oracle for that path. Kraus sets and POVMs are validated
+against the same `STATE_TOL` as states; no constructor takes a tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
+    STATE_TOL,
     DensityMatrix,
+    _as_int,
     as_dims,
     kron,
     matrix_from_json,
@@ -35,14 +38,14 @@ class KrausSet:
 
     `acts_on` lists the 1-based factor labels the operators act on; when a
     set is applied to a larger state each K_a is extended by the identity on
-    the untouched factors. `sub_complete=True` relaxes completeness to
-    sum_a K_a† K_a <= I (the residual must be PSD within `tol`).
+    the untouched factors. Completeness is checked against `STATE_TOL`;
+    `sub_complete=True` relaxes it to sum_a K_a† K_a <= I (the residual must
+    be PSD within `STATE_TOL`).
     """
 
-    __slots__ = ("ops", "acts_on", "tol", "sub_complete")
+    __slots__ = ("ops", "acts_on", "sub_complete")
 
-    def __init__(self, ops: Iterable[np.ndarray], acts_on=(1,), tol: float = 1e-9,
-                 sub_complete: bool = False):
+    def __init__(self, ops: Iterable[np.ndarray], acts_on=(1,), sub_complete: bool = False):
         ops = tuple(np.asarray(k, dtype=complex) for k in ops)
         if not ops:
             raise ValueError("Kraus set must contain at least one operator")
@@ -50,23 +53,22 @@ class KrausSet:
         for k in ops:
             if k.shape != (d, d):
                 raise ValueError(f"all operators must be square of equal size, got {k.shape} vs {d}")
-        acts_on = tuple(sorted(int(a) for a in acts_on))
-        if len(set(acts_on)) != len(acts_on) or (acts_on and acts_on[0] < 1):
+        acts_on = tuple(sorted(_as_int(a) for a in acts_on))
+        if not acts_on or len(set(acts_on)) != len(acts_on) or acts_on[0] < 1:
             raise ValueError(f"invalid acts_on {acts_on}")
         gram = sum(k.conj().T @ k for k in ops)
         if sub_complete:
             w = np.linalg.eigvalsh(np.eye(d) - (gram + gram.conj().T) / 2)
-            if w[0] < -tol:
+            if w[0] < -STATE_TOL:
                 raise ValueError(f"sub-completeness violated: I - sum K†K has eigenvalue {w[0]:.3e}")
         else:
             residual = float(np.abs(gram - np.eye(d)).max())
-            if residual > tol:
-                raise ValueError(f"completeness residual {residual:.3e} exceeds tol {tol:.3e}")
+            if residual > STATE_TOL:
+                raise ValueError(f"completeness residual {residual:.3e} exceeds tol {STATE_TOL:.3e}")
         for k in ops:
             k.flags.writeable = False
         self.ops = ops
         self.acts_on = acts_on
-        self.tol = tol
         self.sub_complete = sub_complete
 
     @property
@@ -81,11 +83,11 @@ class KrausSet:
 
 
 class Povm:
-    """Positive operators summing to the identity."""
+    """Positive operators summing to the identity, both within `STATE_TOL`."""
 
-    __slots__ = ("elements", "tol")
+    __slots__ = ("elements",)
 
-    def __init__(self, elements: Iterable[np.ndarray], tol: float = 1e-9):
+    def __init__(self, elements: Iterable[np.ndarray]):
         elements = tuple(np.asarray(p, dtype=complex) for p in elements)
         if not elements:
             raise ValueError("POVM must contain at least one element")
@@ -95,16 +97,15 @@ class Povm:
             if p.shape != (d, d):
                 raise ValueError(f"all elements must be square of equal size, got {p.shape} vs {d}")
             w = np.linalg.eigvalsh((p + p.conj().T) / 2)
-            if w[0] < -tol:
+            if w[0] < -STATE_TOL:
                 raise ValueError(f"POVM element not PSD: min eigenvalue {w[0]:.3e}")
             total += p
         residual = float(np.abs(total - np.eye(d)).max())
-        if residual > tol:
+        if residual > STATE_TOL:
             raise ValueError(f"POVM does not sum to identity: residual {residual:.3e}")
         for p in elements:
             p.flags.writeable = False
         self.elements = elements
-        self.tol = tol
 
     @property
     def dim(self) -> int:
@@ -212,10 +213,8 @@ def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsem
             skipped += 1
             skipped_mass += max(n, 0.0)
             continue
-        r23 = DensityMatrix(ptrace_mat(c, d, (2, 3)) / n, (d[1], d[2]),
-                            trace_tol=1e-8, psd_tol=1e-7)
-        r2 = DensityMatrix(ptrace_mat(c, d, (2,)) / n, (d[1],),
-                           trace_tol=1e-8, psd_tol=1e-7)
+        r23 = DensityMatrix(ptrace_mat(c, d, (2, 3)) / n, (d[1], d[2]))
+        r2 = DensityMatrix(ptrace_mat(c, d, (2,)) / n, (d[1],))
         entries.append((n, r23, r2))
     total = sum(e[0] for e in entries) + skipped_mass
     return MeasurementEnsemble(tuple(entries), skipped, skipped_mass, total)
@@ -239,14 +238,12 @@ def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:
     for a, op in enumerate(k.ops):
         c = apply_kraus_op(op, rho123.mat, rho123.dims, k.acts_on)
         out[a * d23 : (a + 1) * d23, a * d23 : (a + 1) * d23] = ptrace_mat(c, d, (2, 3))
-    return DensityMatrix(out, (m, d[1], d[2]), trace_tol=1e-9, psd_tol=1e-9,
-                         unnormalized=rho123.unnormalized)
+    return DensityMatrix(out, (m, d[1], d[2]), unnormalized=rho123.unnormalized)
 
 
 def povm_to_kraus(p: Povm, acts_on=(1,)) -> KrausSet:
     """Kraus set of PSD square roots; completeness is inherited from the POVM."""
-    return KrausSet([sqrtm_psd(el, psd_tol=p.tol) for el in p.elements],
-                    acts_on=acts_on, tol=max(p.tol, 1e-10))
+    return KrausSet([sqrtm_psd(el) for el in p.elements], acts_on=acts_on)
 
 
 def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> list[np.ndarray]:
@@ -298,13 +295,13 @@ def kraus_to_json(k: KrausSet) -> dict:
     return {"acts_on": list(k.acts_on), "ops": [matrix_to_json(op) for op in k.ops]}
 
 
-def kraus_from_json(obj: dict, **kwargs) -> KrausSet:
-    return KrausSet([matrix_from_json(o) for o in obj["ops"]], acts_on=tuple(obj["acts_on"]), **kwargs)
+def kraus_from_json(obj: dict) -> KrausSet:
+    return KrausSet([matrix_from_json(o) for o in obj["ops"]], acts_on=tuple(obj["acts_on"]))
 
 
 def povm_to_json(p: Povm) -> dict:
     return {"ops": [matrix_to_json(el) for el in p.elements]}
 
 
-def povm_from_json(obj: dict, **kwargs) -> Povm:
-    return Povm([matrix_from_json(o) for o in obj["ops"]], **kwargs)
+def povm_from_json(obj: dict) -> Povm:
+    return Povm([matrix_from_json(o) for o in obj["ops"]])

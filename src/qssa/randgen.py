@@ -43,7 +43,7 @@ def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:
     g = complex_gaussian(rng_for(seed, substream), (total, rank))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityMatrix(m, dims, trace_tol=1e-12, psd_tol=1e-12)
+    return DensityMatrix(m, dims)
 
 
 def random_unitary(dim: int, seed: Seed, substream=0) -> np.ndarray:
@@ -68,7 +68,7 @@ def random_kraus(dim: int, count: int, seed: Seed, substream=0, acts_on=(1,)) ->
     u = random_unitary(dim * count, seed, substream)
     iso = u[:, :dim]
     ops = [iso[a * dim : (a + 1) * dim, :] for a in range(count)]
-    return KrausSet(ops, acts_on=acts_on, tol=1e-12)
+    return KrausSet(ops, acts_on=acts_on)
 
 
 def random_povm(dim: int, count: int, seed: Seed, substream=0) -> Povm:
@@ -87,7 +87,7 @@ def random_povm(dim: int, count: int, seed: Seed, substream=0) -> Povm:
         w, v = hermitian_eig(total)
         if w[0] > 1e-10 * w[-1]:
             inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-            return Povm([inv_sqrt @ a @ inv_sqrt for a in mats], tol=1e-11)
+            return Povm([inv_sqrt @ a @ inv_sqrt for a in mats])
     raise RuntimeError(f"random_povm: singular normalizer after 5 attempts (dim={dim}, count={count})")
 
 
@@ -111,7 +111,7 @@ def random_cq_state(dims, seed: Seed, substream=0) -> DensityMatrix:
             sigma /= np.trace(sigma).real
             base = (i * d2 + j) * d3
             mat[base : base + d3, base : base + d3] = p[i, j] * sigma
-    return DensityMatrix(mat, dims, trace_tol=1e-12, psd_tol=1e-12)
+    return DensityMatrix(mat, dims)
 
 
 def random_hermitian(dim: int, seed: Seed, substream=0, scale: float = 1.0) -> np.ndarray:
@@ -140,10 +140,10 @@ def basis_projectors(dim: int) -> list[np.ndarray]:
     return [np.outer(eye[:, i], eye[:, i].conj()) for i in range(dim)]
 
 
-def product_basis_kraus(d1: int, d2: int, tol: float = 1e-12) -> KrausSet:
+def product_basis_kraus(d1: int, d2: int) -> KrausSet:
     """Rank-1 product-basis projectors |ij><ij| as a Kraus set on factors {1,2}."""
     ops = []
     eye = np.eye(d1 * d2, dtype=complex)
     for k in range(d1 * d2):
         ops.append(np.outer(eye[:, k], eye[:, k].conj()))
-    return KrausSet(ops, acts_on=(1, 2), tol=tol)
+    return KrausSet(ops, acts_on=(1, 2))

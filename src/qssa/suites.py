@@ -146,8 +146,7 @@ def suite_concavity(cfg, i, key):
     k = random_kraus(dim, m, cfg.seed, key(1), acts_on=(1,))
     if i % 3 == 2:
         # exercise the sub-complete case sum K†K < I
-        k = KrausSet([op * np.sqrt(0.9) for op in k.ops], acts_on=(1,),
-                     tol=k.tol, sub_complete=True)
+        k = KrausSet([op * np.sqrt(0.9) for op in k.ops], acts_on=(1,), sub_complete=True)
     a_ops = [random_positive(dim, cfg.seed, key(2, j)) for j in range(m)]
     b_ops = [random_positive(dim, cfg.seed, key(3, j)) for j in range(m)]
     r = checks.check_concave_map(

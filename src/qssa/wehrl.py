@@ -270,8 +270,7 @@ def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
     gb = g(b)
     worst = None
     for lam in lambdas:
-        mix = DensityMatrix(lam * a.mat + (1 - lam) * b.mat, a.dims,
-                            trace_tol=1e-9, psd_tol=1e-9)
+        mix = DensityMatrix(lam * a.mat + (1 - lam) * b.mat, a.dims)
         margin = lam * ga + (1 - lam) * gb - g(mix)
         if worst is None or margin < worst[0]:
             worst = (margin, lam, g(mix), lam * ga + (1 - lam) * gb)
@@ -283,7 +282,7 @@ def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
 def scan_state(spin: SpinJ, seed: Seed, trial: int) -> DensityMatrix:
     """Pure state of trial `trial` in wehrl_min_scan(spin, ..., seed)."""
     psi = random_pure_state(spin.dim, rng_for(seed, (trial,)))
-    return DensityMatrix(np.outer(psi, psi.conj()), (spin.dim,), trace_tol=1e-9, psd_tol=1e-12)
+    return DensityMatrix(np.outer(psi, psi.conj()), (spin.dim,))
 
 
 def wehrl_min_scan(spin: SpinJ, trials: int, seed: Seed) -> dict:

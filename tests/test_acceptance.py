@@ -130,7 +130,7 @@ def test_criterion_5_concavity_200():
         assert r.slack >= -1e-9, f"instance {i}: slack {r.slack}"
         worst = min(worst, r.slack)
     for dim in (2, 3, 4):
-        k = KrausSet([np.eye(dim)], acts_on=(1,), tol=1e-12)
+        k = KrausSet([np.eye(dim)], acts_on=(1,))
         a = ConcavityInstance(np.zeros((dim, dim)), k, [random_positive(dim, SEED, (1005, 900 + dim, 0))])
         b = ConcavityInstance(np.zeros((dim, dim)), k, [random_positive(dim, SEED, (1005, 900 + dim, 1))])
         r = check_concave_map(a, b, lambdas=(0.25, 0.5, 0.75))
@@ -210,7 +210,7 @@ def test_criterion_8_wehrl_suite():
         theta = float(np.arccos(rng.uniform(-1, 1)))
         phi = float(rng.uniform(0, 2 * math.pi))
         v = bloch_state(spin, theta, phi)
-        rho = DensityMatrix(np.outer(v, v.conj()), (spin.dim,), psd_tol=1e-12)
+        rho = DensityMatrix(np.outer(v, v.conj()), (spin.dim,))
         err = abs(wehrl_entropy(rho) - coherent_wehrl_value(spin))
         assert err <= 1e-6, f"two_j={two_j}: coherent error {err}"
 

@@ -42,7 +42,7 @@ def product_state(seeds, dims):
     out = mats[0]
     for m in mats[1:]:
         out = kron(out, m)
-    return DensityMatrix(out, dims, trace_tol=1e-8)
+    return DensityMatrix(out, dims)
 
 
 def ghz_state():
@@ -123,7 +123,7 @@ class TestSandwich:
     def test_product_on_factor_one(self):
         rho1 = random_density((2,), 2, 15)
         rho23 = random_density((2, 2), 4, 16)
-        rho = DensityMatrix(kron(rho1.mat, rho23.mat), (2, 2, 2), trace_tol=1e-8)
+        rho = DensityMatrix(kron(rho1.mat, rho23.mat), (2, 2, 2))
         k = random_kraus(2, 3, 17, acts_on=(1,))
         left, right = check_sandwich(rho, k)
         s23 = von_neumann(rho23)
@@ -148,7 +148,7 @@ class TestSandwich:
 
 class TestConcaveMap:
     def test_linear_case(self):
-        k = KrausSet([np.eye(2)], acts_on=(1,), tol=1e-12)
+        k = KrausSet([np.eye(2)], acts_on=(1,))
         a = ConcavityInstance(np.zeros((2, 2)), k, [random_positive(2, 21, 0)])
         b = ConcavityInstance(np.zeros((2, 2)), k, [random_positive(2, 21, 1)])
         # exp(L + ln A) with L = 0 is A itself, so the map is Tr A: linear
@@ -197,7 +197,7 @@ class TestGibbs:
     def test_gibbs_state_saturates(self):
         h = random_hermitian(4, 33)
         eh = matrix_exp(h)
-        rho = DensityMatrix(eh / np.trace(eh).real, (4,), trace_tol=1e-8)
+        rho = DensityMatrix(eh / np.trace(eh).real, (4,))
         r = check_gibbs_variational(rho, h)
         assert abs(r.slack) < 1e-9
 
@@ -232,7 +232,7 @@ class TestCptMonotonicity:
     def test_product_state_both_sides_vanish(self):
         rho12 = random_density((2, 2), 4, 38)
         rho3 = random_density((2,), 2, 39)
-        rho = DensityMatrix(kron(rho12.mat, rho3.mat), (2, 2, 2), trace_tol=1e-8)
+        rho = DensityMatrix(kron(rho12.mat, rho3.mat), (2, 2, 2))
         k = random_kraus(4, 2, 40, acts_on=(1, 2))
         r = check_cpt_monotonicity(rho, k)
         assert abs(r.lhs) < 1e-9 and abs(r.rhs) < 1e-9 and abs(r.slack) < 1e-9

@@ -152,14 +152,14 @@ class TestGenCommand:
         out = tmp_path / "k.json"
         assert run(["gen", "--kind", "kraus", "--dims", "4", "--count", "3",
                     "--seed", "2", "--out", str(out)]) == 0
-        k = kraus_from_json(json.loads(out.read_text()), tol=1e-12)
+        k = kraus_from_json(json.loads(out.read_text()))
         assert check_completeness(k) <= 1e-12
 
     def test_povm_count_one_is_identity(self, tmp_path):
         out = tmp_path / "p.json"
         assert run(["gen", "--kind", "povm", "--dims", "3", "--count", "1",
                     "--seed", "4", "--out", str(out)]) == 0
-        p = povm_from_json(json.loads(out.read_text()), tol=1e-11)
+        p = povm_from_json(json.loads(out.read_text()))
         assert np.abs(p.elements[0] - np.eye(3)).max() < 1e-12
 
     def test_cq_round_trip(self, tmp_path):
@@ -172,6 +172,39 @@ class TestGenCommand:
     def test_bad_dims_exit_2(self, capsys):
         assert run(["gen", "--kind", "kraus", "--dims", "2,2", "--seed", "1",
                     "--out", "/tmp/x.json"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "kraus", "--dims", "2,2"],
+        ["--kind", "povm", "--dims", "2,2"],
+        ["--kind", "cq", "--dims", "2,2"],
+        ["--kind", "density", "--dims", "2,2", "--rank", "0"],
+        ["--kind", "density", "--dims", "2,2", "--rank", "5"],
+        ["--kind", "kraus", "--dims", "3", "--count", "0"],
+        ["--kind", "povm", "--dims", "3", "--count", "-1"],
+        ["--kind", "cq", "--dims", "2,2,2", "--seed", "-1"],
+    ], ids=["kraus-dims", "povm-dims", "cq-dims", "rank-0", "rank-5", "kraus-count",
+            "povm-count", "seed"])
+    def test_bad_arguments_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, args):
+        def never(*args, **kwargs):
+            raise AssertionError("generator ran")
+
+        for name in ("random_density", "random_kraus", "random_povm", "random_cq_state"):
+            monkeypatch.setattr(f"qssa.cli.{name}", never)
+        out = tmp_path / "x.json"
+        assert run(["gen", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_value_error_during_generation_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a ValueError from the numerics is a crash, not a bad argument
+        def boom(*args, **kwargs):
+            raise ValueError("numerics")
+
+        monkeypatch.setattr("qssa.cli.random_density", boom)
+        out = tmp_path / "d.json"
+        assert run(["gen", "--kind", "density", "--out", str(out)]) == 4
+        assert "ValueError: numerics" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_dims_argparse(self):
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +261,30 @@ class TestWehrlCommand:
         assert rows[0] == "theta,phi,weight,value"
         mass = sum(float(r.split(",")[2]) * float(r.split(",")[3]) for r in rows[1:])
         assert abs(mass - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("args", [
+        ["--two-j", "-1"], ["--trials", "0"], ["--seed", "-1"],
+    ], ids=["two-j", "trials", "seed"])
+    def test_bad_arguments_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, args):
+        def never(*args, **kwargs):
+            raise AssertionError("scan ran")
+
+        monkeypatch.setattr("qssa.cli.wehrl_min_scan", never)
+        out = tmp_path / "scan.csv"
+        assert run(["wehrl", *args, "--out", str(out), "--emit-husimi"]) == 2
+        assert not out.exists() and not (tmp_path / "scan.husimi.csv").exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_value_error_during_scan_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a ValueError from the numerics is a crash, not a bad argument
+        def boom(*args, **kwargs):
+            raise ValueError("numerics")
+
+        monkeypatch.setattr("qssa.cli.wehrl_min_scan", boom)
+        out = tmp_path / "scan.csv"
+        assert run(["wehrl", "--two-j", "2", "--trials", "3", "--out", str(out)]) == 4
+        assert "ValueError: numerics" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_large_spin_emit_husimi(self, tmp_path, capsys):
         # from 2j = 68 on, C(2j, k) no longer fits in an int64

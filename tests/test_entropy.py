@@ -126,7 +126,7 @@ class TestMutualInformation:
             rho = random_density((2, 3), 6, seed, substream=60)
             r1 = partial_trace(rho, {1})
             r2 = partial_trace(rho, {2})
-            prod = DensityMatrix(kron(r1.mat, r2.mat), (2, 3), trace_tol=1e-8)
+            prod = DensityMatrix(kron(r1.mat, r2.mat), (2, 3))
             assert mutual_information(rho) == pytest.approx(relative_entropy(rho, prod), abs=1e-9)
 
     def test_wrong_factor_count(self):
@@ -189,7 +189,7 @@ class TestClassicalQuantumEntropy:
         n = povm_weights(rho, p, factor=1)
         total = weighted_entropy_sum(n)
         for w, b in zip(n, povm_conditionals(rho, p, factor=1)):
-            cond = DensityMatrix(b / w, (3,), trace_tol=1e-8, psd_tol=1e-9)
+            cond = DensityMatrix(b / w, (3,))
             total += w * von_neumann(cond)
         assert classical_quantum_entropy(rho, p) == pytest.approx(total, abs=1e-9)
 

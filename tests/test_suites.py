@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qssa.cli import main
+from qssa.linalg import STATE_TOL, DensityMatrix
+from qssa.measurement import KrausSet, Povm
 from qssa.report import InequalityReport
 from qssa.suites import (
     SUITES,
@@ -29,6 +32,50 @@ class TestResolve:
 
     def test_duplicates_dropped(self):
         assert resolve_suites(["ssa", "ssa"]) == ["ssa"]
+
+
+def _negative_part(m: np.ndarray) -> float:
+    """How far the Hermitian part of m reaches below zero."""
+    return max(0.0, -float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]))
+
+
+class TestValidationHeadroom:
+    def test_suite_objects_sit_far_inside_state_tol(self, monkeypatch):
+        # Every state, Kraus set and POVM the suites build is validated against
+        # STATE_TOL; record each residual independently of the constructors and
+        # require a 1000x margin, so the one shared bound never decides a run.
+        residuals = {name: [] for name in ("trace", "negative_eig", "asymmetry", "completeness", "povm_sum")}
+        rho_init, kraus_init, povm_init = DensityMatrix.__init__, KrausSet.__init__, Povm.__init__
+
+        def record_rho(self, mat, dims, *, unnormalized=False):
+            m = np.asarray(mat, dtype=complex)
+            residuals["asymmetry"].append(float(np.abs(m - m.conj().T).max()))
+            residuals["negative_eig"].append(_negative_part(m))
+            if not unnormalized:
+                residuals["trace"].append(abs(float(np.trace(m).real) - 1.0))
+            rho_init(self, mat, dims, unnormalized=unnormalized)
+
+        def record_kraus(self, ops, acts_on=(1,), sub_complete=False):
+            ops = [np.asarray(k, dtype=complex) for k in ops]
+            gap = np.eye(ops[0].shape[0]) - sum(k.conj().T @ k for k in ops)
+            residuals["completeness"].append(_negative_part(gap) if sub_complete
+                                             else float(np.abs(gap).max()))
+            kraus_init(self, ops, acts_on, sub_complete)
+
+        def record_povm(self, elements):
+            elements = [np.asarray(p, dtype=complex) for p in elements]
+            residuals["povm_sum"].append(float(np.abs(sum(elements) - np.eye(elements[0].shape[0])).max()))
+            residuals["negative_eig"].extend(_negative_part(p) for p in elements)
+            povm_init(self, elements)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", record_rho)
+        monkeypatch.setattr(KrausSet, "__init__", record_kraus)
+        monkeypatch.setattr(Povm, "__init__", record_povm)
+        for dims in ((2, 2, 2), (2, 3, 4)):
+            run_suites(SuiteConfig(suites=["all"], dims=dims, trials=3, seed=11))
+        for name, values in residuals.items():
+            assert values, name
+            assert max(values) <= 1e-12 <= STATE_TOL / 1000, (name, max(values))
 
 
 class TestRun:

@@ -28,7 +28,7 @@ from qssa.wehrl import (
 
 def coherent_density(spin, theta, phi):
     v = bloch_state(spin, theta, phi)
-    return DensityMatrix(np.outer(v, v.conj()), (spin.dim,), psd_tol=1e-12)
+    return DensityMatrix(np.outer(v, v.conj()), (spin.dim,))
 
 
 class TestBlochState:
@@ -189,7 +189,7 @@ class TestWehrlChecks:
     def test_mutual_info_product(self):
         a = random_density((2,), 2, 96)
         b = random_density((2,), 2, 97)
-        rho = DensityMatrix(np.kron(a.mat, b.mat), (2, 2), trace_tol=1e-8)
+        rho = DensityMatrix(np.kron(a.mat, b.mat), (2, 2))
         assert check_wehrl_mutual_info(rho).slack >= -1e-8
 
     def test_mutual_info_random(self):
