@@ -37,7 +37,6 @@ from .randgen import (
     rng_for,
 )
 from .checks import (
-    ConcavityInstance,
     check_classical_mutual_info,
     check_concave_map,
     check_convexity_cl_minus_q,

@@ -34,6 +34,7 @@ from .linalg import (
     kron,
     matrix_log,
     partial_trace,
+    ptrace_mat,
 )
 from .measurement import (
     KrausSet,
@@ -50,39 +51,13 @@ from .report import InequalityReport, make_report, skipped_report
 DEFAULT_LAMBDAS = (0.25, 0.5, 0.75)
 
 
-class ConcavityInstance:
-    """Arguments (L, {K_a}, {A_a}) of the trace-exponential concavity check.
+def trace_exp_map(l_op: np.ndarray, kraus: KrausSet, a_ops: Sequence[np.ndarray]) -> float:
+    """Tr exp(L + sum_a K_a† (ln A_a) K_a), one positive-definite A_a per K_a.
 
-    The Kraus family may be sub-complete (sum K†K <= I); the A_a must be
-    positive definite so their logarithms are well conditioned.
+    `matrix_log(clamp=False)` rejects an A_a that is not positive definite.
     """
-
-    __slots__ = ("l_op", "kraus", "a_ops")
-
-    def __init__(self, l_op: np.ndarray, kraus: KrausSet, a_ops: Sequence[np.ndarray]):
-        l_op, _ = hermitize(l_op)
-        a_ops = tuple(np.asarray(a, dtype=complex) for a in a_ops)
-        if len(a_ops) != len(kraus.ops):
-            raise ValueError(f"{len(a_ops)} positive operators for {len(kraus.ops)} Kraus operators")
-        d = kraus.dim
-        if l_op.shape != (d, d):
-            raise ValueError(f"L shape {l_op.shape} does not match Kraus dim {d}")
-        for a in a_ops:
-            if a.shape != (d, d):
-                raise ValueError(f"operator shape {a.shape} does not match Kraus dim {d}")
-            w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-            if w[0] <= 0:
-                raise ValueError(f"argument not positive definite: min eigenvalue {w[0]:.3e}")
-        self.l_op = l_op
-        self.kraus = kraus
-        self.a_ops = a_ops
-
-
-def trace_exp_map(inst: ConcavityInstance, a_ops: Sequence[np.ndarray] | None = None) -> float:
-    """Tr exp(L + sum_a K_a† (ln A_a) K_a)."""
-    a_ops = inst.a_ops if a_ops is None else a_ops
-    h = inst.l_op.copy()
-    for k, a in zip(inst.kraus.ops, a_ops):
+    h = np.asarray(l_op, dtype=complex)
+    for k, a in zip(kraus.ops, a_ops, strict=True):
         h = h + k.conj().T @ matrix_log(a, clamp=False) @ k
     # Tr exp(H) = sum exp(spectrum); exp(H) itself is never needed
     return float(np.sum(np.exp(np.linalg.eigvalsh(hermitize(h)[0]))))
@@ -139,37 +114,44 @@ def check_sandwich(rho123: DensityMatrix, k: KrausSet, tol: float | None = None)
 
 
 def check_concave_map(
-    inst_a: ConcavityInstance,
-    inst_b: ConcavityInstance,
+    l_op: np.ndarray,
+    kraus: KrausSet,
+    a_ops: Sequence[np.ndarray],
+    b_ops: Sequence[np.ndarray],
     lambdas: Iterable[float] = DEFAULT_LAMBDAS,
     tol: float | None = None,
 ) -> InequalityReport:
     """Joint concavity of (A_1,...,A_M) -> Tr exp(L + sum K†(ln A)K).
 
-    Evaluates the map at convex combinations of the two argument tuples and
-    reports the minimum concavity margin over the mixing weights.
+    The Kraus family may be sub-complete (sum K†K <= I). Evaluates the map
+    at convex combinations of the tuples A and B and reports the minimum
+    concavity margin over the mixing weights. Shapes and counts are checked
+    first; f(A) and f(B), evaluated before any mixture, reject an argument
+    that is not positive definite.
     """
-    if len(inst_a.a_ops) != len(inst_b.a_ops):
-        raise ValueError(f"argument tuples differ in length: {len(inst_a.a_ops)} vs {len(inst_b.a_ops)}")
-    if inst_a.kraus is not inst_b.kraus and not all(
-        np.array_equal(x, y) for x, y in zip(inst_a.kraus.ops, inst_b.kraus.ops)
-    ):
-        raise ValueError("instances must share the Kraus family")
-    if not np.array_equal(inst_a.l_op, inst_b.l_op):
-        raise ValueError("instances must share the fixed Hermitian term")
-    fa = trace_exp_map(inst_a)
-    fb = trace_exp_map(inst_b)
+    d = kraus.dim
+    if np.shape(l_op) != (d, d):
+        raise ValueError(f"L shape {np.shape(l_op)} does not match Kraus dim {d}")
+    for ops in (a_ops, b_ops):
+        if len(ops) != len(kraus.ops):
+            raise ValueError(f"{len(ops)} positive operators for {len(kraus.ops)} Kraus operators")
+        for a in ops:
+            if np.shape(a) != (d, d):
+                raise ValueError(f"operator shape {np.shape(a)} does not match Kraus dim {d}")
+    a_ops, b_ops = ([np.asarray(a, dtype=complex) for a in ops] for ops in (a_ops, b_ops))
+    fa = trace_exp_map(l_op, kraus, a_ops)
+    fb = trace_exp_map(l_op, kraus, b_ops)
     worst = None
     for lam in lambdas:
-        mixed = [lam * a + (1 - lam) * b for a, b in zip(inst_a.a_ops, inst_b.a_ops)]
-        fmix = trace_exp_map(inst_a, mixed)
+        mixed = [lam * a + (1 - lam) * b for a, b in zip(a_ops, b_ops)]
+        fmix = trace_exp_map(l_op, kraus, mixed)
         combo = lam * fa + (1 - lam) * fb
         if worst is None or fmix - combo < worst[0]:
             worst = (fmix - combo, lam, combo, fmix)
     _, lam, combo, fmix = worst
     return make_report(
-        "concave_map", combo, fmix, tol=tol, dims=(inst_a.kraus.dim,),
-        lambda_at_min=lam, terms=len(inst_a.a_ops), f_a=fa, f_b=fb,
+        "concave_map", combo, fmix, tol=tol, dims=(d,),
+        lambda_at_min=lam, terms=len(a_ops), f_a=fa, f_b=fb,
     )
 
 
@@ -207,8 +189,8 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet, tol: float | None
     phi_prod = cpt_phi(product, k)
     small = relative_entropy(phi_rho, phi_prod)
     if not (math.isfinite(big) and math.isfinite(small)):
-        return skipped_report("cpt_monotonicity", "support", seed=None, dims=d,
-                              lhs_finite=math.isfinite(small), rhs_finite=math.isfinite(big))
+        return skipped_report("cpt_monotonicity", "support", relation=">=", dims=d,
+                              lhs_finite=math.isfinite(big), rhs_finite=math.isfinite(small))
     ens = measurement_ensemble(rho123, k)
     s3 = von_neumann(rho3)
     identity_value = sum(n * (von_neumann(r2) - von_neumann(r23) + s3) for n, r23, r2 in ens.entries)
@@ -325,8 +307,7 @@ def check_cqq(rho123: DensityMatrix, p: Povm, tol: float | None = None) -> Inequ
     d = rho123.dims
     for b in povm_conditionals(rho123, p, factor=1):
         s_cqq += block_entropy(b)[0]
-        b2 = np.trace(b.reshape(d[1], d[2], d[1], d[2]), axis1=1, axis2=3)
-        s_cq += block_entropy(b2)[0]
+        s_cq += block_entropy(ptrace_mat(b, d[1:], (1,)))[0]
     return make_report(
         "cqq", _s123_minus_s12(rho123), s_cqq - s_cq, tol=tol, dims=d, povm_count=len(p),
     )

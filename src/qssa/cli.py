@@ -90,11 +90,8 @@ def cmd_check(args) -> int:
             d=args.d,
             two_j=args.two_j,
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = run_suites(cfg)
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_ndjson(reports)

@@ -54,8 +54,7 @@ def shannon(p) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    q = p[p > PROB_FLOOR]
-    return float(-np.sum(q * np.log(q)))
+    return weighted_entropy_sum(p)
 
 
 def weighted_entropy_sum(weights) -> float:

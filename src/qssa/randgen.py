@@ -114,17 +114,18 @@ def random_cq_state(dims, seed: Seed, substream=0) -> DensityMatrix:
     return DensityMatrix(mat, dims)
 
 
-def random_hermitian(dim: int, seed: Seed, substream=0, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, seed: Seed, substream=0) -> np.ndarray:
+    """(G + G†)/2 with G a (dim x dim) complex Gaussian."""
     g = complex_gaussian(rng_for(seed, substream), (dim, dim))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
-def random_positive(dim: int, seed: Seed, substream=0, eig_range=(0.1, 10.0)) -> np.ndarray:
-    """Random positive-definite matrix with eigenvalues uniform in `eig_range`."""
+def random_positive(dim: int, seed: Seed, substream=0) -> np.ndarray:
+    """Random positive-definite matrix U diag(w) U†: U Haar, w uniform in [0.1, 10)."""
     if isinstance(substream, (int, np.integer)):
         substream = (int(substream),)
     u = random_unitary(dim, seed, tuple(substream) + (0,))
-    w = rng_for(seed, tuple(substream) + (1,)).uniform(eig_range[0], eig_range[1], size=dim)
+    w = rng_for(seed, tuple(substream) + (1,)).uniform(0.1, 10.0, size=dim)
     return (u * w) @ u.conj().T
 
 

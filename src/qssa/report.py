@@ -58,7 +58,6 @@ def make_report(
     relation: str = "<=",
     tol: Optional[float] = None,
     status: str = "ok",
-    seed: Optional[int] = None,
     dims=None,
     **meta,
 ) -> InequalityReport:
@@ -83,13 +82,12 @@ def make_report(
         passed=passed,
         status=status,
         relation=relation,
-        seed=seed,
         dims=tuple(dims) if dims is not None else None,
         meta=meta,
     )
 
 
-def skipped_report(name: str, reason: str, relation: str = "<=", seed=None, dims=None, **meta) -> InequalityReport:
+def skipped_report(name: str, reason: str, relation: str = "<=", dims=None, **meta) -> InequalityReport:
     meta["reason"] = reason
     return InequalityReport(
         name=name,
@@ -100,7 +98,6 @@ def skipped_report(name: str, reason: str, relation: str = "<=", seed=None, dims
         passed=True,
         status="skipped",
         relation=relation,
-        seed=seed,
         dims=tuple(dims) if dims is not None else None,
         meta=meta,
     )

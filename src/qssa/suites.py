@@ -1,8 +1,11 @@
 """Named check suites over seeded random instances.
 
-Every suite is a pure function of (config, master seed). Instance objects
-draw from substreams keyed as (suite_id, instance, slot), so replaying a
-seed reproduces each report bit for bit and instances are independent.
+Every suite is a pure function of (config, master seed). Each suite is
+registered once, by `_instances`, with its name, its fixed substream id and
+the factors of --dims it reads; registration order is the `all` order.
+Instance objects draw from substreams keyed as (suite id, instance, slot),
+so replaying a seed reproduces each report bit for bit, instances are
+independent, and changing a suite's id changes its replayed stream.
 Reports are emitted in (suite, instance) order.
 """
 
@@ -16,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import checks, wehrl
-from .checks import ConcavityInstance
 from .linalg import as_dims
 from .measurement import KrausSet
 from .randgen import (
@@ -30,23 +32,12 @@ from .randgen import (
 )
 from .report import InequalityReport, make_report
 
-# Fixed substream identifiers; changing these changes every replayed stream.
-SUITE_IDS = {
-    "ssa": 1,
-    "stronger-ssa": 2,
-    "sandwich": 3,
-    "concavity": 4,
-    "gibbs": 5,
-    "cpt": 6,
-    "improved-subadd": 7,
-    "mutual-info": 8,
-    "cq-chain": 9,
-    "cqq": 10,
-    "convexity": 11,
-    "holevo": 12,
-    "wehrl": 13,
-    "counterexample": 14,
-}
+# Filled by `_instances`, in registration order.
+SUITES: dict[str, Callable[[SuiteConfig], list[InequalityReport]]] = {}
+# Factors of --dims a suite reads: 3 means a tripartite state (exactly three
+# factors), 2 the first two of at least two. Suites not listed ignore --dims.
+DIMS_FACTORS: dict[str, int] = {}
+_STREAM_IDS: set[int] = set()
 
 
 @dataclass
@@ -90,30 +81,40 @@ def _finish(reports: list[InequalityReport], cfg: SuiteConfig, suite: str, index
     return reports
 
 
-def _instances(name: str):
-    """Turn a per-instance builder into the suite function `(cfg) -> reports`.
+def _instances(name: str, sid: int | None = None, factors: int | None = None):
+    """Register a per-instance builder as the suite `name`; returns `(cfg) -> reports`.
 
     The builder is called as `build(cfg, i, key)` for i in 0..trials-1 and
     returns that instance's reports; `key(*slot)` is the substream
-    (SUITE_IDS[name], i, *slot) its objects must draw from.
+    (sid, i, *slot) its objects must draw from. `sid` is fixed per suite:
+    changing it changes every replayed report of the suite. A suite without
+    an id draws no random numbers and has the one instance 0. `factors` is
+    the suite's DIMS_FACTORS entry. A name or id registered twice is an error.
     """
-    sid = SUITE_IDS[name]
 
     def decorate(build):
+        if name in SUITES or sid in _STREAM_IDS:
+            raise ValueError(f"suite {name!r} (stream id {sid}) clashes with an earlier registration")
+
         def suite(cfg: SuiteConfig) -> list[InequalityReport]:
             reports = []
-            for i in range(cfg.trials):
+            for i in range(cfg.trials if sid is not None else 1):
                 key = lambda *slot, i=i: (sid, i, *slot)
                 reports.extend(_finish(build(cfg, i, key), cfg, name, i))
             return reports
 
         suite.__name__ = suite.__qualname__ = build.__name__
+        SUITES[name] = suite
+        if sid is not None:
+            _STREAM_IDS.add(sid)
+        if factors is not None:
+            DIMS_FACTORS[name] = factors
         return suite
 
     return decorate
 
 
-@_instances("ssa")
+@_instances("ssa", 1, factors=3)
 def suite_ssa(cfg, i, key):
     total = math.prod(cfg.dims)
     rank = total if i % 2 == 0 else max(1, total // 2)
@@ -123,7 +124,7 @@ def suite_ssa(cfg, i, key):
     return [r]
 
 
-@_instances("stronger-ssa")
+@_instances("stronger-ssa", 2, factors=3)
 def suite_stronger_ssa(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
@@ -131,14 +132,14 @@ def suite_stronger_ssa(cfg, i, key):
     return [checks.check_stronger_ssa(rho, k, tol=cfg.tol)]
 
 
-@_instances("sandwich")
+@_instances("sandwich", 3, factors=3)
 def suite_sandwich(cfg, i, key):
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1), acts_on=(1,))
     return list(checks.check_sandwich(rho, k, tol=cfg.tol))
 
 
-@_instances("concavity")
+@_instances("concavity", 4)
 def suite_concavity(cfg, i, key):
     dim = (2, 3, 4)[i % 3]
     m = (1, 2, 3)[(i // 3) % 3]
@@ -149,16 +150,12 @@ def suite_concavity(cfg, i, key):
         k = KrausSet([op * np.sqrt(0.9) for op in k.ops], acts_on=(1,), sub_complete=True)
     a_ops = [random_positive(dim, cfg.seed, key(2, j)) for j in range(m)]
     b_ops = [random_positive(dim, cfg.seed, key(3, j)) for j in range(m)]
-    r = checks.check_concave_map(
-        ConcavityInstance(l_op, k, a_ops),
-        ConcavityInstance(l_op, k, b_ops),
-        tol=cfg.tol,
-    )
+    r = checks.check_concave_map(l_op, k, a_ops, b_ops, tol=cfg.tol)
     r.meta["sub_complete"] = k.sub_complete
     return [r]
 
 
-@_instances("gibbs")
+@_instances("gibbs", 5)
 def suite_gibbs(cfg, i, key):
     total = math.prod(cfg.dims)
     rho = random_density(cfg.dims, total if i % 2 == 0 else 1, cfg.seed, key(0))
@@ -166,7 +163,7 @@ def suite_gibbs(cfg, i, key):
     return [checks.check_gibbs_variational(rho, h, tol=cfg.tol)]
 
 
-@_instances("cpt")
+@_instances("cpt", 6, factors=3)
 def suite_cpt(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
@@ -174,7 +171,7 @@ def suite_cpt(cfg, i, key):
     return [checks.check_cpt_monotonicity(rho, k, tol=cfg.tol)]
 
 
-@_instances("improved-subadd")
+@_instances("improved-subadd", 7, factors=2)
 def suite_improved_subadd(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
@@ -182,7 +179,7 @@ def suite_improved_subadd(cfg, i, key):
     return list(checks.check_improved_subadd(rho, p, tol=cfg.tol))
 
 
-@_instances("mutual-info")
+@_instances("mutual-info", 8, factors=2)
 def suite_mutual_info(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     counts = (2, 3, 4)
@@ -192,7 +189,7 @@ def suite_mutual_info(cfg, i, key):
     return [checks.check_classical_mutual_info(rho, p, q, tol=cfg.tol)]
 
 
-@_instances("cq-chain")
+@_instances("cq-chain", 9, factors=2)
 def suite_cq_chain(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     counts = (2, 3)
@@ -202,14 +199,14 @@ def suite_cq_chain(cfg, i, key):
     return list(checks.check_cq_chain(rho, p, q, tol=cfg.tol))
 
 
-@_instances("cqq")
+@_instances("cqq", 10, factors=3)
 def suite_cqq(cfg, i, key):
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     p = random_povm(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1))
     return [checks.check_cqq(rho, p, tol=cfg.tol)]
 
 
-@_instances("convexity")
+@_instances("convexity", 11, factors=2)
 def suite_convexity(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     a = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
@@ -218,7 +215,7 @@ def suite_convexity(cfg, i, key):
     return [checks.check_convexity_cl_minus_q(a, b, p, tol=cfg.tol)]
 
 
-@_instances("holevo")
+@_instances("holevo", 12, factors=2)
 def suite_holevo(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     d = d1 * d2
@@ -230,7 +227,7 @@ def suite_holevo(cfg, i, key):
     return [checks.check_holevo(weights, states, q, tol=cfg.tol)]
 
 
-@_instances("wehrl")
+@_instances("wehrl", 13)
 def suite_wehrl(cfg, i, key):
     dim = cfg.two_j + 1
     rho12 = random_density((dim, dim), dim * dim, cfg.seed, key(0))
@@ -243,49 +240,15 @@ def suite_wehrl(cfg, i, key):
     ]
 
 
-def suite_counterexample(cfg: SuiteConfig) -> list[InequalityReport]:
+@_instances("counterexample")
+def suite_counterexample(cfg, i, key):
     lhs, rhs = checks.counterexample_two_sided(cfg.d)
-    r = make_report(
+    return [make_report(
         "counterexample_two_sided", lhs, rhs, relation="<=", tol=cfg.tol,
         status="expected-violation", dims=(cfg.d, cfg.d),
         note="two-sided split of the subadditivity bound fails by ln d",
         gap=lhs - rhs,
-    )
-    return _finish([r], cfg, "counterexample", 0)
-
-
-# Factors of --dims each suite reads, checked by SuiteConfig: 3 means a
-# tripartite state (exactly three factors), 2 means the first two of at least
-# two. Suites not listed ignore --dims.
-DIMS_FACTORS = {
-    "ssa": 3,
-    "stronger-ssa": 3,
-    "sandwich": 3,
-    "cpt": 3,
-    "cqq": 3,
-    "improved-subadd": 2,
-    "mutual-info": 2,
-    "cq-chain": 2,
-    "convexity": 2,
-    "holevo": 2,
-}
-
-SUITES: dict[str, Callable[[SuiteConfig], list[InequalityReport]]] = {
-    "ssa": suite_ssa,
-    "stronger-ssa": suite_stronger_ssa,
-    "sandwich": suite_sandwich,
-    "concavity": suite_concavity,
-    "gibbs": suite_gibbs,
-    "cpt": suite_cpt,
-    "improved-subadd": suite_improved_subadd,
-    "mutual-info": suite_mutual_info,
-    "cq-chain": suite_cq_chain,
-    "cqq": suite_cqq,
-    "convexity": suite_convexity,
-    "holevo": suite_holevo,
-    "wehrl": suite_wehrl,
-    "counterexample": suite_counterexample,
-}
+    )]
 
 
 def resolve_suites(names: Sequence[str]) -> list[str]:

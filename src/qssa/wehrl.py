@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .checks import DEFAULT_LAMBDAS
 from .linalg import DensityMatrix, partial_trace
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_pure_state, rng_for
@@ -256,7 +257,7 @@ def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None,
 
 
 def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
-                          lambdas: Iterable[float] = (0.25, 0.5, 0.75),
+                          lambdas: Iterable[float] = DEFAULT_LAMBDAS,
                           grids=None, tol: float | None = None) -> InequalityReport:
     """Convexity of rho -> S_W[rho] - S[rho] along the segment [a, b]."""
     if a.dims != b.dims:

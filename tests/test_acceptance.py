@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qssa.checks import (
-    ConcavityInstance,
     check_classical_mutual_info,
     check_concave_map,
     check_convexity_cl_minus_q,
@@ -124,16 +123,16 @@ def test_criterion_5_concavity_200():
         m = m_cycle[(i // 3) % 3]
         l_op = random_hermitian(dim, SEED, (1005, i, 0))
         k = random_kraus(dim, m, SEED, (1005, i, 1), acts_on=(1,))
-        a = ConcavityInstance(l_op, k, [random_positive(dim, SEED, (1005, i, 2, j)) for j in range(m)])
-        b = ConcavityInstance(l_op, k, [random_positive(dim, SEED, (1005, i, 3, j)) for j in range(m)])
-        r = check_concave_map(a, b, lambdas=(0.25, 0.5, 0.75))
+        a = [random_positive(dim, SEED, (1005, i, 2, j)) for j in range(m)]
+        b = [random_positive(dim, SEED, (1005, i, 3, j)) for j in range(m)]
+        r = check_concave_map(l_op, k, a, b, lambdas=(0.25, 0.5, 0.75))
         assert r.slack >= -1e-9, f"instance {i}: slack {r.slack}"
         worst = min(worst, r.slack)
     for dim in (2, 3, 4):
         k = KrausSet([np.eye(dim)], acts_on=(1,))
-        a = ConcavityInstance(np.zeros((dim, dim)), k, [random_positive(dim, SEED, (1005, 900 + dim, 0))])
-        b = ConcavityInstance(np.zeros((dim, dim)), k, [random_positive(dim, SEED, (1005, 900 + dim, 1))])
-        r = check_concave_map(a, b, lambdas=(0.25, 0.5, 0.75))
+        a = [random_positive(dim, SEED, (1005, 900 + dim, 0))]
+        b = [random_positive(dim, SEED, (1005, 900 + dim, 1))]
+        r = check_concave_map(np.zeros((dim, dim)), k, a, b, lambdas=(0.25, 0.5, 0.75))
         assert abs(r.slack) <= 1e-10, f"linear case dim={dim}: slack {r.slack}"
     report(5, "trace-exponential concavity x200 + linear case", f"(min slack {worst:.3e})")
 

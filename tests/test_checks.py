@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import qssa.checks
 from qssa.checks import (
-    ConcavityInstance,
     check_classical_mutual_info,
     check_concave_map,
     check_convexity_cl_minus_q,
@@ -149,48 +149,80 @@ class TestSandwich:
 class TestConcaveMap:
     def test_linear_case(self):
         k = KrausSet([np.eye(2)], acts_on=(1,))
-        a = ConcavityInstance(np.zeros((2, 2)), k, [random_positive(2, 21, 0)])
-        b = ConcavityInstance(np.zeros((2, 2)), k, [random_positive(2, 21, 1)])
+        l_op = np.zeros((2, 2))
+        a = [random_positive(2, 21, 0)]
+        b = [random_positive(2, 21, 1)]
         # exp(L + ln A) with L = 0 is A itself, so the map is Tr A: linear
-        assert trace_exp_map(a) == pytest.approx(np.trace(a.a_ops[0]).real, abs=1e-10)
-        assert abs(check_concave_map(a, b).slack) <= 1e-10
+        assert trace_exp_map(l_op, k, a) == pytest.approx(np.trace(a[0]).real, abs=1e-10)
+        assert abs(check_concave_map(l_op, k, a, b).slack) <= 1e-10
 
     def test_equal_arguments(self):
         k = random_kraus(3, 2, 22, acts_on=(1,))
         l_op = random_hermitian(3, 23)
         a_ops = [random_positive(3, 24, j) for j in range(2)]
-        inst = ConcavityInstance(l_op, k, a_ops)
-        assert abs(check_concave_map(inst, inst).slack) < 1e-10
+        assert abs(check_concave_map(l_op, k, a_ops, a_ops).slack) < 1e-10
 
     def test_random_dim3(self):
         k = random_kraus(3, 2, 25, acts_on=(1,))
         l_op = random_hermitian(3, 26)
-        a = ConcavityInstance(l_op, k, [random_positive(3, 27, j) for j in range(2)])
-        b = ConcavityInstance(l_op, k, [random_positive(3, 28, j) for j in range(2)])
-        r = check_concave_map(a, b, lambdas=(0.5,))
+        a = [random_positive(3, 27, j) for j in range(2)]
+        b = [random_positive(3, 28, j) for j in range(2)]
+        r = check_concave_map(l_op, k, a, b, lambdas=(0.5,))
         assert r.slack >= -1e-9
 
     def test_sub_complete_kraus(self):
         ops = [op * np.sqrt(0.7) for op in random_kraus(2, 2, 29).ops]
         k = KrausSet(ops, acts_on=(1,), sub_complete=True)
         l_op = random_hermitian(2, 30)
-        a = ConcavityInstance(l_op, k, [random_positive(2, 31, j) for j in range(2)])
-        b = ConcavityInstance(l_op, k, [random_positive(2, 32, j) for j in range(2)])
-        assert check_concave_map(a, b).slack >= -1e-9
+        a = [random_positive(2, 31, j) for j in range(2)]
+        b = [random_positive(2, 32, j) for j in range(2)]
+        assert check_concave_map(l_op, k, a, b).slack >= -1e-9
 
     @pytest.mark.parametrize("dim,m", [(2, 1), (3, 2), (4, 3)])
     def test_trace_exp_matches_matrix_exp_oracle(self, dim, m):
         k = random_kraus(dim, m, 37, acts_on=(1,))
-        inst = ConcavityInstance(random_hermitian(dim, 38),
-                                 k, [random_positive(dim, 39, j) for j in range(m)])
-        h = inst.l_op + sum(op.conj().T @ matrix_log(a) @ op for op, a in zip(k.ops, inst.a_ops))
+        l_op = random_hermitian(dim, 38)
+        a_ops = [random_positive(dim, 39, j) for j in range(m)]
+        h = l_op + sum(op.conj().T @ matrix_log(a) @ op for op, a in zip(k.ops, a_ops))
         oracle = np.trace(matrix_exp(h)).real
-        assert trace_exp_map(inst) == pytest.approx(oracle, rel=1e-12)
+        assert trace_exp_map(l_op, k, a_ops) == pytest.approx(oracle, rel=1e-12)
 
     def test_rejects_indefinite_argument(self):
         k = KrausSet([np.eye(2)], acts_on=(1,))
         with pytest.raises(ValueError):
-            ConcavityInstance(np.zeros((2, 2)), k, [np.diag([1.0, -0.2])])
+            check_concave_map(np.zeros((2, 2)), k, [np.diag([1.0, -0.2])], [random_positive(2, 21, 1)])
+
+    @pytest.mark.parametrize("case,evaluations", [
+        ("b-indefinite", 2), ("a-count", 0), ("b-count", 0), ("operator-shape", 0), ("l-shape", 0),
+    ])
+    def test_rejects_bad_arguments_before_any_mixture(self, monkeypatch, case, evaluations):
+        k = random_kraus(2, 2, 43, acts_on=(1,))
+        l_op = random_hermitian(2, 44)
+        a = [random_positive(2, 45, j) for j in range(2)]
+        b = [random_positive(2, 46, j) for j in range(2)]
+        if case == "b-indefinite":
+            b[1] = np.diag([1.0, -0.2])
+        elif case == "a-count":
+            a = a[:1]
+        elif case == "b-count":
+            b.append(random_positive(2, 47))
+        elif case == "operator-shape":
+            b[0] = random_positive(3, 47)
+        else:
+            l_op = random_hermitian(3, 44)
+        calls = []
+        real = qssa.checks.trace_exp_map
+        monkeypatch.setattr(qssa.checks, "trace_exp_map",
+                            lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(ValueError):
+            check_concave_map(l_op, k, a, b)
+        # shapes and counts fail before f(A); a non-PD B fails in f(B), before any mixture
+        assert len(calls) == evaluations
+
+    def test_trace_exp_map_rejects_short_argument_tuple(self):
+        k = random_kraus(2, 2, 48, acts_on=(1,))
+        with pytest.raises(ValueError):
+            trace_exp_map(np.zeros((2, 2)), k, [random_positive(2, 49)])
 
 
 class TestGibbs:
@@ -247,6 +279,17 @@ class TestCptMonotonicity:
         s12 = von_neumann(partial_trace(rho, {1, 2}))
         s3 = von_neumann(partial_trace(rho, {3}))
         assert r.lhs == pytest.approx(s12 + s3 - von_neumann(rho), abs=1e-9)
+
+    def test_skipped_report_is_oriented_like_a_passing_one(self, monkeypatch):
+        rho = random_density((2, 2, 2), 8, 41)
+        k = random_kraus(4, 3, 42, acts_on=(1, 2))
+        ok = check_cpt_monotonicity(rho, k)
+        values = iter([math.inf, 0.5])  # H(rho, product) is the lhs, H(Phi rho, Phi product) the rhs
+        monkeypatch.setattr(qssa.checks, "relative_entropy", lambda rho, sigma: next(values))
+        skipped = check_cpt_monotonicity(rho, k)
+        assert skipped.status == "skipped" and skipped.meta["reason"] == "support"
+        assert skipped.relation == ok.relation == ">="
+        assert skipped.meta["lhs_finite"] is False and skipped.meta["rhs_finite"] is True
 
 
 class TestImprovedSubadd:

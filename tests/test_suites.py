@@ -12,6 +12,7 @@ from qssa.report import InequalityReport
 from qssa.suites import (
     SUITES,
     SuiteConfig,
+    _instances,
     reports_to_csv,
     reports_to_ndjson,
     resolve_suites,
@@ -32,6 +33,25 @@ class TestResolve:
 
     def test_duplicates_dropped(self):
         assert resolve_suites(["ssa", "ssa"]) == ["ssa"]
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4)])
+    def test_each_suite_alone_equals_its_lines_in_all(self, dims):
+        def lines(names):
+            cfg = SuiteConfig(suites=names, dims=dims, trials=2, seed=42)
+            return reports_to_ndjson(run_suites(cfg)).splitlines()
+
+        alone = {name: lines([name]) for name in SUITES}
+        assert all(alone.values())
+        assert lines(["all"]) == [line for name in SUITES for line in alone[name]]
+
+    @pytest.mark.parametrize("name,sid", [("ssa", 99), ("fresh", 1), ("counterexample", None)])
+    def test_second_registration_of_a_name_or_id_raises(self, name, sid):
+        before = dict(SUITES)
+        with pytest.raises(ValueError):
+            _instances(name, sid)(lambda cfg, i, key: [])
+        assert SUITES == before
 
 
 def _negative_part(m: np.ndarray) -> float:
