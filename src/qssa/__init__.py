@@ -4,15 +4,11 @@ from .linalg import (
     DensityMatrix,
     hermitian_eig,
     kron,
-    matrix_exp,
-    matrix_fn,
     matrix_log,
     partial_trace,
     sqrtm_psd,
-    trace_distance,
 )
 from .entropy import (
-    classical_entropy,
     classical_quantum_entropy,
     mutual_information,
     relative_entropy,
@@ -23,7 +19,6 @@ from .measurement import (
     KrausSet,
     MeasurementEnsemble,
     Povm,
-    check_completeness,
     cpt_phi,
     measurement_ensemble,
     povm_to_kraus,
@@ -55,7 +50,6 @@ from .report import InequalityReport
 from .wehrl import (
     BlochGrid,
     SpinJ,
-    bloch_state,
     check_wehrl_convexity,
     check_wehrl_dominates,
     check_wehrl_mutual_info,

@@ -14,7 +14,7 @@ comparisons down to the Holevo bound.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .linalg import (
     matrix_log,
     partial_trace,
     ptrace_mat,
+    require_factors,
 )
 from .measurement import (
     KrausSet,
@@ -78,24 +79,23 @@ def _s23_minus_s2(rho123: DensityMatrix) -> float:
     return von_neumann(partial_trace(rho123, {2, 3})) - von_neumann(partial_trace(rho123, {2}))
 
 
-def check_ssa(rho123: DensityMatrix, tol: float | None = None) -> InequalityReport:
+def check_ssa(rho123: DensityMatrix) -> InequalityReport:
     """Strong subadditivity: S123 - S12 <= S23 - S2."""
-    if len(rho123.dims) != 3:
-        raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
-    return make_report("ssa", _s123_minus_s12(rho123), _s23_minus_s2(rho123), tol=tol, dims=rho123.dims)
+    require_factors(rho123, 3)
+    return make_report("ssa", _s123_minus_s12(rho123), _s23_minus_s2(rho123), dims=rho123.dims)
 
 
-def check_stronger_ssa(rho123: DensityMatrix, k: KrausSet, tol: float | None = None) -> InequalityReport:
+def check_stronger_ssa(rho123: DensityMatrix, k: KrausSet) -> InequalityReport:
     """Measured refinement: S123 - S12 <= sum_a n_a (S[rho23_a] - S[rho2_a])."""
     ens = measurement_ensemble(rho123, k)
     return make_report(
-        "stronger_ssa", _s123_minus_s12(rho123), _ensemble_bound(ens), tol=tol, dims=rho123.dims,
+        "stronger_ssa", _s123_minus_s12(rho123), _ensemble_bound(ens), dims=rho123.dims,
         kraus_count=len(k), acts_on=list(k.acts_on),
         skipped_terms=ens.skipped, skipped_mass=ens.skipped_mass,
     )
 
 
-def check_sandwich(rho123: DensityMatrix, k: KrausSet, tol: float | None = None) -> tuple[InequalityReport, InequalityReport]:
+def check_sandwich(rho123: DensityMatrix, k: KrausSet) -> tuple[InequalityReport, InequalityReport]:
     """Both links of S123 - S12 <= sum_a n_a (S23_a - S2_a) <= S23 - S2.
 
     The right link needs the Kraus family to act on factor 1 only, so that
@@ -106,9 +106,9 @@ def check_sandwich(rho123: DensityMatrix, k: KrausSet, tol: float | None = None)
         raise ValueError(f"sandwich requires a Kraus set acting on factor 1 only, got {k.acts_on}")
     ens = measurement_ensemble(rho123, k)
     middle = _ensemble_bound(ens)
-    left = make_report("sandwich_left", _s123_minus_s12(rho123), middle, tol=tol, dims=rho123.dims,
+    left = make_report("sandwich_left", _s123_minus_s12(rho123), middle, dims=rho123.dims,
                        kraus_count=len(k))
-    right = make_report("sandwich_right", middle, _s23_minus_s2(rho123), tol=tol, dims=rho123.dims,
+    right = make_report("sandwich_right", middle, _s23_minus_s2(rho123), dims=rho123.dims,
                         kraus_count=len(k))
     return left, right
 
@@ -118,16 +118,14 @@ def check_concave_map(
     kraus: KrausSet,
     a_ops: Sequence[np.ndarray],
     b_ops: Sequence[np.ndarray],
-    lambdas: Iterable[float] = DEFAULT_LAMBDAS,
-    tol: float | None = None,
 ) -> InequalityReport:
     """Joint concavity of (A_1,...,A_M) -> Tr exp(L + sum K†(ln A)K).
 
     The Kraus family may be sub-complete (sum K†K <= I). Evaluates the map
     at convex combinations of the tuples A and B and reports the minimum
-    concavity margin over the mixing weights. Shapes and counts are checked
-    first; f(A) and f(B), evaluated before any mixture, reject an argument
-    that is not positive definite.
+    concavity margin over the mixing weights DEFAULT_LAMBDAS. Shapes and
+    counts are checked first; f(A) and f(B), evaluated before any mixture,
+    reject an argument that is not positive definite.
     """
     d = kraus.dim
     if np.shape(l_op) != (d, d):
@@ -142,20 +140,18 @@ def check_concave_map(
     fa = trace_exp_map(l_op, kraus, a_ops)
     fb = trace_exp_map(l_op, kraus, b_ops)
     worst = None
-    for lam in lambdas:
+    for lam in DEFAULT_LAMBDAS:
         mixed = [lam * a + (1 - lam) * b for a, b in zip(a_ops, b_ops)]
         fmix = trace_exp_map(l_op, kraus, mixed)
         combo = lam * fa + (1 - lam) * fb
         if worst is None or fmix - combo < worst[0]:
             worst = (fmix - combo, lam, combo, fmix)
     _, lam, combo, fmix = worst
-    return make_report(
-        "concave_map", combo, fmix, tol=tol, dims=(d,),
-        lambda_at_min=lam, terms=len(a_ops), f_a=fa, f_b=fb,
-    )
+    return make_report("concave_map", combo, fmix, dims=(d,),
+                       lambda_at_min=lam, terms=len(a_ops), f_a=fa, f_b=fb)
 
 
-def check_gibbs_variational(rho: DensityMatrix, h: np.ndarray, tol: float | None = None) -> InequalityReport:
+def check_gibbs_variational(rho: DensityMatrix, h: np.ndarray) -> InequalityReport:
     """S[rho] + Tr(rho H) <= ln Tr e^H, saturated by the Gibbs state of H."""
     h, h_asym = hermitize(h)
     if h.shape != rho.mat.shape:
@@ -166,11 +162,10 @@ def check_gibbs_variational(rho: DensityMatrix, h: np.ndarray, tol: float | None
     # log-sum-exp for a stable ln Tr e^H
     top = w[-1]
     rhs = float(top + np.log(np.sum(np.exp(w - top))))
-    return make_report("gibbs_variational", lhs, rhs, tol=tol, dims=rho.dims,
-                       h_asymmetry=h_asym)
+    return make_report("gibbs_variational", lhs, rhs, dims=rho.dims, h_asymmetry=h_asym)
 
 
-def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet, tol: float | None = None) -> InequalityReport:
+def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityReport:
     """Relative entropy contracts under the block-diagonal measurement channel.
 
     Checks H(Phi(rho123), Phi(rho12 x rho3)) <= H(rho123, rho12 x rho3) and
@@ -178,8 +173,7 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet, tol: float | None
     contracted side through the ensemble entropies
     sum_a n_a (S[rho2_a] - S[rho23_a] + S[rho3]).
     """
-    if len(rho123.dims) != 3:
-        raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
+    require_factors(rho123, 3)
     d = rho123.dims
     rho12 = partial_trace(rho123, {1, 2})
     rho3 = partial_trace(rho123, {3})
@@ -195,7 +189,7 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet, tol: float | None
     s3 = von_neumann(rho3)
     identity_value = sum(n * (von_neumann(r2) - von_neumann(r23) + s3) for n, r23, r2 in ens.entries)
     return make_report(
-        "cpt_monotonicity", big, small, relation=">=", tol=tol, dims=d,
+        "cpt_monotonicity", big, small, relation=">=", dims=d,
         kraus_count=len(k), identity_residual=abs(small - identity_value),
     )
 
@@ -211,17 +205,16 @@ def _measured_conditional_entropy(rho12: DensityMatrix, p: Povm, factor: int = 1
     return cond_entropy
 
 
-def check_improved_subadd(rho12: DensityMatrix, p: Povm, tol: float | None = None) -> tuple[InequalityReport, InequalityReport]:
+def check_improved_subadd(rho12: DensityMatrix, p: Povm) -> tuple[InequalityReport, InequalityReport]:
     """S12 <= S1 + sum_a n_a S[rho2_a] <= S1 + S2 for a POVM on factor 1."""
-    if len(rho12.dims) != 2:
-        raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
+    require_factors(rho12, 2)
     s12 = von_neumann(rho12)
     s1 = von_neumann(partial_trace(rho12, {1}))
     s2 = von_neumann(partial_trace(rho12, {2}))
     middle = s1 + _measured_conditional_entropy(rho12, p)
-    left = make_report("improved_subadd_left", s12, middle, tol=tol, dims=rho12.dims,
+    left = make_report("improved_subadd_left", s12, middle, dims=rho12.dims,
                        povm_count=len(p))
-    right = make_report("improved_subadd_right", middle, s1 + s2, tol=tol, dims=rho12.dims,
+    right = make_report("improved_subadd_right", middle, s1 + s2, dims=rho12.dims,
                         povm_count=len(p))
     return left, right
 
@@ -246,7 +239,7 @@ def counterexample_two_sided(d: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm, tol: float | None = None) -> InequalityReport:
+def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm) -> InequalityReport:
     """Quantum mutual information dominates the measured mutual information."""
     r = povm_joint_distribution(rho12, p, q)
     marg_p = r.sum(axis=1)
@@ -258,21 +251,20 @@ def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm, tol: flo
     if marginal_residual > 1e-10:
         raise RuntimeError(f"outcome-table marginal disagrees with direct weights by {marginal_residual:.3e}")
     return make_report(
-        "classical_mutual_info", quantum_mi, classical_mi, relation=">=", tol=tol,
+        "classical_mutual_info", quantum_mi, classical_mi, relation=">=",
         dims=rho12.dims, p_count=len(p), q_count=len(q),
         marginal_residual=marginal_residual,
     )
 
 
-def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm, tol: float | None = None) -> tuple[InequalityReport, InequalityReport]:
+def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm) -> tuple[InequalityReport, InequalityReport]:
     """Two links interpolating quantum and fully classical mutual information.
 
     First: S12 - S1 - S2 <= S_cQ - S_cl[rho1] - S2, where S_cQ measures
     factor 1 and keeps factor 2 quantum. Second: the same quantity is
     bounded by the fully classical S_cl[rho12] - S_cl[rho1] - S_cl[rho2].
     """
-    if len(rho12.dims) != 2:
-        raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
+    require_factors(rho12, 2)
     s12 = von_neumann(rho12)
     s1 = von_neumann(partial_trace(rho12, {1}))
     s2 = von_neumann(partial_trace(rho12, {2}))
@@ -283,44 +275,39 @@ def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm, tol: float | None = N
     s_cl_12 = weighted_entropy_sum(r.ravel())
     s_cl_2 = weighted_entropy_sum(r.sum(axis=0))
     first = make_report(
-        "cq_chain_quantum_to_cq", s12 - s1 - s2, s_cq - s_cl_1 - s2, tol=tol,
+        "cq_chain_quantum_to_cq", s12 - s1 - s2, s_cq - s_cl_1 - s2,
         dims=rho12.dims, p_count=len(p),
     )
     second = make_report(
-        "cq_chain_cq_to_classical", s_cq - s_cl_1 - s2, s_cl_12 - s_cl_1 - s_cl_2, tol=tol,
+        "cq_chain_cq_to_classical", s_cq - s_cl_1 - s2, s_cl_12 - s_cl_1 - s_cl_2,
         dims=rho12.dims, p_count=len(p), q_count=len(q),
     )
     return first, second
 
 
-def check_cqq(rho123: DensityMatrix, p: Povm, tol: float | None = None) -> InequalityReport:
+def check_cqq(rho123: DensityMatrix, p: Povm) -> InequalityReport:
     """S123 - S12 <= S_cQQ - S_cQ with factor 1 measured by a POVM.
 
     S_cQQ keeps factors {2,3} quantum, S_cQ keeps factor 2; both decompose
-    through the unnormalized conditionals of the POVM, and the difference
+    through the subnormalized conditionals of the POVM, and the difference
     equals the measured refinement bound for the square-root Kraus family.
     """
-    if len(rho123.dims) != 3:
-        raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
+    require_factors(rho123, 3)
     s_cqq = 0.0
     s_cq = 0.0
     d = rho123.dims
     for b in povm_conditionals(rho123, p, factor=1):
         s_cqq += block_entropy(b)[0]
         s_cq += block_entropy(ptrace_mat(b, d[1:], (1,)))[0]
-    return make_report(
-        "cqq", _s123_minus_s12(rho123), s_cqq - s_cq, tol=tol, dims=d, povm_count=len(p),
-    )
+    return make_report("cqq", _s123_minus_s12(rho123), s_cqq - s_cq, dims=d, povm_count=len(p))
 
 
 def check_convexity_cl_minus_q(
     a12: DensityMatrix,
     b12: DensityMatrix,
     p: Povm,
-    lambdas: Iterable[float] = DEFAULT_LAMBDAS,
-    tol: float | None = None,
 ) -> InequalityReport:
-    """Convexity of rho -> S_cQ[rho] - S[rho] along the segment [a12, b12]."""
+    """Convexity of rho -> S_cQ[rho] - S[rho] at the DEFAULT_LAMBDAS points of [a12, b12]."""
     if a12.dims != b12.dims:
         raise ValueError(f"dimension mismatch: {a12.dims} vs {b12.dims}")
 
@@ -330,19 +317,17 @@ def check_convexity_cl_minus_q(
     ga = g(a12)
     gb = g(b12)
     worst = None
-    for lam in lambdas:
+    for lam in DEFAULT_LAMBDAS:
         mix = DensityMatrix(lam * a12.mat + (1 - lam) * b12.mat, a12.dims)
         margin = lam * ga + (1 - lam) * gb - g(mix)
         if worst is None or margin < worst[0]:
             worst = (margin, lam, g(mix), lam * ga + (1 - lam) * gb)
     _, lam, gmix, combo = worst
-    return make_report(
-        "convexity_cl_minus_q", gmix, combo, tol=tol, dims=a12.dims,
-        lambda_at_min=lam, g_a=ga, g_b=gb,
-    )
+    return make_report("convexity_cl_minus_q", gmix, combo, dims=a12.dims,
+                       lambda_at_min=lam, g_a=ga, g_b=gb)
 
 
-def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm, tol: float | None = None) -> InequalityReport:
+def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm) -> InequalityReport:
     """Accessible information of an ensemble is at most its Holevo quantity."""
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > STATE_TOL:
@@ -360,7 +345,5 @@ def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm, tol: float |
     accessible = shannon(r.sum(axis=1)) + shannon(r.sum(axis=0)) - shannon(r.ravel())
     avg = DensityMatrix(sum(w * s.mat for w, s in zip(weights, states)), dims)
     chi = von_neumann(avg) - sum(w * von_neumann(s) for w, s in zip(weights, states))
-    return make_report(
-        "holevo", accessible, chi, tol=tol, dims=dims,
-        ensemble_size=len(states), povm_count=len(q),
-    )
+    return make_report("holevo", accessible, chi, dims=dims,
+                       ensemble_size=len(states), povm_count=len(q))

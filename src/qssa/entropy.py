@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, clamp_threshold, hermitian_eig, partial_trace
-from .measurement import Povm, povm_conditionals, povm_joint_distribution
+from .linalg import DensityMatrix, clamp_threshold, hermitian_eig, partial_trace, require_factors
+from .measurement import Povm, povm_conditionals
 
 # Mass of the first argument allowed outside the second's support before
 # relative entropy is reported as infinite (separates genuine divergence
@@ -33,7 +33,7 @@ def entropy_from_eigs(eigs: np.ndarray) -> float:
 
 
 def block_entropy(b: np.ndarray) -> tuple[float, float]:
-    """(-Tr B ln B, Tr B) of an unnormalized PSD block B, from one eigensolve.
+    """(-Tr B ln B, Tr B) of a PSD block B of any trace, from one eigensolve.
 
     With n = Tr B, the first value equals n S[B/n] - n ln n.
     """
@@ -87,28 +87,20 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def mutual_information(rho12: DensityMatrix) -> float:
     """S[rho1] + S[rho2] - S[rho12] of a two-factor state."""
-    if len(rho12.dims) != 2:
-        raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
+    require_factors(rho12, 2)
     s1 = von_neumann(partial_trace(rho12, {1}))
     s2 = von_neumann(partial_trace(rho12, {2}))
     return s1 + s2 - von_neumann(rho12)
 
 
-def classical_entropy(rho12: DensityMatrix, p: Povm, q: Povm) -> float:
-    """Shannon entropy of the joint outcome table r(a,b) = Tr[(P_a x Q_b) rho]."""
-    r = povm_joint_distribution(rho12, p, q)
-    return shannon(r.ravel())
-
-
 def classical_quantum_entropy(rho12: DensityMatrix, p: Povm) -> float:
     """Entropy that is classical on factor 1 and quantum on factor 2.
 
-    Equals -sum_a Tr[B_a ln B_a] over the unnormalized conditionals
+    Equals -sum_a Tr[B_a ln B_a] over the subnormalized conditionals
     B_a = Tr_1[(P_a x I) rho12], which decomposes as Shannon(n) plus the
     weighted conditional entropies sum_a n_a S[rho2_a].
     """
-    if len(rho12.dims) != 2:
-        raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
+    require_factors(rho12, 2)
     total = 0.0
     for b in povm_conditionals(rho12, p, factor=1):
         total += block_entropy(b)[0]

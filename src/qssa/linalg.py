@@ -13,7 +13,7 @@ frozen after construction. Validation uses two module constants:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,15 +62,14 @@ def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, fl
 class DensityMatrix:
     """A PSD, unit-trace complex matrix tagged with tensor factor dimensions.
 
-    Trace, PSD and asymmetry are checked against `STATE_TOL`.
-    `unnormalized=True` relaxes the unit-trace requirement to any positive
-    trace (the inequalities checked downstream are homogeneous of order one,
-    so they remain meaningful for positive trace-class operators).
+    Trace, PSD and asymmetry are checked against `STATE_TOL`. Every state is
+    normalized; blocks of smaller trace, such as the POVM conditionals and
+    Kraus images of `measurement`, stay plain arrays.
     """
 
-    __slots__ = ("mat", "dims", "unnormalized")
+    __slots__ = ("mat", "dims")
 
-    def __init__(self, mat, dims, *, unnormalized: bool = False):
+    def __init__(self, mat, dims):
         dims = as_dims(dims)
         total = math.prod(dims)
         mat = np.asarray(mat, dtype=complex)
@@ -81,15 +80,11 @@ class DensityMatrix:
         if eigs[0] < -STATE_TOL:
             raise ValueError(f"matrix is not PSD: min eigenvalue {eigs[0]:.3e} < -{STATE_TOL:.3e}")
         tr = float(np.trace(herm).real)
-        if unnormalized:
-            if tr <= 0:
-                raise ValueError(f"unnormalized state must have positive trace, got {tr:.3e}")
-        elif abs(tr - 1.0) > STATE_TOL:
+        if abs(tr - 1.0) > STATE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within {STATE_TOL:.3e}")
         herm.flags.writeable = False
         self.mat = herm
         self.dims = dims
-        self.unnormalized = unnormalized
 
     @property
     def dim(self) -> int:
@@ -100,6 +95,12 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims}, trace={self.trace():.6f})"
+
+
+def require_factors(rho: DensityMatrix, n: int) -> None:
+    """ValueError unless `rho` has exactly `n` tensor factors."""
+    if len(rho.dims) != n:
+        raise ValueError(f"need a {n}-factor state, got dims {rho.dims}")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,7 +140,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(
         ptrace_mat(rho.mat, rho.dims, keep),
         tuple(rho.dims[k] for k in _keep_to_zero_based(keep, len(rho.dims))),
-        unnormalized=rho.unnormalized,
     )
 
 
@@ -161,12 +161,6 @@ def clamp_threshold(eigs: np.ndarray) -> float:
     return CLAMP_REL * max(1.0, top)
 
 
-def matrix_fn(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix via its spectrum."""
-    w, v = hermitian_eig(m)
-    return (v * f(w)) @ v.conj().T
-
-
 def matrix_log(m: np.ndarray, clamp: bool = True) -> np.ndarray:
     """Matrix logarithm of a PSD Hermitian matrix.
 
@@ -181,24 +175,12 @@ def matrix_log(m: np.ndarray, clamp: bool = True) -> np.ndarray:
     return (v * np.log(w)) @ v.conj().T
 
 
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    return matrix_fn(m, np.exp)
-
-
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix (eigenvalues >= -STATE_TOL)."""
     w, v = hermitian_eig(m)
     if w[0] < -STATE_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference of two states on equal dims."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    w = np.linalg.eigvalsh(a.mat - b.mat)
-    return 0.5 * float(np.abs(w).sum())
 
 
 # --- JSON wire formats -----------------------------------------------------

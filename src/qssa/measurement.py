@@ -25,6 +25,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     ptrace_mat,
+    require_factors,
     sqrtm_psd,
 )
 
@@ -130,7 +131,6 @@ class MeasurementEnsemble:
     entries: tuple
     skipped: int
     skipped_mass: float
-    total_weight: float
 
 
 def _check_factor_dim(ops_dim: int, dims: tuple[int, ...], acts_on: Sequence[int]) -> None:
@@ -183,12 +183,6 @@ def apply_kraus_op(op: np.ndarray, rho_mat: np.ndarray, dims, acts_on: Sequence[
     return t.reshape(total, total)
 
 
-def check_completeness(k: KrausSet) -> float:
-    """Max-abs entry of sum K†K - I."""
-    gram = sum(op.conj().T @ op for op in k.ops)
-    return float(np.abs(gram - np.eye(k.dim)).max())
-
-
 def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsemble:
     """Outcome weights and conditional reduced states of a measured tripartite state.
 
@@ -196,8 +190,7 @@ def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsem
     factors {2,3} is Tr_1 K_a rho K_a† / n_a, and its reduction to factor 2.
     Terms with n_a below the drop threshold are counted, not materialized.
     """
-    if len(rho123.dims) != 3:
-        raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
+    require_factors(rho123, 3)
     if k.acts_on not in ((1,), (1, 2)):
         raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {k.acts_on}")
     if k.sub_complete:
@@ -216,8 +209,7 @@ def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsem
         r23 = DensityMatrix(ptrace_mat(c, d, (2, 3)) / n, (d[1], d[2]))
         r2 = DensityMatrix(ptrace_mat(c, d, (2,)) / n, (d[1],))
         entries.append((n, r23, r2))
-    total = sum(e[0] for e in entries) + skipped_mass
-    return MeasurementEnsemble(tuple(entries), skipped, skipped_mass, total)
+    return MeasurementEnsemble(tuple(entries), skipped, skipped_mass)
 
 
 def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:
@@ -227,8 +219,7 @@ def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:
     contributes a block (blocks of negligible weight stay as near-zero
     blocks so that images of different states share the same space).
     """
-    if len(rho123.dims) != 3:
-        raise ValueError(f"need a 3-factor state, got dims {rho123.dims}")
+    require_factors(rho123, 3)
     if k.sub_complete:
         raise ValueError("the block-diagonal channel requires a complete Kraus set")
     d = rho123.dims
@@ -238,7 +229,7 @@ def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:
     for a, op in enumerate(k.ops):
         c = apply_kraus_op(op, rho123.mat, rho123.dims, k.acts_on)
         out[a * d23 : (a + 1) * d23, a * d23 : (a + 1) * d23] = ptrace_mat(c, d, (2, 3))
-    return DensityMatrix(out, (m, d[1], d[2]), unnormalized=rho123.unnormalized)
+    return DensityMatrix(out, (m, d[1], d[2]))
 
 
 def povm_to_kraus(p: Povm, acts_on=(1,)) -> KrausSet:
@@ -247,7 +238,7 @@ def povm_to_kraus(p: Povm, acts_on=(1,)) -> KrausSet:
 
 
 def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> list[np.ndarray]:
-    """Unnormalized conditional states Tr_factor[(P_a ⊗ I) rho].
+    """Subnormalized conditional states Tr_factor[(P_a ⊗ I) rho].
 
     Each returned matrix is Hermitian PSD with trace equal to the outcome
     weight Tr(P_a rho); the matrices live on the remaining factors in their
@@ -276,8 +267,7 @@ def povm_weights(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarray:
 
 def povm_joint_distribution(rho12: DensityMatrix, p: Povm, q: Povm) -> np.ndarray:
     """Outcome table r(a, b) = Tr[(P_a ⊗ Q_b) rho] of a two-factor state."""
-    if len(rho12.dims) != 2:
-        raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
+    require_factors(rho12, 2)
     conds = povm_conditionals(rho12, p, factor=1)
     if q.dim != rho12.dims[1]:
         raise ValueError(f"POVM dim {q.dim} does not match factor 2 of {rho12.dims}")

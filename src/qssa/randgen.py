@@ -135,12 +135,6 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def basis_projectors(dim: int) -> list[np.ndarray]:
-    """Rank-1 projectors onto the computational basis."""
-    eye = np.eye(dim, dtype=complex)
-    return [np.outer(eye[:, i], eye[:, i].conj()) for i in range(dim)]
-
-
 def product_basis_kraus(d1: int, d2: int) -> KrausSet:
     """Rank-1 product-basis projectors |ij><ij| as a Kraus set on factors {1,2}."""
     ops = []

@@ -3,9 +3,12 @@
 Every check produces an InequalityReport. The `relation` field records the
 claimed direction; `slack` is always the margin by which the claim holds
 (rhs - lhs for "<=", lhs - rhs for ">="), so `passed` is recomputable from
-the report's own numbers as slack >= -tol. Reports with status "skipped"
-carry no verdict; "expected-violation" marks constructions that are meant
-to violate a hypothetical bound.
+the report's own numbers as slack >= -tol. `judge` is the one place that
+sets `tol` and `passed`: `make_report` judges against `default_tol`, and a
+caller with its own tolerance (the suites, under `--tol`) judges again.
+Reports with status "skipped" carry no verdict (tol 0, pass); those with
+"expected-violation" mark constructions that are meant to violate a
+hypothetical bound and always pass.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ class InequalityReport:
     lhs: Optional[float]
     rhs: Optional[float]
     slack: Optional[float]
-    tol: float
-    passed: bool
+    tol: float = 0.0
+    passed: bool = True
     status: str = "ok"
     relation: str = "<="
     seed: Optional[int] = None
@@ -51,12 +54,23 @@ class InequalityReport:
         }
 
 
+def judge(report: InequalityReport, tol: float) -> InequalityReport:
+    """Judge a non-skipped report against `tol`: pass iff slack >= -tol.
+
+    An "expected-violation" report passes at any tolerance; a skipped one
+    is left as it is (tol 0, pass).
+    """
+    if report.status != "skipped":
+        report.tol = float(tol)
+        report.passed = report.status == "expected-violation" or report.slack >= -report.tol
+    return report
+
+
 def make_report(
     name: str,
     lhs: float,
     rhs: float,
     relation: str = "<=",
-    tol: Optional[float] = None,
     status: str = "ok",
     dims=None,
     **meta,
@@ -68,23 +82,17 @@ def make_report(
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise ValueError(f"non-finite bounds lhs={lhs} rhs={rhs}; flag via skipped_report instead")
     slack = rhs - lhs if relation == "<=" else lhs - rhs
-    if tol is None:
-        tol = default_tol(lhs, rhs)
-    passed = slack >= -tol
-    if status == "expected-violation":
-        passed = True
-    return InequalityReport(
+    r = InequalityReport(
         name=name,
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        tol=float(tol),
-        passed=passed,
         status=status,
         relation=relation,
         dims=tuple(dims) if dims is not None else None,
         meta=meta,
     )
+    return judge(r, default_tol(lhs, rhs))
 
 
 def skipped_report(name: str, reason: str, relation: str = "<=", dims=None, **meta) -> InequalityReport:
@@ -94,8 +102,6 @@ def skipped_report(name: str, reason: str, relation: str = "<=", dims=None, **me
         lhs=None,
         rhs=None,
         slack=None,
-        tol=0.0,
-        passed=True,
         status="skipped",
         relation=relation,
         dims=tuple(dims) if dims is not None else None,

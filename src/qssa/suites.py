@@ -30,7 +30,7 @@ from .randgen import (
     random_povm,
     rng_for,
 )
-from .report import InequalityReport, make_report
+from .report import InequalityReport, judge, make_report
 
 # Filled by `_instances`, in registration order.
 SUITES: dict[str, Callable[[SuiteConfig], list[InequalityReport]]] = {}
@@ -73,7 +73,10 @@ class SuiteConfig:
 
 
 def _finish(reports: list[InequalityReport], cfg: SuiteConfig, suite: str, index: int) -> list[InequalityReport]:
+    """Judge the reports against `cfg.tol`, if set, and stamp seed, suite, instance and rng."""
     for r in reports:
+        if cfg.tol is not None:
+            judge(r, cfg.tol)
         r.seed = cfg.seed
         r.meta.setdefault("suite", suite)
         r.meta.setdefault("instance", index)
@@ -119,7 +122,7 @@ def suite_ssa(cfg, i, key):
     total = math.prod(cfg.dims)
     rank = total if i % 2 == 0 else max(1, total // 2)
     rho = random_density(cfg.dims, rank, cfg.seed, key(0))
-    r = checks.check_ssa(rho, tol=cfg.tol)
+    r = checks.check_ssa(rho)
     r.meta["rank"] = rank
     return [r]
 
@@ -129,14 +132,14 @@ def suite_stronger_ssa(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(d1 * d2, (1, 2, 4)[i % 3], cfg.seed, key(1), acts_on=(1, 2))
-    return [checks.check_stronger_ssa(rho, k, tol=cfg.tol)]
+    return [checks.check_stronger_ssa(rho, k)]
 
 
 @_instances("sandwich", 3, factors=3)
 def suite_sandwich(cfg, i, key):
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1), acts_on=(1,))
-    return list(checks.check_sandwich(rho, k, tol=cfg.tol))
+    return list(checks.check_sandwich(rho, k))
 
 
 @_instances("concavity", 4)
@@ -150,7 +153,7 @@ def suite_concavity(cfg, i, key):
         k = KrausSet([op * np.sqrt(0.9) for op in k.ops], acts_on=(1,), sub_complete=True)
     a_ops = [random_positive(dim, cfg.seed, key(2, j)) for j in range(m)]
     b_ops = [random_positive(dim, cfg.seed, key(3, j)) for j in range(m)]
-    r = checks.check_concave_map(l_op, k, a_ops, b_ops, tol=cfg.tol)
+    r = checks.check_concave_map(l_op, k, a_ops, b_ops)
     r.meta["sub_complete"] = k.sub_complete
     return [r]
 
@@ -160,7 +163,7 @@ def suite_gibbs(cfg, i, key):
     total = math.prod(cfg.dims)
     rho = random_density(cfg.dims, total if i % 2 == 0 else 1, cfg.seed, key(0))
     h = random_hermitian(total, cfg.seed, key(1))
-    return [checks.check_gibbs_variational(rho, h, tol=cfg.tol)]
+    return [checks.check_gibbs_variational(rho, h)]
 
 
 @_instances("cpt", 6, factors=3)
@@ -168,7 +171,7 @@ def suite_cpt(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(d1 * d2, (2, 3)[i % 2], cfg.seed, key(1), acts_on=(1, 2))
-    return [checks.check_cpt_monotonicity(rho, k, tol=cfg.tol)]
+    return [checks.check_cpt_monotonicity(rho, k)]
 
 
 @_instances("improved-subadd", 7, factors=2)
@@ -176,7 +179,7 @@ def suite_improved_subadd(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     p = random_povm(d1, (2, 3, 4)[i % 3], cfg.seed, key(1))
-    return list(checks.check_improved_subadd(rho, p, tol=cfg.tol))
+    return list(checks.check_improved_subadd(rho, p))
 
 
 @_instances("mutual-info", 8, factors=2)
@@ -186,7 +189,7 @@ def suite_mutual_info(cfg, i, key):
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     p = random_povm(d1, counts[i % 3], cfg.seed, key(1))
     q = random_povm(d2, counts[(i + 1) % 3], cfg.seed, key(2))
-    return [checks.check_classical_mutual_info(rho, p, q, tol=cfg.tol)]
+    return [checks.check_classical_mutual_info(rho, p, q)]
 
 
 @_instances("cq-chain", 9, factors=2)
@@ -196,14 +199,14 @@ def suite_cq_chain(cfg, i, key):
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     p = random_povm(d1, counts[i % 2], cfg.seed, key(1))
     q = random_povm(d2, counts[(i + 1) % 2], cfg.seed, key(2))
-    return list(checks.check_cq_chain(rho, p, q, tol=cfg.tol))
+    return list(checks.check_cq_chain(rho, p, q))
 
 
 @_instances("cqq", 10, factors=3)
 def suite_cqq(cfg, i, key):
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     p = random_povm(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1))
-    return [checks.check_cqq(rho, p, tol=cfg.tol)]
+    return [checks.check_cqq(rho, p)]
 
 
 @_instances("convexity", 11, factors=2)
@@ -212,7 +215,7 @@ def suite_convexity(cfg, i, key):
     a = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     b = random_density((d1, d2), max(1, d1 * d2 // 2), cfg.seed, key(1))
     p = random_povm(d1, 2 + i % 2, cfg.seed, key(2))
-    return [checks.check_convexity_cl_minus_q(a, b, p, tol=cfg.tol)]
+    return [checks.check_convexity_cl_minus_q(a, b, p)]
 
 
 @_instances("holevo", 12, factors=2)
@@ -224,7 +227,7 @@ def suite_holevo(cfg, i, key):
     states = [random_density((d,), d if j % 2 == 0 else 1, cfg.seed, key(1, j))
               for j in range(m)]
     q = random_povm(d, 2 + i % 3, cfg.seed, key(2))
-    return [checks.check_holevo(weights, states, q, tol=cfg.tol)]
+    return [checks.check_holevo(weights, states, q)]
 
 
 @_instances("wehrl", 13)
@@ -234,9 +237,9 @@ def suite_wehrl(cfg, i, key):
     a = random_density((dim,), dim, cfg.seed, key(1))
     b = random_density((dim,), max(1, dim // 2) if i % 2 else dim, cfg.seed, key(2))
     return [
-        wehrl.check_wehrl_dominates(rho12, tol=cfg.tol),
-        wehrl.check_wehrl_mutual_info(rho12, tol=cfg.tol),
-        wehrl.check_wehrl_convexity(a, b, tol=cfg.tol),
+        wehrl.check_wehrl_dominates(rho12),
+        wehrl.check_wehrl_mutual_info(rho12),
+        wehrl.check_wehrl_convexity(a, b),
     ]
 
 
@@ -244,8 +247,7 @@ def suite_wehrl(cfg, i, key):
 def suite_counterexample(cfg, i, key):
     lhs, rhs = checks.counterexample_two_sided(cfg.d)
     return [make_report(
-        "counterexample_two_sided", lhs, rhs, relation="<=", tol=cfg.tol,
-        status="expected-violation", dims=(cfg.d, cfg.d),
+        "counterexample_two_sided", lhs, rhs, status="expected-violation", dims=(cfg.d, cfg.d),
         note="two-sided split of the subadditivity bound fails by ln d",
         gap=lhs - rhs,
     )]

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .checks import DEFAULT_LAMBDAS
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix, partial_trace, require_factors
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_pure_state, rng_for
 from .report import InequalityReport, make_report
@@ -50,10 +49,6 @@ class SpinJ:
     def dim(self) -> int:
         return self.two_j + 1
 
-    @property
-    def j(self) -> float:
-        return self.two_j / 2
-
 
 class BlochGrid:
     """Quadrature nodes, weights and coherent vectors on one spin factor."""
@@ -79,6 +74,10 @@ class BlochGrid:
 def _coherent_states(two_j: int, thetas, phis) -> np.ndarray:
     """Coherent vectors at (thetas[i], phis[p]) in row i * len(phis) + p.
 
+    Basis order is m = j, j-1, ..., -j; the amplitude on index k = j - m is
+    sqrt(C(2j,k)) cos^(2j-k)(theta/2) sin^k(theta/2) e^{-ik phi}, so the
+    north pole gives the highest-weight basis vector.
+
     float(C(2j,k)) is correctly rounded up to 2j = 1029, past any grid that
     fits in memory; as int64 the binomials overflow from 2j = 68 on.
     """
@@ -88,18 +87,6 @@ def _coherent_states(two_j: int, thetas, phis) -> np.ndarray:
     amps = binom * np.cos(half) ** (two_j - k) * np.sin(half) ** k
     phases = np.exp(-1j * np.outer(phis, k))
     return (amps[:, None, :] * phases).reshape(-1, two_j + 1)
-
-
-def bloch_state(spin: SpinJ, theta: float, phi: float) -> np.ndarray:
-    """Coherent unit vector at sphere direction (theta, phi).
-
-    Basis order is m = j, j-1, ..., -j; the amplitude on index k = j - m is
-    sqrt(C(2j,k)) cos^(2j-k)(theta/2) sin^k(theta/2) e^{-ik phi}, so the
-    north pole gives the highest-weight basis vector.
-    """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return _coherent_states(spin.two_j, [theta], [phi])[0]
 
 
 def base_grid_sizes(spin: SpinJ) -> tuple[int, int]:
@@ -231,35 +218,30 @@ def coherent_wehrl_value(spin: SpinJ) -> float:
     return spin.two_j / (spin.two_j + 1)
 
 
-def check_wehrl_dominates(rho: DensityMatrix, grids=None,
-                          tol: float | None = None) -> InequalityReport:
+def check_wehrl_dominates(rho: DensityMatrix, grids=None) -> InequalityReport:
     """S[rho] <= S_W[rho]; holds for every resolution grid, any state."""
     grids = _grids_for(rho, grids, lean=True)
     s = von_neumann(rho)
     sw = wehrl_entropy(rho, grids)
-    return make_report("wehrl_dominates", s, sw, tol=tol, dims=rho.dims,
+    return make_report("wehrl_dominates", s, sw, dims=rho.dims,
                        grid_nodes=[len(g) for g in grids])
 
 
-def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None,
-                            tol: float | None = None) -> InequalityReport:
+def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None) -> InequalityReport:
     """Wehrl mutual information is dominated by quantum mutual information."""
-    if len(rho12.dims) != 2:
-        raise ValueError(f"need a 2-factor state, got dims {rho12.dims}")
+    require_factors(rho12, 2)
     grids = _grids_for(rho12, grids, lean=True)
     sw12 = wehrl_entropy(rho12, grids)
     sw1 = wehrl_entropy(partial_trace(rho12, {1}), (grids[0],))
     sw2 = wehrl_entropy(partial_trace(rho12, {2}), (grids[1],))
     wehrl_mi = sw1 + sw2 - sw12
     quantum_mi = mutual_information(rho12)
-    return make_report("wehrl_mutual_info", wehrl_mi, quantum_mi, tol=tol,
+    return make_report("wehrl_mutual_info", wehrl_mi, quantum_mi,
                        dims=rho12.dims, grid_nodes=[len(g) for g in grids])
 
 
-def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
-                          lambdas: Iterable[float] = DEFAULT_LAMBDAS,
-                          grids=None, tol: float | None = None) -> InequalityReport:
-    """Convexity of rho -> S_W[rho] - S[rho] along the segment [a, b]."""
+def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix, grids=None) -> InequalityReport:
+    """Convexity of rho -> S_W[rho] - S[rho] at the DEFAULT_LAMBDAS points of [a, b]."""
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     grids = _grids_for(a, grids, lean=True)
@@ -270,13 +252,13 @@ def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix,
     ga = g(a)
     gb = g(b)
     worst = None
-    for lam in lambdas:
+    for lam in DEFAULT_LAMBDAS:
         mix = DensityMatrix(lam * a.mat + (1 - lam) * b.mat, a.dims)
         margin = lam * ga + (1 - lam) * gb - g(mix)
         if worst is None or margin < worst[0]:
             worst = (margin, lam, g(mix), lam * ga + (1 - lam) * gb)
     _, lam, gmix, combo = worst
-    return make_report("wehrl_convexity", gmix, combo, tol=tol, dims=a.dims,
+    return make_report("wehrl_convexity", gmix, combo, dims=a.dims,
                        lambda_at_min=lam, grid_nodes=[len(g_) for g_ in grids])
 
 

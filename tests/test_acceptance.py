@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qssa.checks import (
+    DEFAULT_LAMBDAS,
     check_classical_mutual_info,
     check_concave_map,
     check_convexity_cl_minus_q,
@@ -25,9 +26,9 @@ from qssa.checks import (
     counterexample_two_sided,
 )
 from qssa.cli import main
-from qssa.entropy import classical_entropy, von_neumann
+from qssa.entropy import shannon, von_neumann
 from qssa.linalg import DensityMatrix, kron, partial_trace
-from qssa.measurement import KrausSet, povm_to_kraus
+from qssa.measurement import KrausSet, povm_joint_distribution, povm_to_kraus
 from qssa.randgen import (
     complex_gaussian,
     product_basis_kraus,
@@ -39,9 +40,10 @@ from qssa.randgen import (
     random_povm,
     rng_for,
 )
+from qssa.report import judge
 from qssa.wehrl import (
     SpinJ,
-    bloch_state,
+    _coherent_states,
     check_wehrl_convexity,
     check_wehrl_dominates,
     check_wehrl_mutual_info,
@@ -115,6 +117,7 @@ def test_criterion_4_counterexample():
 
 
 def test_criterion_5_concavity_200():
+    assert DEFAULT_LAMBDAS == (0.25, 0.5, 0.75)
     dims_cycle = (2, 3, 4)
     m_cycle = (1, 2, 3)
     worst = math.inf
@@ -125,14 +128,14 @@ def test_criterion_5_concavity_200():
         k = random_kraus(dim, m, SEED, (1005, i, 1), acts_on=(1,))
         a = [random_positive(dim, SEED, (1005, i, 2, j)) for j in range(m)]
         b = [random_positive(dim, SEED, (1005, i, 3, j)) for j in range(m)]
-        r = check_concave_map(l_op, k, a, b, lambdas=(0.25, 0.5, 0.75))
+        r = check_concave_map(l_op, k, a, b)
         assert r.slack >= -1e-9, f"instance {i}: slack {r.slack}"
         worst = min(worst, r.slack)
     for dim in (2, 3, 4):
         k = KrausSet([np.eye(dim)], acts_on=(1,))
         a = [random_positive(dim, SEED, (1005, 900 + dim, 0))]
         b = [random_positive(dim, SEED, (1005, 900 + dim, 1))]
-        r = check_concave_map(np.zeros((dim, dim)), k, a, b, lambdas=(0.25, 0.5, 0.75))
+        r = check_concave_map(np.zeros((dim, dim)), k, a, b)
         assert abs(r.slack) <= 1e-10, f"linear case dim={dim}: slack {r.slack}"
     report(5, "trace-exponential concavity x200 + linear case", f"(min slack {worst:.3e})")
 
@@ -159,33 +162,33 @@ def test_criterion_7_entropy_comparisons_200_each():
         p2 = random_povm(2, 2 + i % 3, SEED, (1007, i, 1))
         q3 = random_povm(3, 2 + (i + 1) % 3, SEED, (1007, i, 2))
 
-        left, right = check_improved_subadd(rho12, p2, tol=1e-8)
+        left, right = (judge(r, 1e-8) for r in check_improved_subadd(rho12, p2))
         assert left.passed and right.passed, f"improved-subadd {i}"
 
-        r = check_classical_mutual_info(rho12, p2, q3, tol=1e-8)
+        r = judge(check_classical_mutual_info(rho12, p2, q3), 1e-8)
         assert r.passed, f"mutual-info {i}"
 
-        first, second = check_cq_chain(rho12, p2, q3, tol=1e-8)
+        first, second = (judge(r, 1e-8) for r in check_cq_chain(rho12, p2, q3))
         assert first.passed and second.passed, f"cq-chain {i}"
 
         rho123 = random_density((2, 2, 2), 8, SEED, (1007, i, 3))
         pq = random_povm(2, 2 + i % 3, SEED, (1007, i, 4))
-        rq = check_cqq(rho123, pq, tol=1e-8)
+        rq = judge(check_cqq(rho123, pq), 1e-8)
         assert rq.passed, f"cqq {i}"
-        rs = check_stronger_ssa(rho123, povm_to_kraus(pq, acts_on=(1,)), tol=1e-8)
+        rs = check_stronger_ssa(rho123, povm_to_kraus(pq, acts_on=(1,)))
         agree = max(abs(rq.lhs - rs.lhs), abs(rq.rhs - rs.rhs))
         assert agree <= 1e-10, f"cqq/kraus disagreement {agree} at {i}"
         agree_worst = max(agree_worst, agree)
 
         b12 = random_density((2, 3), 3, SEED, (1007, i, 5))
-        rc = check_convexity_cl_minus_q(rho12, b12, p2, tol=1e-8)
+        rc = judge(check_convexity_cl_minus_q(rho12, b12, p2), 1e-8)
         assert rc.passed, f"convexity {i}"
 
         m = 2 + i % 3
         weights = rng_for(SEED, (1007, i, 6)).dirichlet(np.ones(m))
         states = [random_density((4,), 4 if j % 2 == 0 else 1, SEED, (1007, i, 7, j)) for j in range(m)]
         q4 = random_povm(4, 2 + i % 3, SEED, (1007, i, 8))
-        rh = check_holevo(weights, states, q4, tol=1e-8)
+        rh = judge(check_holevo(weights, states, q4), 1e-8)
         assert rh.passed, f"holevo {i}"
     report(7, "entropy-comparison checks x200 each", f"(max cqq/kraus gap {agree_worst:.3e})")
 
@@ -208,7 +211,7 @@ def test_criterion_8_wehrl_suite():
         spin = SpinJ(two_j)
         theta = float(np.arccos(rng.uniform(-1, 1)))
         phi = float(rng.uniform(0, 2 * math.pi))
-        v = bloch_state(spin, theta, phi)
+        v = _coherent_states(two_j, [theta], [phi])[0]
         rho = DensityMatrix(np.outer(v, v.conj()), (spin.dim,))
         err = abs(wehrl_entropy(rho) - coherent_wehrl_value(spin))
         assert err <= 1e-6, f"two_j={two_j}: coherent error {err}"
@@ -245,7 +248,7 @@ def test_criterion_9_oracle_equivalence_50():
         rho12 = random_density((2, 3), 6, SEED, (1009, i, 1))
         p = random_povm(2, 2 + i % 2, SEED, (1009, i, 2))
         q = random_povm(3, 2 + i % 3, SEED, (1009, i, 3))
-        got_s = classical_entropy(rho12, p, q)
+        got_s = shannon(povm_joint_distribution(rho12, p, q).ravel())
         want_s = classical_entropy_oracle(rho12, p, q)
         assert abs(got_s - want_s) <= 1e-12
     report(9, "brute-force oracle equivalence x50")

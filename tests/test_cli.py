@@ -8,8 +8,10 @@ import pytest
 
 from qssa.cli import main
 from qssa.linalg import density_from_json
-from qssa.measurement import check_completeness, kraus_from_json, povm_from_json
+from qssa.measurement import kraus_from_json, povm_from_json
 from qssa.suites import SUITES
+
+from test_measurement import completeness_residual
 
 
 def run(argv):
@@ -52,6 +54,23 @@ class TestCheckCommand:
         assert run(["check", "--suite", "ssa", "--trials", "1", f"--tol={tol}",
                     "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_tol_sets_every_verdict_and_moves_no_value(self, tmp_path, capsys, tol):
+        args = ["check", "--suite", "all", "--trials", "3", "--seed", "42"]
+        default, judged = tmp_path / "default.ndjson", tmp_path / "judged.ndjson"
+        assert run(args + ["--out", str(default)]) == 0
+        assert run(args + [f"--tol={tol}", "--out", str(judged)]) == 0
+        pairs = [(json.loads(a), json.loads(b)) for a, b in
+                 zip(default.read_text().splitlines(), judged.read_text().splitlines(), strict=True)]
+        assert {a["meta"]["suite"] for a, _ in pairs} == set(SUITES)
+        for a, b in pairs:
+            assert b["status"] != "skipped"
+            assert b["tol"] == tol
+            assert (b["lhs"], b["rhs"], b["slack"]) == (a["lhs"], a["rhs"], a["slack"])
+            assert b["pass"] is (b["status"] == "expected-violation" or b["slack"] >= -tol)
+            a.pop("tol"), b.pop("tol")
+            assert a == b
 
     @pytest.mark.parametrize("dims", ["2", "2,2"])
     @pytest.mark.parametrize("suite", list(SUITES))
@@ -153,7 +172,7 @@ class TestGenCommand:
         assert run(["gen", "--kind", "kraus", "--dims", "4", "--count", "3",
                     "--seed", "2", "--out", str(out)]) == 0
         k = kraus_from_json(json.loads(out.read_text()))
-        assert check_completeness(k) <= 1e-12
+        assert completeness_residual(k) <= 1e-12
 
     def test_povm_count_one_is_identity(self, tmp_path):
         out = tmp_path / "p.json"

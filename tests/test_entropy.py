@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qssa.entropy import (
-    classical_entropy,
     classical_quantum_entropy,
     mutual_information,
     relative_entropy,
@@ -14,9 +13,12 @@ from qssa.entropy import (
     von_neumann,
     weighted_entropy_sum,
 )
-from qssa.linalg import DensityMatrix, kron, matrix_log, partial_trace, trace_distance
-from qssa.measurement import Povm, povm_conditionals, povm_weights
-from qssa.randgen import basis_projectors, random_density, random_povm, random_unitary
+from qssa.linalg import DensityMatrix, kron, matrix_log, partial_trace
+from qssa.measurement import Povm, povm_conditionals, povm_joint_distribution, povm_weights
+from qssa.randgen import random_density, random_povm, random_unitary
+
+from test_linalg import trace_distance
+from test_measurement import basis_povm
 
 
 def bell_state():
@@ -150,20 +152,19 @@ class TestClassicalEntropy:
         rho = random_density((2, 3), 6, 3)
         p = Povm([np.eye(2)])
         q = Povm([np.eye(3)])
-        assert classical_entropy(rho, p, q) == 0.0
+        assert shannon(povm_joint_distribution(rho, p, q).ravel()) == 0.0
 
     def test_matching_basis_on_diagonal_state(self):
         probs = np.array([0.4, 0.1, 0.3, 0.2])
         rho = DensityMatrix(np.diag(probs), (2, 2))
-        p = Povm(basis_projectors(2))
-        q = Povm(basis_projectors(2))
-        assert classical_entropy(rho, p, q) == pytest.approx(von_neumann(rho), abs=1e-12)
+        r = povm_joint_distribution(rho, basis_povm(2), basis_povm(2))
+        assert shannon(r.ravel()) == pytest.approx(von_neumann(rho), abs=1e-12)
 
     def test_double_sum_oracle(self):
         rho = random_density((2, 3), 6, 8)
         p = random_povm(2, 3, 9)
         q = random_povm(3, 2, 10)
-        assert classical_entropy(rho, p, q) == pytest.approx(
+        assert shannon(povm_joint_distribution(rho, p, q).ravel()) == pytest.approx(
             classical_entropy_oracle(rho, p, q), abs=1e-12
         )
 
@@ -177,10 +178,9 @@ class TestClassicalQuantumEntropy:
     def test_fully_classical_case(self):
         probs = np.array([0.35, 0.05, 0.25, 0.35])
         rho = DensityMatrix(np.diag(probs), (2, 2))
-        p = Povm(basis_projectors(2))
-        q = Povm(basis_projectors(2))
+        p = basis_povm(2)
         assert classical_quantum_entropy(rho, p) == pytest.approx(
-            classical_entropy(rho, p, q), abs=1e-12
+            shannon(povm_joint_distribution(rho, p, p).ravel()), abs=1e-12
         )
 
     def test_decomposition_oracle(self):
@@ -207,6 +207,13 @@ class TestEntropyProperties:
         rho = random_density((3,), 3, 14)
         assert relative_entropy(rho, rho) <= 1e-10
         assert trace_distance(rho, rho) <= 1e-7
+
+    def test_pinsker_inequality(self):
+        # D(rho || sigma) >= 2 T(rho, sigma)^2, with T the trace distance
+        for seed in range(10):
+            rho = random_density((2, 3), 6 if seed % 2 else 2, seed, substream=73)
+            sigma = random_density((2, 3), 6, seed, substream=74)
+            assert relative_entropy(rho, sigma) >= 2 * trace_distance(rho, sigma) ** 2 - 1e-12
 
     def test_triangle_inequality(self):
         for seed in range(10):

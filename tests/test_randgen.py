@@ -5,7 +5,6 @@ import pytest
 
 from qssa.entropy import von_neumann
 from qssa.linalg import partial_trace
-from qssa.measurement import check_completeness
 from qssa.randgen import (
     random_cq_state,
     random_density,
@@ -14,6 +13,8 @@ from qssa.randgen import (
     random_unitary,
     rng_for,
 )
+
+from test_measurement import completeness_residual
 
 
 class TestRandomDensity:
@@ -73,7 +74,7 @@ class TestRandomKraus:
     @pytest.mark.parametrize("count", [1, 2, 4, 8])
     def test_completeness_grid(self, dim, count):
         k = random_kraus(dim, count, 17)
-        assert check_completeness(k) <= 1e-12
+        assert completeness_residual(k) <= 1e-12
 
     def test_replay(self):
         a = random_kraus(4, 3, 42)

@@ -1,0 +1,55 @@
+"""The one verdict: `judge` sets tol and pass, `make_report` judges at the default."""
+
+import numpy as np
+import pytest
+
+from qssa.report import default_tol, judge, make_report, skipped_report
+
+
+class TestJudge:
+    def test_boundary_slack_equal_to_minus_tol_passes(self):
+        r = make_report("x", 1.0, 0.5)
+        assert r.slack == -0.5
+        assert judge(r, 0.5).passed
+        assert r.tol == 0.5
+
+    def test_slack_below_minus_tol_fails(self):
+        r = make_report("x", 1.0, 0.5)
+        assert not judge(r, np.nextafter(0.5, 0.0)).passed
+        assert not judge(r, 0.0).passed
+
+    def test_greater_equal_relation(self):
+        r = make_report("x", 0.5, 1.0, relation=">=")
+        assert r.slack == -0.5
+        assert judge(r, 0.5).passed
+        assert not judge(r, 0.25).passed
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-3, 10.0])
+    def test_expected_violation_passes_at_any_tol(self, tol):
+        r = make_report("x", 1.0, 0.0, status="expected-violation")
+        assert r.slack == -1.0
+        assert judge(r, tol).passed
+        assert r.tol == tol
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_skipped_report_keeps_zero_tol(self, tol):
+        r = skipped_report("x", "support")
+        assert (r.tol, r.passed) == (0.0, True)
+        judge(r, tol)
+        assert (r.tol, r.passed, r.status) == (0.0, True, "skipped")
+
+    def test_judges_in_place_and_returns_the_report(self):
+        r = make_report("x", 0.0, 1.0)
+        assert judge(r, 0.0) is r
+
+    def test_make_report_judges_at_the_default_tol(self):
+        r = make_report("x", -3.0, 2.0)
+        assert r.tol == default_tol(-3.0, 2.0) == pytest.approx(3e-8, rel=1e-15)
+        assert r.passed
+        fails = make_report("x", 1.0 + 2e-8, 1.0)
+        assert fails.tol == 1e-8 * (1.0 + 2e-8)
+        assert not fails.passed
+
+    def test_tol_is_stored_as_float(self):
+        r = judge(make_report("x", 0.0, 1.0), 0)
+        assert type(r.tol) is float

@@ -67,13 +67,12 @@ class TestValidationHeadroom:
         residuals = {name: [] for name in ("trace", "negative_eig", "asymmetry", "completeness", "povm_sum")}
         rho_init, kraus_init, povm_init = DensityMatrix.__init__, KrausSet.__init__, Povm.__init__
 
-        def record_rho(self, mat, dims, *, unnormalized=False):
+        def record_rho(self, mat, dims):
             m = np.asarray(mat, dtype=complex)
             residuals["asymmetry"].append(float(np.abs(m - m.conj().T).max()))
             residuals["negative_eig"].append(_negative_part(m))
-            if not unnormalized:
-                residuals["trace"].append(abs(float(np.trace(m).real) - 1.0))
-            rho_init(self, mat, dims, unnormalized=unnormalized)
+            residuals["trace"].append(abs(float(np.trace(m).real) - 1.0))
+            rho_init(self, mat, dims)
 
         def record_kraus(self, ops, acts_on=(1,), sub_complete=False):
             ops = [np.asarray(k, dtype=complex) for k in ops]
@@ -185,3 +184,16 @@ def test_skipped_reports_do_not_fail(tmp_path, monkeypatch, capsys):
     obj = json.loads((tmp_path / "x.ndjson").read_text())
     assert obj["status"] == "skipped"
     assert obj["lhs"] is None
+
+
+def test_tol_leaves_skipped_reports_unjudged(tmp_path, monkeypatch, capsys):
+    from qssa import checks
+    from qssa.report import skipped_report
+
+    monkeypatch.setattr(checks, "check_ssa", lambda rho: skipped_report("ssa", "support"))
+    code = main(["check", "--suite", "ssa", "--trials", "2", "--tol", "1e-3",
+                 "--out", str(tmp_path / "x.ndjson")])
+    assert code == 0
+    for line in (tmp_path / "x.ndjson").read_text().splitlines():
+        obj = json.loads(line)
+        assert (obj["status"], obj["tol"], obj["pass"]) == ("skipped", 0.0, True)

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import qssa.wehrl
 from qssa.entropy import von_neumann
 from qssa.linalg import DensityMatrix
 from qssa.randgen import random_density, rng_for
 from qssa.wehrl import (
     SpinJ,
+    _coherent_states,
     base_grid_sizes,
-    bloch_state,
     check_wehrl_convexity,
     check_wehrl_dominates,
     check_wehrl_mutual_info,
@@ -24,6 +25,11 @@ from qssa.wehrl import (
     wehrl_entropy,
     wehrl_min_scan,
 )
+
+
+def bloch_state(spin, theta, phi):
+    """Coherent unit vector at sphere direction (theta, phi)."""
+    return _coherent_states(spin.two_j, [theta], [phi])[0]
 
 
 def coherent_density(spin, theta, phi):
@@ -65,12 +71,6 @@ class TestBlochState:
                 cos_gamma = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(p1 - p2)
                 expect = ((1 + cos_gamma) / 2) ** two_j
                 assert abs(abs(np.vdot(a, b)) ** 2 - expect) < 1e-12
-
-    def test_theta_out_of_range(self):
-        with pytest.raises(ValueError):
-            bloch_state(SpinJ(2), -0.1, 0.0)
-        with pytest.raises(ValueError):
-            bloch_state(SpinJ(2), 3.5, 0.0)
 
 
 class TestGrid:
@@ -206,16 +206,17 @@ class TestWehrlChecks:
         a = random_density((3,), 3, 100)
         assert abs(check_wehrl_convexity(a, a).slack) < 1e-10
 
-    def test_convexity_endpoints(self):
+    def test_convexity_endpoints(self, monkeypatch):
+        monkeypatch.setattr(qssa.wehrl, "DEFAULT_LAMBDAS", (0.0, 1.0))
         a = random_density((3,), 3, 101)
         b = random_density((3,), 1, 102)
-        assert abs(check_wehrl_convexity(a, b, lambdas=(0.0, 1.0)).slack) < 1e-10
+        assert abs(check_wehrl_convexity(a, b).slack) < 1e-10
 
     def test_convexity_random(self):
         for seed in range(5):
             a = random_density((3,), 3, seed, substream=103)
             b = random_density((3,), 2, seed, substream=104)
-            assert check_wehrl_convexity(a, b, lambdas=(0.5,)).slack >= -1e-8
+            assert check_wehrl_convexity(a, b).slack >= -1e-8
 
 
 class TestWehrlScan:
