@@ -4,6 +4,7 @@ from .linalg import (
     DensityMatrix,
     hermitian_eig,
     kron,
+    kron_state,
     matrix_log,
     partial_trace,
     sqrtm_psd,

@@ -31,7 +31,7 @@ from .linalg import (
     STATE_TOL,
     DensityMatrix,
     hermitize,
-    kron,
+    kron_state,
     matrix_log,
     partial_trace,
     ptrace_mat,
@@ -177,7 +177,7 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityRepo
     d = rho123.dims
     rho12 = partial_trace(rho123, {1, 2})
     rho3 = partial_trace(rho123, {3})
-    product = DensityMatrix(kron(rho12.mat, rho3.mat), d)
+    product = kron_state(rho12, rho3)
     big = relative_entropy(rho123, product)
     phi_rho = cpt_phi(rho123, k)
     phi_prod = cpt_phi(product, k)

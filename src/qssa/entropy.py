@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, clamp_threshold, hermitian_eig, partial_trace, require_factors
+from .linalg import DensityMatrix, clamp_threshold, partial_trace, require_factors
 from .measurement import Povm, povm_conditionals
 
 # Mass of the first argument allowed outside the second's support before
@@ -67,14 +67,14 @@ def weighted_entropy_sum(weights) -> float:
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Tr rho (ln rho - ln sigma), computed in sigma's eigenbasis.
+    """Tr rho (ln rho - ln sigma), computed in sigma's eigenbasis (`sigma.eigh()`).
 
     Returns inf when rho carries more than SUPPORT_LEAK_TOL of weight on
     eigenvectors of sigma whose eigenvalues sit below the clamp floor.
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
-    w, v = hermitian_eig(sigma.mat)
+    w, v = sigma.eigh()
     eps = clamp_threshold(w)
     # diag(V† rho V): the one O(n^3) step is a BLAS matmul, the rest a row sum
     diag = np.einsum("ij,ji->i", v.conj().T @ rho.mat, v).real

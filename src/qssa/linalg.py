@@ -4,8 +4,8 @@ States live on a product of finite-dimensional factors, described by a
 plain tuple of factor dimensions (d1, ..., dn) that `as_dims` validates.
 Factors are labeled 1..n throughout the public API, `ptrace_mat` included
 (the same labels appear in the JSON wire formats). All operations are pure
-functions of immutable inputs; arrays held by :class:`DensityMatrix` are
-frozen after construction. Validation uses two module constants:
+functions of immutable inputs; arrays held by :class:`DensityMatrix` (its
+matrix and, once solved, its eigensystem) are frozen. Validation uses two module constants:
 `STATE_TOL` for states (and, in `measurement`, Kraus sets and POVMs) and
 `ASYM_TOL` for the asymmetry of Hermitian operators such as a Gibbs H.
 """
@@ -59,24 +59,34 @@ def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, fl
     return (m + m.conj().T) / 2, asym
 
 
+def _frozen(arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
+
+
 class DensityMatrix:
     """A PSD, unit-trace complex matrix tagged with tensor factor dimensions.
 
     Trace, PSD and asymmetry are checked against `STATE_TOL`. Every state is
     normalized; blocks of smaller trace, such as the POVM conditionals and
-    Kraus images of `measurement`, stay plain arrays.
+    Kraus images of `measurement`, stay plain arrays. `eigh()` fills the
+    eigensystem slot on first use; `kron_state` builds a product state with
+    the slot already filled from its factors.
     """
 
-    __slots__ = ("mat", "dims")
+    __slots__ = ("mat", "dims", "_eig")
 
-    def __init__(self, mat, dims):
+    def __init__(self, mat, dims, _eig=None):
+        # `_eig` is for `kron_state` only: the (w ascending, V) of `mat`,
+        # derived from validated factors; the PSD check then reads its w.
         dims = as_dims(dims)
         total = math.prod(dims)
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} (total {total})")
         herm, _ = hermitize(mat, asym_tol=STATE_TOL)
-        eigs = np.linalg.eigvalsh(herm)
+        eigs = np.linalg.eigvalsh(herm) if _eig is None else _eig[0]
         if eigs[0] < -STATE_TOL:
             raise ValueError(f"matrix is not PSD: min eigenvalue {eigs[0]:.3e} < -{STATE_TOL:.3e}")
         tr = float(np.trace(herm).real)
@@ -85,10 +95,17 @@ class DensityMatrix:
         herm.flags.writeable = False
         self.mat = herm
         self.dims = dims
+        self._eig = None if _eig is None else _frozen(_eig)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues ascending, eigenvector columns) of the state, solved at most once."""
+        if self._eig is None:
+            self._eig = _frozen(hermitian_eig(self.mat))
+        return self._eig
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -106,6 +123,19 @@ def require_factors(rho: DensityMatrix, n: int) -> None:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; (A ⊗ B)[ip+k, jq+l] = A[i,j] B[k,l]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def kron_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """The product state a ⊗ b on the factors of a followed by those of b.
+
+    Its eigensystem is (w_a ⊗ w_b, V_a ⊗ V_b), sorted ascending: two
+    eigensolves of the factors' sizes instead of one of the product's.
+    """
+    wa, va = a.eigh()
+    wb, vb = b.eigh()
+    w = np.outer(wa, wb).ravel()
+    order = np.argsort(w, kind="stable")
+    return DensityMatrix(kron(a.mat, b.mat), a.dims + b.dims, _eig=(w[order], kron(va, vb)[:, order]))
 
 
 def _keep_to_zero_based(keep: Iterable[int], n: int) -> tuple[int, ...]:

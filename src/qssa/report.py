@@ -14,7 +14,7 @@ hypothetical bound and always pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 
@@ -54,6 +54,17 @@ class InequalityReport:
         }
 
 
+# Keys that metadata may not use: the report's own fields and their JSON names.
+_RESERVED_META = frozenset(f.name for f in fields(InequalityReport)) | {"pass"}
+
+
+def _check_meta(meta: dict) -> dict:
+    clash = sorted(_RESERVED_META & meta.keys())
+    if clash:
+        raise TypeError(f"metadata may not name a report field: {', '.join(clash)}")
+    return meta
+
+
 def judge(report: InequalityReport, tol: float) -> InequalityReport:
     """Judge a non-skipped report against `tol`: pass iff slack >= -tol.
 
@@ -90,12 +101,13 @@ def make_report(
         status=status,
         relation=relation,
         dims=tuple(dims) if dims is not None else None,
-        meta=meta,
+        meta=_check_meta(meta),
     )
     return judge(r, default_tol(lhs, rhs))
 
 
 def skipped_report(name: str, reason: str, relation: str = "<=", dims=None, **meta) -> InequalityReport:
+    meta = _check_meta(meta)
     meta["reason"] = reason
     return InequalityReport(
         name=name,

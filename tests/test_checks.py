@@ -283,6 +283,30 @@ class TestCptMonotonicity:
         assert skipped.relation == ok.relation == ">="
         assert skipped.meta["lhs_finite"] is False and skipped.meta["rhs_finite"] is True
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_product_state_is_never_solved_at_full_size(self, monkeypatch, count):
+        # At 4,4,4 with m <= 3 Kraus operators no Phi image is 64-dim, so every
+        # 64x64 eigensolve is of rho123 or of rho12 x rho3. The product takes
+        # its eigensystem from rho12 and rho3: no 64x64 eigh, and the one
+        # 64x64 eigvalsh is S[rho123] inside H(rho123, rho12 x rho3).
+        rho = random_density((4, 4, 4), 64, 90)
+        k = random_kraus(16, count, 91, acts_on=(1, 2))
+        shapes = {"eigh": [], "eigvalsh": []}
+
+        def recording(fn, out):
+            def call(a, *args, **kw):
+                out.append(np.shape(a))
+                return fn(a, *args, **kw)
+            return call
+
+        for name, out in shapes.items():
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), out))
+        r = check_cpt_monotonicity(rho, k)
+        assert r.passed and r.status == "ok"
+        assert (64, 64) not in shapes["eigh"]
+        assert shapes["eigvalsh"].count((64, 64)) == 1
+        assert sorted(shapes["eigh"])[:2] == [(4, 4), (16, 16)]
+
 
 class TestImprovedSubadd:
     def test_trivial_povm(self):

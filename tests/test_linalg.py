@@ -11,6 +11,7 @@ from qssa.linalg import (
     hermitian_eig,
     hermitize,
     kron,
+    kron_state,
     matrix_from_json,
     matrix_log,
     matrix_to_json,
@@ -299,6 +300,71 @@ class TestDensityMatrix:
         require_factors(rho, 2)
         with pytest.raises(ValueError, match=r"need a 3-factor state, got dims \(2, 3\)"):
             require_factors(rho, 3)
+
+
+# Factor dims of the two states of a product: 2x2, 4x2 and 8x8.
+KRON_FACTORS = [((2,), (2,)), ((2, 2), (2,)), ((8,), (8,))]
+KRON_IDS = ["2x2", "4x2", "8x8"]
+
+
+class TestKronState:
+    @staticmethod
+    def factors(dims_a, dims_b, seed=7):
+        a = random_density(dims_a, int(np.prod(dims_a)), seed, substream=1)
+        b = random_density(dims_b, int(np.prod(dims_b)), seed, substream=2)
+        return a, b
+
+    @pytest.mark.parametrize("dims_a, dims_b", KRON_FACTORS, ids=KRON_IDS)
+    def test_state_is_the_kronecker_product(self, dims_a, dims_b):
+        a, b = self.factors(dims_a, dims_b)
+        prod = kron_state(a, b)
+        assert prod.dims == dims_a + dims_b
+        assert np.array_equal(prod.mat, kron(a.mat, b.mat))
+
+    @pytest.mark.parametrize("dims_a, dims_b", KRON_FACTORS, ids=KRON_IDS)
+    def test_eigensystem_rebuilds_the_product(self, dims_a, dims_b):
+        a, b = self.factors(dims_a, dims_b)
+        w, v = kron_state(a, b).eigh()
+        assert np.abs(v @ np.diag(w) @ v.conj().T - kron(a.mat, b.mat)).max() <= 1e-13
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims_a, dims_b", KRON_FACTORS, ids=KRON_IDS)
+    def test_spectrum_is_ascending_and_matches_eigvalsh(self, dims_a, dims_b):
+        a, b = self.factors(dims_a, dims_b)
+        w, _ = kron_state(a, b).eigh()
+        assert np.all(np.diff(w) >= 0)
+        assert np.abs(w - np.linalg.eigvalsh(kron(a.mat, b.mat))).max() <= 1e-14
+
+    def test_eigensystem_is_frozen(self):
+        w, v = kron_state(*self.factors((2,), (3,))).eigh()
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
+    def test_psd_check_reads_the_given_spectrum(self):
+        # the derived spectrum replaces the validation eigensolve, so it is
+        # what the PSD check sees
+        w = np.array([-1e-3, 0.5, 0.501])
+        with pytest.raises(ValueError, match="not PSD"):
+            DensityMatrix(np.eye(3) / 3, (3,), _eig=(w, np.eye(3, dtype=complex)))
+
+
+class TestDensityMatrixEigh:
+    def test_matches_hermitian_eig_and_is_solved_once(self, monkeypatch):
+        rho = random_density((2, 3), 6, 9)
+        w, v = hermitian_eig(rho.mat)
+        calls, eigh = [], np.linalg.eigh
+
+        def counting(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        first = rho.eigh()
+        assert rho.eigh() is first
+        assert calls == [(6, 6)]
+        assert np.array_equal(first[0], w) and np.array_equal(first[1], v)
 
 
 class TestHermitize:

@@ -53,3 +53,23 @@ class TestJudge:
     def test_tol_is_stored_as_float(self):
         r = judge(make_report("x", 0.0, 1.0), 0)
         assert type(r.tol) is float
+
+
+class TestMetadataKeys:
+    # Metadata that named a report field would shadow it: make_report("x", 1, 0.5,
+    # tol=1.0) would judge at the default tol and store meta {"tol": 1.0}.
+    FIELD_KEYS = ("slack", "tol", "passed", "pass", "seed", "meta")
+
+    @pytest.mark.parametrize("key", FIELD_KEYS)
+    def test_make_report_rejects_a_report_field(self, key):
+        with pytest.raises(TypeError, match=key):
+            make_report("x", 1.0, 0.5, **{key: 1.0})
+
+    @pytest.mark.parametrize("key", FIELD_KEYS + ("lhs", "rhs", "status"))
+    def test_skipped_report_rejects_a_report_field(self, key):
+        with pytest.raises(TypeError, match=key):
+            skipped_report("x", "support", **{key: 3})
+
+    def test_other_metadata_is_kept(self):
+        assert make_report("x", 1.0, 0.5, kraus_count=2).meta == {"kraus_count": 2}
+        assert skipped_report("x", "support", lhs_finite=False).meta == {"lhs_finite": False, "reason": "support"}

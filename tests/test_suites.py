@@ -67,12 +67,17 @@ class TestValidationHeadroom:
         residuals = {name: [] for name in ("trace", "negative_eig", "asymmetry", "completeness", "povm_sum")}
         rho_init, kraus_init, povm_init = DensityMatrix.__init__, KrausSet.__init__, Povm.__init__
 
-        def record_rho(self, mat, dims):
+        def record_rho(self, mat, dims, **kw):
+            # **kw passes kron_state's eigensystem through, so product states
+            # are recorded like every other state, and so is the derived
+            # spectrum their PSD check reads
             m = np.asarray(mat, dtype=complex)
             residuals["asymmetry"].append(float(np.abs(m - m.conj().T).max()))
             residuals["negative_eig"].append(_negative_part(m))
+            if kw.get("_eig") is not None:
+                residuals["negative_eig"].append(max(0.0, -float(kw["_eig"][0][0])))
             residuals["trace"].append(abs(float(np.trace(m).real) - 1.0))
-            rho_init(self, mat, dims)
+            rho_init(self, mat, dims, **kw)
 
         def record_kraus(self, ops, acts_on=(1,), sub_complete=False):
             ops = [np.asarray(k, dtype=complex) for k in ops]
