@@ -50,7 +50,6 @@ from .checks import (
 from .report import InequalityReport
 from .wehrl import (
     BlochGrid,
-    SpinJ,
     check_wehrl_convexity,
     check_wehrl_dominates,
     check_wehrl_mutual_info,

@@ -21,6 +21,7 @@ from .linalg import (
     DensityMatrix,
     _as_int,
     as_dims,
+    hermitize,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -84,7 +85,7 @@ class KrausSet:
 
 
 class Povm:
-    """Positive operators summing to the identity, both within `STATE_TOL`."""
+    """Hermitian positive operators summing to the identity, all within `STATE_TOL`."""
 
     __slots__ = ("elements",)
 
@@ -97,7 +98,7 @@ class Povm:
         for p in elements:
             if p.shape != (d, d):
                 raise ValueError(f"all elements must be square of equal size, got {p.shape} vs {d}")
-            w = np.linalg.eigvalsh((p + p.conj().T) / 2)
+            w = np.linalg.eigvalsh(hermitize(p, asym_tol=STATE_TOL)[0])
             if w[0] < -STATE_TOL:
                 raise ValueError(f"POVM element not PSD: min eigenvalue {w[0]:.3e}")
             total += p

@@ -22,11 +22,16 @@ RNG_NAME = "numpy-PCG64"
 Seed = int
 
 
+def _key(substream) -> tuple[int, ...]:
+    """A substream key, an int or a sequence of ints, as a tuple of ints."""
+    if isinstance(substream, (int, np.integer)):
+        return (int(substream),)
+    return tuple(int(s) for s in substream)
+
+
 def rng_for(seed: Seed, substream=()) -> np.random.Generator:
     """Generator for a (seed, substream) pair; substream is an int or tuple."""
-    if isinstance(substream, (int, np.integer)):
-        substream = (int(substream),)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in substream))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_key(substream))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -75,10 +80,9 @@ def random_povm(dim: int, count: int, seed: Seed, substream=0) -> Povm:
     """Random partition of unity P_i = T^{-1/2} A_i T^{-1/2}, A_i Gaussian PSD."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if isinstance(substream, (int, np.integer)):
-        substream = (int(substream),)
+    key = _key(substream)
     for attempt in range(5):
-        rng = rng_for(seed, tuple(substream) + (attempt,))
+        rng = rng_for(seed, key + (attempt,))
         mats = []
         for _ in range(count):
             g = complex_gaussian(rng, (dim, dim))
@@ -122,10 +126,9 @@ def random_hermitian(dim: int, seed: Seed, substream=0) -> np.ndarray:
 
 def random_positive(dim: int, seed: Seed, substream=0) -> np.ndarray:
     """Random positive-definite matrix U diag(w) U†: U Haar, w uniform in [0.1, 10)."""
-    if isinstance(substream, (int, np.integer)):
-        substream = (int(substream),)
-    u = random_unitary(dim, seed, tuple(substream) + (0,))
-    w = rng_for(seed, tuple(substream) + (1,)).uniform(0.1, 10.0, size=dim)
+    key = _key(substream)
+    u = random_unitary(dim, seed, key + (0,))
+    w = rng_for(seed, key + (1,)).uniform(0.1, 10.0, size=dim)
     return (u * w) @ u.conj().T
 
 

@@ -17,7 +17,6 @@ them, only the absolute values are less converged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,28 +34,13 @@ PHI_FLOOR = 64
 HUSIMI_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class SpinJ:
-    """Spin quantum number stored as two_j, so j may be half-integer."""
-
-    two_j: int
-
-    def __post_init__(self):
-        if self.two_j < 0:
-            raise ValueError(f"two_j must be >= 0, got {self.two_j}")
-
-    @property
-    def dim(self) -> int:
-        return self.two_j + 1
-
-
 class BlochGrid:
     """Quadrature nodes, weights and coherent vectors on one spin factor."""
 
-    __slots__ = ("spin", "nodes", "weights", "states")
+    __slots__ = ("two_j", "nodes", "weights", "states")
 
-    def __init__(self, spin: SpinJ, nodes: np.ndarray, weights: np.ndarray, states: np.ndarray):
-        self.spin = spin
+    def __init__(self, two_j: int, nodes: np.ndarray, weights: np.ndarray, states: np.ndarray):
+        self.two_j = two_j
         nodes.flags.writeable = False
         weights.flags.writeable = False
         states.flags.writeable = False
@@ -68,7 +52,7 @@ class BlochGrid:
         return len(self.weights)
 
     def __repr__(self) -> str:
-        return f"BlochGrid(two_j={self.spin.two_j}, nodes={len(self)})"
+        return f"BlochGrid(two_j={self.two_j}, nodes={len(self)})"
 
 
 def _coherent_states(two_j: int, thetas, phis) -> np.ndarray:
@@ -89,73 +73,70 @@ def _coherent_states(two_j: int, thetas, phis) -> np.ndarray:
     return (amps[:, None, :] * phases).reshape(-1, two_j + 1)
 
 
-def base_grid_sizes(spin: SpinJ) -> tuple[int, int]:
+def base_grid_sizes(two_j: int) -> tuple[int, int]:
     """Smallest sizes used by the inequality checks (resolution-exact)."""
-    return spin.two_j + 4, 2 * spin.two_j + 4
+    return two_j + 4, 2 * two_j + 4
 
 
-def make_grid(spin: SpinJ, n_theta: int | None = None, n_phi: int | None = None) -> BlochGrid:
+def make_grid(two_j: int, n_theta: int | None = None, n_phi: int | None = None) -> BlochGrid:
     """Product quadrature grid realizing the resolution of identity.
 
     Defaults apply an accuracy floor on top of the resolution-exact base
     sizes; pass explicit counts for leaner grids (n_theta >= two_j + 1
     Gauss-Legendre nodes, n_phi >= 2 two_j + 2 uniform nodes keep the
-    resolution exact).
+    resolution exact). two_j is twice the spin, so j may be half-integer.
     """
-    base_t, base_p = base_grid_sizes(spin)
+    if two_j < 0:
+        raise ValueError(f"two_j must be >= 0, got {two_j}")
+    base_t, base_p = base_grid_sizes(two_j)
     if n_theta is None:
         n_theta = max(base_t, THETA_FLOOR)
     if n_phi is None:
         n_phi = max(base_p, PHI_FLOOR)
-    if n_theta < spin.two_j + 1:
-        raise ValueError(f"n_theta={n_theta} below resolution minimum {spin.two_j + 1}")
-    if n_phi < 2 * spin.two_j + 2:
-        raise ValueError(f"n_phi={n_phi} below resolution minimum {2 * spin.two_j + 2}")
+    if n_theta < two_j + 1:
+        raise ValueError(f"n_theta={n_theta} below resolution minimum {two_j + 1}")
+    if n_phi < 2 * two_j + 2:
+        raise ValueError(f"n_phi={n_phi} below resolution minimum {2 * two_j + 2}")
     x, wx = np.polynomial.legendre.leggauss(n_theta)
     thetas = np.arccos(x)
     phis = 2 * np.pi * np.arange(n_phi) / n_phi
     # Node weight = (2j+1)/(4pi) * (GL weight in cos theta) * (2pi / n_phi).
-    w_theta = (spin.two_j + 1) / (2.0 * n_phi) * wx
+    w_theta = (two_j + 1) / (2.0 * n_phi) * wx
     nodes = np.column_stack([np.repeat(thetas, n_phi), np.tile(phis, n_theta)])
     weights = np.repeat(w_theta, n_phi)
-    states = _coherent_states(spin.two_j, thetas, phis)
-    return BlochGrid(spin, nodes, weights, states)
+    states = _coherent_states(two_j, thetas, phis)
+    return BlochGrid(two_j, nodes, weights, states)
 
 
 def resolution_residual(grid: BlochGrid) -> float:
     """Max-abs entry of sum_i w_i |Omega_i><Omega_i| - I."""
     acc = (grid.states.conj().T * grid.weights) @ grid.states
-    return float(np.abs(acc - np.eye(grid.spin.dim)).max())
-
-
-def _as_tuple(grids) -> tuple[BlochGrid, ...]:
-    """One grid, or a tuple or list of grids (one per factor), as a tuple."""
-    return tuple(grids) if isinstance(grids, (tuple, list)) else (grids,)
+    return float(np.abs(acc - np.eye(grid.two_j + 1)).max())
 
 
 def _grids_for(rho: DensityMatrix, grids, lean: bool = False) -> tuple[BlochGrid, ...]:
-    """`grids` as a tuple checked against rho's factors.
+    """`grids`, one per factor, as a tuple checked against rho's factors.
 
     None builds one grid per factor: of the resolution-exact base sizes if
     `lean`, else of make_grid's defaults.
     """
     if grids is None:
-        spins = [SpinJ(d - 1) for d in rho.dims]
-        return tuple(make_grid(s, *(base_grid_sizes(s) if lean else ())) for s in spins)
-    grids = _as_tuple(grids)
+        return tuple(make_grid(d - 1, *(base_grid_sizes(d - 1) if lean else ())) for d in rho.dims)
+    grids = tuple(grids)
     if len(grids) != len(rho.dims):
         raise ValueError(f"{len(grids)} grids for {len(rho.dims)} factors")
     for g, d in zip(grids, rho.dims):
-        if g.spin.dim != d:
-            raise ValueError(f"grid dim {g.spin.dim} does not match factor dim {d}")
+        if g.two_j + 1 != d:
+            raise ValueError(f"grid dim {g.two_j + 1} does not match factor dim {d}")
     return grids
 
 
 def husimi(rho: DensityMatrix, grids) -> np.ndarray:
     """Diagonal coherent-state expectations h = <Omega|rho|Omega> per node.
 
-    For two factors the product grid is traversed in C order (first factor
-    outer); the result is flattened accordingly.
+    `grids` holds one grid per factor. For two factors the product grid is
+    traversed in C order (first factor outer); the result is flattened
+    accordingly.
     """
     grids = _grids_for(rho, grids)
     if len(grids) == 1:
@@ -171,40 +152,30 @@ def husimi(rho: DensityMatrix, grids) -> np.ndarray:
 
 
 def joint_weights(grids) -> np.ndarray:
-    grids = _as_tuple(grids)
     w = grids[0].weights
     for g in grids[1:]:
         w = np.outer(w, g.weights).ravel()
     return w
 
 
-@dataclass(frozen=True)
-class HusimiField:
-    """Husimi values h_i on a (product) grid, with the joint node weights."""
-
-    grids: tuple
-    values: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def mass(self) -> float:
-        return float(np.dot(self.weights, self.values))
-
-
-def husimi_field(rho: DensityMatrix, grids=None) -> HusimiField:
+def husimi_field(rho: DensityMatrix, grids) -> tuple[np.ndarray, np.ndarray]:
+    """Husimi values and joint node weights on one grid per factor, checked
+    to be non-negative and to carry rho's trace as mass."""
     grids = _grids_for(rho, grids)
-    field = HusimiField(grids, husimi(rho, grids), joint_weights(grids))
-    if field.values.min() < -1e-12:
-        raise RuntimeError(f"Husimi value {field.values.min():.3e} below -1e-12")
-    if abs(field.mass - rho.trace()) > 1e-10:
-        raise RuntimeError(f"Husimi mass {field.mass!r} disagrees with trace {rho.trace()!r}")
-    return field
+    values, weights = husimi(rho, grids), joint_weights(grids)
+    if values.min() < -1e-12:
+        raise RuntimeError(f"Husimi value {values.min():.3e} below -1e-12")
+    mass = float(np.dot(weights, values))
+    if abs(mass - rho.trace()) > 1e-10:
+        raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {rho.trace()!r}")
+    return values, weights
 
 
 def wehrl_entropy(rho: DensityMatrix, grids=None) -> float:
     """Quadrature value of -integral h ln h over the sphere(s).
 
-    Without `grids`, each factor gets make_grid's accuracy-floored default.
+    `grids` holds one grid per factor; without it, each factor gets
+    make_grid's accuracy-floored default.
     """
     grids = _grids_for(rho, grids)
     h = husimi(rho, grids)
@@ -213,13 +184,13 @@ def wehrl_entropy(rho: DensityMatrix, grids=None) -> float:
     return float(-np.sum(w[mask] * h[mask] * np.log(h[mask])))
 
 
-def coherent_wehrl_value(spin: SpinJ) -> float:
+def coherent_wehrl_value(two_j: int) -> float:
     """Exact Wehrl entropy of any coherent state: 2j/(2j+1)."""
-    return spin.two_j / (spin.two_j + 1)
+    return two_j / (two_j + 1)
 
 
 def check_wehrl_dominates(rho: DensityMatrix, grids=None) -> InequalityReport:
-    """S[rho] <= S_W[rho]; holds for every resolution grid, any state."""
+    """S[rho] <= S_W[rho] on one grid per factor; holds for any resolution grids and state."""
     grids = _grids_for(rho, grids, lean=True)
     s = von_neumann(rho)
     sw = wehrl_entropy(rho, grids)
@@ -228,7 +199,7 @@ def check_wehrl_dominates(rho: DensityMatrix, grids=None) -> InequalityReport:
 
 
 def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None) -> InequalityReport:
-    """Wehrl mutual information is dominated by quantum mutual information."""
+    """Wehrl mutual information, on one grid per factor, is at most the quantum one."""
     require_factors(rho12, 2)
     grids = _grids_for(rho12, grids, lean=True)
     sw12 = wehrl_entropy(rho12, grids)
@@ -241,7 +212,8 @@ def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None) -> InequalityRepor
 
 
 def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix, grids=None) -> InequalityReport:
-    """Convexity of rho -> S_W[rho] - S[rho] at the DEFAULT_LAMBDAS points of [a, b]."""
+    """Convexity of rho -> S_W[rho] - S[rho] at the DEFAULT_LAMBDAS points of [a, b],
+    on one grid per factor."""
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     grids = _grids_for(a, grids, lean=True)
@@ -262,13 +234,13 @@ def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix, grids=None) -> Ine
                        lambda_at_min=lam, grid_nodes=[len(g_) for g_ in grids])
 
 
-def scan_state(spin: SpinJ, seed: Seed, trial: int) -> DensityMatrix:
-    """Pure state of trial `trial` in wehrl_min_scan(spin, ..., seed)."""
-    psi = random_pure_state(spin.dim, rng_for(seed, (trial,)))
-    return DensityMatrix(np.outer(psi, psi.conj()), (spin.dim,))
+def scan_state(two_j: int, seed: Seed, trial: int) -> DensityMatrix:
+    """Pure state of trial `trial` in wehrl_min_scan(two_j, ..., seed)."""
+    psi = random_pure_state(two_j + 1, rng_for(seed, (trial,)))
+    return DensityMatrix(np.outer(psi, psi.conj()), (two_j + 1,))
 
 
-def wehrl_min_scan(spin: SpinJ, trials: int, seed: Seed) -> dict:
+def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:
     """Wehrl entropies of random pure states versus the coherent value.
 
     Coherent states minimize the spin Wehrl entropy, S_W >= 2j/(2j+1)
@@ -279,21 +251,21 @@ def wehrl_min_scan(spin: SpinJ, trials: int, seed: Seed) -> dict:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    grid = make_grid(spin)
+    grid = make_grid(two_j)
     rows = []
     min_sw = math.inf
     for t in range(trials):
-        rho = scan_state(spin, seed, t)
+        rho = scan_state(two_j, seed, t)
         sw = wehrl_entropy(rho, (grid,))
         s = von_neumann(rho)
-        rows.append({"trial": t, "seed": int(seed), "two_j": spin.two_j,
+        rows.append({"trial": t, "seed": int(seed), "two_j": two_j,
                      "S_W": sw, "S": s, "diff": sw - s})
         min_sw = min(min_sw, sw)
-    coherent = coherent_wehrl_value(spin)
+    coherent = coherent_wehrl_value(two_j)
     return {
         "rows": rows,
         "summary": {
-            "two_j": spin.two_j,
+            "two_j": two_j,
             "trials": trials,
             "seed": int(seed),
             "min_S_W": min_sw,

@@ -42,7 +42,6 @@ from qssa.randgen import (
 )
 from qssa.report import judge
 from qssa.wehrl import (
-    SpinJ,
     _coherent_states,
     check_wehrl_convexity,
     check_wehrl_dominates,
@@ -195,7 +194,7 @@ def test_criterion_7_entropy_comparisons_200_each():
 
 def test_criterion_8_wehrl_suite():
     for two_j in range(0, 21):
-        resid = resolution_residual(make_grid(SpinJ(two_j)))
+        resid = resolution_residual(make_grid(two_j))
         assert resid <= 1e-12, f"two_j={two_j}: residual {resid}"
 
     for i in range(100):
@@ -208,12 +207,11 @@ def test_criterion_8_wehrl_suite():
 
     rng = rng_for(SEED, (1008, 999))
     for two_j in range(1, 11):
-        spin = SpinJ(two_j)
         theta = float(np.arccos(rng.uniform(-1, 1)))
         phi = float(rng.uniform(0, 2 * math.pi))
         v = _coherent_states(two_j, [theta], [phi])[0]
-        rho = DensityMatrix(np.outer(v, v.conj()), (spin.dim,))
-        err = abs(wehrl_entropy(rho) - coherent_wehrl_value(spin))
+        rho = DensityMatrix(np.outer(v, v.conj()), (two_j + 1,))
+        err = abs(wehrl_entropy(rho) - coherent_wehrl_value(two_j))
         assert err <= 1e-6, f"two_j={two_j}: coherent error {err}"
 
     for two_j in (0, 1, 3, 6):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qssa.entropy import von_neumann, weighted_entropy_sum
-from qssa.linalg import DensityMatrix, kron, partial_trace
+from qssa.linalg import DensityMatrix, kron, matrix_to_json, partial_trace
 from qssa.measurement import (
     KrausSet,
     Povm,
@@ -220,6 +220,14 @@ class TestPovm:
         bad = [np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]
         with pytest.raises(ValueError):
             Povm(bad)
+
+    def test_rejects_non_hermitian_element(self):
+        # each hermitized part is PSD and the elements sum to I, but neither is Hermitian
+        bad = [np.array([[0.5, 1.0], [0.0, 0.5]]), np.array([[0.5, -1.0], [0.0, 0.5]])]
+        with pytest.raises(ValueError, match="asymmetry"):
+            Povm(bad)
+        with pytest.raises(ValueError, match="asymmetry"):
+            povm_from_json({"ops": [matrix_to_json(m) for m in bad]})
 
     def test_joint_distribution_normalized(self):
         rho = random_density((2, 3), 6, 26)

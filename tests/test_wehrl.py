@@ -10,7 +10,6 @@ from qssa.entropy import von_neumann
 from qssa.linalg import DensityMatrix
 from qssa.randgen import random_density, rng_for
 from qssa.wehrl import (
-    SpinJ,
     _coherent_states,
     base_grid_sizes,
     check_wehrl_convexity,
@@ -27,25 +26,25 @@ from qssa.wehrl import (
 )
 
 
-def bloch_state(spin, theta, phi):
+def bloch_state(two_j, theta, phi):
     """Coherent unit vector at sphere direction (theta, phi)."""
-    return _coherent_states(spin.two_j, [theta], [phi])[0]
+    return _coherent_states(two_j, [theta], [phi])[0]
 
 
-def coherent_density(spin, theta, phi):
-    v = bloch_state(spin, theta, phi)
-    return DensityMatrix(np.outer(v, v.conj()), (spin.dim,))
+def coherent_density(two_j, theta, phi):
+    v = bloch_state(two_j, theta, phi)
+    return DensityMatrix(np.outer(v, v.conj()), (two_j + 1,))
 
 
 class TestBlochState:
     def test_north_pole(self):
-        v = bloch_state(SpinJ(4), 0.0, 0.3)
+        v = bloch_state(4, 0.0, 0.3)
         expect = np.zeros(5)
         expect[0] = 1.0
         assert np.abs(v - expect).max() < 1e-14
 
     def test_south_pole(self):
-        v = bloch_state(SpinJ(4), math.pi, 0.7)
+        v = bloch_state(4, math.pi, 0.7)
         assert abs(abs(v[-1]) - 1.0) < 1e-14
         assert np.abs(v[:-1]).max() < 1e-14
 
@@ -55,19 +54,18 @@ class TestBlochState:
             for _ in range(5):
                 th = math.acos(rng.uniform(-1, 1))
                 ph = rng.uniform(0, 2 * math.pi)
-                v = bloch_state(SpinJ(two_j), th, ph)
+                v = bloch_state(two_j, th, ph)
                 assert abs(np.linalg.norm(v) - 1.0) < 1e-13
 
     def test_overlap_law(self):
         # |<a|b>|^2 = cos(gamma/2)^(4j) with gamma the angle between directions
         rng = rng_for(2)
         for two_j in (1, 2, 5):
-            spin = SpinJ(two_j)
             for _ in range(5):
                 t1, t2 = np.arccos(rng.uniform(-1, 1, 2))
                 p1, p2 = rng.uniform(0, 2 * math.pi, 2)
-                a = bloch_state(spin, t1, p1)
-                b = bloch_state(spin, t2, p2)
+                a = bloch_state(two_j, t1, p1)
+                b = bloch_state(two_j, t2, p2)
                 cos_gamma = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(p1 - p2)
                 expect = ((1 + cos_gamma) / 2) ** two_j
                 assert abs(abs(np.vdot(a, b)) ** 2 - expect) < 1e-12
@@ -75,39 +73,41 @@ class TestBlochState:
 
 class TestGrid:
     def test_two_j_zero(self):
-        g = make_grid(SpinJ(0))
+        g = make_grid(0)
         assert resolution_residual(g) < 1e-14
 
     def test_two_j_one(self):
-        assert resolution_residual(make_grid(SpinJ(1))) <= 1e-14
+        assert resolution_residual(make_grid(1)) <= 1e-14
 
     @pytest.mark.parametrize("two_j", [10, 68, 100])
     def test_two_j_resolves(self, two_j):
         # from 2j = 68 on, C(2j, k) no longer fits in an int64
-        assert resolution_residual(make_grid(SpinJ(two_j))) <= 1e-12
+        assert resolution_residual(make_grid(two_j)) <= 1e-12
 
     def test_minimal_sizes_still_resolve(self):
-        spin = SpinJ(6)
-        g = make_grid(spin, n_theta=spin.two_j + 1, n_phi=2 * spin.two_j + 2)
+        g = make_grid(6, n_theta=7, n_phi=14)  # two_j + 1, 2 two_j + 2
         assert resolution_residual(g) <= 1e-12
 
     def test_rejects_below_minimum(self):
         with pytest.raises(ValueError):
-            make_grid(SpinJ(4), n_theta=4)
+            make_grid(4, n_theta=4)
         with pytest.raises(ValueError):
-            make_grid(SpinJ(4), n_phi=9)
+            make_grid(4, n_phi=9)
+
+    def test_rejects_negative_two_j(self):
+        with pytest.raises(ValueError, match="two_j must be >= 0"):
+            make_grid(-1)
 
     @pytest.mark.parametrize("two_j", [0, 1, 2, 5, 16, 40])
     @pytest.mark.parametrize("lean", [False, True])
     def test_states_are_bloch_states(self, two_j, lean):
-        spin = SpinJ(two_j)
-        g = make_grid(spin, *(base_grid_sizes(spin) if lean else ()))
+        g = make_grid(two_j, *(base_grid_sizes(two_j) if lean else ()))
         for (theta, phi), state in zip(g.nodes, g.states):
-            assert np.array_equal(state, bloch_state(spin, theta, phi))
+            assert np.array_equal(state, bloch_state(two_j, theta, phi))
 
     def test_weights_sum_to_dim(self):
         for two_j in (1, 5, 12):
-            g = make_grid(SpinJ(two_j))
+            g = make_grid(two_j)
             assert abs(g.weights.sum() - (two_j + 1)) < 1e-10
 
 
@@ -121,42 +121,39 @@ class TestWehrlEntropy:
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 6])
     def test_coherent_analytic_value(self, two_j):
-        spin = SpinJ(two_j)
-        rho = coherent_density(spin, 0.9, 2.1)
-        assert abs(wehrl_entropy(rho) - coherent_wehrl_value(spin)) < 1e-6
+        rho = coherent_density(two_j, 0.9, 2.1)
+        assert abs(wehrl_entropy(rho) - coherent_wehrl_value(two_j)) < 1e-6
 
     def test_dominates_von_neumann(self):
-        grids = (make_grid(SpinJ(3), *base_grid_sizes(SpinJ(3))),)
+        grids = (make_grid(3, *base_grid_sizes(3)),)
         for seed in range(10):
             rho = random_density((4,), 4 if seed % 2 else 1, seed, substream=90)
             assert wehrl_entropy(rho, grids=grids) >= von_neumann(rho) - 1e-8
 
     def test_husimi_mass(self):
         rho = random_density((3,), 3, 91)
-        f = husimi_field(rho)
-        assert abs(f.mass - 1.0) < 1e-10
-        assert f.values.min() > -1e-12
+        h, w = husimi_field(rho, (make_grid(2),))
+        assert abs(float(w @ h) - 1.0) < 1e-10
+        assert h.min() > -1e-12
 
     def test_bipartite_husimi_mass(self):
         rho = random_density((2, 2), 4, 92)
-        grids = tuple(make_grid(SpinJ(1), *base_grid_sizes(SpinJ(1))) for _ in range(2))
+        grids = tuple(make_grid(1, *base_grid_sizes(1)) for _ in range(2))
         h = husimi(rho, grids)
         w = joint_weights(grids)
         assert abs(float(w @ h) - 1.0) < 1e-10
 
     def test_grid_refinement_stable(self):
         for two_j in (1, 4, 10):
-            spin = SpinJ(two_j)
-            rho = coherent_density(spin, 1.1, 0.4)
-            g1 = make_grid(spin)
+            rho = coherent_density(two_j, 1.1, 0.4)
+            g1 = make_grid(two_j)
             n_t, n_p = len(set(g1.nodes[:, 0])), len(set(g1.nodes[:, 1]))
-            g2 = make_grid(spin, 2 * n_t, 2 * n_p)
+            g2 = make_grid(two_j, 2 * n_t, 2 * n_p)
             assert abs(wehrl_entropy(rho, (g1,)) - wehrl_entropy(rho, (g2,))) <= 1e-6
-            mixed = random_density((spin.dim,), spin.dim, two_j, substream=93)
+            mixed = random_density((two_j + 1,), two_j + 1, two_j, substream=93)
             assert abs(wehrl_entropy(mixed, (g1,)) - wehrl_entropy(mixed, (g2,))) <= 1e-6
 
     def test_rotation_invariance_about_z(self):
-        spin = SpinJ(3)
         rho = random_density((4,), 4, 94)
         for chi in (0.37, math.pi / 5):
             u = np.diag(np.exp(-1j * chi * np.arange(4)))
@@ -165,9 +162,8 @@ class TestWehrlEntropy:
 
     def test_rotation_by_grid_multiple_is_exact(self):
         # the phi grid is uniform, so rotating by a grid step permutes nodes
-        spin = SpinJ(3)
         rho = random_density((4,), 4, 94)
-        g = make_grid(spin)
+        g = make_grid(3)
         n_phi = len(set(g.nodes[:, 1].tolist()))
         chi = 2 * math.pi / n_phi
         u = np.diag(np.exp(-1j * chi * np.arange(4)))
@@ -177,7 +173,14 @@ class TestWehrlEntropy:
     def test_dimension_mismatch(self):
         rho = random_density((3,), 3, 95)
         with pytest.raises(ValueError):
-            wehrl_entropy(rho, (make_grid(SpinJ(1)),))
+            wehrl_entropy(rho, (make_grid(1),))
+
+    @pytest.mark.parametrize("fn", [wehrl_entropy, husimi])
+    def test_bare_grid_is_not_one_factor(self, fn):
+        # grids is always one grid per factor; a lone BlochGrid is not a sequence
+        rho = random_density((3,), 3, 95)
+        with pytest.raises(TypeError):
+            fn(rho, make_grid(2))
 
 
 class TestWehrlChecks:
@@ -221,23 +224,22 @@ class TestWehrlChecks:
 
 class TestWehrlScan:
     def test_spin_half_all_coherent(self):
-        scan = wehrl_min_scan(SpinJ(1), 20, 5)
+        scan = wehrl_min_scan(1, 20, 5)
         for row in scan["rows"]:
             assert abs(row["S_W"] - 0.5) < 1e-6
         assert abs(scan["summary"]["coherent_value"] - 0.5) < 1e-15
 
     def test_coherent_input_matches_analytic(self):
-        spin = SpinJ(6)
-        rho = coherent_density(spin, 2.2, 4.4)
-        assert abs(wehrl_entropy(rho) - coherent_wehrl_value(spin)) < 1e-6
+        rho = coherent_density(6, 2.2, 4.4)
+        assert abs(wehrl_entropy(rho) - coherent_wehrl_value(6)) < 1e-6
 
     def test_replay(self):
-        a = wehrl_min_scan(SpinJ(4), 10, 7)
-        b = wehrl_min_scan(SpinJ(4), 10, 7)
+        a = wehrl_min_scan(4, 10, 7)
+        b = wehrl_min_scan(4, 10, 7)
         assert a == b
 
     def test_scan_reports_margin(self):
-        scan = wehrl_min_scan(SpinJ(2), 50, 11)
+        scan = wehrl_min_scan(2, 50, 11)
         s = scan["summary"]
         assert s["min_S_W"] >= s["coherent_value"] - 1e-6
         assert s["min_is_at_least_coherent"]
