@@ -21,7 +21,7 @@ from .linalg import as_dims, density_to_json
 from .measurement import kraus_to_json, povm_to_json
 from .randgen import random_cq_state, random_density, random_kraus, random_povm
 from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites
-from .wehrl import husimi_field, make_grid, scan_state, wehrl_min_scan
+from .wehrl import husimi_field, wehrl_min_scan
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -162,7 +162,7 @@ def cmd_wehrl(args) -> int:
     try:
         _write(args.out, "\n".join(lines) + "\n")
         if args.emit_husimi:
-            _write(_husimi_path(args.out), _husimi_csv(args.two_j, scan, args.seed))
+            _write(_husimi_path(args.out), _husimi_csv(scan))
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
@@ -238,10 +238,9 @@ def _husimi_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".husimi.csv"
 
 
-def _husimi_csv(two_j: int, scan: dict, seed: int) -> str:
-    best = min(scan["rows"], key=lambda r: r["S_W"])
-    grid = make_grid(two_j)
-    values, weights = husimi_field(scan_state(two_j, seed, best["trial"]), (grid,))
+def _husimi_csv(scan: dict) -> str:
+    grid = scan["grid"]
+    values, weights = husimi_field(scan["best"], (grid,))
     lines = ["theta,phi,weight,value"]
     for (th, ph), w, v in zip(grid.nodes, weights, values):
         lines.append(f"{float(th)!r},{float(ph)!r},{float(w)!r},{float(v)!r}")

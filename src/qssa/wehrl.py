@@ -12,6 +12,14 @@ better than 1e-6 for all j (smoothness improves quickly with j, small j is
 the worst case). The inequality checks default to the resolution-exact base
 grids instead: every inequality among Wehrl-type entropies holds exactly on
 them, only the absolute values are less converged.
+
+Husimi values are a real bilinear form. With the orthonormal Hermitian
+basis {E_mu} of d x d matrices (the diagonal units |b><b|, then
+(|b><c| + |c><b|)/sqrt2 and i(|c><b| - |b><c|)/sqrt2 for b < c),
+<u x v|rho|u x v> = sum_{mu,nu} f_mu(u) R_{mu,nu} f_nu(v), where
+f_mu(u) = <u|E_mu|u> and R_{mu,nu} = Tr rho (E_mu x E_nu) are real. On two
+grids that is two real matrix products F1 R F2^T. One factor needs no basis:
+h_i = sum_b (v_i^* rho)_b v_ib is one matrix product and a row sum.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ THETA_FLOOR = 48
 PHI_FLOOR = 64
 
 HUSIMI_FLOOR = 1e-15
+_SQRT2 = math.sqrt(2.0)
 
 
 class BlochGrid:
@@ -131,22 +140,41 @@ def _grids_for(rho: DensityMatrix, grids, lean: bool = False) -> tuple[BlochGrid
     return grids
 
 
+def _hermitian_coords(x: np.ndarray) -> np.ndarray:
+    """Coordinates Tr(X E_mu) of x's first two axes (row, column) in the
+    module's Hermitian basis; that axis pair becomes one axis of length d^2."""
+    d = x.shape[0]
+    b, c = np.triu_indices(d, 1)
+    upper, lower = x[b, c], x[c, b]
+    return np.concatenate([x[np.arange(d), np.arange(d)],
+                           (upper + lower) / _SQRT2, 1j * (upper - lower) / _SQRT2])
+
+
+def _hermitian_features(states: np.ndarray) -> np.ndarray:
+    """Real F[i, mu] = <s_i|E_mu|s_i> for the rows s_i of `states`."""
+    b, c = np.triu_indices(states.shape[1], 1)
+    cross = _SQRT2 * states[:, b].conj() * states[:, c]
+    return np.concatenate([np.abs(states) ** 2, cross.real, cross.imag], axis=1)
+
+
 def husimi(rho: DensityMatrix, grids) -> np.ndarray:
     """Diagonal coherent-state expectations h = <Omega|rho|Omega> per node.
 
-    `grids` holds one grid per factor. For two factors the product grid is
-    traversed in C order (first factor outer); the result is flattened
-    accordingly.
+    `grids` holds one grid per factor. One factor: h = rowsum((V^* rho) * V)
+    over the coherent vectors V. Two factors: h = F1 R F2^T in the module's
+    Hermitian basis, flattened from the product grid in C order (first
+    factor outer).
     """
     grids = _grids_for(rho, grids)
     if len(grids) == 1:
         v = grids[0].states
-        return np.einsum("na,ab,nb->n", v.conj(), rho.mat, v, optimize=True).real
+        return ((v.conj() @ rho.mat) * v).sum(axis=1).real
     if len(grids) == 2:
-        u, v = grids[0].states, grids[1].states
         d1, d2 = rho.dims
-        t = rho.mat.reshape(d1, d2, d1, d2)
-        h = np.einsum("ia,kb,abcd,ic,kd->ik", u.conj(), v.conj(), t, u, v, optimize=True).real
+        # Axes (row 1, column 1, row 2, column 2): map factor 1's pair, then factor 2's.
+        t = rho.mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
+        r = _hermitian_coords(_hermitian_coords(t).transpose(1, 2, 0)).real
+        h = _hermitian_features(grids[0].states) @ r.T @ _hermitian_features(grids[1].states).T
         return h.ravel()
     raise ValueError("husimi supports one or two spin factors")
 
@@ -178,10 +206,12 @@ def wehrl_entropy(rho: DensityMatrix, grids=None) -> float:
     make_grid's accuracy-floored default.
     """
     grids = _grids_for(rho, grids)
-    h = husimi(rho, grids)
-    w = joint_weights(grids)
-    mask = h > HUSIMI_FLOOR
-    return float(-np.sum(w[mask] * h[mask] * np.log(h[mask])))
+    h = husimi(rho, grids).reshape([len(g) for g in grids])
+    # Nodes with h <= HUSIMI_FLOOR contribute exactly 0.
+    x = h * np.log(h, out=np.zeros_like(h), where=h > HUSIMI_FLOOR)
+    for g in reversed(grids):
+        x = x @ g.weights
+    return float(-x)
 
 
 def coherent_wehrl_value(two_j: int) -> float:
@@ -234,12 +264,6 @@ def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix, grids=None) -> Ine
                        lambda_at_min=lam, grid_nodes=[len(g_) for g_ in grids])
 
 
-def scan_state(two_j: int, seed: Seed, trial: int) -> DensityMatrix:
-    """Pure state of trial `trial` in wehrl_min_scan(two_j, ..., seed)."""
-    psi = random_pure_state(two_j + 1, rng_for(seed, (trial,)))
-    return DensityMatrix(np.outer(psi, psi.conj()), (two_j + 1,))
-
-
 def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:
     """Wehrl entropies of random pure states versus the coherent value.
 
@@ -247,23 +271,28 @@ def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:
     (Lieb and Solovej, Acta Math. 212 (2014), arXiv:1208.3632). The scan
     checks that theorem numerically on make_grid's default grid;
     `min_is_at_least_coherent` allows 1e-6 below the coherent value for
-    quadrature error.
+    quadrature error. Besides "rows" and "summary", the result carries that
+    "grid" and the first state of least S_W as "best".
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     grid = make_grid(two_j)
     rows = []
-    min_sw = math.inf
+    min_sw, best = math.inf, None
     for t in range(trials):
-        rho = scan_state(two_j, seed, t)
+        psi = random_pure_state(two_j + 1, rng_for(seed, (t,)))
+        rho = DensityMatrix(np.outer(psi, psi.conj()), (two_j + 1,))
         sw = wehrl_entropy(rho, (grid,))
         s = von_neumann(rho)
         rows.append({"trial": t, "seed": int(seed), "two_j": two_j,
                      "S_W": sw, "S": s, "diff": sw - s})
-        min_sw = min(min_sw, sw)
+        if sw < min_sw:
+            min_sw, best = sw, rho
     coherent = coherent_wehrl_value(two_j)
     return {
         "rows": rows,
+        "grid": grid,
+        "best": best,
         "summary": {
             "two_j": two_j,
             "trials": trials,

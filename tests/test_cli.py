@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qssa.cli import main
-from qssa.linalg import density_from_json
+from qssa.linalg import DensityMatrix, density_from_json
 from qssa.measurement import kraus_from_json, povm_from_json
+from qssa.randgen import random_pure_state, rng_for
 from qssa.suites import SUITES
+from qssa.wehrl import husimi_field, make_grid
 
 from test_measurement import completeness_residual
 
@@ -280,6 +282,27 @@ class TestWehrlCommand:
         assert rows[0] == "theta,phi,weight,value"
         mass = sum(float(r.split(",")[2]) * float(r.split(",")[3]) for r in rows[1:])
         assert abs(mass - 1.0) < 1e-10
+
+    def test_emit_husimi_builds_one_grid(self, tmp_path, monkeypatch, capsys):
+        # the node dump reuses the scan's grid and its least-S_W state
+        made = []
+
+        def counting_make_grid(*args, **kwargs):
+            made.append(make_grid(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr("qssa.wehrl.make_grid", counting_make_grid)
+        # a grid the CLI built for itself would be counted too
+        monkeypatch.setattr("qssa.cli.make_grid", counting_make_grid, raising=False)
+        out = tmp_path / "scan.csv"
+        assert run(["wehrl", "--two-j", "4", "--trials", "3", "--seed", "5",
+                    "--out", str(out), "--emit-husimi"]) == 0
+        assert len(made) == 1
+        s_w = [float(r.split(",")[3]) for r in out.read_text().strip().split("\n")[1:]]
+        psi = random_pure_state(5, rng_for(5, (s_w.index(min(s_w)),)))
+        values, _ = husimi_field(DensityMatrix(np.outer(psi, psi.conj()), (5,)), made)
+        rows = (tmp_path / "scan.husimi.csv").read_text().strip().split("\n")[1:]
+        assert [float(r.split(",")[3]) for r in rows] == values.tolist()
 
     @pytest.mark.parametrize("args", [
         ["--two-j", "-1"], ["--trials", "0"], ["--seed", "-1"],

@@ -1,0 +1,49 @@
+"""Source rules for the numerical kernels in src/qssa."""
+
+import ast
+from pathlib import Path
+
+import qssa
+
+
+def einsum_operand_counts(path):
+    """(line, operand count) of every `einsum` call in one source file.
+
+    Operands are the positional arguments other than subscript strings and
+    literal sublists; a starred argument counts as unbounded.
+    """
+    counts = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "einsum":
+            continue
+        operands = 0
+        for arg in node.args:
+            if isinstance(arg, ast.Starred):
+                operands = float("inf")
+            elif not isinstance(arg, (ast.Constant, ast.List, ast.Tuple)):
+                operands += 1
+        counts.append((node.lineno, operands))
+    return counts
+
+
+def test_no_einsum_has_more_than_two_operands():
+    # a three-operand einsum runs outside BLAS; use matmuls and a row sum
+    src = Path(qssa.__file__).parent
+    offenders = [f"{path.name}:{line} has {n} operands"
+                 for path in sorted(src.glob("*.py"))
+                 for line, n in einsum_operand_counts(path) if n > 2]
+    assert not offenders, offenders
+
+
+def test_operand_count_reads_each_call_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text('np.einsum("ij,ji->i", a, b)\n'
+                    'einsum("na,ab,nb->n", a, b, c, optimize=True)\n'
+                    'np.einsum(a, [0, 1], b, [1, 2], c, [2, 0])\n'
+                    'np.einsum("ij->i", *ops)\n'
+                    'np.sum(a, b, c)\n')
+    assert einsum_operand_counts(path) == [(1, 2), (2, 3), (3, 3), (4, float("inf"))]

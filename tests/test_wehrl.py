@@ -10,7 +10,10 @@ from qssa.entropy import von_neumann
 from qssa.linalg import DensityMatrix
 from qssa.randgen import random_density, rng_for
 from qssa.wehrl import (
+    HUSIMI_FLOOR,
     _coherent_states,
+    _hermitian_coords,
+    _hermitian_features,
     base_grid_sizes,
     check_wehrl_convexity,
     check_wehrl_dominates,
@@ -34,6 +37,24 @@ def bloch_state(two_j, theta, phi):
 def coherent_density(two_j, theta, phi):
     v = bloch_state(two_j, theta, phi)
     return DensityMatrix(np.outer(v, v.conj()), (two_j + 1,))
+
+
+def husimi_oracle(rho, grids):
+    """<Omega|rho|Omega> per node as a direct complex contraction."""
+    if len(grids) == 1:
+        v = grids[0].states
+        return np.einsum("na,ab,nb->n", v.conj(), rho.mat, v, optimize=True).real
+    u, v = grids[0].states, grids[1].states
+    d1, d2 = rho.dims
+    t = rho.mat.reshape(d1, d2, d1, d2)
+    return np.einsum("ia,kb,abcd,ic,kd->ik", u.conj(), v.conj(), t, u, v, optimize=True).real.ravel()
+
+
+def wehrl_oracle(rho, grids, floor=HUSIMI_FLOOR):
+    """-sum of w h ln h over the nodes with h above `floor`, on joint weights."""
+    h, w = husimi_oracle(rho, grids), joint_weights(grids)
+    mask = h > floor
+    return float(-np.sum(w[mask] * h[mask] * np.log(h[mask])))
 
 
 class TestBlochState:
@@ -183,6 +204,46 @@ class TestWehrlEntropy:
             fn(rho, make_grid(2))
 
 
+class TestHusimiKernel:
+    @pytest.mark.parametrize("two_js", [(0,), (3,), (0, 0), (0, 3), (1, 2), (2, 5), (4, 4), (7, 3)])
+    @pytest.mark.parametrize("lean", [False, True])
+    @pytest.mark.parametrize("full_rank", [False, True])
+    def test_matches_oracle(self, two_js, lean, full_rank):
+        dims = tuple(j + 1 for j in two_js)
+        rho = random_density(dims, math.prod(dims) if full_rank else 1, sum(two_js), substream=105)
+        grids = tuple(make_grid(j, *(base_grid_sizes(j) if lean else ())) for j in two_js)
+        assert np.abs(husimi(rho, grids) - husimi_oracle(rho, grids)).max() <= 1e-14
+        ref = wehrl_oracle(rho, grids)
+        assert abs(wehrl_entropy(rho, grids) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_basis_identity(self, d):
+        # <s|X|s> = F(s) . x(X) for Hermitian X
+        rng = rng_for(106, (d,))
+        s = rng.normal(size=(7, d)) + 1j * rng.normal(size=(7, d))
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = g + g.conj().T
+        coords = _hermitian_coords(x)
+        assert np.abs(coords.imag).max() == 0
+        direct = np.einsum("na,ab,nb->n", s.conj(), x, s).real
+        assert np.abs(_hermitian_features(s) @ coords.real - direct).max() <= 1e-12
+
+    @pytest.mark.parametrize("two_js", [(16,), (8, 3)])
+    @pytest.mark.parametrize("floor", [HUSIMI_FLOOR, 1e-3])
+    def test_nodes_below_floor_contribute_nothing(self, two_js, floor, monkeypatch):
+        # a north-pole coherent state nearly vanishes at the antipodal nodes;
+        # the raised floor drops enough of them to move the value visibly
+        monkeypatch.setattr(qssa.wehrl, "HUSIMI_FLOOR", floor)
+        v = bloch_state(two_js[0], 0.0, 0.0)
+        for j in two_js[1:]:
+            v = np.kron(v, bloch_state(j, 0.0, 0.0))
+        rho = DensityMatrix(np.outer(v, v.conj()), tuple(j + 1 for j in two_js))
+        grids = tuple(make_grid(j) for j in two_js)
+        assert (husimi_oracle(rho, grids) <= HUSIMI_FLOOR).any()
+        ref = wehrl_oracle(rho, grids, floor)
+        assert abs(wehrl_entropy(rho, grids) - ref) <= 1e-14 * ref
+
+
 class TestWehrlChecks:
     def test_mutual_info_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
@@ -236,7 +297,9 @@ class TestWehrlScan:
     def test_replay(self):
         a = wehrl_min_scan(4, 10, 7)
         b = wehrl_min_scan(4, 10, 7)
-        assert a == b
+        assert (a["rows"], a["summary"]) == (b["rows"], b["summary"])
+        assert np.array_equal(a["grid"].states, b["grid"].states)
+        assert np.array_equal(a["best"].mat, b["best"].mat)
 
     def test_scan_reports_margin(self):
         scan = wehrl_min_scan(2, 50, 11)
