@@ -21,11 +21,11 @@ import numpy as np
 from .entropy import (
     block_entropy,
     classical_quantum_entropy,
+    entropy_from_eigs,
     mutual_information,
     relative_entropy,
     shannon,
     von_neumann,
-    weighted_entropy_sum,
 )
 from .linalg import (
     STATE_TOL,
@@ -200,8 +200,8 @@ def _measured_conditional_entropy(rho12: DensityMatrix, p: Povm, factor: int = 1
     for b in povm_conditionals(rho12, p, factor=factor):
         s_b, n = block_entropy(b)
         # adding n ln n to -Tr B ln B recovers the weighted conditional
-        # entropy n S[rho_a]
-        cond_entropy += s_b + (n * np.log(n) if n > 1e-15 else 0.0)
+        # entropy n S[rho_a]; n ln n is dropped under the same floor as B's spectrum
+        cond_entropy += s_b - entropy_from_eigs([n])
     return cond_entropy
 
 
@@ -270,10 +270,10 @@ def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm) -> tuple[InequalityRe
     s2 = von_neumann(partial_trace(rho12, {2}))
     s_cq = classical_quantum_entropy(rho12, p)
     n = povm_weights(rho12, p, factor=1)
-    s_cl_1 = weighted_entropy_sum(n)
+    s_cl_1 = entropy_from_eigs(n)
     r = povm_joint_distribution(rho12, p, q)
-    s_cl_12 = weighted_entropy_sum(r.ravel())
-    s_cl_2 = weighted_entropy_sum(r.sum(axis=0))
+    s_cl_12 = entropy_from_eigs(r)
+    s_cl_2 = entropy_from_eigs(r.sum(axis=0))
     first = make_report(
         "cq_chain_quantum_to_cq", s12 - s1 - s2, s_cq - s_cl_1 - s2,
         dims=rho12.dims, p_count=len(p),
@@ -330,6 +330,8 @@ def check_convexity_cl_minus_q(
 def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm) -> InequalityReport:
     """Accessible information of an ensemble is at most its Holevo quantity."""
     weights = np.asarray(weights, dtype=float)
+    if not np.isfinite(weights).all():
+        raise ValueError("ensemble weights must be finite")
     if abs(weights.sum() - 1.0) > STATE_TOL:
         raise ValueError(f"ensemble weights sum to {weights.sum()!r}")
     if len(weights) != len(states):

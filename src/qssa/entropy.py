@@ -2,31 +2,24 @@
 classical / classical-quantum hybrids induced by partitions of unity.
 
 All values are in nats. Entropies are plain floats; relative entropy
-returns `math.inf` when the first state has weight outside the support of
-the second. Eigenvalues and outcome probabilities near zero follow the
-0 ln 0 = 0 convention.
+returns `math.inf` when the first state has more than `STATE_TOL` of its
+weight outside the support of the second. Eigenvalues and weights below
+`clamp_threshold` follow the 0 ln 0 = 0 convention.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, clamp_threshold, partial_trace, require_factors
+from .linalg import CLAMP_REL, STATE_TOL, DensityMatrix, clamp_threshold, partial_trace, require_factors
 from .measurement import Povm, povm_conditionals
 
-# Mass of the first argument allowed outside the second's support before
-# relative entropy is reported as infinite (separates genuine divergence
-# from eigensolver roundoff).
-SUPPORT_LEAK_TOL = 1e-9
 
-# Probabilities below this contribute zero to Shannon sums.
-PROB_FLOOR = 1e-15
-
-
-def entropy_from_eigs(eigs: np.ndarray) -> float:
-    """-sum x ln x over a spectrum, dropping values below the clamp floor."""
-    eps = clamp_threshold(eigs)
-    lam = eigs[eigs >= eps]
+def entropy_from_eigs(eigs) -> float:
+    """-sum x ln x over a spectrum or weight vector (any normalization),
+    dropping values below `clamp_threshold`."""
+    eigs = np.asarray(eigs, dtype=float)
+    lam = eigs[eigs >= clamp_threshold(eigs)]
     if lam.size == 0:
         return 0.0
     return float(-np.sum(lam * np.log(lam)))
@@ -49,27 +42,20 @@ def von_neumann(rho: DensityMatrix) -> float:
 def shannon(p) -> float:
     """-sum p ln p of a probability vector (entries may carry tiny roundoff)."""
     p = np.asarray(p, dtype=float).ravel()
-    if p.size and p.min() < -1e-12:
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if p.size and p.min() < -CLAMP_REL:
         raise ValueError(f"negative probability {p.min():.3e}")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > STATE_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return weighted_entropy_sum(p)
-
-
-def weighted_entropy_sum(weights) -> float:
-    """-sum w ln w without requiring normalization (for weight vectors)."""
-    w = np.asarray(weights, dtype=float).ravel()
-    q = w[w > PROB_FLOOR]
-    if q.size == 0:
-        return 0.0
-    return float(-np.sum(q * np.log(q)))
+    return entropy_from_eigs(p)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho (ln rho - ln sigma), computed in sigma's eigenbasis (`sigma.eigh()`).
 
-    Returns inf when rho carries more than SUPPORT_LEAK_TOL of weight on
+    Returns inf when rho carries more than STATE_TOL of weight on
     eigenvectors of sigma whose eigenvalues sit below the clamp floor.
     """
     if rho.dims != sigma.dims:
@@ -79,7 +65,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     # diag(V† rho V): the one O(n^3) step is a BLAS matmul, the rest a row sum
     diag = np.einsum("ij,ji->i", v.conj().T @ rho.mat, v).real
     outside = w < eps
-    if float(diag[outside].sum()) > SUPPORT_LEAK_TOL:
+    if float(diag[outside].sum()) > STATE_TOL:
         return float("inf")
     tr_rho_ln_sigma = float(np.sum(diag[~outside] * np.log(w[~outside])))
     return -von_neumann(rho) - tr_rho_ln_sigma

@@ -8,6 +8,8 @@ functions of immutable inputs; arrays held by :class:`DensityMatrix` (its
 matrix and, once solved, its eigensystem) are frozen. Validation uses two module constants:
 `STATE_TOL` for states (and, in `measurement`, Kraus sets and POVMs) and
 `ASYM_TOL` for the asymmetry of Hermitian operators such as a Gibbs H.
+`CLAMP_REL` is the one zero floor of the package: spectra, weight vectors,
+ensemble weights and Husimi values below `clamp_threshold` count as 0.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Relative eigenvalue floor used when taking matrix logarithms and when
-# dropping near-zero eigenvalues from entropy sums (0 ln 0 = 0 convention).
+# Relative floor below which eigenvalues, weights and Husimi values count
+# as 0 (0 ln 0 = 0); matrix logarithms raise eigenvalues to it.
 CLAMP_REL = 1e-12
 
 # Operations expecting Hermitian input symmetrize first; beyond this
@@ -49,10 +51,12 @@ def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
 
 
 def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, float]:
-    """Return ((M + M†)/2, max-abs asymmetry); error beyond `asym_tol`."""
+    """Return ((M + M†)/2, max-abs asymmetry); error beyond `asym_tol` or on NaN/inf."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
     asym = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
     if asym > asym_tol:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {asym_tol:.3e}")
@@ -185,9 +189,10 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def clamp_threshold(eigs: np.ndarray) -> float:
-    """Eigenvalue floor below which log-type expressions treat values as zero."""
-    top = float(eigs.max()) if len(eigs) else 0.0
+def clamp_threshold(values) -> float:
+    """CLAMP_REL * max(1, largest value): values below it count as zero in x ln x."""
+    values = np.asarray(values)
+    top = float(values.max()) if values.size else 0.0
     return CLAMP_REL * max(1.0, top)
 
 

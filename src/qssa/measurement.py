@@ -21,6 +21,7 @@ from .linalg import (
     DensityMatrix,
     _as_int,
     as_dims,
+    clamp_threshold,
     hermitize,
     kron,
     matrix_from_json,
@@ -29,10 +30,6 @@ from .linalg import (
     require_factors,
     sqrtm_psd,
 )
-
-# Ensemble terms with weight below this are dropped (their conditional
-# states are numerically meaningless); the dropped mass is logged.
-N_THRESHOLD = 1e-12
 
 
 class KrausSet:
@@ -55,6 +52,8 @@ class KrausSet:
         for k in ops:
             if k.shape != (d, d):
                 raise ValueError(f"all operators must be square of equal size, got {k.shape} vs {d}")
+            if not np.isfinite(k).all():
+                raise ValueError("Kraus operator has a non-finite entry")
         acts_on = tuple(sorted(_as_int(a) for a in acts_on))
         if not acts_on or len(set(acts_on)) != len(acts_on) or acts_on[0] < 1:
             raise ValueError(f"invalid acts_on {acts_on}")
@@ -124,7 +123,7 @@ class Povm:
 class MeasurementEnsemble:
     """Weights and conditional states {(n_a, rho23_a, rho2_a)} after measuring.
 
-    `skipped` counts terms whose weight fell below the drop threshold;
+    `skipped` counts terms whose weight fell below `clamp_threshold`;
     `skipped_mass` is their total weight, so sum of n_a plus skipped_mass
     recovers the trace of the input state.
     """
@@ -189,7 +188,9 @@ def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsem
 
     For each operator: weight n_a = Tr K_a rho K_a†, conditional state on
     factors {2,3} is Tr_1 K_a rho K_a† / n_a, and its reduction to factor 2.
-    Terms with n_a below the drop threshold are counted, not materialized.
+    Terms with n_a below `clamp_threshold` (their conditional states are
+    numerically meaningless, and their n ln n counts as 0) are counted, not
+    materialized.
     """
     require_factors(rho123, 3)
     if k.acts_on not in ((1,), (1, 2)):
@@ -203,7 +204,7 @@ def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsem
     for op in k.ops:
         c = apply_kraus_op(op, rho123.mat, rho123.dims, k.acts_on)
         n = float(np.trace(c).real)
-        if n < N_THRESHOLD:
+        if n < clamp_threshold(n):
             skipped += 1
             skipped_mass += max(n, 0.0)
             continue

@@ -257,6 +257,8 @@ def resolve_suites(names: Sequence[str]) -> list[str]:
     requested = []
     for n in names:
         requested.extend(s.strip() for s in n.split(",") if s.strip())
+    if not requested:
+        raise ValueError("no suite selected")
     if "all" in requested:
         return list(SUITES)
     unknown = [n for n in requested if n not in SUITES]

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .checks import DEFAULT_LAMBDAS
-from .linalg import DensityMatrix, partial_trace, require_factors
+from .linalg import CLAMP_REL, DensityMatrix, clamp_threshold, partial_trace, require_factors
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_pure_state, rng_for
 from .report import InequalityReport, make_report
@@ -39,7 +39,6 @@ from .report import InequalityReport, make_report
 THETA_FLOOR = 48
 PHI_FLOOR = 64
 
-HUSIMI_FLOOR = 1e-15
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -191,8 +190,8 @@ def husimi_field(rho: DensityMatrix, grids) -> tuple[np.ndarray, np.ndarray]:
     to be non-negative and to carry rho's trace as mass."""
     grids = _grids_for(rho, grids)
     values, weights = husimi(rho, grids), joint_weights(grids)
-    if values.min() < -1e-12:
-        raise RuntimeError(f"Husimi value {values.min():.3e} below -1e-12")
+    if values.min() < -CLAMP_REL:
+        raise RuntimeError(f"Husimi value {values.min():.3e} below -{CLAMP_REL:.0e}")
     mass = float(np.dot(weights, values))
     if abs(mass - rho.trace()) > 1e-10:
         raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {rho.trace()!r}")
@@ -207,8 +206,8 @@ def wehrl_entropy(rho: DensityMatrix, grids=None) -> float:
     """
     grids = _grids_for(rho, grids)
     h = husimi(rho, grids).reshape([len(g) for g in grids])
-    # Nodes with h <= HUSIMI_FLOOR contribute exactly 0.
-    x = h * np.log(h, out=np.zeros_like(h), where=h > HUSIMI_FLOOR)
+    # Nodes below the clamp floor contribute exactly 0.
+    x = h * np.log(h, out=np.zeros_like(h), where=h >= clamp_threshold(h))
     for g in reversed(grids):
         x = x @ g.weights
     return float(-x)

@@ -35,7 +35,7 @@ from qssa.randgen import (
     random_povm,
 )
 
-from test_linalg import expm_oracle
+from test_linalg import expm_oracle, forbid_eigensolves
 from test_measurement import basis_povm
 
 
@@ -330,6 +330,14 @@ class TestImprovedSubadd:
         left, right = check_improved_subadd(rho, p)
         assert left.passed and right.passed
 
+    def test_measured_conditional_entropy_is_never_negative(self):
+        # outcome 1 has weight 2e-13 spread over two eigenvalues of 1e-13,
+        # all under the clamp floor: its n ln n must be dropped with the
+        # block's spectrum, not added on its own (that gave -5.8e-12)
+        rho = DensityMatrix(np.diag([1 - 2e-13, 0, 1e-13, 1e-13]), (2, 2))
+        value = qssa.checks._measured_conditional_entropy(rho, basis_povm(2))
+        assert 0 <= value <= 2e-13 * math.log(2)
+
 
 class TestCounterexample:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -448,6 +456,15 @@ class TestHolevo:
         rho = random_density((2,), 2, 77)
         with pytest.raises(ValueError):
             check_holevo([0.4, 0.4], [rho, rho], random_povm(2, 2, 78))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, -math.inf]])
+    def test_rejects_non_finite_weights_before_any_eigensolve(self, monkeypatch, weights):
+        rho = random_density((2,), 2, 77)
+        q = random_povm(2, 2, 78)
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="finite"):
+            check_holevo(weights, [rho, rho], q)
 
 
 class TestReportInvariants:

@@ -105,7 +105,9 @@ class TestCheckCommand:
         ["--suite", "counterexample", "--d", "1"],
         ["--suite", "wehrl", "--two-j", "-1"],
         ["--suite", "gibbs", "--seed", "-1"],
-    ], ids=["dims", "d", "two-j", "seed"])
+        ["--suite", ","],
+        ["--suite", ""],
+    ], ids=["dims", "d", "two-j", "seed", "comma", "empty"])
     def test_bad_arguments_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, args):
         def never(cfg):
             raise AssertionError("suite ran")

@@ -7,13 +7,13 @@ import pytest
 
 from qssa.entropy import (
     classical_quantum_entropy,
+    entropy_from_eigs,
     mutual_information,
     relative_entropy,
     shannon,
     von_neumann,
-    weighted_entropy_sum,
 )
-from qssa.linalg import DensityMatrix, kron, kron_state, matrix_log, partial_trace
+from qssa.linalg import CLAMP_REL, DensityMatrix, kron, kron_state, matrix_log, partial_trace
 from qssa.measurement import Povm, povm_conditionals, povm_joint_distribution, povm_weights
 from qssa.randgen import random_density, random_povm, random_unitary
 
@@ -64,6 +64,27 @@ class TestShannon:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             shannon([0.5, 0.6])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [[0.5, 0.5, math.nan], [0.5, 0.5, math.inf],
+                                   [math.nan, math.inf, -math.inf]])
+    def test_rejects_non_finite(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            shannon(p)
+
+
+class TestZeroFloor:
+    def test_values_below_the_floor_are_dropped(self):
+        # 5e-13 is under CLAMP_REL: spectra and probability vectors drop it alike
+        big = 1 - 5e-13
+        expect = -big * math.log(big)
+        assert entropy_from_eigs([big, 5e-13]) == expect
+        assert shannon([big, 5e-13]) == expect
+        assert von_neumann(DensityMatrix(np.diag([big, 5e-13]), (2,))) == expect
+
+    def test_values_at_the_floor_are_kept(self):
+        assert entropy_from_eigs([CLAMP_REL]) == -CLAMP_REL * math.log(CLAMP_REL)
+        assert entropy_from_eigs([]) == 0.0
 
 
 class TestRelativeEntropy:
@@ -226,7 +247,7 @@ class TestClassicalQuantumEntropy:
         rho = random_density((2, 3), 6, 12)
         p = random_povm(2, 3, 13)
         n = povm_weights(rho, p, factor=1)
-        total = weighted_entropy_sum(n)
+        total = entropy_from_eigs(n)
         for w, b in zip(n, povm_conditionals(rho, p, factor=1)):
             cond = DensityMatrix(b / w, (3,))
             total += w * von_neumann(cond)

@@ -30,6 +30,22 @@ def einsum_operand_counts(path):
     return counts
 
 
+def small_module_floats(path, below=1e-6):
+    """(line, value) of every float under `below` in a module-level assignment.
+
+    Every float literal in the assigned expression counts, so `X = -1e-12`
+    and `A, B = 1e-9, 2` are both found; zero is not a floor and is skipped.
+    """
+    found = []
+    for stmt in ast.parse(path.read_text(), str(path)).body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+            continue
+        for node in ast.walk(stmt.value):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < node.value < below:
+                found.append((node.lineno, node.value))
+    return found
+
+
 def test_no_einsum_has_more_than_two_operands():
     # a three-operand einsum runs outside BLAS; use matmuls and a row sum
     src = Path(qssa.__file__).parent
@@ -47,3 +63,26 @@ def test_operand_count_reads_each_call_form(tmp_path):
                     'np.einsum("ij->i", *ops)\n'
                     'np.sum(a, b, c)\n')
     assert einsum_operand_counts(path) == [(1, 2), (2, 3), (3, 3), (4, float("inf"))]
+
+
+def test_only_linalg_binds_a_zero_floor():
+    # linalg.CLAMP_REL is the one floor under which values count as 0 and
+    # STATE_TOL the one mass tolerance; other modules import them
+    src = Path(qssa.__file__).parent
+    offenders = [f"{path.name}:{line} binds {value!r}"
+                 for path in sorted(src.glob("*.py")) if path.name != "linalg.py"
+                 for line, value in small_module_floats(path)]
+    assert not offenders, offenders
+
+
+def test_small_float_finder_reads_each_binding_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("A = 1e-15\n"
+                    "B: float = -1e-12\n"
+                    "C, D = 1e-9, 2\n"
+                    "E = 1e-3\n"
+                    "F = 0.0\n"
+                    "G = 3\n"
+                    "def f():\n"
+                    "    return 1e-15\n")
+    assert small_module_floats(path) == [(1, 1e-15), (2, 1e-12), (3, 1e-9)]

@@ -22,6 +22,17 @@ from qssa.linalg import (
 )
 from qssa.randgen import complex_gaussian, random_density, rng_for
 
+NON_FINITE = [float("nan"), float("inf"), complex(0.0, float("nan"))]
+
+
+def forbid_eigensolves(monkeypatch):
+    """Fail the test on any eigvalsh or eigh call."""
+    def never(*args, **kw):
+        raise AssertionError("eigensolve on input that should have been rejected")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, never)
+
 
 def expm_oracle(h):
     """exp(H) of a Hermitian matrix from numpy's eigh."""
@@ -290,6 +301,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(m, (2,))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_before_any_eigensolve(self, monkeypatch, bad):
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix([[bad, 0], [0, 0.5]], (2,))
+
     def test_matrix_is_frozen(self):
         rho = random_density((2,), 2, 5)
         with pytest.raises(ValueError):
@@ -376,6 +394,15 @@ class TestHermitize:
     def test_rejects_large_asymmetry(self):
         with pytest.raises(ValueError):
             hermitize(np.array([[1.0, 1e-4], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_rejects_non_finite(self, bad, at):
+        m = np.eye(2, dtype=complex)
+        m[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitize(m)
 
 
 class TestJson:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qssa.entropy import von_neumann, weighted_entropy_sum
-from qssa.linalg import DensityMatrix, kron, matrix_to_json, partial_trace
+import qssa.linalg
+from qssa.entropy import entropy_from_eigs, von_neumann
+from qssa.linalg import CLAMP_REL, DensityMatrix, kron, matrix_to_json, partial_trace
 from qssa.measurement import (
     KrausSet,
     Povm,
@@ -30,6 +31,8 @@ from qssa.randgen import (
     random_unitary,
     rng_for,
 )
+
+from test_linalg import NON_FINITE, forbid_eigensolves
 
 
 def completeness_residual(k):
@@ -71,6 +74,14 @@ class TestCompleteness:
     def test_rejects_bad_acts_on(self, acts_on):
         with pytest.raises(ValueError):
             KrausSet([np.eye(2)], acts_on=acts_on)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sub_complete", [False, True])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_before_any_eigensolve(self, monkeypatch, bad, sub_complete):
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite"):
+            KrausSet([np.diag([bad, 1.0])], sub_complete=sub_complete)
 
 
 class TestOperatorExtension:
@@ -155,6 +166,20 @@ class TestMeasurementEnsemble:
         with pytest.raises(ValueError, match="out of range"):
             apply_kraus_op(np.eye(2), rho.mat, (2, 2, 2), (4,))
 
+    @pytest.mark.parametrize("floor", [CLAMP_REL, 1e-3])
+    def test_terms_below_the_clamp_floor_are_skipped(self, monkeypatch, floor):
+        # a basis measurement on factor 1 with outcome weights floor / 2
+        # (5e-13 at the real floor), exactly floor, and the rest: a term is
+        # kept iff its weight is >= the floor, as in entropy_from_eigs
+        monkeypatch.setattr(qssa.linalg, "CLAMP_REL", floor)
+        p = np.zeros(12)
+        p[0], p[4] = floor / 2, floor
+        p[8] = p[11] = (1 - 1.5 * floor) / 2
+        rho = DensityMatrix(np.diag(p), (3, 2, 2))
+        ens = measurement_ensemble(rho, KrausSet(np.diag(e) for e in np.eye(3)))
+        assert (ens.skipped, ens.skipped_mass) == (1, floor / 2)
+        assert [n for n, _, _ in ens.entries] == [floor, pytest.approx(1 - 1.5 * floor)]
+
     def test_rejects_sub_complete(self):
         rho = random_density((2, 2, 2), 8, 14)
         ops = [op * np.sqrt(0.5) for op in random_kraus(2, 2, 15).ops]
@@ -188,7 +213,7 @@ class TestCptPhi:
         out = cpt_phi(rho, k)
         ens = measurement_ensemble(rho, k)
         weights = np.array([n for n, _, _ in ens.entries])
-        expect = weighted_entropy_sum(weights) + sum(
+        expect = entropy_from_eigs(weights) + sum(
             n * von_neumann(r23) for n, r23, _ in ens.entries
         )
         assert von_neumann(out) == pytest.approx(expect, abs=1e-9)
@@ -220,6 +245,13 @@ class TestPovm:
         bad = [np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]
         with pytest.raises(ValueError):
             Povm(bad)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_before_any_eigensolve(self, monkeypatch, bad):
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite"):
+            Povm([np.diag([bad, 0.0]), np.diag([0.0, 1.0])])
 
     def test_rejects_non_hermitian_element(self):
         # each hermitized part is PSD and the elements sum to I, but neither is Hermitian

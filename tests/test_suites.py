@@ -34,6 +34,11 @@ class TestResolve:
     def test_duplicates_dropped(self):
         assert resolve_suites(["ssa", "ssa"]) == ["ssa"]
 
+    @pytest.mark.parametrize("names", [[], [""], [","], [" , ", ""]])
+    def test_empty_selection_raises(self, names):
+        with pytest.raises(ValueError, match="no suite"):
+            resolve_suites(names)
+
 
 class TestRegistry:
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4)])

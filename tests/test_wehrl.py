@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-import qssa.wehrl
+import qssa.linalg
 from qssa.entropy import von_neumann
-from qssa.linalg import DensityMatrix
+from qssa.linalg import CLAMP_REL, DensityMatrix
 from qssa.randgen import random_density, rng_for
 from qssa.wehrl import (
-    HUSIMI_FLOOR,
     _coherent_states,
     _hermitian_coords,
     _hermitian_features,
@@ -50,10 +49,10 @@ def husimi_oracle(rho, grids):
     return np.einsum("ia,kb,abcd,ic,kd->ik", u.conj(), v.conj(), t, u, v, optimize=True).real.ravel()
 
 
-def wehrl_oracle(rho, grids, floor=HUSIMI_FLOOR):
-    """-sum of w h ln h over the nodes with h above `floor`, on joint weights."""
+def wehrl_oracle(rho, grids, floor=CLAMP_REL):
+    """-sum of w h ln h over the nodes with h >= floor * max(1, max h), on joint weights."""
     h, w = husimi_oracle(rho, grids), joint_weights(grids)
-    mask = h > floor
+    mask = h >= floor * max(1.0, h.max())
     return float(-np.sum(w[mask] * h[mask] * np.log(h[mask])))
 
 
@@ -229,17 +228,17 @@ class TestHusimiKernel:
         assert np.abs(_hermitian_features(s) @ coords.real - direct).max() <= 1e-12
 
     @pytest.mark.parametrize("two_js", [(16,), (8, 3)])
-    @pytest.mark.parametrize("floor", [HUSIMI_FLOOR, 1e-3])
+    @pytest.mark.parametrize("floor", [CLAMP_REL, 1e-3])
     def test_nodes_below_floor_contribute_nothing(self, two_js, floor, monkeypatch):
         # a north-pole coherent state nearly vanishes at the antipodal nodes;
         # the raised floor drops enough of them to move the value visibly
-        monkeypatch.setattr(qssa.wehrl, "HUSIMI_FLOOR", floor)
+        monkeypatch.setattr(qssa.linalg, "CLAMP_REL", floor)
         v = bloch_state(two_js[0], 0.0, 0.0)
         for j in two_js[1:]:
             v = np.kron(v, bloch_state(j, 0.0, 0.0))
         rho = DensityMatrix(np.outer(v, v.conj()), tuple(j + 1 for j in two_js))
         grids = tuple(make_grid(j) for j in two_js)
-        assert (husimi_oracle(rho, grids) <= HUSIMI_FLOOR).any()
+        assert (husimi_oracle(rho, grids) < CLAMP_REL).any()
         ref = wehrl_oracle(rho, grids, floor)
         assert abs(wehrl_entropy(rho, grids) - ref) <= 1e-14 * ref
 
