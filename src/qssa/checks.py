@@ -41,8 +41,11 @@ from .measurement import (
     KrausSet,
     MeasurementEnsemble,
     Povm,
+    apply_kraus_op,
     cpt_phi,
+    ensemble_from_blocks,
     measurement_ensemble,
+    phi_from_blocks,
     povm_conditionals,
     povm_joint_distribution,
     povm_weights,
@@ -175,17 +178,18 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityRepo
     """
     require_factors(rho123, 3)
     d = rho123.dims
+    # rho123's outcome blocks feed both its channel image and the ensemble;
+    # apply_kraus_op also checks the family before any eigensolve
+    blocks = apply_kraus_op(rho123, k)
     rho12 = partial_trace(rho123, {1, 2})
     rho3 = partial_trace(rho123, {3})
     product = kron_state(rho12, rho3)
     big = relative_entropy(rho123, product)
-    phi_rho = cpt_phi(rho123, k)
-    phi_prod = cpt_phi(product, k)
-    small = relative_entropy(phi_rho, phi_prod)
+    small = relative_entropy(phi_from_blocks(blocks, d[1:]), cpt_phi(product, k))
     if not (math.isfinite(big) and math.isfinite(small)):
         return skipped_report("cpt_monotonicity", "support", relation=">=", dims=d,
                               lhs_finite=math.isfinite(big), rhs_finite=math.isfinite(small))
-    ens = measurement_ensemble(rho123, k)
+    ens = ensemble_from_blocks(blocks, d[1:])
     s3 = von_neumann(rho3)
     identity_value = sum(n * (von_neumann(r2) - von_neumann(r23) + s3) for n, r23, r2 in ens.entries)
     return make_report(
@@ -342,8 +346,7 @@ def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm) -> Inequalit
             raise ValueError("ensemble states must share dimensions")
     if q.dim != states[0].dim:
         raise ValueError(f"POVM dim {q.dim} does not match state dim {states[0].dim}")
-    r = np.array([[w * float(np.trace(el @ s.mat).real) for el in q.elements]
-                  for w, s in zip(weights, states)])
+    r = weights[:, None] * (np.array([s.mat.ravel() for s in states]) @ q.rows.T).real
     accessible = shannon(r.sum(axis=1)) + shannon(r.sum(axis=0)) - shannon(r.ravel())
     avg = DensityMatrix(sum(w * s.mat for w, s in zip(weights, states)), dims)
     chi = von_neumann(avg) - sum(w * von_neumann(s) for w, s in zip(weights, states))

@@ -57,10 +57,11 @@ def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, fl
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
-    asym = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    mh = m.conj().T
+    asym = float(np.abs(m - mh).max()) if m.size else 0.0
     if asym > asym_tol:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {asym_tol:.3e}")
-    return (m + m.conj().T) / 2, asym
+    return (m + mh) / 2, asym
 
 
 def _frozen(arrays) -> tuple:
@@ -74,7 +75,7 @@ class DensityMatrix:
 
     Trace, PSD and asymmetry are checked against `STATE_TOL`. Every state is
     normalized; blocks of smaller trace, such as the POVM conditionals and
-    Kraus images of `measurement`, stay plain arrays. `eigh()` fills the
+    Kraus outcome blocks of `measurement`, stay plain arrays. `eigh()` fills the
     eigensystem slot on first use; `kron_state` builds a product state with
     the slot already filled from its factors.
     """
@@ -108,7 +109,8 @@ class DensityMatrix:
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues ascending, eigenvector columns) of the state, solved at most once."""
         if self._eig is None:
-            self._eig = _frozen(hermitian_eig(self.mat))
+            # `mat` is already exactly Hermitian: no second `hermitize`
+            self._eig = _frozen(np.linalg.eigh(self.mat))
         return self._eig
 
     def trace(self) -> float:

@@ -1,11 +1,13 @@
 """Kraus families, partitions of unity, and post-measurement ensembles.
 
-Operators that act on a subset of tensor factors are extended by the
-identity on the remaining factors. The extension is applied by index
-arithmetic on the reshaped state, which never builds the full operator;
-``embed_operator`` materializes it as an explicit Kronecker product and
-serves as the test oracle for that path. Kraus sets and POVMs are validated
-against the same `STATE_TOL` as states; no constructor takes a tolerance.
+A Kraus family acts on factor 1 or on factors {1,2} of a state and is
+extended by the identity on the rest. Every measured quantity here reads
+only the outcome blocks Tr_1 (K_a ⊗ I) rho (K_a ⊗ I)†, and `apply_kraus_op`
+computes them by a reduced contraction that never builds the extended
+operator or the full image K_a rho K_a†. POVM outcome tables and
+conditionals are products with the stacked elements `Povm.rows`. Kraus sets
+and POVMs are validated against the same `STATE_TOL` as states; no
+constructor takes a tolerance.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from .linalg import (
     STATE_TOL,
     DensityMatrix,
     _as_int,
-    as_dims,
     clamp_threshold,
     hermitize,
-    kron,
     matrix_from_json,
     matrix_to_json,
+    partial_trace,
     ptrace_mat,
     require_factors,
     sqrtm_psd,
@@ -84,9 +85,14 @@ class KrausSet:
 
 
 class Povm:
-    """Hermitian positive operators summing to the identity, all within `STATE_TOL`."""
+    """Hermitian positive operators summing to the identity, all within `STATE_TOL`.
 
-    __slots__ = ("elements",)
+    `rows` stacks the transposed elements as an (m, d²) matrix, so that
+    `rows @ X.ravel()` holds every Tr(P_a X) at once; the outcome tables
+    below are products with it.
+    """
+
+    __slots__ = ("elements", "rows")
 
     def __init__(self, elements: Iterable[np.ndarray]):
         elements = tuple(np.asarray(p, dtype=complex) for p in elements)
@@ -107,6 +113,8 @@ class Povm:
         for p in elements:
             p.flags.writeable = False
         self.elements = elements
+        self.rows = np.array(elements).transpose(0, 2, 1).reshape(len(elements), d * d)
+        self.rows.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -141,77 +149,71 @@ def _check_factor_dim(ops_dim: int, dims: tuple[int, ...], acts_on: Sequence[int
         raise ValueError(f"operator dim {ops_dim} does not match factors {tuple(acts_on)} of {dims} (product {sub})")
 
 
-def embed_operator(op: np.ndarray, dims, acts_on: Sequence[int]) -> np.ndarray:
-    """Materialize op ⊗ I on the full space, with op acting on `acts_on`."""
-    dims = as_dims(dims)
-    acts_on = tuple(sorted(acts_on))
-    _check_factor_dim(op.shape[0], dims, acts_on)
-    rest = [i for i in range(1, len(dims) + 1) if i not in acts_on]
-    rest_dim = math.prod(dims[i - 1] for i in rest)
-    full = kron(op, np.eye(rest_dim, dtype=complex))
-    # `full` lives on factor order acts_on + rest; permute back to 1..n.
-    order = [a - 1 for a in acts_on] + [r - 1 for r in rest]
-    perm_dims = [dims[i] for i in order]
-    inv = np.argsort(order)
-    t = full.reshape(perm_dims + perm_dims)
-    t = np.transpose(t, axes=list(inv) + [len(dims) + i for i in inv])
-    return t.reshape(full.shape)
+def apply_kraus_op(rho: DensityMatrix, k: KrausSet) -> list[np.ndarray]:
+    """Blocks Tr_1 (K_a ⊗ I) rho (K_a ⊗ I)†, one per operator, on factors 2..n.
 
-
-def _apply_rows(op_t: np.ndarray, t: np.ndarray, axes: Sequence[int], k: int) -> np.ndarray:
-    out = np.tensordot(op_t, t, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, range(k), axes)
-
-
-def apply_kraus_op(op: np.ndarray, rho_mat: np.ndarray, dims, acts_on: Sequence[int]) -> np.ndarray:
-    """K rho K† with K extended by identity on the untouched factors.
-
-    Applied by tensordot on the reshaped state, without materializing the
-    extended operator.
+    The family must be complete and act on {1} or {1,2}. Per operator, one
+    gemm K @ rho applies K to the rows; a batched gemm against conj(K),
+    summed over the row index of factor 1, applies K† to the columns and
+    traces factor 1 away. The full image K rho K† is never built.
     """
-    dims = as_dims(dims)
-    acts_on = tuple(sorted(acts_on))
-    _check_factor_dim(op.shape[0], dims, acts_on)
-    n = len(dims)
-    sub = [dims[a - 1] for a in acts_on]
-    k = len(acts_on)
-    op_t = op.reshape(sub + sub)
-    t = np.asarray(rho_mat, dtype=complex).reshape(dims * 2)
-    t = _apply_rows(op_t, t, [a - 1 for a in acts_on], k)
-    t = _apply_rows(op_t.conj(), t, [n + a - 1 for a in acts_on], k)
-    total = math.prod(dims)
-    return t.reshape(total, total)
+    d = rho.dims
+    _check_factor_dim(k.dim, d, k.acts_on)
+    if k.acts_on not in ((1,), (1, 2)):
+        raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {k.acts_on}")
+    if k.sub_complete:
+        raise ValueError("outcome blocks require a complete Kraus set")
+    da = k.dim
+    kept = da // d[0]  # the part of the operator's space that survives Tr_1
+    rest = rho.dim // da
+    rows = rho.mat.reshape(da, -1)
+    blocks = []
+    for op in k.ops:
+        x = (op @ rows).reshape(d[0], kept * rest, da, rest)
+        b = np.matmul(op.conj().reshape(d[0], 1, kept, da), x).sum(axis=0)
+        blocks.append(b.reshape(kept * rest, kept * rest))
+    return blocks
+
+
+def ensemble_from_blocks(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> MeasurementEnsemble:
+    """Weights n_a = Tr B_a, conditionals B_a / n_a on {2,3}, and their factor-2 reductions.
+
+    Terms with n_a below `clamp_threshold` (their conditional states are
+    numerically meaningless, and their n ln n counts as 0) are counted, not
+    materialized.
+    """
+    entries = []
+    skipped = 0
+    skipped_mass = 0.0
+    for b in blocks:
+        n = float(np.trace(b).real)
+        if n < clamp_threshold(n):
+            skipped += 1
+            skipped_mass += max(n, 0.0)
+            continue
+        r23 = DensityMatrix(b / n, dims23)
+        entries.append((n, r23, partial_trace(r23, {1})))
+    return MeasurementEnsemble(tuple(entries), skipped, skipped_mass)
+
+
+def phi_from_blocks(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> DensityMatrix:
+    """The block-diagonal state ⊕_a B_a on C^M ⊗ H2 ⊗ H3."""
+    d23 = blocks[0].shape[0]
+    out = np.zeros((len(blocks) * d23, len(blocks) * d23), dtype=complex)
+    for a, b in enumerate(blocks):
+        out[a * d23 : (a + 1) * d23, a * d23 : (a + 1) * d23] = b
+    return DensityMatrix(out, (len(blocks),) + dims23)
 
 
 def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsemble:
     """Outcome weights and conditional reduced states of a measured tripartite state.
 
     For each operator: weight n_a = Tr K_a rho K_a†, conditional state on
-    factors {2,3} is Tr_1 K_a rho K_a† / n_a, and its reduction to factor 2.
-    Terms with n_a below `clamp_threshold` (their conditional states are
-    numerically meaningless, and their n ln n counts as 0) are counted, not
-    materialized.
+    factors {2,3} is Tr_1 K_a rho K_a† / n_a, and its reduction to factor 2
+    (see `ensemble_from_blocks`).
     """
     require_factors(rho123, 3)
-    if k.acts_on not in ((1,), (1, 2)):
-        raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {k.acts_on}")
-    if k.sub_complete:
-        raise ValueError("measurement ensembles require a complete Kraus set")
-    d = rho123.dims
-    entries = []
-    skipped = 0
-    skipped_mass = 0.0
-    for op in k.ops:
-        c = apply_kraus_op(op, rho123.mat, rho123.dims, k.acts_on)
-        n = float(np.trace(c).real)
-        if n < clamp_threshold(n):
-            skipped += 1
-            skipped_mass += max(n, 0.0)
-            continue
-        r23 = DensityMatrix(ptrace_mat(c, d, (2, 3)) / n, (d[1], d[2]))
-        r2 = DensityMatrix(ptrace_mat(c, d, (2,)) / n, (d[1],))
-        entries.append((n, r23, r2))
-    return MeasurementEnsemble(tuple(entries), skipped, skipped_mass)
+    return ensemble_from_blocks(apply_kraus_op(rho123, k), rho123.dims[1:])
 
 
 def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:
@@ -222,16 +224,7 @@ def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:
     blocks so that images of different states share the same space).
     """
     require_factors(rho123, 3)
-    if k.sub_complete:
-        raise ValueError("the block-diagonal channel requires a complete Kraus set")
-    d = rho123.dims
-    m = len(k.ops)
-    d23 = d[1] * d[2]
-    out = np.zeros((m * d23, m * d23), dtype=complex)
-    for a, op in enumerate(k.ops):
-        c = apply_kraus_op(op, rho123.mat, rho123.dims, k.acts_on)
-        out[a * d23 : (a + 1) * d23, a * d23 : (a + 1) * d23] = ptrace_mat(c, d, (2, 3))
-    return DensityMatrix(out, (m, d[1], d[2]))
+    return phi_from_blocks(apply_kraus_op(rho123, k), rho123.dims[1:])
 
 
 def povm_to_kraus(p: Povm, acts_on=(1,)) -> KrausSet:
@@ -239,45 +232,42 @@ def povm_to_kraus(p: Povm, acts_on=(1,)) -> KrausSet:
     return KrausSet([sqrtm_psd(el) for el in p.elements], acts_on=acts_on)
 
 
-def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> list[np.ndarray]:
-    """Subnormalized conditional states Tr_factor[(P_a ⊗ I) rho].
-
-    Each returned matrix is Hermitian PSD with trace equal to the outcome
-    weight Tr(P_a rho); the matrices live on the remaining factors in their
-    original order.
-    """
-    dims = rho.dims
+def _check_povm_factor(p: Povm, dims: tuple[int, ...], factor: int) -> None:
     if not 1 <= factor <= len(dims):
         raise ValueError(f"factor {factor} out of range for dims {dims}")
     if p.dim != dims[factor - 1]:
         raise ValueError(f"POVM dim {p.dim} does not match factor {factor} of {dims}")
+
+
+def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarray:
+    """Subnormalized conditional states Tr_factor[(P_a ⊗ I) rho], stacked as (m, r, r).
+
+    Each matrix is Hermitian PSD with trace equal to the outcome weight
+    Tr(P_a rho) and lives on the remaining factors in their original order.
+    All of them come from one product of `p.rows` with rho, its measured
+    factor's row and column indices moved first.
+    """
+    dims = rho.dims
+    _check_povm_factor(p, dims, factor)
     n = len(dims)
-    t = rho.mat.reshape(dims * 2)
-    out = []
-    rest = rho.dim // dims[factor - 1]
-    for el in p.elements:
-        b = np.tensordot(el, t, axes=([1, 0], [factor - 1, n + factor - 1]))
-        out.append(b.reshape(rest, rest))
-    return out
+    df = dims[factor - 1]
+    rest = rho.dim // df
+    t = np.moveaxis(rho.mat.reshape(dims * 2), (factor - 1, n + factor - 1), (0, 1))
+    return (p.rows @ t.reshape(df * df, rest * rest)).reshape(len(p), rest, rest)
 
 
 def povm_weights(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarray:
     """Outcome probabilities Tr(P_a rho) of measuring one factor."""
-    reduced = ptrace_mat(rho.mat, rho.dims, (factor,))
-    return np.array([float(np.trace(el @ reduced).real) for el in p.elements])
+    _check_povm_factor(p, rho.dims, factor)
+    return (p.rows @ ptrace_mat(rho.mat, rho.dims, (factor,)).ravel()).real
 
 
 def povm_joint_distribution(rho12: DensityMatrix, p: Povm, q: Povm) -> np.ndarray:
     """Outcome table r(a, b) = Tr[(P_a ⊗ Q_b) rho] of a two-factor state."""
     require_factors(rho12, 2)
+    _check_povm_factor(q, rho12.dims, 2)
     conds = povm_conditionals(rho12, p, factor=1)
-    if q.dim != rho12.dims[1]:
-        raise ValueError(f"POVM dim {q.dim} does not match factor 2 of {rho12.dims}")
-    r = np.empty((len(p), len(q)))
-    for a, b_mat in enumerate(conds):
-        for b, el in enumerate(q.elements):
-            r[a, b] = float(np.trace(el @ b_mat).real)
-    return r
+    return (conds.reshape(len(p), -1) @ q.rows.T).real
 
 
 # --- JSON wire formats -----------------------------------------------------

@@ -283,6 +283,24 @@ class TestCptMonotonicity:
         assert skipped.relation == ok.relation == ">="
         assert skipped.meta["lhs_finite"] is False and skipped.meta["rhs_finite"] is True
 
+    def test_each_state_is_measured_once(self, monkeypatch):
+        # rho123's outcome blocks serve both Phi(rho123) and the ensemble
+        import qssa.measurement
+
+        measured = []
+        apply = qssa.measurement.apply_kraus_op
+
+        def counting(rho, k):
+            measured.append(rho)
+            return apply(rho, k)
+
+        for mod in (qssa.checks, qssa.measurement):
+            monkeypatch.setattr(mod, "apply_kraus_op", counting)
+        rho = random_density((2, 2, 2), 8, 41)
+        check_cpt_monotonicity(rho, random_kraus(4, 3, 42, acts_on=(1, 2)))
+        assert len(measured) == 2
+        assert measured[0] is rho and measured[1].dims == rho.dims
+
     @pytest.mark.parametrize("count", [2, 3])
     def test_product_state_is_never_solved_at_full_size(self, monkeypatch, count):
         # At 4,4,4 with m <= 3 Kraus operators no Phi image is 64-dim, so every

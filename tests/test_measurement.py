@@ -1,20 +1,25 @@
 """Measurement machinery: completeness, ensembles, the block channel."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qssa.linalg
+import qssa.measurement
+from qssa.checks import check_cpt_monotonicity
 from qssa.entropy import entropy_from_eigs, von_neumann
-from qssa.linalg import CLAMP_REL, DensityMatrix, kron, matrix_to_json, partial_trace
+from qssa.linalg import CLAMP_REL, DensityMatrix, kron, matrix_to_json, partial_trace, ptrace_mat
 from qssa.measurement import (
     KrausSet,
     Povm,
     apply_kraus_op,
     cpt_phi,
-    embed_operator,
     kraus_from_json,
     kraus_to_json,
     measurement_ensemble,
+    povm_conditionals,
     povm_from_json,
     povm_joint_distribution,
     povm_to_kraus,
@@ -43,6 +48,37 @@ def completeness_residual(k):
 def basis_povm(dim):
     """Projectors onto the computational basis."""
     return Povm(np.diag(e) for e in np.eye(dim))
+
+
+def embed_operator(op, dims, acts_on):
+    """op ⊗ I materialized on the full space, op acting on the 1-based factors `acts_on`.
+
+    The oracle for every reduced contraction in `qssa.measurement`.
+    """
+    acts_on = sorted(acts_on)
+    sub = math.prod(dims[a - 1] for a in acts_on)
+    if op.shape != (sub, sub):
+        raise ValueError(f"operator shape {op.shape} does not match factors {acts_on} of {dims}")
+    rest = [i for i in range(1, len(dims) + 1) if i not in acts_on]
+    full = np.kron(op, np.eye(math.prod(dims[i - 1] for i in rest)))
+    # `full` lives on factor order acts_on + rest; permute back to 1..n
+    order = [a - 1 for a in acts_on + rest]
+    perm_dims = [dims[i] for i in order]
+    inv = list(np.argsort(order))
+    t = full.reshape(perm_dims + perm_dims)
+    t = np.transpose(t, axes=inv + [len(dims) + i for i in inv])
+    return t.reshape(full.shape)
+
+
+def tensordot_image(op, rho_mat, dims, acts_on):
+    """K rho K† by tensordot on the reshaped state, without building op ⊗ I."""
+    n, k = len(dims), len(acts_on)
+    sub = [dims[a - 1] for a in acts_on]
+    op_t = op.reshape(sub + sub)
+    t = rho_mat.reshape(list(dims) * 2)
+    for o, axes in ((op_t, [a - 1 for a in acts_on]), (op_t.conj(), [n + a - 1 for a in acts_on])):
+        t = np.moveaxis(np.tensordot(o, t, axes=(list(range(k, 2 * k)), axes)), range(k), axes)
+    return t.reshape(rho_mat.shape)
 
 
 class TestCompleteness:
@@ -94,8 +130,7 @@ class TestOperatorExtension:
         rho = random_density(dims, 12, 33)
         full = embed_operator(op, dims, acts_on)
         direct = full @ rho.mat @ full.conj().T
-        fast = apply_kraus_op(op, rho.mat, dims, acts_on)
-        assert np.abs(direct - fast).max() < 1e-13
+        assert np.abs(direct - tensordot_image(op, rho.mat, dims, acts_on)).max() < 1e-13
 
     def test_embed_identity_is_identity(self):
         out = embed_operator(np.eye(3), (2, 3, 2), (2,))
@@ -104,6 +139,47 @@ class TestOperatorExtension:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             embed_operator(np.eye(3), (2, 2), (1,))
+
+
+class TestReducedBlocks:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("acts_on", [(1,), (1, 2)])
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4)])
+    def test_blocks_are_traced_images(self, dims, acts_on, count):
+        rho = random_density(dims, math.prod(dims), 34)
+        k = random_kraus(math.prod(dims[a - 1] for a in acts_on), count, 35, acts_on=acts_on)
+        blocks = apply_kraus_op(rho, k)
+        assert len(blocks) == count
+        for op, b in zip(k.ops, blocks):
+            full = embed_operator(op, dims, acts_on)
+            expect = ptrace_mat(full @ rho.mat @ full.conj().T, dims, (2, 3))
+            assert np.abs(b - expect).max() < 1e-13
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_stacked_povm_conditionals_match_each_element(self, factor):
+        dims = (3, 2, 4)
+        rho = random_density(dims, 24, 36)
+        p = random_povm(dims[factor - 1], 3, 37)
+        conds = povm_conditionals(rho, p, factor=factor)
+        assert len(conds) == len(p)
+        keep = [i for i in (1, 2, 3) if i != factor]
+        for el, b in zip(p.elements, conds):
+            expect = ptrace_mat(embed_operator(el, dims, (factor,)) @ rho.mat, dims, keep)
+            assert np.abs(b - expect).max() < 1e-13
+
+    @pytest.mark.parametrize("fn", [measurement_ensemble, cpt_phi])
+    def test_peak_memory_stays_below_four_states(self, fn):
+        # one operator's intermediates at a time; stacking the family's
+        # full-size images would need one state's bytes per operator
+        rho = random_density((8, 8, 8), 512, 38)
+        k = random_kraus(8, 4, 39, acts_on=(1,))
+        tracemalloc.start()
+        try:
+            fn(rho, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rho.mat.nbytes
 
 
 class TestMeasurementEnsemble:
@@ -148,8 +224,9 @@ class TestMeasurementEnsemble:
 
     def test_rejects_wrong_factors(self):
         rho = random_density((2, 2, 2), 8, 13)
-        with pytest.raises(ValueError):
-            measurement_ensemble(rho, KrausSet([np.eye(2)], acts_on=(2,)))
+        for fn in (measurement_ensemble, cpt_phi):
+            with pytest.raises(ValueError, match="must act on"):
+                fn(rho, KrausSet([np.eye(2)], acts_on=(2,)))
         with pytest.raises(ValueError):
             measurement_ensemble(partial_trace(rho, {1, 2}), KrausSet([np.eye(4)], acts_on=(1, 2)))
 
@@ -164,7 +241,7 @@ class TestMeasurementEnsemble:
         with pytest.raises(ValueError, match="out of range"):
             cpt_phi(rho, KrausSet([np.eye(2)], acts_on=(4,)))
         with pytest.raises(ValueError, match="out of range"):
-            apply_kraus_op(np.eye(2), rho.mat, (2, 2, 2), (4,))
+            apply_kraus_op(rho, KrausSet([np.eye(2)], acts_on=(4,)))
 
     @pytest.mark.parametrize("floor", [CLAMP_REL, 1e-3])
     def test_terms_below_the_clamp_floor_are_skipped(self, monkeypatch, floor):
@@ -180,12 +257,14 @@ class TestMeasurementEnsemble:
         assert (ens.skipped, ens.skipped_mass) == (1, floor / 2)
         assert [n for n, _, _ in ens.entries] == [floor, pytest.approx(1 - 1.5 * floor)]
 
-    def test_rejects_sub_complete(self):
+    def test_rejects_sub_complete(self, monkeypatch):
         rho = random_density((2, 2, 2), 8, 14)
         ops = [op * np.sqrt(0.5) for op in random_kraus(2, 2, 15).ops]
         k = KrausSet(ops, acts_on=(1,), sub_complete=True)
-        with pytest.raises(ValueError):
-            measurement_ensemble(rho, k)
+        forbid_eigensolves(monkeypatch)
+        for fn in (measurement_ensemble, cpt_phi, check_cpt_monotonicity):
+            with pytest.raises(ValueError, match="require a complete Kraus set"):
+                fn(rho, k)
 
 
 class TestCptPhi:
@@ -270,11 +349,22 @@ class TestPovm:
     def test_weights_match_conditional_traces(self):
         rho = random_density((2, 3), 6, 29)
         p = random_povm(2, 4, 30)
-        from qssa.measurement import povm_conditionals
-
         n = povm_weights(rho, p, factor=1)
         for w, b in zip(n, povm_conditionals(rho, p, factor=1)):
             assert abs(w - np.trace(b).real) < 1e-12
+
+    @pytest.mark.parametrize("factor, dim, match", [(1, 3, "does not match factor 1"),
+                                                    (3, 2, "out of range")])
+    def test_weights_reject_a_mismatched_povm_before_any_work(self, monkeypatch, factor, dim, match):
+        rho = random_density((2, 3), 6, 29)
+        p = random_povm(dim, 2, 30)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the POVM check")
+
+        monkeypatch.setattr(qssa.measurement, "ptrace_mat", no_work)
+        with pytest.raises(ValueError, match=match):
+            povm_weights(rho, p, factor=factor)
 
 
 class TestJson:
