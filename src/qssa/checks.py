@@ -55,14 +55,14 @@ from .report import InequalityReport, make_report, skipped_report
 DEFAULT_LAMBDAS = (0.25, 0.5, 0.75)
 
 
-def trace_exp_map(l_op: np.ndarray, kraus: KrausSet, a_ops: Sequence[np.ndarray]) -> float:
+def trace_exp_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequence[np.ndarray]) -> float:
     """Tr exp(L + sum_a K_a† (ln A_a) K_a), one positive-definite A_a per K_a.
 
-    `matrix_log(clamp=False)` rejects an A_a that is not positive definite.
+    `matrix_log` rejects an A_a that is not positive definite.
     """
     h = np.asarray(l_op, dtype=complex)
-    for k, a in zip(kraus.ops, a_ops, strict=True):
-        h = h + k.conj().T @ matrix_log(a, clamp=False) @ k
+    for k, a in zip(ops, a_ops, strict=True):
+        h = h + k.conj().T @ matrix_log(a) @ k
     # Tr exp(H) = sum exp(spectrum); exp(H) itself is never needed
     return float(np.sum(np.exp(np.linalg.eigvalsh(hermitize(h)[0]))))
 
@@ -116,36 +116,38 @@ def check_sandwich(rho123: DensityMatrix, k: KrausSet) -> tuple[InequalityReport
     return left, right
 
 
-def check_concave_map(
-    l_op: np.ndarray,
-    kraus: KrausSet,
-    a_ops: Sequence[np.ndarray],
-    b_ops: Sequence[np.ndarray],
-) -> InequalityReport:
-    """Joint concavity of (A_1,...,A_M) -> Tr exp(L + sum K†(ln A)K).
+def check_concave_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequence[np.ndarray],
+                      b_ops: Sequence[np.ndarray]) -> InequalityReport:
+    """Joint concavity of (A_1,...,A_M) -> Tr exp(L + sum K†(ln A)K) for sum K†K <= I.
 
-    The Kraus family may be sub-complete (sum K†K <= I). Evaluates the map
-    at convex combinations of the tuples A and B and reports the minimum
-    concavity margin over the mixing weights DEFAULT_LAMBDAS. Shapes and
-    counts are checked first; f(A) and f(B), evaluated before any mixture,
-    reject an argument that is not positive definite.
+    Lieb's theorem is the case of one K = I. Shapes and counts are checked
+    first, then the hypothesis on the plain-array K: finite, with no
+    eigenvalue of I - sum K†K below -STATE_TOL. f(A) and f(B), evaluated
+    before any mixture, reject an argument that is not positive definite.
+    Reports the minimum concavity margin over the mixing weights DEFAULT_LAMBDAS.
     """
-    d = kraus.dim
-    if np.shape(l_op) != (d, d):
-        raise ValueError(f"L shape {np.shape(l_op)} does not match Kraus dim {d}")
-    for ops in (a_ops, b_ops):
-        if len(ops) != len(kraus.ops):
-            raise ValueError(f"{len(ops)} positive operators for {len(kraus.ops)} Kraus operators")
-        for a in ops:
-            if np.shape(a) != (d, d):
-                raise ValueError(f"operator shape {np.shape(a)} does not match Kraus dim {d}")
-    a_ops, b_ops = ([np.asarray(a, dtype=complex) for a in ops] for ops in (a_ops, b_ops))
-    fa = trace_exp_map(l_op, kraus, a_ops)
-    fb = trace_exp_map(l_op, kraus, b_ops)
+    ops = [np.asarray(k, dtype=complex) for k in ops]
+    if not ops:
+        raise ValueError("need at least one K operator")
+    d = ops[0].shape[0]
+    for name, group in (("L", [l_op]), ("K", ops), ("A", a_ops), ("B", b_ops)):
+        for x in group:
+            if np.shape(x) != (d, d):
+                raise ValueError(f"{name} shape {np.shape(x)} does not match K dim {d}")
+    if len(a_ops) != len(ops) or len(b_ops) != len(ops):
+        raise ValueError(f"{len(a_ops)} A and {len(b_ops)} B operators for {len(ops)} K operators")
+    if not all(np.isfinite(k).all() for k in ops):
+        raise ValueError("K operator has a non-finite entry")
+    gap = np.linalg.eigvalsh(np.eye(d) - sum(k.conj().T @ k for k in ops))[0]
+    if gap < -STATE_TOL:
+        raise ValueError(f"sum K†K exceeds I: I - sum K†K has eigenvalue {gap:.3e}")
+    a_ops, b_ops = ([np.asarray(a, dtype=complex) for a in group] for group in (a_ops, b_ops))
+    fa = trace_exp_map(l_op, ops, a_ops)
+    fb = trace_exp_map(l_op, ops, b_ops)
     worst = None
     for lam in DEFAULT_LAMBDAS:
         mixed = [lam * a + (1 - lam) * b for a, b in zip(a_ops, b_ops)]
-        fmix = trace_exp_map(l_op, kraus, mixed)
+        fmix = trace_exp_map(l_op, ops, mixed)
         combo = lam * fa + (1 - lam) * fb
         if worst is None or fmix - combo < worst[0]:
             worst = (fmix - combo, lam, combo, fmix)
@@ -250,7 +252,7 @@ def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm) -> Inequ
     marg_q = r.sum(axis=0)
     classical_mi = shannon(marg_p) + shannon(marg_q) - shannon(r.ravel())
     quantum_mi = mutual_information(rho12)
-    direct = povm_weights(rho12, p, factor=1)
+    direct = povm_weights(rho12, p)
     marginal_residual = float(np.abs(direct - marg_p).max())
     if marginal_residual > 1e-10:
         raise RuntimeError(f"outcome-table marginal disagrees with direct weights by {marginal_residual:.3e}")
@@ -273,7 +275,7 @@ def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm) -> tuple[InequalityRe
     s1 = von_neumann(partial_trace(rho12, {1}))
     s2 = von_neumann(partial_trace(rho12, {2}))
     s_cq = classical_quantum_entropy(rho12, p)
-    n = povm_weights(rho12, p, factor=1)
+    n = povm_weights(rho12, p)
     s_cl_1 = entropy_from_eigs(n)
     r = povm_joint_distribution(rho12, p, q)
     s_cl_12 = entropy_from_eigs(r)

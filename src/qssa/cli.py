@@ -174,14 +174,22 @@ def cmd_wehrl(args) -> int:
     return 0
 
 
+def _report_id(r: dict) -> tuple:
+    """(name, seed, suite, instance) of a parsed line; TypeError unless its
+    name is a string and its lhs and rhs are numbers or null."""
+    if not isinstance(r["name"], str) or any(v is not None and type(v) not in (int, float)
+                                            for v in (r.get("lhs"), r.get("rhs"))):
+        raise TypeError("name must be a string, lhs and rhs numbers or null")
+    return r["name"], r["seed"], r["meta"].get("suite"), r["meta"].get("instance")
+
+
 def _delta(x, y) -> float:
-    """|x - y| of two report values; inf when one is missing, non-numeric or NaN."""
+    """|x - y| of two report values (numbers or None); inf when one is missing or NaN."""
     if x == y or (x != x and y != y):  # equal, both None, or both NaN
         return 0.0
-    try:
-        d = abs(x - y)
-    except TypeError:
+    if x is None or y is None:
         return math.inf
+    d = abs(x - y)
     return d if d == d else math.inf
 
 
@@ -203,8 +211,7 @@ def cmd_diff(args) -> int:
     for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
         try:
             ra, rb = json.loads(la), json.loads(lb)
-            id_a, id_b = ((r["name"], r["seed"], r["meta"].get("suite"), r["meta"].get("instance"))
-                          for r in (ra, rb))
+            id_a, id_b = _report_id(ra), _report_id(rb)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             print(f"error: line {i} is not a report: {exc!r}", file=sys.stderr)
             return 2

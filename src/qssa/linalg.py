@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Relative floor below which eigenvalues, weights and Husimi values count
-# as 0 (0 ln 0 = 0); matrix logarithms raise eigenvalues to it.
+# as 0 (0 ln 0 = 0); matrix logarithms reject eigenvalues below it.
 CLAMP_REL = 1e-12
 
 # Operations expecting Hermitian input symmetrize first; beyond this
@@ -198,17 +198,15 @@ def clamp_threshold(values) -> float:
     return CLAMP_REL * max(1.0, top)
 
 
-def matrix_log(m: np.ndarray, clamp: bool = True) -> np.ndarray:
-    """Matrix logarithm of a PSD Hermitian matrix.
+def matrix_log(m: np.ndarray) -> np.ndarray:
+    """Matrix logarithm of a positive-definite Hermitian matrix.
 
-    Eigenvalues below the clamp threshold are raised to it when `clamp` is
-    set; otherwise such an eigenvalue is an error.
+    An eigenvalue below `clamp_threshold` is an error, never raised to it.
     """
     w, v = hermitian_eig(m)
     eps = clamp_threshold(w)
-    if not clamp and w[0] < eps:
+    if w[0] < eps:
         raise ValueError(f"matrix log undefined: eigenvalue {w[0]:.3e} below clamp threshold {eps:.3e}")
-    w = np.maximum(w, eps)
     return (v * np.log(w)) @ v.conj().T
 
 

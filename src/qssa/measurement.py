@@ -34,18 +34,17 @@ from .linalg import (
 
 
 class KrausSet:
-    """Finite operator family {K_a} with sum_a K_a† K_a = I on its factors.
+    """A family `apply_kraus_op` can apply: sum_a K_a† K_a = I on factor 1 or factors {1,2}.
 
-    `acts_on` lists the 1-based factor labels the operators act on; when a
-    set is applied to a larger state each K_a is extended by the identity on
-    the untouched factors. Completeness is checked against `STATE_TOL`;
-    `sub_complete=True` relaxes it to sum_a K_a† K_a <= I (the residual must
-    be PSD within `STATE_TOL`).
+    `acts_on` is (1,) or (1, 2); on a larger state each K_a is extended by
+    the identity on the other factors. `acts_on` and completeness (against
+    `STATE_TOL`) are checked here. The one sub-complete family (sum K†K <= I)
+    is `checks.check_concave_map`'s, which takes plain arrays.
     """
 
-    __slots__ = ("ops", "acts_on", "sub_complete")
+    __slots__ = ("ops", "acts_on")
 
-    def __init__(self, ops: Iterable[np.ndarray], acts_on=(1,), sub_complete: bool = False):
+    def __init__(self, ops: Iterable[np.ndarray], acts_on=(1,)):
         ops = tuple(np.asarray(k, dtype=complex) for k in ops)
         if not ops:
             raise ValueError("Kraus set must contain at least one operator")
@@ -56,22 +55,15 @@ class KrausSet:
             if not np.isfinite(k).all():
                 raise ValueError("Kraus operator has a non-finite entry")
         acts_on = tuple(sorted(_as_int(a) for a in acts_on))
-        if not acts_on or len(set(acts_on)) != len(acts_on) or acts_on[0] < 1:
-            raise ValueError(f"invalid acts_on {acts_on}")
-        gram = sum(k.conj().T @ k for k in ops)
-        if sub_complete:
-            w = np.linalg.eigvalsh(np.eye(d) - (gram + gram.conj().T) / 2)
-            if w[0] < -STATE_TOL:
-                raise ValueError(f"sub-completeness violated: I - sum K†K has eigenvalue {w[0]:.3e}")
-        else:
-            residual = float(np.abs(gram - np.eye(d)).max())
-            if residual > STATE_TOL:
-                raise ValueError(f"completeness residual {residual:.3e} exceeds tol {STATE_TOL:.3e}")
+        if acts_on not in ((1,), (1, 2)):
+            raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {acts_on}")
+        residual = float(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(d)).max())
+        if residual > STATE_TOL:
+            raise ValueError(f"completeness residual {residual:.3e} exceeds tol {STATE_TOL:.3e}")
         for k in ops:
             k.flags.writeable = False
         self.ops = ops
         self.acts_on = acts_on
-        self.sub_complete = sub_complete
 
     @property
     def dim(self) -> int:
@@ -152,17 +144,14 @@ def _check_factor_dim(ops_dim: int, dims: tuple[int, ...], acts_on: Sequence[int
 def apply_kraus_op(rho: DensityMatrix, k: KrausSet) -> list[np.ndarray]:
     """Blocks Tr_1 (K_a ⊗ I) rho (K_a ⊗ I)†, one per operator, on factors 2..n.
 
-    The family must be complete and act on {1} or {1,2}. Per operator, one
-    gemm K @ rho applies K to the rows; a batched gemm against conj(K),
-    summed over the row index of factor 1, applies K† to the columns and
-    traces factor 1 away. The full image K rho K† is never built.
+    Every KrausSet is complete and acts on {1} or {1,2}, so only its fit to
+    rho's factor dimensions is checked here. Per operator, one gemm K @ rho
+    applies K to the rows; a batched gemm against conj(K), summed over the
+    row index of factor 1, applies K† to the columns and traces factor 1
+    away. The full image K rho K† is never built.
     """
     d = rho.dims
     _check_factor_dim(k.dim, d, k.acts_on)
-    if k.acts_on not in ((1,), (1, 2)):
-        raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {k.acts_on}")
-    if k.sub_complete:
-        raise ValueError("outcome blocks require a complete Kraus set")
     da = k.dim
     kept = da // d[0]  # the part of the operator's space that survives Tr_1
     rest = rho.dim // da
@@ -227,9 +216,9 @@ def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:
     return phi_from_blocks(apply_kraus_op(rho123, k), rho123.dims[1:])
 
 
-def povm_to_kraus(p: Povm, acts_on=(1,)) -> KrausSet:
-    """Kraus set of PSD square roots; completeness is inherited from the POVM."""
-    return KrausSet([sqrtm_psd(el) for el in p.elements], acts_on=acts_on)
+def povm_to_kraus(p: Povm) -> KrausSet:
+    """Kraus set of PSD square roots on factor 1; completeness is inherited from the POVM."""
+    return KrausSet([sqrtm_psd(el) for el in p.elements])
 
 
 def _check_povm_factor(p: Povm, dims: tuple[int, ...], factor: int) -> None:
@@ -256,10 +245,10 @@ def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarra
     return (p.rows @ t.reshape(df * df, rest * rest)).reshape(len(p), rest, rest)
 
 
-def povm_weights(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarray:
-    """Outcome probabilities Tr(P_a rho) of measuring one factor."""
-    _check_povm_factor(p, rho.dims, factor)
-    return (p.rows @ ptrace_mat(rho.mat, rho.dims, (factor,)).ravel()).real
+def povm_weights(rho: DensityMatrix, p: Povm) -> np.ndarray:
+    """Outcome probabilities Tr(P_a rho) of measuring factor 1."""
+    _check_povm_factor(p, rho.dims, 1)
+    return (p.rows @ ptrace_mat(rho.mat, rho.dims, (1,)).ravel()).real
 
 
 def povm_joint_distribution(rho12: DensityMatrix, p: Povm, q: Povm) -> np.ndarray:

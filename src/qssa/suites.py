@@ -20,7 +20,6 @@ import numpy as np
 
 from . import checks, wehrl
 from .linalg import as_dims
-from .measurement import KrausSet
 from .randgen import (
     RNG_NAME,
     random_density,
@@ -147,14 +146,15 @@ def suite_concavity(cfg, i, key):
     dim = (2, 3, 4)[i % 3]
     m = (1, 2, 3)[(i // 3) % 3]
     l_op = random_hermitian(dim, cfg.seed, key(0))
-    k = random_kraus(dim, m, cfg.seed, key(1), acts_on=(1,))
-    if i % 3 == 2:
-        # exercise the sub-complete case sum K†K < I
-        k = KrausSet([op * np.sqrt(0.9) for op in k.ops], acts_on=(1,), sub_complete=True)
+    ops = random_kraus(dim, m, cfg.seed, key(1)).ops
+    sub_complete = i % 3 == 2
+    if sub_complete:
+        # exercise the sub-complete case sum K†K = 0.9 I
+        ops = [op * np.sqrt(0.9) for op in ops]
     a_ops = [random_positive(dim, cfg.seed, key(2, j)) for j in range(m)]
     b_ops = [random_positive(dim, cfg.seed, key(3, j)) for j in range(m)]
-    r = checks.check_concave_map(l_op, k, a_ops, b_ops)
-    r.meta["sub_complete"] = k.sub_complete
+    r = checks.check_concave_map(l_op, ops, a_ops, b_ops)
+    r.meta["sub_complete"] = sub_complete
     return [r]
 
 
@@ -259,11 +259,11 @@ def resolve_suites(names: Sequence[str]) -> list[str]:
         requested.extend(s.strip() for s in n.split(",") if s.strip())
     if not requested:
         raise ValueError("no suite selected")
-    if "all" in requested:
-        return list(SUITES)
-    unknown = [n for n in requested if n not in SUITES]
+    unknown = [n for n in requested if n not in SUITES and n != "all"]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(SUITES)}, all")
+    if "all" in requested:
+        return list(SUITES)
     # keep registry order, drop duplicates
     return [n for n in SUITES if n in requested]
 

@@ -6,12 +6,12 @@ sum_i w_i |Omega_i><Omega_i| = I built from a Gauss-Legendre grid in
 cos(theta) and a uniform grid in phi. The resolution is exact (up to
 roundoff) because the projector entries are polynomials of degree two_j in
 cos(theta) and trigonometric degree two_j in phi. The entropy integrand
-h ln h is not polynomial, so the default grid is finer than the resolution
-minimum; the floor below keeps the coherent-state entropy accurate to
-better than 1e-6 for all j (smoothness improves quickly with j, small j is
-the worst case). The inequality checks default to the resolution-exact base
-grids instead: every inequality among Wehrl-type entropies holds exactly on
-them, only the absolute values are less converged.
+h ln h is not polynomial, so make_grid's default grid is finer than the
+resolution minimum; the floor below keeps the coherent-state entropy
+accurate to better than 1e-6 for all j (smoothness improves quickly with j,
+small j is the worst case). `grids=None` means the resolution-exact base
+grids, and only the inequality checks default to it: every inequality among
+Wehrl-type entropies holds exactly on them, only absolute values converge less.
 
 Husimi values are a real bilinear form. With the orthonormal Hermitian
 basis {E_mu} of d x d matrices (the diagonal units |b><b|, then
@@ -122,14 +122,13 @@ def resolution_residual(grid: BlochGrid) -> float:
     return float(np.abs(acc - np.eye(grid.two_j + 1)).max())
 
 
-def _grids_for(rho: DensityMatrix, grids, lean: bool = False) -> tuple[BlochGrid, ...]:
+def _grids_for(rho: DensityMatrix, grids) -> tuple[BlochGrid, ...]:
     """`grids`, one per factor, as a tuple checked against rho's factors.
 
-    None builds one grid per factor: of the resolution-exact base sizes if
-    `lean`, else of make_grid's defaults.
+    None builds one grid of the resolution-exact base sizes per factor.
     """
     if grids is None:
-        return tuple(make_grid(d - 1, *(base_grid_sizes(d - 1) if lean else ())) for d in rho.dims)
+        return tuple(make_grid(d - 1, *base_grid_sizes(d - 1)) for d in rho.dims)
     grids = tuple(grids)
     if len(grids) != len(rho.dims):
         raise ValueError(f"{len(grids)} grids for {len(rho.dims)} factors")
@@ -198,12 +197,8 @@ def husimi_field(rho: DensityMatrix, grids) -> tuple[np.ndarray, np.ndarray]:
     return values, weights
 
 
-def wehrl_entropy(rho: DensityMatrix, grids=None) -> float:
-    """Quadrature value of -integral h ln h over the sphere(s).
-
-    `grids` holds one grid per factor; without it, each factor gets
-    make_grid's accuracy-floored default.
-    """
+def wehrl_entropy(rho: DensityMatrix, grids) -> float:
+    """Quadrature value of -integral h ln h over the sphere(s), on one grid per factor."""
     grids = _grids_for(rho, grids)
     h = husimi(rho, grids).reshape([len(g) for g in grids])
     # Nodes below the clamp floor contribute exactly 0.
@@ -220,7 +215,7 @@ def coherent_wehrl_value(two_j: int) -> float:
 
 def check_wehrl_dominates(rho: DensityMatrix, grids=None) -> InequalityReport:
     """S[rho] <= S_W[rho] on one grid per factor; holds for any resolution grids and state."""
-    grids = _grids_for(rho, grids, lean=True)
+    grids = _grids_for(rho, grids)
     s = von_neumann(rho)
     sw = wehrl_entropy(rho, grids)
     return make_report("wehrl_dominates", s, sw, dims=rho.dims,
@@ -230,7 +225,7 @@ def check_wehrl_dominates(rho: DensityMatrix, grids=None) -> InequalityReport:
 def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None) -> InequalityReport:
     """Wehrl mutual information, on one grid per factor, is at most the quantum one."""
     require_factors(rho12, 2)
-    grids = _grids_for(rho12, grids, lean=True)
+    grids = _grids_for(rho12, grids)
     sw12 = wehrl_entropy(rho12, grids)
     sw1 = wehrl_entropy(partial_trace(rho12, {1}), (grids[0],))
     sw2 = wehrl_entropy(partial_trace(rho12, {2}), (grids[1],))
@@ -245,7 +240,7 @@ def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix, grids=None) -> Ine
     on one grid per factor."""
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    grids = _grids_for(a, grids, lean=True)
+    grids = _grids_for(a, grids)
 
     def g(rho: DensityMatrix) -> float:
         return wehrl_entropy(rho, grids) - von_neumann(rho)

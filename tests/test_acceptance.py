@@ -28,7 +28,7 @@ from qssa.checks import (
 from qssa.cli import main
 from qssa.entropy import shannon, von_neumann
 from qssa.linalg import DensityMatrix, kron, partial_trace
-from qssa.measurement import KrausSet, povm_joint_distribution, povm_to_kraus
+from qssa.measurement import povm_joint_distribution, povm_to_kraus
 from qssa.randgen import (
     complex_gaussian,
     product_basis_kraus,
@@ -127,14 +127,13 @@ def test_criterion_5_concavity_200():
         k = random_kraus(dim, m, SEED, (1005, i, 1), acts_on=(1,))
         a = [random_positive(dim, SEED, (1005, i, 2, j)) for j in range(m)]
         b = [random_positive(dim, SEED, (1005, i, 3, j)) for j in range(m)]
-        r = check_concave_map(l_op, k, a, b)
+        r = check_concave_map(l_op, k.ops, a, b)
         assert r.slack >= -1e-9, f"instance {i}: slack {r.slack}"
         worst = min(worst, r.slack)
     for dim in (2, 3, 4):
-        k = KrausSet([np.eye(dim)], acts_on=(1,))
         a = [random_positive(dim, SEED, (1005, 900 + dim, 0))]
         b = [random_positive(dim, SEED, (1005, 900 + dim, 1))]
-        r = check_concave_map(np.zeros((dim, dim)), k, a, b)
+        r = check_concave_map(np.zeros((dim, dim)), [np.eye(dim)], a, b)
         assert abs(r.slack) <= 1e-10, f"linear case dim={dim}: slack {r.slack}"
     report(5, "trace-exponential concavity x200 + linear case", f"(min slack {worst:.3e})")
 
@@ -174,7 +173,7 @@ def test_criterion_7_entropy_comparisons_200_each():
         pq = random_povm(2, 2 + i % 3, SEED, (1007, i, 4))
         rq = judge(check_cqq(rho123, pq), 1e-8)
         assert rq.passed, f"cqq {i}"
-        rs = check_stronger_ssa(rho123, povm_to_kraus(pq, acts_on=(1,)))
+        rs = check_stronger_ssa(rho123, povm_to_kraus(pq))
         agree = max(abs(rq.lhs - rs.lhs), abs(rq.rhs - rs.rhs))
         assert agree <= 1e-10, f"cqq/kraus disagreement {agree} at {i}"
         agree_worst = max(agree_worst, agree)
@@ -211,13 +210,13 @@ def test_criterion_8_wehrl_suite():
         phi = float(rng.uniform(0, 2 * math.pi))
         v = _coherent_states(two_j, [theta], [phi])[0]
         rho = DensityMatrix(np.outer(v, v.conj()), (two_j + 1,))
-        err = abs(wehrl_entropy(rho) - coherent_wehrl_value(two_j))
+        err = abs(wehrl_entropy(rho, (make_grid(two_j),)) - coherent_wehrl_value(two_j))
         assert err <= 1e-6, f"two_j={two_j}: coherent error {err}"
 
     for two_j in (0, 1, 3, 6):
         d = two_j + 1
         rho = DensityMatrix(np.eye(d) / d, (d,))
-        gap = wehrl_entropy(rho) - von_neumann(rho)
+        gap = wehrl_entropy(rho, (make_grid(two_j),)) - von_neumann(rho)
         assert abs(gap) <= 1e-8, f"two_j={two_j}: mixed-state gap {gap}"
 
     for i in range(100):

@@ -140,7 +140,7 @@ class TestSandwich:
 
 class TestConcaveMap:
     def test_linear_case(self):
-        k = KrausSet([np.eye(2)], acts_on=(1,))
+        k = [np.eye(2)]
         l_op = np.zeros((2, 2))
         a = [random_positive(2, 21, 0)]
         b = [random_positive(2, 21, 1)]
@@ -149,13 +149,13 @@ class TestConcaveMap:
         assert abs(check_concave_map(l_op, k, a, b).slack) <= 1e-10
 
     def test_equal_arguments(self):
-        k = random_kraus(3, 2, 22, acts_on=(1,))
+        k = random_kraus(3, 2, 22).ops
         l_op = random_hermitian(3, 23)
         a_ops = [random_positive(3, 24, j) for j in range(2)]
         assert abs(check_concave_map(l_op, k, a_ops, a_ops).slack) < 1e-10
 
     def test_random_dim3(self):
-        k = random_kraus(3, 2, 25, acts_on=(1,))
+        k = random_kraus(3, 2, 25).ops
         l_op = random_hermitian(3, 26)
         a = [random_positive(3, 27, j) for j in range(2)]
         b = [random_positive(3, 28, j) for j in range(2)]
@@ -164,31 +164,29 @@ class TestConcaveMap:
 
     def test_sub_complete_kraus(self):
         ops = [op * np.sqrt(0.7) for op in random_kraus(2, 2, 29).ops]
-        k = KrausSet(ops, acts_on=(1,), sub_complete=True)
         l_op = random_hermitian(2, 30)
         a = [random_positive(2, 31, j) for j in range(2)]
         b = [random_positive(2, 32, j) for j in range(2)]
-        assert check_concave_map(l_op, k, a, b).slack >= -1e-9
+        assert check_concave_map(l_op, ops, a, b).slack >= -1e-9
 
     @pytest.mark.parametrize("dim,m", [(2, 1), (3, 2), (4, 3)])
     def test_trace_exp_matches_matrix_exp_oracle(self, dim, m):
-        k = random_kraus(dim, m, 37, acts_on=(1,))
+        ops = random_kraus(dim, m, 37).ops
         l_op = random_hermitian(dim, 38)
         a_ops = [random_positive(dim, 39, j) for j in range(m)]
-        h = l_op + sum(op.conj().T @ matrix_log(a) @ op for op, a in zip(k.ops, a_ops))
+        h = l_op + sum(op.conj().T @ matrix_log(a) @ op for op, a in zip(ops, a_ops))
         oracle = np.trace(expm_oracle(h)).real
-        assert trace_exp_map(l_op, k, a_ops) == pytest.approx(oracle, rel=1e-12)
+        assert trace_exp_map(l_op, ops, a_ops) == pytest.approx(oracle, rel=1e-12)
 
     def test_rejects_indefinite_argument(self):
-        k = KrausSet([np.eye(2)], acts_on=(1,))
         with pytest.raises(ValueError):
-            check_concave_map(np.zeros((2, 2)), k, [np.diag([1.0, -0.2])], [random_positive(2, 21, 1)])
+            check_concave_map(np.zeros((2, 2)), [np.eye(2)], [np.diag([1.0, -0.2])], [random_positive(2, 21, 1)])
 
     @pytest.mark.parametrize("case,evaluations", [
         ("b-indefinite", 2), ("a-count", 0), ("b-count", 0), ("operator-shape", 0), ("l-shape", 0),
     ])
     def test_rejects_bad_arguments_before_any_mixture(self, monkeypatch, case, evaluations):
-        k = random_kraus(2, 2, 43, acts_on=(1,))
+        k = random_kraus(2, 2, 43).ops
         l_op = random_hermitian(2, 44)
         a = [random_positive(2, 45, j) for j in range(2)]
         b = [random_positive(2, 46, j) for j in range(2)]
@@ -211,8 +209,23 @@ class TestConcaveMap:
         # shapes and counts fail before f(A); a non-PD B fails in f(B), before any mixture
         assert len(calls) == evaluations
 
+    @pytest.mark.parametrize("case", ["over-complete", "non-finite"])
+    def test_rejects_k_outside_the_hypothesis_before_any_log(self, monkeypatch, case):
+        # the theorem needs finite K with sum K†K <= I; here sum K†K = 1.1 I
+        ops = [op * np.sqrt(1.1) for op in random_kraus(2, 2, 50).ops]
+        if case == "non-finite":
+            ops[1] = np.diag([np.nan, 0.1])
+
+        def no_log(*args):
+            raise AssertionError("matrix_log ran before the K operators were checked")
+
+        monkeypatch.setattr(qssa.checks, "matrix_log", no_log)
+        a = [random_positive(2, 51, j) for j in range(2)]
+        with pytest.raises(ValueError, match="exceeds I" if case == "over-complete" else "non-finite"):
+            check_concave_map(np.zeros((2, 2)), ops, a, a)
+
     def test_trace_exp_map_rejects_short_argument_tuple(self):
-        k = random_kraus(2, 2, 48, acts_on=(1,))
+        k = random_kraus(2, 2, 48).ops
         with pytest.raises(ValueError):
             trace_exp_map(np.zeros((2, 2)), k, [random_positive(2, 49)])
 
@@ -421,7 +434,7 @@ class TestCqq:
         rho = random_density((2, 2, 2), 8, 61)
         p = random_povm(2, 3, 62)
         a = check_cqq(rho, p)
-        b = check_stronger_ssa(rho, povm_to_kraus(p, acts_on=(1,)))
+        b = check_stronger_ssa(rho, povm_to_kraus(p))
         assert a.lhs == pytest.approx(b.lhs, abs=1e-10)
         assert a.rhs == pytest.approx(b.rhs, abs=1e-10)
 

@@ -107,7 +107,8 @@ class TestCheckCommand:
         ["--suite", "gibbs", "--seed", "-1"],
         ["--suite", ","],
         ["--suite", ""],
-    ], ids=["dims", "d", "two-j", "seed", "comma", "empty"])
+        ["--suite", "all,bogus"],
+    ], ids=["dims", "d", "two-j", "seed", "comma", "empty", "all-and-unknown"])
     def test_bad_arguments_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, args):
         def never(cfg):
             raise AssertionError("suite ran")
@@ -379,6 +380,14 @@ class TestDiffCommand:
         b.write_text(json.dumps({**skipped, "lhs": 0.5}) + "\n")
         assert run(["diff", str(a), str(b)]) == 1
         assert "inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field,value", [("name", ["ssa"]), ("lhs", "0.5"), ("rhs", True)],
+                             ids=["list-name", "string-lhs", "bool-rhs"])
+    def test_non_report_line_exits_2_with_its_number(self, reports, tmp_path, capsys, field, value):
+        bad = self.rewrite(reports, tmp_path / "bad.ndjson", 2, **{field: value})
+        for a, b in ((bad, bad), (reports, bad), (bad, reports)):
+            assert run(["diff", str(a), str(b)]) == 2
+            assert "error: line 3 is not a report" in capsys.readouterr().err
 
     def test_flipped_verdict(self, reports, tmp_path, capsys):
         b = self.rewrite(reports, tmp_path / "b.ndjson", 1, **{"pass": False})

@@ -246,7 +246,7 @@ class TestClassicalQuantumEntropy:
     def test_decomposition_oracle(self):
         rho = random_density((2, 3), 6, 12)
         p = random_povm(2, 3, 13)
-        n = povm_weights(rho, p, factor=1)
+        n = povm_weights(rho, p)
         total = entropy_from_eigs(n)
         for w, b in zip(n, povm_conditionals(rho, p, factor=1)):
             cond = DensityMatrix(b / w, (3,))

@@ -8,7 +8,7 @@ import pytest
 
 import qssa.linalg
 import qssa.measurement
-from qssa.checks import check_cpt_monotonicity
+from qssa.checks import check_concave_map
 from qssa.entropy import entropy_from_eigs, von_neumann
 from qssa.linalg import CLAMP_REL, DensityMatrix, kron, matrix_to_json, partial_trace, ptrace_mat
 from qssa.measurement import (
@@ -98,16 +98,11 @@ class TestCompleteness:
         with pytest.raises(ValueError):
             KrausSet([np.eye(2) / 2], acts_on=(1,))
 
-    def test_sub_complete_accepted_with_flag(self):
-        ops = [op * np.sqrt(0.5) for op in random_kraus(3, 2, 7).ops]
-        with pytest.raises(ValueError):
-            KrausSet(ops, acts_on=(1,))
-        k = KrausSet(ops, acts_on=(1,), sub_complete=True)
-        assert k.sub_complete
-
-    @pytest.mark.parametrize("acts_on", [(1.9,), (), (0, 1), (1, 1)],
-                             ids=["non-integral", "empty", "zero", "repeated"])
-    def test_rejects_bad_acts_on(self, acts_on):
+    # every KrausSet is one apply_kraus_op can apply: on factor 1 or {1,2}
+    @pytest.mark.parametrize("acts_on", [(1.9,), (), (0, 1), (1, 1), (2,), (1, 3), (4,)],
+                             ids=["non-integral", "empty", "zero", "repeated", "2", "1-3", "4"])
+    def test_rejects_bad_acts_on(self, monkeypatch, acts_on):
+        forbid_eigensolves(monkeypatch)
         with pytest.raises(ValueError):
             KrausSet([np.eye(2)], acts_on=acts_on)
 
@@ -115,9 +110,14 @@ class TestCompleteness:
     @pytest.mark.parametrize("sub_complete", [False, True])
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite_before_any_eigensolve(self, monkeypatch, bad, sub_complete):
+        # a sub-complete family is plain arrays, which only check_concave_map takes
         forbid_eigensolves(monkeypatch)
+        op = np.diag([bad, 1.0])
         with pytest.raises(ValueError, match="non-finite"):
-            KrausSet([np.diag([bad, 1.0])], sub_complete=sub_complete)
+            if sub_complete:
+                check_concave_map(np.zeros((2, 2)), [op], [np.eye(2)], [np.eye(2)])
+            else:
+                KrausSet([op])
 
 
 class TestOperatorExtension:
@@ -224,10 +224,7 @@ class TestMeasurementEnsemble:
 
     def test_rejects_wrong_factors(self):
         rho = random_density((2, 2, 2), 8, 13)
-        for fn in (measurement_ensemble, cpt_phi):
-            with pytest.raises(ValueError, match="must act on"):
-                fn(rho, KrausSet([np.eye(2)], acts_on=(2,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need a 3-factor state"):
             measurement_ensemble(partial_trace(rho, {1, 2}), KrausSet([np.eye(4)], acts_on=(1, 2)))
 
     @pytest.mark.parametrize("fn", [measurement_ensemble, cpt_phi])
@@ -237,11 +234,9 @@ class TestMeasurementEnsemble:
             fn(rho, KrausSet([np.eye(3)], acts_on=(1,)))
 
     def test_rejects_acts_on_past_last_factor(self):
-        rho = random_density((2, 2, 2), 8, 13)
+        rho = random_density((4,), 4, 13)
         with pytest.raises(ValueError, match="out of range"):
-            cpt_phi(rho, KrausSet([np.eye(2)], acts_on=(4,)))
-        with pytest.raises(ValueError, match="out of range"):
-            apply_kraus_op(rho, KrausSet([np.eye(2)], acts_on=(4,)))
+            apply_kraus_op(rho, KrausSet([np.eye(4)], acts_on=(1, 2)))
 
     @pytest.mark.parametrize("floor", [CLAMP_REL, 1e-3])
     def test_terms_below_the_clamp_floor_are_skipped(self, monkeypatch, floor):
@@ -258,13 +253,12 @@ class TestMeasurementEnsemble:
         assert [n for n, _, _ in ens.entries] == [floor, pytest.approx(1 - 1.5 * floor)]
 
     def test_rejects_sub_complete(self, monkeypatch):
-        rho = random_density((2, 2, 2), 8, 14)
+        # no ensemble or channel is ever handed a sub-complete family:
+        # KrausSet refuses one, from a max-abs residual, before any eigensolve
         ops = [op * np.sqrt(0.5) for op in random_kraus(2, 2, 15).ops]
-        k = KrausSet(ops, acts_on=(1,), sub_complete=True)
         forbid_eigensolves(monkeypatch)
-        for fn in (measurement_ensemble, cpt_phi, check_cpt_monotonicity):
-            with pytest.raises(ValueError, match="require a complete Kraus set"):
-                fn(rho, k)
+        with pytest.raises(ValueError, match="completeness residual"):
+            KrausSet(ops, acts_on=(1,))
 
 
 class TestCptPhi:
@@ -349,22 +343,20 @@ class TestPovm:
     def test_weights_match_conditional_traces(self):
         rho = random_density((2, 3), 6, 29)
         p = random_povm(2, 4, 30)
-        n = povm_weights(rho, p, factor=1)
+        n = povm_weights(rho, p)
         for w, b in zip(n, povm_conditionals(rho, p, factor=1)):
             assert abs(w - np.trace(b).real) < 1e-12
 
-    @pytest.mark.parametrize("factor, dim, match", [(1, 3, "does not match factor 1"),
-                                                    (3, 2, "out of range")])
-    def test_weights_reject_a_mismatched_povm_before_any_work(self, monkeypatch, factor, dim, match):
+    def test_weights_reject_a_mismatched_povm_before_any_work(self, monkeypatch):
         rho = random_density((2, 3), 6, 29)
-        p = random_povm(dim, 2, 30)
+        p = random_povm(3, 2, 30)
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the POVM check")
 
         monkeypatch.setattr(qssa.measurement, "ptrace_mat", no_work)
-        with pytest.raises(ValueError, match=match):
-            povm_weights(rho, p, factor=factor)
+        with pytest.raises(ValueError, match="does not match factor 1"):
+            povm_weights(rho, p)
 
 
 class TestJson:

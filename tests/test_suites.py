@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import qssa.checks
 from qssa.cli import main
 from qssa.linalg import STATE_TOL, DensityMatrix
 from qssa.measurement import KrausSet, Povm
@@ -28,8 +29,10 @@ class TestResolve:
         assert resolve_suites(["gibbs,ssa"]) == ["ssa", "gibbs"]
 
     def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            resolve_suites(["ssa", "bogus"])
+        # an unknown name is an error even next to "all"
+        for names in (["ssa", "bogus"], ["all", "bogus"], ["all,bogus"]):
+            with pytest.raises(KeyError, match="bogus"):
+                resolve_suites(names)
 
     def test_duplicates_dropped(self):
         assert resolve_suites(["ssa", "ssa"]) == ["ssa"]
@@ -84,12 +87,11 @@ class TestValidationHeadroom:
             residuals["trace"].append(abs(float(np.trace(m).real) - 1.0))
             rho_init(self, mat, dims, **kw)
 
-        def record_kraus(self, ops, acts_on=(1,), sub_complete=False):
+        def record_kraus(self, ops, acts_on=(1,)):
             ops = [np.asarray(k, dtype=complex) for k in ops]
             gap = np.eye(ops[0].shape[0]) - sum(k.conj().T @ k for k in ops)
-            residuals["completeness"].append(_negative_part(gap) if sub_complete
-                                             else float(np.abs(gap).max()))
-            kraus_init(self, ops, acts_on, sub_complete)
+            residuals["completeness"].append(float(np.abs(gap).max()))
+            kraus_init(self, ops, acts_on)
 
         def record_povm(self, elements):
             elements = [np.asarray(p, dtype=complex) for p in elements]
@@ -130,6 +132,19 @@ class TestRun:
         cfg = SuiteConfig(suites=["wehrl"], trials=2, seed=5)
         names = [r.name for r in run_suites(cfg)]
         assert names == ["wehrl_dominates", "wehrl_mutual_info", "wehrl_convexity"] * 2
+
+    def test_every_third_concavity_instance_is_sub_complete(self, monkeypatch):
+        families = []
+        real = qssa.checks.check_concave_map
+        monkeypatch.setattr(qssa.checks, "check_concave_map",
+                            lambda l_op, ops, a, b: families.append(ops) or real(l_op, ops, a, b))
+        reports = run_suites(SuiteConfig(suites=["concavity"], trials=9, seed=3))
+        assert len(families) == len(reports) == 9
+        for i, (r, ops) in enumerate(zip(reports, families)):
+            assert r.meta["sub_complete"] is (i % 3 == 2)
+            gram = sum(k.conj().T @ k for k in ops)
+            scale = 0.9 if i % 3 == 2 else 1.0
+            assert np.abs(gram - scale * np.eye(len(gram))).max() < 1e-12
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

@@ -136,13 +136,14 @@ class TestWehrlEntropy:
         for two_j in (1, 2, 6):
             d = two_j + 1
             rho = DensityMatrix(np.eye(d) / d, (d,))
-            assert abs(wehrl_entropy(rho) - math.log(d)) < 1e-8
-            assert abs(wehrl_entropy(rho) - von_neumann(rho)) < 1e-8
+            sw = wehrl_entropy(rho, (make_grid(two_j),))
+            assert abs(sw - math.log(d)) < 1e-8
+            assert abs(sw - von_neumann(rho)) < 1e-8
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 6])
     def test_coherent_analytic_value(self, two_j):
         rho = coherent_density(two_j, 0.9, 2.1)
-        assert abs(wehrl_entropy(rho) - coherent_wehrl_value(two_j)) < 1e-6
+        assert abs(wehrl_entropy(rho, (make_grid(two_j),)) - coherent_wehrl_value(two_j)) < 1e-6
 
     def test_dominates_von_neumann(self):
         grids = (make_grid(3, *base_grid_sizes(3)),)
@@ -175,10 +176,11 @@ class TestWehrlEntropy:
 
     def test_rotation_invariance_about_z(self):
         rho = random_density((4,), 4, 94)
+        grids = (make_grid(3),)
         for chi in (0.37, math.pi / 5):
             u = np.diag(np.exp(-1j * chi * np.arange(4)))
             rot = DensityMatrix(u @ rho.mat @ u.conj().T, (4,))
-            assert abs(wehrl_entropy(rot) - wehrl_entropy(rho)) < 2e-6
+            assert abs(wehrl_entropy(rot, grids) - wehrl_entropy(rho, grids)) < 2e-6
 
     def test_rotation_by_grid_multiple_is_exact(self):
         # the phi grid is uniform, so rotating by a grid step permutes nodes
@@ -291,7 +293,7 @@ class TestWehrlScan:
 
     def test_coherent_input_matches_analytic(self):
         rho = coherent_density(6, 2.2, 4.4)
-        assert abs(wehrl_entropy(rho) - coherent_wehrl_value(6)) < 1e-6
+        assert abs(wehrl_entropy(rho, (make_grid(6),)) - coherent_wehrl_value(6)) < 1e-6
 
     def test_replay(self):
         a = wehrl_min_scan(4, 10, 7)
