@@ -36,6 +36,7 @@ from .linalg import (
     partial_trace,
     ptrace_mat,
     require_factors,
+    square_ops,
 )
 from .measurement import (
     KrausSet,
@@ -120,24 +121,21 @@ def check_concave_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequen
                       b_ops: Sequence[np.ndarray]) -> InequalityReport:
     """Joint concavity of (A_1,...,A_M) -> Tr exp(L + sum K†(ln A)K) for sum K†K <= I.
 
-    Lieb's theorem is the case of one K = I. Shapes and counts are checked
-    first, then the hypothesis on the plain-array K: finite, with no
-    eigenvalue of I - sum K†K below -STATE_TOL. f(A) and f(B), evaluated
-    before any mixture, reject an argument that is not positive definite.
-    Reports the minimum concavity margin over the mixing weights DEFAULT_LAMBDAS.
+    Lieb's theorem is the case of one K = I. Checked before any log: the K
+    list (`linalg.square_ops`), L, A and B of K's size, one A and one B per
+    K, and the hypothesis: no eigenvalue of I - sum K†K below -STATE_TOL.
+    f(A) and f(B), evaluated before any mixture, reject an argument that is
+    not positive definite. Reports the minimum concavity margin over the
+    mixing weights DEFAULT_LAMBDAS.
     """
-    ops = [np.asarray(k, dtype=complex) for k in ops]
-    if not ops:
-        raise ValueError("need at least one K operator")
+    ops = square_ops(ops, "K operator")
     d = ops[0].shape[0]
-    for name, group in (("L", [l_op]), ("K", ops), ("A", a_ops), ("B", b_ops)):
+    for name, group in (("L", [l_op]), ("A", a_ops), ("B", b_ops)):
         for x in group:
             if np.shape(x) != (d, d):
                 raise ValueError(f"{name} shape {np.shape(x)} does not match K dim {d}")
     if len(a_ops) != len(ops) or len(b_ops) != len(ops):
         raise ValueError(f"{len(a_ops)} A and {len(b_ops)} B operators for {len(ops)} K operators")
-    if not all(np.isfinite(k).all() for k in ops):
-        raise ValueError("K operator has a non-finite entry")
     gap = np.linalg.eigvalsh(np.eye(d) - sum(k.conj().T @ k for k in ops))[0]
     if gap < -STATE_TOL:
         raise ValueError(f"sum K†K exceeds I: I - sum K†K has eigenvalue {gap:.3e}")

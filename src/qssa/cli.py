@@ -5,6 +5,11 @@ arguments or unknown suite/kind, 3 I/O failure, 4 internal error (the
 traceback goes to stderr). Replaying with the same seed produces
 byte-identical output files.
 
+`main` alone maps errors to exit codes: a command returns 0 or 1, raises
+`UsageError` for a bad argument or input (`error: <message>`, exit 2) and
+lets `OSError` through (`I/O error: <exception>`, exit 3); anything else
+raised, a `ValueError` from the numerics included, exits 4.
+
 `qssa diff A B` compares two NDJSON report files line by line: 0 when they
 agree within --rtol, 1 on a verdict flip or a larger change, 2 when the
 files do not list the same reports, 3 on an I/O failure.
@@ -22,6 +27,10 @@ from .measurement import kraus_to_json, povm_to_json
 from .randgen import random_cq_state, random_density, random_kraus, random_povm
 from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites
 from .wehrl import husimi_field, wehrl_min_scan
+
+
+class UsageError(Exception):
+    """A bad argument or input file, reported by `main` as `error: <message>`, exit 2."""
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -91,28 +100,13 @@ def cmd_check(args) -> int:
             two_j=args.two_j,
         )
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise UsageError(exc.args[0]) from exc
     reports = run_suites(cfg)
-    text = reports_to_csv(reports) if args.format == "csv" else reports_to_ndjson(reports)
-    try:
-        _write(args.out, text)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    _write(args.out, reports_to_csv(reports) if args.format == "csv" else reports_to_ndjson(reports))
     n_fail = sum(1 for r in reports if r.status == "ok" and not r.passed)
     n_skip = sum(1 for r in reports if r.status == "skipped")
     print(f"{len(reports)} reports, {n_fail} failed, {n_skip} skipped", file=sys.stderr)
     return 1 if n_fail else 0
-
-
-def _reject(*rules: tuple[bool, str]) -> bool:
-    """Print the message of the first rule that is violated; True if one is."""
-    for violated, message in rules:
-        if violated:
-            print(f"error: {message}", file=sys.stderr)
-            return True
-    return False
 
 
 # Factor count and an example --dims for the kinds of `gen` that need one.
@@ -123,14 +117,14 @@ def cmd_gen(args) -> int:
     total = math.prod(args.dims)
     rank = total if args.rank is None else args.rank
     factors, example = GEN_DIMS.get(args.kind, (None, None))
-    if _reject(
-        (args.seed < 0, f"seed must be >= 0, got {args.seed}"),
-        (factors is not None and len(args.dims) != factors,
-         f"gen {args.kind} expects {factors} factor(s), e.g. --dims {example}, got {args.dims}"),
-        (args.kind == "density" and not 1 <= rank <= total, f"rank {rank} out of range 1..{total}"),
-        (args.kind in ("kraus", "povm") and args.count < 1, f"count must be >= 1, got {args.count}"),
-    ):
-        return 2
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
+    if factors is not None and len(args.dims) != factors:
+        raise UsageError(f"gen {args.kind} expects {factors} factor(s), e.g. --dims {example}, got {args.dims}")
+    if args.kind == "density" and not 1 <= rank <= total:
+        raise UsageError(f"rank {rank} out of range 1..{total}")
+    if args.kind in ("kraus", "povm") and args.count < 1:
+        raise UsageError(f"count must be >= 1, got {args.count}")
     if args.kind == "density":
         obj = density_to_json(random_density(args.dims, rank, args.seed))
     elif args.kind == "kraus":
@@ -139,33 +133,25 @@ def cmd_gen(args) -> int:
         obj = povm_to_json(random_povm(args.dims[0], args.count, args.seed))
     else:
         obj = density_to_json(random_cq_state(args.dims, args.seed))
-    try:
-        _write(args.out, json.dumps(obj, separators=(",", ":")) + "\n")
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    _write(args.out, json.dumps(obj, separators=(",", ":")) + "\n")
     return 0
 
 
 def cmd_wehrl(args) -> int:
-    if _reject(
-        (args.two_j < 0, f"two_j must be >= 0, got {args.two_j}"),
-        (args.trials < 1, f"trials must be >= 1, got {args.trials}"),
-        (args.seed < 0, f"seed must be >= 0, got {args.seed}"),
-    ):
-        return 2
+    if args.two_j < 0:
+        raise UsageError(f"two_j must be >= 0, got {args.two_j}")
+    if args.trials < 1:
+        raise UsageError(f"trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     scan = wehrl_min_scan(args.two_j, args.trials, args.seed)
     lines = ["trial,seed,two_j,S_W,S,diff"]
     for row in scan["rows"]:
         lines.append(f"{row['trial']},{row['seed']},{row['two_j']},{row['S_W']!r},{row['S']!r},{row['diff']!r}")
     summary = scan["summary"]
-    try:
-        _write(args.out, "\n".join(lines) + "\n")
-        if args.emit_husimi:
-            _write(_husimi_path(args.out), _husimi_csv(scan))
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    _write(args.out, "\n".join(lines) + "\n")
+    if args.emit_husimi:
+        _write(_husimi_path(args.out), _husimi_csv(scan))
     print(
         f"two_j={summary['two_j']} trials={summary['trials']} "
         f"min_S_W={summary['min_S_W']!r} coherent={summary['coherent_value']!r} "
@@ -195,17 +181,11 @@ def _delta(x, y) -> float:
 
 def cmd_diff(args) -> int:
     if not (math.isfinite(args.rtol) and args.rtol >= 0):
-        print(f"error: rtol must be finite and >= 0, got {args.rtol!r}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.a) as fa, open(args.b) as fb:
-            lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+        raise UsageError(f"rtol must be finite and >= 0, got {args.rtol!r}")
+    with open(args.a) as fa, open(args.b) as fb:
+        lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
     if len(lines_a) != len(lines_b):
-        print(f"error: {len(lines_a)} reports in {args.a}, {len(lines_b)} in {args.b}", file=sys.stderr)
-        return 2
+        raise UsageError(f"{len(lines_a)} reports in {args.a}, {len(lines_b)} in {args.b}")
     by_name = {}  # report name -> lines changed, lines, largest |dlhs| and |drhs|
     flips, over = [], 0
     for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
@@ -213,11 +193,9 @@ def cmd_diff(args) -> int:
             ra, rb = json.loads(la), json.loads(lb)
             id_a, id_b = _report_id(ra), _report_id(rb)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            print(f"error: line {i} is not a report: {exc!r}", file=sys.stderr)
-            return 2
+            raise UsageError(f"line {i} is not a report: {exc!r}") from exc
         if id_a != id_b:
-            print(f"error: line {i} is {id_a} in {args.a} but {id_b} in {args.b}", file=sys.stderr)
-            return 2
+            raise UsageError(f"line {i} is {id_a} in {args.a} but {id_b} in {args.b}")
         row = by_name.setdefault(ra["name"], {"changed": 0, "lines": 0, "lhs": 0.0, "rhs": 0.0})
         row["changed"] += la != lb
         row["lines"] += 1
@@ -255,16 +233,16 @@ def _husimi_csv(scan: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {"check": cmd_check, "gen": cmd_gen, "diff": cmd_diff, "wehrl": cmd_wehrl}[args.command]
     try:
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "diff":
-            return cmd_diff(args)
-        return cmd_wehrl(args)
+        return command(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
     except Exception:
         import traceback  # only on this path: importing it costs ~3 ms of start-up
 

@@ -5,9 +5,11 @@ plain tuple of factor dimensions (d1, ..., dn) that `as_dims` validates.
 Factors are labeled 1..n throughout the public API, `ptrace_mat` included
 (the same labels appear in the JSON wire formats). All operations are pure
 functions of immutable inputs; arrays held by :class:`DensityMatrix` (its
-matrix and, once solved, its eigensystem) are frozen. Validation uses two module constants:
-`STATE_TOL` for states (and, in `measurement`, Kraus sets and POVMs) and
-`ASYM_TOL` for the asymmetry of Hermitian operators such as a Gibbs H.
+matrix and, once solved, its eigensystem) are frozen, and so are the copies
+`square_ops` makes of operator lists such as Kraus families and POVMs.
+Validation uses two module constants: `STATE_TOL` for states (and, in
+`measurement`, Kraus sets and POVMs) and `ASYM_TOL` for the asymmetry of
+Hermitian operators such as a Gibbs H.
 `CLAMP_REL` is the one zero floor of the package: spectra, weight vectors,
 ensemble weights and Husimi values below `clamp_threshold` count as 0.
 """
@@ -58,16 +60,41 @@ def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, fl
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
     mh = m.conj().T
-    asym = float(np.abs(m - mh).max()) if m.size else 0.0
+    herm = m - mh
+    asym = float(np.abs(herm).max()) if m.size else 0.0
     if asym > asym_tol:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {asym_tol:.3e}")
-    return (m + mh) / 2, asym
+    # (M + M†)/2 reuses the buffer of M - M†: one full-size temporary fewer
+    np.add(m, mh, out=herm)
+    herm /= 2
+    return herm, asym
 
 
 def _frozen(arrays) -> tuple:
     for a in arrays:
         a.flags.writeable = False
     return tuple(arrays)
+
+
+def square_ops(ops: Iterable, what: str) -> tuple[np.ndarray, ...]:
+    """Frozen complex copies of an operator list such as a Kraus family or a POVM.
+
+    ValueError unless the list is non-empty and holds only finite 2-D square
+    matrices of one size d >= 1; `what` names an operator in the message.
+    The caller's arrays are neither frozen nor shared.
+    """
+    ops = [np.array(k, dtype=complex) for k in ops]
+    if not ops:
+        raise ValueError(f"need at least one {what}")
+    shape = ops[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+        raise ValueError(f"{what} must be a non-empty square matrix, got shape {shape}")
+    for k in ops:
+        if k.shape != shape:
+            raise ValueError(f"all {what}s must be square of equal size, got {k.shape} vs {shape}")
+        if not np.isfinite(k).all():
+            raise ValueError(f"{what} has a non-finite entry")
+    return _frozen(ops)
 
 
 class DensityMatrix:
@@ -141,7 +168,11 @@ def kron_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     wb, vb = b.eigh()
     w = np.outer(wa, wb).ravel()
     order = np.argsort(w, kind="stable")
-    return DensityMatrix(kron(a.mat, b.mat), a.dims + b.dims, _eig=(w[order], kron(va, vb)[:, order]))
+    # column j of V_a ⊗ V_b is V_a[:, j // len(w_b)] ⊗ V_b[:, j % len(w_b)]: take
+    # the sorted columns directly instead of permuting a full-size kron
+    ia, ib = np.divmod(order, len(wb))
+    v = (va[:, None, ia] * vb[None, :, ib]).reshape(len(w), len(w))
+    return DensityMatrix(kron(a.mat, b.mat), a.dims + b.dims, _eig=(w[order], v))
 
 
 def _keep_to_zero_based(keep: Iterable[int], n: int) -> tuple[int, ...]:

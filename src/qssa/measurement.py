@@ -30,6 +30,7 @@ from .linalg import (
     ptrace_mat,
     require_factors,
     sqrtm_psd,
+    square_ops,
 )
 
 
@@ -37,31 +38,24 @@ class KrausSet:
     """A family `apply_kraus_op` can apply: sum_a K_a† K_a = I on factor 1 or factors {1,2}.
 
     `acts_on` is (1,) or (1, 2); on a larger state each K_a is extended by
-    the identity on the other factors. `acts_on` and completeness (against
-    `STATE_TOL`) are checked here. The one sub-complete family (sum K†K <= I)
-    is `checks.check_concave_map`'s, which takes plain arrays.
+    the identity on the other factors. The constructor keeps frozen copies
+    of the operators and raises ValueError on a malformed list (see
+    `linalg.square_ops`), a bad `acts_on` or a completeness residual above
+    `STATE_TOL`. The one sub-complete family (sum K†K <= I) is
+    `checks.check_concave_map`'s, which takes plain arrays.
     """
 
     __slots__ = ("ops", "acts_on")
 
     def __init__(self, ops: Iterable[np.ndarray], acts_on=(1,)):
-        ops = tuple(np.asarray(k, dtype=complex) for k in ops)
-        if not ops:
-            raise ValueError("Kraus set must contain at least one operator")
+        ops = square_ops(ops, "Kraus operator")
         d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise ValueError(f"all operators must be square of equal size, got {k.shape} vs {d}")
-            if not np.isfinite(k).all():
-                raise ValueError("Kraus operator has a non-finite entry")
         acts_on = tuple(sorted(_as_int(a) for a in acts_on))
         if acts_on not in ((1,), (1, 2)):
             raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {acts_on}")
         residual = float(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(d)).max())
         if residual > STATE_TOL:
             raise ValueError(f"completeness residual {residual:.3e} exceeds tol {STATE_TOL:.3e}")
-        for k in ops:
-            k.flags.writeable = False
         self.ops = ops
         self.acts_on = acts_on
 
@@ -79,7 +73,10 @@ class KrausSet:
 class Povm:
     """Hermitian positive operators summing to the identity, all within `STATE_TOL`.
 
-    `rows` stacks the transposed elements as an (m, d²) matrix, so that
+    The constructor keeps frozen copies of the elements and raises
+    ValueError on a malformed list (see `linalg.square_ops`), an element
+    that is not Hermitian PSD, or a sum that is not the identity. `rows`
+    stacks the transposed elements as an (m, d²) matrix, so that
     `rows @ X.ravel()` holds every Tr(P_a X) at once; the outcome tables
     below are products with it.
     """
@@ -87,23 +84,15 @@ class Povm:
     __slots__ = ("elements", "rows")
 
     def __init__(self, elements: Iterable[np.ndarray]):
-        elements = tuple(np.asarray(p, dtype=complex) for p in elements)
-        if not elements:
-            raise ValueError("POVM must contain at least one element")
+        elements = square_ops(elements, "POVM element")
         d = elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for p in elements:
-            if p.shape != (d, d):
-                raise ValueError(f"all elements must be square of equal size, got {p.shape} vs {d}")
             w = np.linalg.eigvalsh(hermitize(p, asym_tol=STATE_TOL)[0])
             if w[0] < -STATE_TOL:
                 raise ValueError(f"POVM element not PSD: min eigenvalue {w[0]:.3e}")
-            total += p
-        residual = float(np.abs(total - np.eye(d)).max())
+        residual = float(np.abs(sum(elements) - np.eye(d)).max())
         if residual > STATE_TOL:
             raise ValueError(f"POVM does not sum to identity: residual {residual:.3e}")
-        for p in elements:
-            p.flags.writeable = False
         self.elements = elements
         self.rows = np.array(elements).transpose(0, 2, 1).reshape(len(elements), d * d)
         self.rows.flags.writeable = False

@@ -47,6 +47,7 @@ def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:
         raise ValueError(f"rank {rank} out of range 1..{total}")
     g = complex_gaussian(rng_for(seed, substream), (total, rank))
     m = g @ g.conj().T
+    del g  # not held while the state is validated
     m /= np.trace(m).real
     return DensityMatrix(m, dims)
 

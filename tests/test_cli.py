@@ -230,6 +230,12 @@ class TestGenCommand:
         assert "ValueError: numerics" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["density", "kraus", "povm", "cq"])
+    def test_io_failure_exits_3(self, tmp_path, capsys, kind):
+        dims = "2,2,2" if kind == "cq" else "2"
+        assert run(["gen", "--kind", kind, "--dims", dims, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("I/O error: ")
+
     def test_invalid_dims_argparse(self):
         with pytest.raises(SystemExit) as exc:
             run(["gen", "--kind", "density", "--dims", "0,2", "--seed", "1",
@@ -330,6 +336,15 @@ class TestWehrlCommand:
         assert run(["wehrl", "--two-j", "2", "--trials", "3", "--out", str(out)]) == 4
         assert "ValueError: numerics" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("directory", ["scan.csv", "scan.husimi.csv"])
+    def test_io_failure_exits_3(self, tmp_path, capsys, directory):
+        # a directory where the scan CSV or, with --emit-husimi, the Husimi CSV goes
+        (tmp_path / directory).mkdir()
+        out = tmp_path / "scan.csv"
+        assert run(["wehrl", "--two-j", "2", "--trials", "3", "--out", str(out), "--emit-husimi"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("I/O error: ") and not captured.out
 
     def test_large_spin_emit_husimi(self, tmp_path, capsys):
         # from 2j = 68 on, C(2j, k) no longer fits in an int64

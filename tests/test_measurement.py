@@ -120,6 +120,35 @@ class TestCompleteness:
                 KrausSet([op])
 
 
+def concave_map_with_ops(ops):
+    """check_concave_map on a K list, with one 1x1 identity A and B per K."""
+    return check_concave_map(np.zeros((1, 1)), ops, [np.eye(1)] * len(ops), [np.eye(1)] * len(ops))
+
+
+class TestOperatorLists:
+    # every operator list is checked by linalg.square_ops, before any eigensolve
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ops", [
+        [1.0], [np.ones(2)], [np.ones((1, 1, 1))], [np.ones((1, 2))], [np.eye(1), np.eye(2)],
+        [[[1.0, 0.0], [0.0]]], [], [np.zeros((0, 0))], [np.array([[np.nan]])],
+    ], ids=["0-d", "1-d", "3-d", "non-square", "unequal", "ragged", "empty-list", "0x0",
+            "non-finite"])
+    @pytest.mark.parametrize("make", [KrausSet, Povm, concave_map_with_ops],
+                             ids=["kraus", "povm", "concave-map"])
+    def test_malformed_list_raises_value_error_before_any_eigensolve(self, monkeypatch, make, ops):
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError):
+            make(ops)
+
+    @pytest.mark.parametrize("make,held", [(KrausSet, "ops"), (Povm, "elements")])
+    def test_keeps_a_frozen_copy_of_the_callers_array(self, make, held):
+        a = np.eye(2, dtype=complex)
+        ops = getattr(make([a]), held)
+        assert a.flags.writeable and not ops[0].flags.writeable
+        a[0, 0] = 5.0
+        assert ops[0][0, 0] == 1.0
+
+
 class TestOperatorExtension:
     @pytest.mark.parametrize("acts_on", [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3)])
     def test_embed_vs_index_arithmetic(self, acts_on):
