@@ -3,7 +3,8 @@
 Exit codes: 0 all non-skipped checks passed, 1 a check failed, 2 bad
 arguments or unknown suite/kind, 3 I/O failure, 4 internal error (the
 traceback goes to stderr). Replaying with the same seed produces
-byte-identical output files.
+byte-identical output files; `main` runs numpy's bundled OpenBLAS on one
+thread, as eigensolves of 192 dims and more differ between thread counts.
 
 `main` alone maps errors to exit codes: a command returns 0 or 1, raises
 `UsageError` for a bad argument or input (`error: <message>`, exit 2) and
@@ -12,12 +13,14 @@ raised, a `ValueError` from the numerics included, exits 4.
 
 `qssa diff A B` compares two NDJSON report files line by line: 0 when they
 agree within --rtol, 1 on a verdict flip or a larger change, 2 when the
-files do not list the same reports, 3 on an I/O failure.
+files do not list the same reports or are not UTF-8 text, 3 on an I/O
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -179,11 +182,18 @@ def _delta(x, y) -> float:
     return d if d == d else math.inf
 
 
+def _read_lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def cmd_diff(args) -> int:
     if not (math.isfinite(args.rtol) and args.rtol >= 0):
         raise UsageError(f"rtol must be finite and >= 0, got {args.rtol!r}")
-    with open(args.a) as fa, open(args.b) as fb:
-        lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
+    lines_a, lines_b = _read_lines(args.a), _read_lines(args.b)
     if len(lines_a) != len(lines_b):
         raise UsageError(f"{len(lines_a)} reports in {args.a}, {len(lines_b)} in {args.b}")
     by_name = {}  # report name -> lines changed, lines, largest |dlhs| and |drhs|
@@ -232,9 +242,22 @@ def _husimi_csv(scan: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _one_blas_thread() -> None:
+    """Pin numpy's bundled OpenBLAS (found through the extension that links it) to one
+    thread for the process, as eigensolves from n = 192 up return other bytes at other
+    thread counts; nothing where it is not found."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_(1)
+    except (ImportError, OSError, AttributeError):
+        pass
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = {"check": cmd_check, "gen": cmd_gen, "diff": cmd_diff, "wehrl": cmd_wehrl}[args.command]
+    _one_blas_thread()
     try:
         return command(args)
     except UsageError as exc:

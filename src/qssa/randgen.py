@@ -36,7 +36,11 @@ def rng_for(seed: Seed, substream=()) -> np.random.Generator:
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """(x + iy)/sqrt2, x drawn first, in place: that expression's bytes without its temporaries."""
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    z /= np.sqrt(2.0)
+    return z
 
 
 def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:

@@ -17,8 +17,12 @@ Husimi values are a real bilinear form. With the orthonormal Hermitian
 basis {E_mu} of d x d matrices (the diagonal units |b><b|, then
 (|b><c| + |c><b|)/sqrt2 and i(|c><b| - |b><c|)/sqrt2 for b < c),
 <u x v|rho|u x v> = sum_{mu,nu} f_mu(u) R_{mu,nu} f_nu(v), where
-f_mu(u) = <u|E_mu|u> and R_{mu,nu} = Tr rho (E_mu x E_nu) are real. On two
-grids that is two real matrix products F1 R F2^T. One factor needs no basis:
+f_mu(u) = <u|E_mu|u> and R_{mu,nu} = Tr rho (E_mu x E_nu) are real. At node
+(theta_i, phi_p), u_k = a_k(theta_i) e^{-ik phi_p}, so f_mu = G[i,mu] tau_s(phi_p) with
+G = a_b^2 or +-sqrt2 a_b a_c and tau_s = 1, cos m phi or sin m phi (m = c - b). Two
+spins take W[i,s,j,t] = sum_{mu in s, nu in t} G1[i,mu] R[mu,nu] G2[j,nu] group by
+group, then h[i,p,j,q] = sum_{s,t} tau1[p,s] W[i,s,j,t] tau2[q,t] one theta1 row at
+a time: about d/4 times fewer flops than F1 R F2^T on the N x d^2 features. One factor:
 h_i = sum_b (v_i^* rho)_b v_ib is one matrix product and a row sum.
 """
 
@@ -43,42 +47,46 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class BlochGrid:
-    """Quadrature nodes, weights and coherent vectors on one spin factor."""
+    """Quadrature nodes, weights and coherent vectors on one spin factor. Node i * n_phi + p
+    sits at (thetas[i], phis[p]); its feature mu in groups[s] is theta_factors[i, mu] *
+    phi_factors[p, s]. `pairs` holds (b, c), b <= c, of the leading diagonal and cos elements."""
 
-    __slots__ = ("two_j", "nodes", "weights", "states")
+    __slots__ = ("two_j", "thetas", "phis", "weights", "states", "theta_factors", "phi_factors", "pairs", "groups")
 
-    def __init__(self, two_j: int, nodes: np.ndarray, weights: np.ndarray, states: np.ndarray):
-        self.two_j = two_j
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        states.flags.writeable = False
-        self.nodes = nodes
-        self.weights = weights
-        self.states = states
+    def __init__(self, two_j: int, thetas: np.ndarray, phis: np.ndarray, w_theta: np.ndarray):
+        # Basis order is m = j, ..., -j, and the amplitude on k = j - m is a_k(theta) = sqrt(C(2j,k))
+        # cos^(2j-k)(theta/2) sin^k(theta/2): the north pole is the highest weight. float(C(2j,k))
+        # is correctly rounded up to 2j = 1029; as int64 the binomials overflow from 2j = 68 on.
+        d, k = two_j + 1, np.arange(two_j + 1)
+        half = thetas[:, None] / 2
+        binom = np.sqrt([float(math.comb(two_j, kk)) for kk in range(d)])
+        amps = binom * np.cos(half) ** (two_j - k) * np.sin(half) ** k
+        m_phi = np.outer(phis, k)
+        self.two_j, self.thetas, self.phis = two_j, thetas, phis
+        self.weights = np.repeat(w_theta, len(phis))
+        self.states = (amps[:, None, :] * np.exp(-1j * m_phi)).reshape(-1, d)  # row i * n_phi + p
+        for a in (thetas, phis, self.weights, self.states):
+            a.flags.writeable = False
+        # Pair group m = c - b holds the d - m pairs (b, b + m) from e[m] on; each sin
+        # element is p = d(d - 1)/2 behind its cos twin.
+        self.pairs = np.array([(b, b + m) for m in range(d) for b in range(d - m)]).T
+        pair_f = np.concatenate([amps[:, : d - m] * amps[:, m:] for m in range(d)], axis=1)
+        pair_f[:, d:] *= _SQRT2
+        self.theta_factors = np.concatenate([pair_f, -pair_f[:, d:]], axis=1)
+        self.phi_factors = np.concatenate([np.cos(m_phi), np.sin(m_phi[:, 1:])], axis=1)
+        e, p = [m * d - m * (m - 1) // 2 for m in range(d + 1)], d * (d - 1) // 2
+        cos = [slice(e[m], e[m + 1]) for m in range(d)]
+        self.groups = cos + [slice(g.start + p, g.stop + p) for g in cos[1:]]
+
+    @property
+    def nodes(self) -> np.ndarray:  # (theta, phi) per node
+        return np.column_stack([np.repeat(self.thetas, len(self.phis)), np.tile(self.phis, len(self.thetas))])
 
     def __len__(self) -> int:
         return len(self.weights)
 
     def __repr__(self) -> str:
         return f"BlochGrid(two_j={self.two_j}, nodes={len(self)})"
-
-
-def _coherent_states(two_j: int, thetas, phis) -> np.ndarray:
-    """Coherent vectors at (thetas[i], phis[p]) in row i * len(phis) + p.
-
-    Basis order is m = j, j-1, ..., -j; the amplitude on index k = j - m is
-    sqrt(C(2j,k)) cos^(2j-k)(theta/2) sin^k(theta/2) e^{-ik phi}, so the
-    north pole gives the highest-weight basis vector.
-
-    float(C(2j,k)) is correctly rounded up to 2j = 1029, past any grid that
-    fits in memory; as int64 the binomials overflow from 2j = 68 on.
-    """
-    k = np.arange(two_j + 1)
-    binom = np.sqrt([float(math.comb(two_j, kk)) for kk in range(two_j + 1)])
-    half = np.asarray(thetas, dtype=float)[:, None] / 2
-    amps = binom * np.cos(half) ** (two_j - k) * np.sin(half) ** k
-    phases = np.exp(-1j * np.outer(phis, k))
-    return (amps[:, None, :] * phases).reshape(-1, two_j + 1)
 
 
 def base_grid_sizes(two_j: int) -> tuple[int, int]:
@@ -106,14 +114,9 @@ def make_grid(two_j: int, n_theta: int | None = None, n_phi: int | None = None) 
     if n_phi < 2 * two_j + 2:
         raise ValueError(f"n_phi={n_phi} below resolution minimum {2 * two_j + 2}")
     x, wx = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(x)
-    phis = 2 * np.pi * np.arange(n_phi) / n_phi
     # Node weight = (2j+1)/(4pi) * (GL weight in cos theta) * (2pi / n_phi).
-    w_theta = (two_j + 1) / (2.0 * n_phi) * wx
-    nodes = np.column_stack([np.repeat(thetas, n_phi), np.tile(phis, n_theta)])
-    weights = np.repeat(w_theta, n_phi)
-    states = _coherent_states(two_j, thetas, phis)
-    return BlochGrid(two_j, nodes, weights, states)
+    return BlochGrid(two_j, np.arccos(x), 2 * np.pi * np.arange(n_phi) / n_phi,
+                     (two_j + 1) / (2.0 * n_phi) * wx)
 
 
 def resolution_residual(grid: BlochGrid) -> float:
@@ -138,41 +141,45 @@ def _grids_for(rho: DensityMatrix, grids) -> tuple[BlochGrid, ...]:
     return grids
 
 
-def _hermitian_coords(x: np.ndarray) -> np.ndarray:
-    """Coordinates Tr(X E_mu) of x's first two axes (row, column) in the
-    module's Hermitian basis; that axis pair becomes one axis of length d^2."""
-    d = x.shape[0]
-    b, c = np.triu_indices(d, 1)
-    upper, lower = x[b, c], x[c, b]
-    return np.concatenate([x[np.arange(d), np.arange(d)],
-                           (upper + lower) / _SQRT2, 1j * (upper - lower) / _SQRT2])
-
-
-def _hermitian_features(states: np.ndarray) -> np.ndarray:
-    """Real F[i, mu] = <s_i|E_mu|s_i> for the rows s_i of `states`."""
-    b, c = np.triu_indices(states.shape[1], 1)
-    cross = _SQRT2 * states[:, b].conj() * states[:, c]
-    return np.concatenate([np.abs(states) ** 2, cross.real, cross.imag], axis=1)
+def _basis_coords(rho: DensityMatrix, g1: BlochGrid, g2: BlochGrid) -> np.ndarray:
+    """R[mu, nu] = Tr rho (E_mu x E_nu) in the grids' trig-grouped bases. As
+    E_mu = alpha |b><c| + h.c. (alpha = 1/2, 1/sqrt2 or -i/sqrt2), R is 2|alpha alpha'|
+    times Re or Im of rho[(c,c'),(b,b')] +- rho[(c,b'),(b,c')]."""
+    (b1, c1), (b2, c2) = g1.pairs[:, :, None], g2.pairs
+    (d1, d2), t = rho.dims, rho.mat.reshape(rho.dims * 2)
+    x, y = t[c1, c2, b1, b2], t[c1, b2, b1, c2]
+    plus, minus = x + y, x - y
+    r = np.block([[plus.real, minus.imag[:, d2:]], [plus.imag[d1:], -minus.real[d1:, d2:]]])
+    r[:d1, :d2] /= 2  # |alpha| = 1/2 on diagonal elements, 1/sqrt2 on the others
+    r[:d1, d2:] /= _SQRT2
+    r[d1:, :d2] /= _SQRT2
+    return r
 
 
 def husimi(rho: DensityMatrix, grids) -> np.ndarray:
     """Diagonal coherent-state expectations h = <Omega|rho|Omega> per node.
 
     `grids` holds one grid per factor. One factor: h = rowsum((V^* rho) * V)
-    over the coherent vectors V. Two factors: h = F1 R F2^T in the module's
-    Hermitian basis, flattened from the product grid in C order (first
-    factor outer).
+    over the coherent vectors V. Two factors: the module docstring's grouped
+    products, flattened from the product grid in C order (first factor outer).
     """
     grids = _grids_for(rho, grids)
     if len(grids) == 1:
         v = grids[0].states
         return ((v.conj() @ rho.mat) * v).sum(axis=1).real
     if len(grids) == 2:
-        d1, d2 = rho.dims
-        # Axes (row 1, column 1, row 2, column 2): map factor 1's pair, then factor 2's.
-        t = rho.mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
-        r = _hermitian_coords(_hermitian_coords(t).transpose(1, 2, 0)).real
-        h = _hermitian_features(grids[0].states) @ r.T @ _hermitian_features(grids[1].states).T
+        g1, g2 = grids
+        r, n1, s1, s2 = _basis_coords(rho, g1, g2), len(g1.theta_factors), len(g1.groups), len(g2.groups)
+        # x[i, s, nu] sums over mu in group s, then w[i, t, s, j] over nu in group t. w[i]
+        # fills the head of h[i] (2j + 1 < n_phi), which is written after w[i] is read.
+        x = np.stack([g1.theta_factors[:, s] @ r[s] for s in g1.groups], axis=1)
+        h = np.empty((n1, len(g1.phi_factors), len(g2)))
+        w = h.reshape(n1, -1)[:, : s2 * s1 * len(g2.theta_factors)].reshape(n1, s2, s1, -1)
+        for k, t in enumerate(g2.groups):
+            np.matmul(x[:, :, t], g2.theta_factors[:, t].T, out=w[:, k])
+        for i in range(n1):  # row i's (s, j, q) intermediate stays in cache
+            y = w[i].reshape(s2, -1).T @ g2.phi_factors.T
+            np.matmul(g1.phi_factors, y.reshape(s1, -1), out=h[i])
         return h.ravel()
     raise ValueError("husimi supports one or two spin factors")
 
@@ -200,12 +207,15 @@ def husimi_field(rho: DensityMatrix, grids) -> tuple[np.ndarray, np.ndarray]:
 def wehrl_entropy(rho: DensityMatrix, grids) -> float:
     """Quadrature value of -integral h ln h over the sphere(s), on one grid per factor."""
     grids = _grids_for(rho, grids)
-    h = husimi(rho, grids).reshape([len(g) for g in grids])
-    # Nodes below the clamp floor contribute exactly 0.
-    x = h * np.log(h, out=np.zeros_like(h), where=h >= clamp_threshold(h))
+    # Contiguous, not one factor's strided .real, so the contractions below use BLAS.
+    h = np.ascontiguousarray(husimi(rho, grids)).reshape([len(g) for g in grids])
+    floor, step = clamp_threshold(h), max(1, 8192 * len(h) // h.size)  # rows per ~64 KB block
+    for lo in range(0, len(h), step):  # h ln h in place; nodes below the floor give exactly 0
+        block = h[lo : lo + step]
+        block *= np.log(block, out=np.zeros_like(block), where=block >= floor)
     for g in reversed(grids):
-        x = x @ g.weights
-    return float(-x)
+        h = h @ g.weights
+    return float(-h)
 
 
 def coherent_wehrl_value(two_j: int) -> float:

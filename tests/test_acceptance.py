@@ -42,7 +42,7 @@ from qssa.randgen import (
 )
 from qssa.report import judge
 from qssa.wehrl import (
-    _coherent_states,
+    BlochGrid,
     check_wehrl_convexity,
     check_wehrl_dominates,
     check_wehrl_mutual_info,
@@ -208,7 +208,7 @@ def test_criterion_8_wehrl_suite():
     for two_j in range(1, 11):
         theta = float(np.arccos(rng.uniform(-1, 1)))
         phi = float(rng.uniform(0, 2 * math.pi))
-        v = _coherent_states(two_j, [theta], [phi])[0]
+        v = BlochGrid(two_j, np.array([theta]), np.array([phi]), np.ones(1)).states[0]
         rho = DensityMatrix(np.outer(v, v.conj()), (two_j + 1,))
         err = abs(wehrl_entropy(rho, (make_grid(two_j),)) - coherent_wehrl_value(two_j))
         assert err <= 1e-6, f"two_j={two_j}: coherent error {err}"

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,3 +428,28 @@ class TestDiffCommand:
         assert run(["diff", str(reports), str(garbage)]) == 2
         assert run(["diff", str(reports), str(tmp_path / "missing.ndjson")]) == 3
         assert run(["diff", str(reports), str(reports), "--rtol", "nan"]) == 2
+
+    def test_non_utf8_file_exits_2(self, reports, tmp_path, capsys):
+        utf16 = tmp_path / "utf16.ndjson"
+        utf16.write_bytes(b"\xff\xfe" + reports.read_text().encode("utf-16-le"))
+        for a, b in ((reports, utf16), (utf16, reports)):
+            assert run(["diff", str(a), str(b)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {utf16} is not UTF-8 text") and "Traceback" not in err
+
+
+class TestBlasThreads:
+    def test_replay_bytes_do_not_depend_on_thread_count(self, tmp_path):
+        # two 17-dim spins: 289-dim eigensolves, which differ between 1 and 2
+        # OpenBLAS threads unless main pins the count
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"wehrl-{threads}.ndjson"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "qssa.cli", "check", "--suite", "wehrl",
+                            "--two-j", "16", "--trials", "2", "--seed", "42", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

@@ -6,6 +6,7 @@ import pytest
 from qssa.entropy import von_neumann
 from qssa.linalg import partial_trace
 from qssa.randgen import (
+    complex_gaussian,
     random_cq_state,
     random_density,
     random_kraus,
@@ -15,6 +16,14 @@ from qssa.randgen import (
 )
 
 from test_measurement import completeness_residual
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 3), (289, 289), (512, 4)])
+def test_complex_gaussian_has_the_bytes_of_its_formula(shape):
+    # (x + iy)/sqrt2 with x drawn before y, as the module docstring states
+    x_then_y = rng_for(3, shape)
+    x, y = x_then_y.standard_normal(shape), x_then_y.standard_normal(shape)
+    assert complex_gaussian(rng_for(3, shape), shape).tobytes() == ((x + 1j * y) / np.sqrt(2.0)).tobytes()
 
 
 class TestRandomDensity:

@@ -10,9 +10,7 @@ from qssa.entropy import von_neumann
 from qssa.linalg import CLAMP_REL, DensityMatrix
 from qssa.randgen import random_density, rng_for
 from qssa.wehrl import (
-    _coherent_states,
-    _hermitian_coords,
-    _hermitian_features,
+    _basis_coords,
     base_grid_sizes,
     check_wehrl_convexity,
     check_wehrl_dominates,
@@ -29,13 +27,28 @@ from qssa.wehrl import (
 
 
 def bloch_state(two_j, theta, phi):
-    """Coherent unit vector at sphere direction (theta, phi)."""
-    return _coherent_states(two_j, [theta], [phi])[0]
+    """Coherent unit vector at sphere direction (theta, phi): entry k = j - m is
+    sqrt(C(2j,k)) cos^(2j-k)(theta/2) sin^k(theta/2) e^{-ik phi}, in BlochGrid's operation order."""
+    k = np.arange(two_j + 1)
+    half = np.array([theta]) / 2
+    amps = np.sqrt([float(math.comb(two_j, kk)) for kk in k]) * np.cos(half) ** (two_j - k) * np.sin(half) ** k
+    return amps * np.exp(-1j * (phi * k))
 
 
 def coherent_density(two_j, theta, phi):
     v = bloch_state(two_j, theta, phi)
     return DensityMatrix(np.outer(v, v.conj()), (two_j + 1,))
+
+
+def trig_basis(d):
+    """The orthonormal Hermitian basis, (d^2, d, d), in trig-grouped order: the
+    units |b><b|, then (|b><c| + |c><b|)/sqrt2 and then i(|c><b| - |b><c|)/sqrt2
+    over the pairs b < c ordered by c - b, then b."""
+    unit = np.eye(d)
+    pairs = [(b, b + m) for m in range(1, d) for b in range(d - m)]
+    cos = [(np.outer(unit[b], unit[c]) + np.outer(unit[c], unit[b])) / math.sqrt(2) for b, c in pairs]
+    sin = [1j * (np.outer(unit[c], unit[b]) - np.outer(unit[b], unit[c])) / math.sqrt(2) for b, c in pairs]
+    return np.array([np.outer(u, u) for u in unit] + cos + sin, dtype=complex).reshape(-1, d, d)
 
 
 def husimi_oracle(rho, grids):
@@ -54,6 +67,16 @@ def wehrl_oracle(rho, grids, floor=CLAMP_REL):
     h, w = husimi_oracle(rho, grids), joint_weights(grids)
     mask = h >= floor * max(1.0, h.max())
     return float(-np.sum(w[mask] * h[mask] * np.log(h[mask])))
+
+
+def assert_matches_oracle(two_js, lean, full_rank):
+    """husimi and wehrl_entropy against the oracles, on lean or default grids."""
+    dims = tuple(j + 1 for j in two_js)
+    rho = random_density(dims, math.prod(dims) if full_rank else 1, sum(two_js), substream=105)
+    grids = tuple(make_grid(j, *(base_grid_sizes(j) if lean else ())) for j in two_js)
+    assert np.abs(husimi(rho, grids) - husimi_oracle(rho, grids)).max() <= 1e-14
+    ref = wehrl_oracle(rho, grids)
+    assert abs(wehrl_entropy(rho, grids) - ref) <= 1e-14 * abs(ref)
 
 
 class TestBlochState:
@@ -210,24 +233,52 @@ class TestHusimiKernel:
     @pytest.mark.parametrize("lean", [False, True])
     @pytest.mark.parametrize("full_rank", [False, True])
     def test_matches_oracle(self, two_js, lean, full_rank):
-        dims = tuple(j + 1 for j in two_js)
-        rho = random_density(dims, math.prod(dims) if full_rank else 1, sum(two_js), substream=105)
-        grids = tuple(make_grid(j, *(base_grid_sizes(j) if lean else ())) for j in two_js)
-        assert np.abs(husimi(rho, grids) - husimi_oracle(rho, grids)).max() <= 1e-14
-        ref = wehrl_oracle(rho, grids)
-        assert abs(wehrl_entropy(rho, grids) - ref) <= 1e-14 * abs(ref)
+        assert_matches_oracle(two_js, lean, full_rank)
 
-    @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_basis_identity(self, d):
-        # <s|X|s> = F(s) . x(X) for Hermitian X
-        rng = rng_for(106, (d,))
-        s = rng.normal(size=(7, d)) + 1j * rng.normal(size=(7, d))
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        x = g + g.conj().T
-        coords = _hermitian_coords(x)
-        assert np.abs(coords.imag).max() == 0
-        direct = np.einsum("na,ab,nb->n", s.conj(), x, s).real
-        assert np.abs(_hermitian_features(s) @ coords.real - direct).max() <= 1e-12
+    @pytest.mark.parametrize("two_js, lean", [((16, 16), True), ((12, 5), False)])
+    @pytest.mark.parametrize("full_rank", [False, True])
+    def test_matches_oracle_at_scale(self, two_js, lean, full_rank):
+        # the wehrl-spin size on its lean grids, and unequal spins on the 3072-node default grids
+        assert_matches_oracle(two_js, lean, full_rank)
+
+    @pytest.mark.parametrize("two_js", [(0, 0), (1, 2), (4, 3)])
+    def test_trig_basis_identity(self, two_js):
+        # R[mu, nu] = Tr rho (E_mu x E_nu), and G[i, mu] tau[p, s] = <s|E_mu|s> on
+        # node i * n_phi + p, with E in the trig-grouped order built from its definition
+        dims = tuple(j + 1 for j in two_js)
+        rho = random_density(dims, math.prod(dims), 106)
+        grids = tuple(make_grid(j, *base_grid_sizes(j)) for j in two_js)
+        e1, e2 = (trig_basis(d) for d in dims)
+        dense = np.einsum("xyuv,mux,nvy->mn", rho.mat.reshape(*dims, *dims), e1, e2).real
+        assert np.abs(_basis_coords(rho, *grids) - dense).max() <= 1e-15
+        for g, e in zip(grids, (e1, e2)):
+            direct = np.einsum("na,mab,nb->nm", g.states.conj(), e, g.states).real
+            group = np.zeros(len(e), dtype=int)
+            for k, sl in enumerate(g.groups):
+                group[sl] = k
+            factored = g.theta_factors[:, None, :] * g.phi_factors[None, :, group]
+            assert np.abs(factored.reshape(len(g), -1) - direct).max() <= 1e-15
+
+    @pytest.mark.parametrize("two_js", [(0, 4), (3, 3), (6, 2)])
+    def test_product_state_is_outer_product(self, two_js):
+        dims = tuple(j + 1 for j in two_js)
+        a, b = (random_density((d,), d, 107, k) for k, d in enumerate(dims))
+        grids = tuple(make_grid(j, *base_grid_sizes(j)) for j in two_js)
+        joint = husimi(DensityMatrix(np.kron(a.mat, b.mat), dims), grids)
+        outer = np.outer(husimi(a, grids[:1]), husimi(b, grids[1:])).ravel()
+        assert np.abs(joint - outer).max() <= 1e-15
+
+    @pytest.mark.parametrize("two_js", [(1,), (16,), (2, 3), (16, 16)])
+    def test_entropy_has_the_bits_of_the_product_form(self, two_js):
+        # the in-place, blockwise h ln h gives the bits of h * log(h) on a fresh array
+        dims = tuple(j + 1 for j in two_js)
+        rho = random_density(dims, math.prod(dims), 108)
+        grids = tuple(make_grid(j, *base_grid_sizes(j)) for j in two_js)
+        h = np.ascontiguousarray(husimi(rho, grids)).reshape([len(g) for g in grids])
+        x = h * np.log(h, out=np.zeros_like(h), where=h >= qssa.linalg.clamp_threshold(h))
+        for g in reversed(grids):
+            x = x @ g.weights
+        assert wehrl_entropy(rho, grids) == float(-x)
 
     @pytest.mark.parametrize("two_js", [(16,), (8, 3)])
     @pytest.mark.parametrize("floor", [CLAMP_REL, 1e-3])
