@@ -29,7 +29,7 @@ from .linalg import as_dims, density_to_json
 from .measurement import kraus_to_json, povm_to_json
 from .randgen import random_cq_state, random_density, random_kraus, random_povm
 from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites
-from .wehrl import husimi_field, wehrl_min_scan
+from .wehrl import husimi_field, require_two_j, wehrl_min_scan
 
 
 class UsageError(Exception):
@@ -141,8 +141,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_wehrl(args) -> int:
-    if args.two_j < 0:
-        raise UsageError(f"two_j must be >= 0, got {args.two_j}")
+    try:
+        require_two_j(args.two_j)
+    except ValueError as exc:
+        raise UsageError(exc.args[0]) from exc
     if args.trials < 1:
         raise UsageError(f"trials must be >= 1, got {args.trials}")
     if args.seed < 0:

@@ -71,12 +71,16 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return -von_neumann(rho) - tr_rho_ln_sigma
 
 
+def bipartite_entropies(rho12: DensityMatrix) -> tuple[float, float, float]:
+    """(S[rho12], S[rho1], S[rho2]) of a two-factor state."""
+    require_factors(rho12, 2)
+    return von_neumann(rho12), von_neumann(partial_trace(rho12, {1})), von_neumann(partial_trace(rho12, {2}))
+
+
 def mutual_information(rho12: DensityMatrix) -> float:
     """S[rho1] + S[rho2] - S[rho12] of a two-factor state."""
-    require_factors(rho12, 2)
-    s1 = von_neumann(partial_trace(rho12, {1}))
-    s2 = von_neumann(partial_trace(rho12, {2}))
-    return s1 + s2 - von_neumann(rho12)
+    s12, s1, s2 = bipartite_entropies(rho12)
+    return s1 + s2 - s12
 
 
 def classical_quantum_entropy(rho12: DensityMatrix, p: Povm) -> float:

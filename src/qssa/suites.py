@@ -67,8 +67,8 @@ class SuiteConfig:
                 raise ValueError(f"suite {name} needs at least two factors, got dims {self.dims}")
         if "counterexample" in names and self.d < 2:
             raise ValueError(f"counterexample needs d >= 2, got {self.d}")
-        if "wehrl" in names and self.two_j < 0:
-            raise ValueError(f"two_j must be >= 0, got {self.two_j}")
+        if "wehrl" in names:
+            wehrl.require_two_j(self.two_j)
 
 
 def _finish(reports: list[InequalityReport], cfg: SuiteConfig, suite: str, index: int) -> list[InequalityReport]:

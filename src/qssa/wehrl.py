@@ -12,6 +12,7 @@ accurate to better than 1e-6 for all j (smoothness improves quickly with j,
 small j is the worst case). `grids=None` means the resolution-exact base
 grids, and only the inequality checks default to it: every inequality among
 Wehrl-type entropies holds exactly on them, only absolute values converge less.
+The convexity check takes its worst mixture from the shared `checks.least_convex_mixture`.
 
 Husimi values are a real bilinear form. With the orthonormal Hermitian
 basis {E_mu} of d x d matrices (the diagonal units |b><b|, then
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from .checks import DEFAULT_LAMBDAS
+from .checks import least_convex_mixture
 from .linalg import CLAMP_REL, DensityMatrix, clamp_threshold, partial_trace, require_factors
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_pure_state, rng_for
@@ -44,6 +45,13 @@ THETA_FLOOR = 48
 PHI_FLOOR = 64
 
 _SQRT2 = math.sqrt(2.0)
+MAX_TWO_J = 1029
+
+
+def require_two_j(two_j: int) -> None:
+    """ValueError unless 0 <= two_j <= MAX_TWO_J: float(C(2j, k)) overflows from 2j = 1030 on."""
+    if not 0 <= two_j <= MAX_TWO_J:
+        raise ValueError(f"two_j must be >= 0 and <= {MAX_TWO_J}, got {two_j}")
 
 
 class BlochGrid:
@@ -102,8 +110,7 @@ def make_grid(two_j: int, n_theta: int | None = None, n_phi: int | None = None) 
     Gauss-Legendre nodes, n_phi >= 2 two_j + 2 uniform nodes keep the
     resolution exact). two_j is twice the spin, so j may be half-integer.
     """
-    if two_j < 0:
-        raise ValueError(f"two_j must be >= 0, got {two_j}")
+    require_two_j(two_j)
     base_t, base_p = base_grid_sizes(two_j)
     if n_theta is None:
         n_theta = max(base_t, THETA_FLOOR)
@@ -246,26 +253,13 @@ def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None) -> InequalityRepor
 
 
 def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix, grids=None) -> InequalityReport:
-    """Convexity of rho -> S_W[rho] - S[rho] at the DEFAULT_LAMBDAS points of [a, b],
+    """Convexity of rho -> S_W[rho] - S[rho] on [a, b], by `checks.least_convex_mixture`,
     on one grid per factor."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     grids = _grids_for(a, grids)
-
-    def g(rho: DensityMatrix) -> float:
-        return wehrl_entropy(rho, grids) - von_neumann(rho)
-
-    ga = g(a)
-    gb = g(b)
-    worst = None
-    for lam in DEFAULT_LAMBDAS:
-        mix = DensityMatrix(lam * a.mat + (1 - lam) * b.mat, a.dims)
-        margin = lam * ga + (1 - lam) * gb - g(mix)
-        if worst is None or margin < worst[0]:
-            worst = (margin, lam, g(mix), lam * ga + (1 - lam) * gb)
-    _, lam, gmix, combo = worst
+    lam, gmix, combo, _, _ = least_convex_mixture(
+        lambda rho: wehrl_entropy(rho, grids) - von_neumann(rho), a, b)
     return make_report("wehrl_convexity", gmix, combo, dims=a.dims,
-                       lambda_at_min=lam, grid_nodes=[len(g_) for g_ in grids])
+                       lambda_at_min=lam, grid_nodes=[len(g) for g in grids])
 
 
 def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:

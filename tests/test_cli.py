@@ -108,11 +108,12 @@ class TestCheckCommand:
         ["--suite", "ssa", "--dims", "2,2"],
         ["--suite", "counterexample", "--d", "1"],
         ["--suite", "wehrl", "--two-j", "-1"],
+        ["--suite", "wehrl", "--two-j", "1030"],
         ["--suite", "gibbs", "--seed", "-1"],
         ["--suite", ","],
         ["--suite", ""],
         ["--suite", "all,bogus"],
-    ], ids=["dims", "d", "two-j", "seed", "comma", "empty", "all-and-unknown"])
+    ], ids=["dims", "d", "two-j", "two-j-above-grid", "seed", "comma", "empty", "all-and-unknown"])
     def test_bad_arguments_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, args):
         def never(cfg):
             raise AssertionError("suite ran")
@@ -329,6 +330,13 @@ class TestWehrlCommand:
         assert run(["wehrl", *args, "--out", str(out), "--emit-husimi"]) == 2
         assert not out.exists() and not (tmp_path / "scan.husimi.csv").exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_spin_the_grid_cannot_build_exits_2(self, tmp_path, capsys):
+        # 2j = 1030 overflows the grid's float binomials; the rule rejects it first
+        out = tmp_path / "scan.csv"
+        assert run(["wehrl", "--two-j", "1030", "--trials", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: two_j must be >= 0 and <= 1029, got 1030\n"
 
     def test_value_error_during_scan_exits_4(self, tmp_path, monkeypatch, capsys):
         # a ValueError from the numerics is a crash, not a bad argument

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qssa.entropy import (
+    bipartite_entropies,
     classical_quantum_entropy,
     entropy_from_eigs,
     mutual_information,
@@ -194,6 +195,15 @@ class TestMutualInformation:
     def test_wrong_factor_count(self):
         with pytest.raises(ValueError):
             mutual_information(random_density((2, 2, 2), 8, 1))
+
+    def test_bipartite_entropies_order(self):
+        # (S12, S1, S2): a pure entangled pair has maximally mixed marginals
+        s12, s1, s2 = bipartite_entropies(bell_state())
+        assert abs(s12) < 1e-12
+        assert s1 == pytest.approx(math.log(2), abs=1e-12) and s2 == pytest.approx(math.log(2), abs=1e-12)
+        rho = random_density((2, 3), 6, 3)
+        assert bipartite_entropies(rho) == (von_neumann(rho), von_neumann(partial_trace(rho, {1})),
+                                            von_neumann(partial_trace(rho, {2})))
 
 
 def classical_entropy_oracle(rho, p, q):

@@ -157,8 +157,9 @@ class TestRun:
         (["all"], {"dims": (2, 2)}),
         (["counterexample"], {"d": 1}),
         (["wehrl"], {"two_j": -1}),
+        (["wehrl"], {"two_j": 1030}),
         (["gibbs"], {"seed": -1}),
-    ], ids=["ssa-2", "cpt-4", "holevo-1", "all-2", "d-1", "two_j", "seed"])
+    ], ids=["ssa-2", "cpt-4", "holevo-1", "all-2", "d-1", "two_j", "two_j-above-grid", "seed"])
     def test_bad_settings_rejected_before_running(self, suites, kwargs):
         with pytest.raises(ValueError):
             SuiteConfig(suites=suites, trials=1, **kwargs)

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import qssa.checks
 import qssa.linalg
+from qssa.checks import check_convexity_cl_minus_q
 from qssa.entropy import von_neumann
 from qssa.linalg import CLAMP_REL, DensityMatrix
-from qssa.randgen import random_density, rng_for
+from qssa.randgen import random_density, random_povm, rng_for
 from qssa.wehrl import (
+    MAX_TWO_J,
     _basis_coords,
     base_grid_sizes,
     check_wehrl_convexity,
@@ -20,6 +23,7 @@ from qssa.wehrl import (
     husimi_field,
     joint_weights,
     make_grid,
+    require_two_j,
     resolution_residual,
     wehrl_entropy,
     wehrl_min_scan,
@@ -140,6 +144,20 @@ class TestGrid:
     def test_rejects_negative_two_j(self):
         with pytest.raises(ValueError, match="two_j must be >= 0"):
             make_grid(-1)
+
+    def test_rejects_two_j_above_float_binomials(self, monkeypatch):
+        def never(n):
+            raise AssertionError("nodes computed")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+        with pytest.raises(ValueError, match=f"<= {MAX_TWO_J}, got {MAX_TWO_J + 1}"):
+            make_grid(MAX_TWO_J + 1)
+
+    def test_max_two_j_is_the_float_binomial_limit(self):
+        require_two_j(MAX_TWO_J)  # nothing is built
+        assert math.isfinite(float(math.comb(MAX_TWO_J, MAX_TWO_J // 2)))
+        with pytest.raises(OverflowError):
+            float(math.comb(MAX_TWO_J + 1, (MAX_TWO_J + 1) // 2))
 
     @pytest.mark.parametrize("two_j", [0, 1, 2, 5, 16, 40])
     @pytest.mark.parametrize("lean", [False, True])
@@ -323,10 +341,15 @@ class TestWehrlChecks:
         assert abs(check_wehrl_convexity(a, a).slack) < 1e-10
 
     def test_convexity_endpoints(self, monkeypatch):
-        monkeypatch.setattr(qssa.wehrl, "DEFAULT_LAMBDAS", (0.0, 1.0))
+        # both convexity checks read the one scan's lambdas; at 0 and 1 the mixture is an endpoint
+        monkeypatch.setattr(qssa.checks, "DEFAULT_LAMBDAS", (0.0, 1.0))
         a = random_density((3,), 3, 101)
         b = random_density((3,), 1, 102)
-        assert abs(check_wehrl_convexity(a, b).slack) < 1e-10
+        a12 = random_density((2, 2), 4, 67)
+        b12 = random_density((2, 2), 2, 68)
+        p = random_povm(2, 3, 69)
+        for r in (check_wehrl_convexity(a, b), check_convexity_cl_minus_q(a12, b12, p)):
+            assert abs(r.slack) < 1e-10
 
     def test_convexity_random(self):
         for seed in range(5):
