@@ -10,6 +10,8 @@ Gibbs variational principle, monotonicity of relative entropy under the
 block-diagonal measurement channel, and the classical/quantum entropy
 comparisons down to the Holevo bound. Both convexity checks, S_cQ - S here and
 S_W - S in `wehrl`, take their worst mixture from the one scan `least_convex_mixture`.
+`_measured_conditional_entropy` is the one path to sum_a n_a S[rho_a] of a measured
+factor; it subtracts n ln n of the mass each block's entropy keeps, so it is never negative.
 """
 
 from __future__ import annotations
@@ -220,12 +222,12 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityRepo
 
 
 def _measured_conditional_entropy(rho12: DensityMatrix, p: Povm, factor: int = 1) -> float:
-    """sum_a n_a S[rho_a] for the POVM measured on `factor`, rho_a on the other."""
+    """sum_a n_a S[rho_a] >= 0 (S_cQ - S_cl) for the POVM measured on `factor`, rho_a on the other."""
     cond_entropy = 0.0
     for b in povm_conditionals(rho12, p, factor=factor):
         s_b, n = block_entropy(b)
-        # adding n ln n to -Tr B ln B recovers the weighted conditional
-        # entropy n S[rho_a]; n ln n is dropped under the same floor as B's spectrum
+        # adding n ln n to -Tr B ln B recovers n S[rho_a]; n is the mass of the
+        # eigenvalues B's entropy keeps, so a block below the floor adds exactly 0
         cond_entropy += s_b - entropy_from_eigs([n])
     return cond_entropy
 
@@ -283,22 +285,21 @@ def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm) -> tuple[InequalityRe
     """Two links interpolating quantum and fully classical mutual information.
 
     First: S12 - S1 - S2 <= S_cQ - S_cl[rho1] - S2, where S_cQ measures
-    factor 1 and keeps factor 2 quantum. Second: the same quantity is
-    bounded by the fully classical S_cl[rho12] - S_cl[rho1] - S_cl[rho2].
+    factor 1 and keeps factor 2 quantum (S_cQ - S_cl[rho1] from `_measured_conditional_entropy`).
+    Second: the same quantity is bounded by the fully classical S_cl[rho12] - S_cl[rho1] - S_cl[rho2].
     """
     s12, s1, s2 = bipartite_entropies(rho12)
-    s_cq = classical_quantum_entropy(rho12, p)
-    n = povm_weights(rho12, p)
-    s_cl_1 = entropy_from_eigs(n)
+    middle = _measured_conditional_entropy(rho12, p) - s2
+    s_cl_1 = entropy_from_eigs(povm_weights(rho12, p))
     r = povm_joint_distribution(rho12, p, q)
     s_cl_12 = entropy_from_eigs(r)
     s_cl_2 = entropy_from_eigs(r.sum(axis=0))
     first = make_report(
-        "cq_chain_quantum_to_cq", s12 - s1 - s2, s_cq - s_cl_1 - s2,
+        "cq_chain_quantum_to_cq", s12 - s1 - s2, middle,
         dims=rho12.dims, p_count=len(p),
     )
     second = make_report(
-        "cq_chain_cq_to_classical", s_cq - s_cl_1 - s2, s_cl_12 - s_cl_1 - s_cl_2,
+        "cq_chain_cq_to_classical", middle, s_cl_12 - s_cl_1 - s_cl_2,
         dims=rho12.dims, p_count=len(p), q_count=len(q),
     )
     return first, second

@@ -1,6 +1,7 @@
 """Command-line frontend: generate instances, run check suites, emit reports.
 
-Exit codes: 0 all non-skipped checks passed, 1 a check failed, 2 bad
+Exit codes: 0 all non-skipped checks passed, 1 a check failed (for
+`wehrl`: the least S_W found lies below the coherent value), 2 bad
 arguments or unknown suite/kind, 3 I/O failure, 4 internal error (the
 traceback goes to stderr). Replaying with the same seed produces
 byte-identical output files; `main` runs numpy's bundled OpenBLAS on one
@@ -29,7 +30,7 @@ from .linalg import as_dims, density_to_json
 from .measurement import kraus_to_json, povm_to_json
 from .randgen import random_cq_state, random_density, random_kraus, random_povm
 from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites
-from .wehrl import husimi_field, require_two_j, wehrl_min_scan
+from .wehrl import husimi, require_two_j, wehrl_min_scan
 
 
 class UsageError(Exception):
@@ -162,7 +163,7 @@ def cmd_wehrl(args) -> int:
         f"min_S_W={summary['min_S_W']!r} coherent={summary['coherent_value']!r} "
         f"margin={summary['margin']!r} residual={summary['resolution_residual']!r}"
     )
-    return 0
+    return 0 if summary["min_is_at_least_coherent"] else 1
 
 
 def _report_id(r: dict) -> tuple:
@@ -236,10 +237,10 @@ def _husimi_path(out: str) -> str:
 
 
 def _husimi_csv(scan: dict) -> str:
+    """The scan grid's nodes and weights with its least-S_W state's (already guarded) Husimi values."""
     grid = scan["grid"]
-    values, weights = husimi_field(scan["best"], (grid,))
     lines = ["theta,phi,weight,value"]
-    for (th, ph), w, v in zip(grid.nodes, weights, values):
+    for (th, ph), w, v in zip(grid.nodes, grid.weights, husimi(scan["best"], (grid,))):
         lines.append(f"{float(th)!r},{float(ph)!r},{float(w)!r},{float(v)!r}")
     return "\n".join(lines) + "\n"
 

@@ -26,12 +26,11 @@ def entropy_from_eigs(eigs) -> float:
 
 
 def block_entropy(b: np.ndarray) -> tuple[float, float]:
-    """(-Tr B ln B, Tr B) of a PSD block B of any trace, from one eigensolve.
-
-    With n = Tr B, the first value equals n S[B/n] - n ln n.
-    """
+    """(-Tr B ln B, n) of a PSD block B of any trace from one eigensolve, n the mass of the
+    eigenvalues the first value keeps (`clamp_threshold`): adding n ln n gives n S[kept/n] >= 0."""
     eigs = np.linalg.eigvalsh((b + b.conj().T) / 2)
-    return entropy_from_eigs(eigs), float(eigs.sum())
+    kept = eigs[eigs >= clamp_threshold(eigs)]
+    return entropy_from_eigs(kept), float(kept.sum())
 
 
 def von_neumann(rho: DensityMatrix) -> float:

@@ -13,6 +13,8 @@ small j is the worst case). `grids=None` means the resolution-exact base
 grids, and only the inequality checks default to it: every inequality among
 Wehrl-type entropies holds exactly on them, only absolute values converge less.
 The convexity check takes its worst mixture from the shared `checks.least_convex_mixture`.
+Every S_W comes from `wehrl_entropy`, the one place that checks Husimi values: none
+below -CLAMP_REL, and their weighted mass equal to Tr rho within 1e-10.
 
 Husimi values are a real bilinear form. With the orthonormal Hermitian
 basis {E_mu} of d x d matrices (the diagonal units |b><b|, then
@@ -191,38 +193,29 @@ def husimi(rho: DensityMatrix, grids) -> np.ndarray:
     raise ValueError("husimi supports one or two spin factors")
 
 
-def joint_weights(grids) -> np.ndarray:
-    w = grids[0].weights
-    for g in grids[1:]:
-        w = np.outer(w, g.weights).ravel()
-    return w
-
-
-def husimi_field(rho: DensityMatrix, grids) -> tuple[np.ndarray, np.ndarray]:
-    """Husimi values and joint node weights on one grid per factor, checked
-    to be non-negative and to carry rho's trace as mass."""
-    grids = _grids_for(rho, grids)
-    values, weights = husimi(rho, grids), joint_weights(grids)
-    if values.min() < -CLAMP_REL:
-        raise RuntimeError(f"Husimi value {values.min():.3e} below -{CLAMP_REL:.0e}")
-    mass = float(np.dot(weights, values))
-    if abs(mass - rho.trace()) > 1e-10:
-        raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {rho.trace()!r}")
-    return values, weights
+def _integrate(f: np.ndarray, grids: tuple[BlochGrid, ...]) -> float:
+    """sum of w f over the product grid, one factor's weights at a time: no joint-weight array."""
+    for g in reversed(grids):
+        f = f @ g.weights
+    return float(f)
 
 
 def wehrl_entropy(rho: DensityMatrix, grids) -> float:
-    """Quadrature value of -integral h ln h over the sphere(s), on one grid per factor."""
+    """Quadrature value of -integral h ln h over the sphere(s), on one grid per factor; RuntimeError
+    if a Husimi value lies below -CLAMP_REL or their mass misses Tr rho by more than 1e-10."""
     grids = _grids_for(rho, grids)
     # Contiguous, not one factor's strided .real, so the contractions below use BLAS.
     h = np.ascontiguousarray(husimi(rho, grids)).reshape([len(g) for g in grids])
+    if h.min() < -CLAMP_REL:
+        raise RuntimeError(f"Husimi value {h.min():.3e} below -{CLAMP_REL:.0e}")
+    mass = _integrate(h, grids)
+    if abs(mass - rho.trace()) > 1e-10:
+        raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {rho.trace()!r}")
     floor, step = clamp_threshold(h), max(1, 8192 * len(h) // h.size)  # rows per ~64 KB block
     for lo in range(0, len(h), step):  # h ln h in place; nodes below the floor give exactly 0
         block = h[lo : lo + step]
         block *= np.log(block, out=np.zeros_like(block), where=block >= floor)
-    for g in reversed(grids):
-        h = h @ g.weights
-    return float(-h)
+    return -_integrate(h, grids)
 
 
 def coherent_wehrl_value(two_j: int) -> float:

@@ -369,6 +369,15 @@ class TestImprovedSubadd:
         value = qssa.checks._measured_conditional_entropy(rho, basis_povm(2))
         assert 0 <= value <= 2e-13 * math.log(2)
 
+    def test_block_mass_below_the_floor_adds_nothing(self):
+        # outcome 1 weighs 2e-12, above the floor, in four eigenvalues of 5e-13, each
+        # below it: n ln n of the kept mass (0) is subtracted, not that of n (-5.4e-11)
+        rho = DensityMatrix(np.diag([1 - 2e-12, 0, 0, 0] + [5e-13] * 4), (2, 4))
+        assert qssa.checks._measured_conditional_entropy(rho, basis_povm(2)) == 0.0
+        first, second = check_cq_chain(rho, basis_povm(2), basis_povm(4))
+        s2 = von_neumann(partial_trace(rho, {2}))
+        assert first.rhs == second.lhs == -s2  # S_cQ - S_cl[rho1] = 0
+
 
 class TestCounterexample:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -15,9 +15,10 @@ from qssa.linalg import DensityMatrix, density_from_json
 from qssa.measurement import kraus_from_json, povm_from_json
 from qssa.randgen import random_pure_state, rng_for
 from qssa.suites import SUITES
-from qssa.wehrl import husimi_field, make_grid
+from qssa.wehrl import husimi, make_grid
 
 from test_measurement import completeness_residual
+from test_wehrl import corrupt_husimi
 
 
 def run(argv):
@@ -153,6 +154,15 @@ class TestCheckCommand:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["node", "mass"])
+    def test_husimi_guard_exits_4(self, tmp_path, monkeypatch, capsys, kind):
+        # every S_W of the wehrl suite passes wehrl_entropy's guard
+        corrupt_husimi(monkeypatch, kind)
+        out = tmp_path / "r.ndjson"
+        assert run(["check", "--suite", "wehrl", "--two-j", "2", "--trials", "2",
+                    "--out", str(out)]) == 4
+        assert "RuntimeError: Husimi" in capsys.readouterr().err
 
     def test_multiple_suites_in_order(self, tmp_path):
         out = tmp_path / "m.ndjson"
@@ -314,9 +324,19 @@ class TestWehrlCommand:
         assert len(made) == 1
         s_w = [float(r.split(",")[3]) for r in out.read_text().strip().split("\n")[1:]]
         psi = random_pure_state(5, rng_for(5, (s_w.index(min(s_w)),)))
-        values, _ = husimi_field(DensityMatrix(np.outer(psi, psi.conj()), (5,)), made)
+        values = husimi(DensityMatrix(np.outer(psi, psi.conj()), (5,)), made)
         rows = (tmp_path / "scan.husimi.csv").read_text().strip().split("\n")[1:]
         assert [float(r.split(",")[3]) for r in rows] == values.tolist()
+
+    def test_min_below_coherent_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a scan minimum below the coherent value is a failed check: exit 1, files and summary kept
+        monkeypatch.setattr("qssa.wehrl.coherent_wehrl_value", lambda two_j: 10.0)
+        out = tmp_path / "scan.csv"
+        assert run(["wehrl", "--two-j", "2", "--trials", "3", "--out", str(out), "--emit-husimi"]) == 1
+        assert len(out.read_text().strip().split("\n")) == 4
+        assert (tmp_path / "scan.husimi.csv").exists()
+        summary = capsys.readouterr().out
+        assert "coherent=10.0" in summary and "margin=-9." in summary
 
     @pytest.mark.parametrize("args", [
         ["--two-j", "-1"], ["--trials", "0"], ["--seed", "-1"],

@@ -1,5 +1,6 @@
 """Coherent states, sphere quadrature, and phase-space entropy bounds."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import qssa.checks
 import qssa.linalg
+import qssa.wehrl
 from qssa.checks import check_convexity_cl_minus_q
 from qssa.entropy import von_neumann
 from qssa.linalg import CLAMP_REL, DensityMatrix
@@ -20,8 +22,6 @@ from qssa.wehrl import (
     check_wehrl_mutual_info,
     coherent_wehrl_value,
     husimi,
-    husimi_field,
-    joint_weights,
     make_grid,
     require_two_j,
     resolution_residual,
@@ -66,9 +66,30 @@ def husimi_oracle(rho, grids):
     return np.einsum("ia,kb,abcd,ic,kd->ik", u.conj(), v.conj(), t, u, v, optimize=True).real.ravel()
 
 
+def node_weights(grids):
+    """Joint weight per node of the product grid, in husimi's C order (first factor outer)."""
+    return functools.reduce(np.multiply.outer, [g.weights for g in grids]).ravel()
+
+
+def corrupt_husimi(monkeypatch, kind, size=1e-9):
+    """Patch `qssa.wehrl.husimi` so its least value becomes -size ("node") or its
+    values are scaled by 1 + size, moving a unit mass by size ("mass")."""
+    real = qssa.wehrl.husimi
+
+    def patched(rho, grids):
+        h = real(rho, grids).copy()
+        if kind == "node":
+            h[np.argmin(h)] = -size
+        else:
+            h *= 1 + size
+        return h
+
+    monkeypatch.setattr(qssa.wehrl, "husimi", patched)
+
+
 def wehrl_oracle(rho, grids, floor=CLAMP_REL):
     """-sum of w h ln h over the nodes with h >= floor * max(1, max h), on joint weights."""
-    h, w = husimi_oracle(rho, grids), joint_weights(grids)
+    h, w = husimi_oracle(rho, grids), node_weights(grids)
     mask = h >= floor * max(1.0, h.max())
     return float(-np.sum(w[mask] * h[mask] * np.log(h[mask])))
 
@@ -194,16 +215,16 @@ class TestWehrlEntropy:
 
     def test_husimi_mass(self):
         rho = random_density((3,), 3, 91)
-        h, w = husimi_field(rho, (make_grid(2),))
-        assert abs(float(w @ h) - 1.0) < 1e-10
+        grid = make_grid(2)
+        h = husimi(rho, (grid,))
+        assert abs(float(grid.weights @ h) - 1.0) < 1e-10
         assert h.min() > -1e-12
 
     def test_bipartite_husimi_mass(self):
         rho = random_density((2, 2), 4, 92)
         grids = tuple(make_grid(1, *base_grid_sizes(1)) for _ in range(2))
         h = husimi(rho, grids)
-        w = joint_weights(grids)
-        assert abs(float(w @ h) - 1.0) < 1e-10
+        assert abs(float(node_weights(grids) @ h) - 1.0) < 1e-10
 
     def test_grid_refinement_stable(self):
         for two_j in (1, 4, 10):
@@ -244,6 +265,48 @@ class TestWehrlEntropy:
         rho = random_density((3,), 3, 95)
         with pytest.raises(TypeError):
             fn(rho, make_grid(2))
+
+
+GUARDS = [("node", "below"), ("mass", "disagrees with trace")]
+
+
+class TestHusimiGuard:
+    """wehrl_entropy rejects Husimi values below -CLAMP_REL or whose weighted mass misses
+    Tr rho by more than 1e-10, so every S_W the checks and the scan read is guarded."""
+
+    @pytest.mark.parametrize("kind, message", GUARDS)
+    @pytest.mark.parametrize("dims", [(3,), (2, 3)])
+    def test_wehrl_entropy_raises(self, monkeypatch, kind, message, dims):
+        rho = random_density(dims, math.prod(dims), 109)
+        grids = tuple(make_grid(d - 1) for d in dims)
+        corrupt_husimi(monkeypatch, kind)
+        with pytest.raises(RuntimeError, match=message):
+            wehrl_entropy(rho, grids)
+
+    @pytest.mark.parametrize("kind, message", GUARDS)
+    def test_dominates_check_raises(self, monkeypatch, kind, message):
+        rho = random_density((2, 2), 4, 110)
+        corrupt_husimi(monkeypatch, kind)
+        with pytest.raises(RuntimeError, match=message):
+            check_wehrl_dominates(rho)
+
+    @pytest.mark.parametrize("kind, message", GUARDS)
+    def test_min_scan_raises(self, monkeypatch, kind, message):
+        corrupt_husimi(monkeypatch, kind)
+        with pytest.raises(RuntimeError, match=message):
+            wehrl_min_scan(2, 3, 0)
+
+    @pytest.mark.parametrize("kind, size", [("node", CLAMP_REL / 2), ("mass", 5e-11)])
+    @pytest.mark.parametrize("two_js", [(16,), (16, 3)])
+    def test_within_bounds_passes(self, monkeypatch, kind, size, two_js):
+        # the bounds are -CLAMP_REL per node and 1e-10 on the mass, no tighter; the
+        # north-pole state nearly vanishes at its least node, so moving that node
+        # leaves the mass in bounds
+        v = functools.reduce(np.kron, [bloch_state(j, 0.0, 0.0) for j in two_js])
+        rho = DensityMatrix(np.outer(v, v.conj()), tuple(j + 1 for j in two_js))
+        grids = tuple(make_grid(j) for j in two_js)
+        corrupt_husimi(monkeypatch, kind, size)
+        assert math.isfinite(wehrl_entropy(rho, grids))
 
 
 class TestHusimiKernel:
