@@ -32,6 +32,8 @@ from .entropy import (
     von_neumann,
 )
 from .linalg import (
+    CLAMP_REL,
+    MASS_TOL,
     STATE_TOL,
     DensityMatrix,
     hermitize,
@@ -272,7 +274,7 @@ def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm) -> Inequ
     quantum_mi = mutual_information(rho12)
     direct = povm_weights(rho12, p)
     marginal_residual = float(np.abs(direct - marg_p).max())
-    if marginal_residual > 1e-10:
+    if marginal_residual > MASS_TOL:
         raise RuntimeError(f"outcome-table marginal disagrees with direct weights by {marginal_residual:.3e}")
     return make_report(
         "classical_mutual_info", quantum_mi, classical_mi, relation=">=",
@@ -331,10 +333,11 @@ def check_convexity_cl_minus_q(a12: DensityMatrix, b12: DensityMatrix, p: Povm) 
 
 
 def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm) -> InequalityReport:
-    """Accessible information of an ensemble is at most its Holevo quantity."""
+    """Accessible information of an ensemble is at most its Holevo quantity. The weights are
+    checked first: finite, 1-D, none below -CLAMP_REL, summing to 1, one per state."""
     weights = np.asarray(weights, dtype=float)
-    if not np.isfinite(weights).all():
-        raise ValueError("ensemble weights must be finite")
+    if weights.ndim != 1 or not np.isfinite(weights).all() or weights.min(initial=0.0) < -CLAMP_REL:
+        raise ValueError(f"ensemble weights must be a finite, non-negative 1-D vector, got {weights.tolist()}")
     if abs(weights.sum() - 1.0) > STATE_TOL:
         raise ValueError(f"ensemble weights sum to {weights.sum()!r}")
     if len(weights) != len(states):

@@ -51,12 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run inequality check suites")
     p_check.add_argument("--suite", action="append", default=None,
                          help="suite name (repeatable or comma-separated); 'all' runs everything")
-    p_check.add_argument("--dims", type=_parse_dims, default=(2, 2, 2))
-    p_check.add_argument("--trials", type=int, default=50)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--tol", type=float, default=None)
-    p_check.add_argument("--d", type=int, default=2, help="counterexample dimension")
-    p_check.add_argument("--two-j", type=int, default=1, dest="two_j")
+    p_check.add_argument("--dims", type=_parse_dims, default=SuiteConfig.dims)
+    p_check.add_argument("--trials", type=int, default=SuiteConfig.trials)
+    p_check.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p_check.add_argument("--tol", type=float, default=SuiteConfig.tol)
+    p_check.add_argument("--d", type=int, default=SuiteConfig.d, help="counterexample dimension")
+    p_check.add_argument("--two-j", type=int, default=SuiteConfig.two_j, dest="two_j")
     p_check.add_argument("--out", default=None, help="output path (default stdout)")
     p_check.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -94,15 +94,8 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_check(args) -> int:
     try:
-        cfg = SuiteConfig(
-            suites=args.suite or ["all"],
-            dims=args.dims,
-            trials=args.trials,
-            seed=args.seed,
-            tol=args.tol,
-            d=args.d,
-            two_j=args.two_j,
-        )
+        cfg = SuiteConfig(suites=args.suite or SuiteConfig.suites, dims=args.dims, trials=args.trials,
+                          seed=args.seed, tol=args.tol, d=args.d, two_j=args.two_j)
     except (KeyError, ValueError) as exc:
         raise UsageError(exc.args[0]) from exc
     reports = run_suites(cfg)
@@ -125,6 +118,8 @@ def cmd_gen(args) -> int:
         raise UsageError(f"seed must be >= 0, got {args.seed}")
     if factors is not None and len(args.dims) != factors:
         raise UsageError(f"gen {args.kind} expects {factors} factor(s), e.g. --dims {example}, got {args.dims}")
+    if args.kind != "density" and args.rank is not None:
+        raise UsageError(f"--rank applies to gen --kind density only, not {args.kind}")
     if args.kind == "density" and not 1 <= rank <= total:
         raise UsageError(f"rank {rank} out of range 1..{total}")
     if args.kind in ("kraus", "povm") and args.count < 1:

@@ -7,9 +7,9 @@ Factors are labeled 1..n throughout the public API, `ptrace_mat` included
 functions of immutable inputs; arrays held by :class:`DensityMatrix` (its
 matrix and, once solved, its eigensystem) are frozen, and so are the copies
 `square_ops` makes of operator lists such as Kraus families and POVMs.
-Validation uses two module constants: `STATE_TOL` for states (and, in
-`measurement`, Kraus sets and POVMs) and `ASYM_TOL` for the asymmetry of
-Hermitian operators such as a Gibbs H.
+Validation uses one bound, `STATE_TOL`, for states (and, in `measurement`, Kraus
+sets and POVMs) and for the asymmetry of any operator `hermitize` symmetrizes, a
+Gibbs H included; `MASS_TOL` bounds a mass that is computed two ways.
 `CLAMP_REL` is the one zero floor of the package: spectra, weight vectors,
 ensemble weights and Husimi values below `clamp_threshold` count as 0.
 """
@@ -25,13 +25,13 @@ import numpy as np
 # as 0 (0 ln 0 = 0); matrix logarithms reject eigenvalues below it.
 CLAMP_REL = 1e-12
 
-# Operations expecting Hermitian input symmetrize first; beyond this
-# max-abs asymmetry the input is considered malformed.
-ASYM_TOL = 1e-8
-
 # The one bound for validating states, Kraus sets and POVMs (trace, negative
-# eigenvalues, asymmetry, completeness); generated objects stay below 1e-12.
+# eigenvalues, completeness) and the asymmetry of any operator `hermitize`
+# symmetrizes; generated objects stay below 1e-12.
 STATE_TOL = 1e-9
+
+# Bound on a mass computed two ways: Husimi mass vs Tr rho, table marginal vs POVM weights.
+MASS_TOL = 1e-10
 
 
 def _as_int(x) -> int:
@@ -52,8 +52,8 @@ def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return dims
 
 
-def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, float]:
-    """Return ((M + M†)/2, max-abs asymmetry); error beyond `asym_tol` or on NaN/inf."""
+def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Return ((M + M†)/2, max-abs asymmetry); error beyond `STATE_TOL` or on NaN/inf."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -62,8 +62,8 @@ def hermitize(m: np.ndarray, asym_tol: float = ASYM_TOL) -> tuple[np.ndarray, fl
     mh = m.conj().T
     herm = m - mh
     asym = float(np.abs(herm).max()) if m.size else 0.0
-    if asym > asym_tol:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {asym_tol:.3e}")
+    if asym > STATE_TOL:
+        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {STATE_TOL:.3e}")
     # (M + M†)/2 reuses the buffer of M - M†: one full-size temporary fewer
     np.add(m, mh, out=herm)
     herm /= 2
@@ -117,7 +117,7 @@ class DensityMatrix:
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} (total {total})")
-        herm, _ = hermitize(mat, asym_tol=STATE_TOL)
+        herm, _ = hermitize(mat)
         eigs = np.linalg.eigvalsh(herm) if _eig is None else _eig[0]
         if eigs[0] < -STATE_TOL:
             raise ValueError(f"matrix is not PSD: min eigenvalue {eigs[0]:.3e} < -{STATE_TOL:.3e}")
@@ -215,7 +215,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns eigenvalues ascending and the matrix whose columns are the
     corresponding orthonormal eigenvectors. Input is symmetrized first
-    (asymmetry beyond `ASYM_TOL` is an error).
+    (asymmetry beyond `STATE_TOL` is an error, as for a state).
     """
     herm, _ = hermitize(m)
     w, v = np.linalg.eigh(herm)

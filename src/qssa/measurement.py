@@ -7,7 +7,7 @@ computes them by a reduced contraction that never builds the extended
 operator or the full image K_a rho K_a†. POVM outcome tables and
 conditionals are products with the stacked elements `Povm.rows`. Kraus sets
 and POVMs are validated against the same `STATE_TOL` as states; no
-constructor takes a tolerance.
+constructor takes a tolerance, and `_check_fit` alone fits either to a state.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class Povm:
         elements = square_ops(elements, "POVM element")
         d = elements[0].shape[0]
         for p in elements:
-            w = np.linalg.eigvalsh(hermitize(p, asym_tol=STATE_TOL)[0])
+            w = np.linalg.eigvalsh(hermitize(p)[0])
             if w[0] < -STATE_TOL:
                 raise ValueError(f"POVM element not PSD: min eigenvalue {w[0]:.3e}")
         residual = float(np.abs(sum(elements) - np.eye(d)).max())
@@ -122,12 +122,14 @@ class MeasurementEnsemble:
     skipped_mass: float
 
 
-def _check_factor_dim(ops_dim: int, dims: tuple[int, ...], acts_on: Sequence[int]) -> None:
-    if max(acts_on) > len(dims):
-        raise ValueError(f"acts_on {tuple(acts_on)} out of range for dims {dims}")
-    sub = math.prod(dims[a - 1] for a in acts_on)
-    if sub != ops_dim:
-        raise ValueError(f"operator dim {ops_dim} does not match factors {tuple(acts_on)} of {dims} (product {sub})")
+def _check_fit(what: str, dim: int, dims: tuple[int, ...], factors: int | tuple[int, ...]) -> None:
+    """ValueError unless 1-based `factors` (one, or a Kraus `acts_on`) lie in `dims` and multiply to `dim`."""
+    labels, named = (factors, "factors") if isinstance(factors, tuple) else ((factors,), "factor")
+    if min(labels) < 1 or max(labels) > len(dims):
+        raise ValueError(f"{named} {factors} out of range for dims {dims}")
+    sub = math.prod([dims[f - 1] for f in labels])
+    if sub != dim:
+        raise ValueError(f"{what} dim {dim} does not match {named} {factors} of {dims} (product {sub})")
 
 
 def apply_kraus_op(rho: DensityMatrix, k: KrausSet) -> list[np.ndarray]:
@@ -140,7 +142,7 @@ def apply_kraus_op(rho: DensityMatrix, k: KrausSet) -> list[np.ndarray]:
     away. The full image K rho K† is never built.
     """
     d = rho.dims
-    _check_factor_dim(k.dim, d, k.acts_on)
+    _check_fit("operator", k.dim, d, k.acts_on)
     da = k.dim
     kept = da // d[0]  # the part of the operator's space that survives Tr_1
     rest = rho.dim // da
@@ -210,13 +212,6 @@ def povm_to_kraus(p: Povm) -> KrausSet:
     return KrausSet([sqrtm_psd(el) for el in p.elements])
 
 
-def _check_povm_factor(p: Povm, dims: tuple[int, ...], factor: int) -> None:
-    if not 1 <= factor <= len(dims):
-        raise ValueError(f"factor {factor} out of range for dims {dims}")
-    if p.dim != dims[factor - 1]:
-        raise ValueError(f"POVM dim {p.dim} does not match factor {factor} of {dims}")
-
-
 def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarray:
     """Subnormalized conditional states Tr_factor[(P_a ⊗ I) rho], stacked as (m, r, r).
 
@@ -226,7 +221,7 @@ def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarra
     factor's row and column indices moved first.
     """
     dims = rho.dims
-    _check_povm_factor(p, dims, factor)
+    _check_fit("POVM", p.dim, dims, factor)
     n = len(dims)
     df = dims[factor - 1]
     rest = rho.dim // df
@@ -236,14 +231,14 @@ def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarra
 
 def povm_weights(rho: DensityMatrix, p: Povm) -> np.ndarray:
     """Outcome probabilities Tr(P_a rho) of measuring factor 1."""
-    _check_povm_factor(p, rho.dims, 1)
+    _check_fit("POVM", p.dim, rho.dims, 1)
     return (p.rows @ ptrace_mat(rho.mat, rho.dims, (1,)).ravel()).real
 
 
 def povm_joint_distribution(rho12: DensityMatrix, p: Povm, q: Povm) -> np.ndarray:
     """Outcome table r(a, b) = Tr[(P_a ⊗ Q_b) rho] of a two-factor state."""
     require_factors(rho12, 2)
-    _check_povm_factor(q, rho12.dims, 2)
+    _check_fit("POVM", q.dim, rho12.dims, 2)
     conds = povm_conditionals(rho12, p, factor=1)
     return (conds.reshape(len(p), -1) @ q.rows.T).real
 

@@ -14,7 +14,7 @@ grids, and only the inequality checks default to it: every inequality among
 Wehrl-type entropies holds exactly on them, only absolute values converge less.
 The convexity check takes its worst mixture from the shared `checks.least_convex_mixture`.
 Every S_W comes from `wehrl_entropy`, the one place that checks Husimi values: none
-below -CLAMP_REL, and their weighted mass equal to Tr rho within 1e-10.
+below -CLAMP_REL, and their weighted mass equal to Tr rho within MASS_TOL.
 
 Husimi values are a real bilinear form. With the orthonormal Hermitian
 basis {E_mu} of d x d matrices (the diagonal units |b><b|, then
@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .checks import least_convex_mixture
-from .linalg import CLAMP_REL, DensityMatrix, clamp_threshold, partial_trace, require_factors
+from .linalg import CLAMP_REL, MASS_TOL, DensityMatrix, clamp_threshold, partial_trace, require_factors
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_pure_state, rng_for
 from .report import InequalityReport, make_report
@@ -202,14 +202,14 @@ def _integrate(f: np.ndarray, grids: tuple[BlochGrid, ...]) -> float:
 
 def wehrl_entropy(rho: DensityMatrix, grids) -> float:
     """Quadrature value of -integral h ln h over the sphere(s), on one grid per factor; RuntimeError
-    if a Husimi value lies below -CLAMP_REL or their mass misses Tr rho by more than 1e-10."""
+    if a Husimi value lies below -CLAMP_REL or their mass misses Tr rho by more than MASS_TOL."""
     grids = _grids_for(rho, grids)
     # Contiguous, not one factor's strided .real, so the contractions below use BLAS.
     h = np.ascontiguousarray(husimi(rho, grids)).reshape([len(g) for g in grids])
     if h.min() < -CLAMP_REL:
         raise RuntimeError(f"Husimi value {h.min():.3e} below -{CLAMP_REL:.0e}")
     mass = _integrate(h, grids)
-    if abs(mass - rho.trace()) > 1e-10:
+    if abs(mass - rho.trace()) > MASS_TOL:
         raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {rho.trace()!r}")
     floor, step = clamp_threshold(h), max(1, 8192 * len(h) // h.size)  # rows per ~64 KB block
     for lo in range(0, len(h), step):  # h ln h in place; nodes below the floor give exactly 0

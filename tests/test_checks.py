@@ -249,6 +249,13 @@ class TestGibbs:
         h = random_hermitian(6, 36)
         assert check_gibbs_variational(rho, h).passed
 
+    def test_rejects_h_beyond_the_state_asymmetry_bound(self, monkeypatch):
+        rho = random_density((2,), 2, 34)
+        h = np.array([[0.0, 5e-9], [0.0, 1.0]])
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="asymmetry 5.000e-09"):
+            check_gibbs_variational(rho, h)
+
     @pytest.mark.parametrize("dims,rank", [((2, 3), 6), ((2, 3), 1), ((4, 4, 4), 64)])
     def test_sides_match_dense_oracle(self, dims, rank):
         d = math.prod(dims)
@@ -504,6 +511,15 @@ class TestHolevo:
         q = random_povm(2, 2, 78)
         forbid_eigensolves(monkeypatch)
         with pytest.raises(ValueError, match="finite"):
+            check_holevo(weights, [rho, rho], q)
+
+    @pytest.mark.parametrize("weights", [[[0.5], [0.5]], [1.5, -0.5]], ids=["2-d", "negative"])
+    def test_rejects_malformed_weights_before_any_table(self, monkeypatch, weights):
+        rho = random_density((2,), 2, 77)
+        q = random_povm(2, 2, 78)
+        forbid_eigensolves(monkeypatch)
+        monkeypatch.setattr(qssa.checks, "shannon", lambda p: pytest.fail("table built"))
+        with pytest.raises(ValueError, match="weights"):
             check_holevo(weights, [rho, rho], q)
 
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report files, round trips, replay."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qssa.cli import main
+from qssa.cli import build_parser, main
 from qssa.linalg import DensityMatrix, density_from_json
 from qssa.measurement import kraus_from_json, povm_from_json
 from qssa.randgen import random_pure_state, rng_for
-from qssa.suites import SUITES
+from qssa.suites import SUITES, SuiteConfig
 from qssa.wehrl import husimi, make_grid
 
 from test_measurement import completeness_residual
@@ -26,6 +27,13 @@ def run(argv):
 
 
 class TestCheckCommand:
+    def test_defaults_are_suite_config_defaults(self):
+        args = build_parser().parse_args(["check"])
+        assert args.suite is None  # cmd_check then runs SuiteConfig.suites
+        for field in dataclasses.fields(SuiteConfig):
+            if field.name != "suites":
+                assert getattr(args, field.name) == field.default, field.name
+
     def test_ssa_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "r.ndjson"
         code = run(["check", "--suite", "ssa", "--dims", "2,2,2", "--trials", "10",
@@ -233,6 +241,13 @@ class TestGenCommand:
         assert run(["gen", *args, "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind,dims", [("kraus", "4"), ("povm", "3"), ("cq", "2,2,2")])
+    def test_rank_with_a_kind_that_ignores_it_exits_2(self, tmp_path, capsys, kind, dims):
+        out = tmp_path / "x.json"
+        assert run(["gen", "--kind", kind, "--dims", dims, "--rank", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: --rank applies to gen --kind density only, not {kind}\n"
 
     def test_value_error_during_generation_exits_4(self, tmp_path, monkeypatch, capsys):
         # a ValueError from the numerics is a crash, not a bad argument

@@ -66,8 +66,9 @@ def test_operand_count_reads_each_call_form(tmp_path):
 
 
 def test_only_linalg_binds_a_zero_floor():
-    # linalg.CLAMP_REL is the one floor under which values count as 0 and
-    # STATE_TOL the one mass tolerance; other modules import them
+    # linalg.CLAMP_REL is the one floor under which values count as 0, STATE_TOL
+    # the one validation bound and MASS_TOL the one bound on a mass computed two
+    # ways; other modules import them
     src = Path(qssa.__file__).parent
     offenders = [f"{path.name}:{line} binds {value!r}"
                  for path in sorted(src.glob("*.py")) if path.name != "linalg.py"

@@ -395,6 +395,17 @@ class TestHermitize:
         with pytest.raises(ValueError):
             hermitize(np.array([[1.0, 1e-4], [0.0, 1.0]]))
 
+    def test_operators_share_the_state_bound(self, monkeypatch):
+        # an operator 5e-9 off Hermitian is malformed, as a state would be,
+        # and is rejected before any eigensolve
+        m = np.array([[1.0, 5e-9], [0.0, 1.0]])
+        forbid_eigensolves(monkeypatch)
+        for fn in (hermitize, hermitian_eig):
+            with pytest.raises(ValueError, match="asymmetry 5.000e-09 exceeds tolerance 1.000e-09"):
+                fn(m)
+        with pytest.raises(ValueError, match="asymmetry"):
+            DensityMatrix(m / 2, (2,))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])

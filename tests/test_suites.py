@@ -1,11 +1,13 @@
 """Suite registry, suite runs, and failure aggregation."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import qssa.checks
+import qssa.linalg
 from qssa.cli import main
 from qssa.linalg import STATE_TOL, DensityMatrix
 from qssa.measurement import KrausSet, Povm
@@ -69,11 +71,20 @@ def _negative_part(m: np.ndarray) -> float:
 
 class TestValidationHeadroom:
     def test_suite_objects_sit_far_inside_state_tol(self, monkeypatch):
-        # Every state, Kraus set and POVM the suites build is validated against
-        # STATE_TOL; record each residual independently of the constructors and
-        # require a 1000x margin, so the one shared bound never decides a run.
-        residuals = {name: [] for name in ("trace", "negative_eig", "asymmetry", "completeness", "povm_sum")}
+        # Every state, Kraus set and POVM the suites build, and every operator
+        # `hermitize` symmetrizes (POVM elements, Gibbs H, matrix logs and roots,
+        # trace-exp exponents), is validated against STATE_TOL; record each
+        # residual independently of the validators and require a 1000x margin,
+        # so the one shared bound never decides a run.
+        residuals = {name: [] for name in ("trace", "negative_eig", "asymmetry", "completeness", "povm_sum",
+                                           "hermitize_input")}
         rho_init, kraus_init, povm_init = DensityMatrix.__init__, KrausSet.__init__, Povm.__init__
+        real_hermitize = qssa.linalg.hermitize
+
+        def record_hermitize(m):
+            m = np.asarray(m, dtype=complex)
+            residuals["hermitize_input"].append(float(np.abs(m - m.conj().T).max()))
+            return real_hermitize(m)
 
         def record_rho(self, mat, dims, **kw):
             # **kw passes kron_state's eigensystem through, so product states
@@ -102,8 +113,15 @@ class TestValidationHeadroom:
         monkeypatch.setattr(DensityMatrix, "__init__", record_rho)
         monkeypatch.setattr(KrausSet, "__init__", record_kraus)
         monkeypatch.setattr(Povm, "__init__", record_povm)
+        modules = [m for name, m in list(sys.modules.items())
+                   if name.startswith("qssa.") and getattr(m, "hermitize", None) is real_hermitize]
+        assert {m.__name__ for m in modules} >= {"qssa.linalg", "qssa.measurement", "qssa.checks"}
+        for module in modules:
+            monkeypatch.setattr(module, "hermitize", record_hermitize)
         for dims in ((2, 2, 2), (2, 3, 4)):
             run_suites(SuiteConfig(suites=["all"], dims=dims, trials=3, seed=11))
+        # every state is hermitized once; the surplus are operators
+        assert len(residuals["hermitize_input"]) > len(residuals["trace"])
         for name, values in residuals.items():
             assert values, name
             assert max(values) <= 1e-12 <= STATE_TOL / 1000, (name, max(values))
