@@ -28,7 +28,7 @@ import sys
 
 from .linalg import as_dims, density_to_json
 from .measurement import kraus_to_json, povm_to_json
-from .randgen import random_cq_state, random_density, random_kraus, random_povm
+from .randgen import random_cq_state, random_density, random_kraus, random_povm, require_seed, require_trials
 from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites
 from .wehrl import husimi, require_two_j, wehrl_min_scan
 
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", choices=("density", "kraus", "povm", "cq"), required=True)
     p_gen.add_argument("--dims", type=_parse_dims, default=(2, 2))
     p_gen.add_argument("--rank", type=int, default=None)
-    p_gen.add_argument("--count", type=int, default=2)
+    p_gen.add_argument("--count", type=int, default=None, help="operators of gen kraus or povm (default 2)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
 
@@ -82,6 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--rtol", type=float, default=1e-9,
                         help="allowed |change| per value, relative to max(1, |value in A|)")
     return parser
+
+
+def _usage(rule, value) -> None:
+    """Apply a library argument rule, whose ValueError is a bad argument."""
+    try:
+        rule(value)
+    except ValueError as exc:
+        raise UsageError(exc.args[0]) from exc
 
 
 def _write(path: str | None, text: str) -> None:
@@ -113,23 +121,25 @@ GEN_DIMS = {"kraus": (1, "4"), "povm": (1, "3"), "cq": (3, "2,2,2")}
 def cmd_gen(args) -> int:
     total = math.prod(args.dims)
     rank = total if args.rank is None else args.rank
+    count = 2 if args.count is None else args.count
     factors, example = GEN_DIMS.get(args.kind, (None, None))
-    if args.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {args.seed}")
+    _usage(require_seed, args.seed)
     if factors is not None and len(args.dims) != factors:
         raise UsageError(f"gen {args.kind} expects {factors} factor(s), e.g. --dims {example}, got {args.dims}")
     if args.kind != "density" and args.rank is not None:
         raise UsageError(f"--rank applies to gen --kind density only, not {args.kind}")
     if args.kind == "density" and not 1 <= rank <= total:
         raise UsageError(f"rank {rank} out of range 1..{total}")
-    if args.kind in ("kraus", "povm") and args.count < 1:
-        raise UsageError(f"count must be >= 1, got {args.count}")
+    if args.kind not in ("kraus", "povm") and args.count is not None:
+        raise UsageError(f"--count applies to gen --kind kraus or povm only, not {args.kind}")
+    if args.kind in ("kraus", "povm") and count < 1:
+        raise UsageError(f"count must be >= 1, got {count}")
     if args.kind == "density":
         obj = density_to_json(random_density(args.dims, rank, args.seed))
     elif args.kind == "kraus":
-        obj = kraus_to_json(random_kraus(args.dims[0], args.count, args.seed))
+        obj = kraus_to_json(random_kraus(args.dims[0], count, args.seed))
     elif args.kind == "povm":
-        obj = povm_to_json(random_povm(args.dims[0], args.count, args.seed))
+        obj = povm_to_json(random_povm(args.dims[0], count, args.seed))
     else:
         obj = density_to_json(random_cq_state(args.dims, args.seed))
     _write(args.out, json.dumps(obj, separators=(",", ":")) + "\n")
@@ -137,14 +147,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_wehrl(args) -> int:
-    try:
-        require_two_j(args.two_j)
-    except ValueError as exc:
-        raise UsageError(exc.args[0]) from exc
-    if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {args.seed}")
+    _usage(require_two_j, args.two_j)
+    _usage(require_trials, args.trials)
+    _usage(require_seed, args.seed)
     scan = wehrl_min_scan(args.two_j, args.trials, args.seed)
     lines = ["trial,seed,two_j,S_W,S,diff"]
     for row in scan["rows"]:

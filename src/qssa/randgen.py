@@ -22,6 +22,18 @@ RNG_NAME = "numpy-PCG64"
 Seed = int
 
 
+def require_seed(seed: Seed) -> None:
+    """ValueError unless seed >= 0, the one seed rule of the library and the CLI."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def require_trials(trials: int) -> None:
+    """ValueError unless trials >= 1: a run draws at least one random instance."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def _key(substream) -> tuple[int, ...]:
     """A substream key, an int or a sequence of ints, as a tuple of ints."""
     if isinstance(substream, (int, np.integer)):

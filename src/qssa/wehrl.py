@@ -25,12 +25,14 @@ f_mu(u) = <u|E_mu|u> and R_{mu,nu} = Tr rho (E_mu x E_nu) are real. At node
 G = a_b^2 or +-sqrt2 a_b a_c and tau_s = 1, cos m phi or sin m phi (m = c - b). Two
 spins take W[i,s,j,t] = sum_{mu in s, nu in t} G1[i,mu] R[mu,nu] G2[j,nu] group by
 group, then h[i,p,j,q] = sum_{s,t} tau1[p,s] W[i,s,j,t] tau2[q,t] one theta1 row at
-a time: about d/4 times fewer flops than F1 R F2^T on the N x d^2 features. One factor:
-h_i = sum_b (v_i^* rho)_b v_ib is one matrix product and a row sum.
+a time: about d/4 times fewer flops than F1 R F2^T on the N x d^2 features. One factor
+sums f_mu R_mu within each group: h[i,p] = sum_s x[i,s] tau[p,s], x = [D_0, 2 Re D_m, 2 Im D_m],
+D_m(theta_i) = sum_b a_b a_{b+m} rho[b, b+m], from one theta x (d - m) product per m.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -38,7 +40,7 @@ import numpy as np
 from .checks import least_convex_mixture
 from .linalg import CLAMP_REL, MASS_TOL, DensityMatrix, clamp_threshold, partial_trace, require_factors
 from .entropy import mutual_information, von_neumann
-from .randgen import Seed, random_pure_state, rng_for
+from .randgen import Seed, random_pure_state, require_trials, rng_for
 from .report import InequalityReport, make_report
 
 # Minimum node counts of the default grids; below ~48 theta nodes the
@@ -57,11 +59,11 @@ def require_two_j(two_j: int) -> None:
 
 
 class BlochGrid:
-    """Quadrature nodes, weights and coherent vectors on one spin factor. Node i * n_phi + p
-    sits at (thetas[i], phis[p]); its feature mu in groups[s] is theta_factors[i, mu] *
-    phi_factors[p, s]. `pairs` holds (b, c), b <= c, of the leading diagonal and cos elements."""
+    """Quadrature nodes and weights on one spin factor. Node i * n_phi + p sits at (thetas[i],
+    phis[p]) and its coherent vector is amps[i, k] e^{-ik phis[p]}; phi_factors[p] is tau(phis[p])
+    = (cos m phi, m = 0..2j, then sin m phi, m = 1..2j)."""
 
-    __slots__ = ("two_j", "thetas", "phis", "weights", "states", "theta_factors", "phi_factors", "pairs", "groups")
+    __slots__ = ("two_j", "thetas", "phis", "weights", "amps", "phi_factors")
 
     def __init__(self, two_j: int, thetas: np.ndarray, phis: np.ndarray, w_theta: np.ndarray):
         # Basis order is m = j, ..., -j, and the amplitude on k = j - m is a_k(theta) = sqrt(C(2j,k))
@@ -70,23 +72,13 @@ class BlochGrid:
         d, k = two_j + 1, np.arange(two_j + 1)
         half = thetas[:, None] / 2
         binom = np.sqrt([float(math.comb(two_j, kk)) for kk in range(d)])
-        amps = binom * np.cos(half) ** (two_j - k) * np.sin(half) ** k
         m_phi = np.outer(phis, k)
         self.two_j, self.thetas, self.phis = two_j, thetas, phis
         self.weights = np.repeat(w_theta, len(phis))
-        self.states = (amps[:, None, :] * np.exp(-1j * m_phi)).reshape(-1, d)  # row i * n_phi + p
-        for a in (thetas, phis, self.weights, self.states):
-            a.flags.writeable = False
-        # Pair group m = c - b holds the d - m pairs (b, b + m) from e[m] on; each sin
-        # element is p = d(d - 1)/2 behind its cos twin.
-        self.pairs = np.array([(b, b + m) for m in range(d) for b in range(d - m)]).T
-        pair_f = np.concatenate([amps[:, : d - m] * amps[:, m:] for m in range(d)], axis=1)
-        pair_f[:, d:] *= _SQRT2
-        self.theta_factors = np.concatenate([pair_f, -pair_f[:, d:]], axis=1)
+        self.amps = binom * np.cos(half) ** (two_j - k) * np.sin(half) ** k
         self.phi_factors = np.concatenate([np.cos(m_phi), np.sin(m_phi[:, 1:])], axis=1)
-        e, p = [m * d - m * (m - 1) // 2 for m in range(d + 1)], d * (d - 1) // 2
-        cos = [slice(e[m], e[m + 1]) for m in range(d)]
-        self.groups = cos + [slice(g.start + p, g.stop + p) for g in cos[1:]]
+        for a in (thetas, phis, self.weights, self.amps, self.phi_factors):
+            a.flags.writeable = False
 
     @property
     def nodes(self) -> np.ndarray:  # (theta, phi) per node
@@ -129,9 +121,11 @@ def make_grid(two_j: int, n_theta: int | None = None, n_phi: int | None = None) 
 
 
 def resolution_residual(grid: BlochGrid) -> float:
-    """Max-abs entry of sum_i w_i |Omega_i><Omega_i| - I."""
-    acc = (grid.states.conj().T * grid.weights) @ grid.states
-    return float(np.abs(acc - np.eye(grid.two_j + 1)).max())
+    """Max-abs entry of sum_i w_i |Omega_i><Omega_i| - I = ((A^T w_theta) A) o (Phi^dagger Phi) - I."""
+    d, w_theta = grid.two_j + 1, grid.weights[:: len(grid.phis)]
+    phases = np.exp(-1j * np.outer(grid.phis, np.arange(d)))
+    acc = ((grid.amps.T * w_theta) @ grid.amps) * (phases.conj().T @ phases)
+    return float(np.abs(acc - np.eye(d)).max())
 
 
 def _grids_for(rho: DensityMatrix, grids) -> tuple[BlochGrid, ...]:
@@ -150,13 +144,13 @@ def _grids_for(rho: DensityMatrix, grids) -> tuple[BlochGrid, ...]:
     return grids
 
 
-def _basis_coords(rho: DensityMatrix, g1: BlochGrid, g2: BlochGrid) -> np.ndarray:
-    """R[mu, nu] = Tr rho (E_mu x E_nu) in the grids' trig-grouped bases. As
+def _basis_coords(rho: DensityMatrix) -> np.ndarray:
+    """R[mu, nu] = Tr rho (E_mu x E_nu) in the trig-grouped bases. As
     E_mu = alpha |b><c| + h.c. (alpha = 1/2, 1/sqrt2 or -i/sqrt2), R is 2|alpha alpha'|
     times Re or Im of rho[(c,c'),(b,b')] +- rho[(c,b'),(b,c')]."""
-    (b1, c1), (b2, c2) = g1.pairs[:, :, None], g2.pairs
     (d1, d2), t = rho.dims, rho.mat.reshape(rho.dims * 2)
-    x, y = t[c1, c2, b1, b2], t[c1, b2, b1, c2]
+    (b1, c1), (b2, c2) = (np.array([(b, b + m) for m in range(d) for b in range(d - m)]).T for d in (d1, d2))
+    x, y = t[c1[:, None], c2, b1[:, None], b2], t[c1[:, None], b2, b1[:, None], c2]
     plus, minus = x + y, x - y
     r = np.block([[plus.real, minus.imag[:, d2:]], [plus.imag[d1:], -minus.real[d1:, d2:]]])
     r[:d1, :d2] /= 2  # |alpha| = 1/2 on diagonal elements, 1/sqrt2 on the others
@@ -165,30 +159,44 @@ def _basis_coords(rho: DensityMatrix, g1: BlochGrid, g2: BlochGrid) -> np.ndarra
     return r
 
 
-def husimi(rho: DensityMatrix, grids) -> np.ndarray:
-    """Diagonal coherent-state expectations h = <Omega|rho|Omega> per node.
+def _theta_factors(amps: np.ndarray) -> tuple[list[np.ndarray], list[slice]]:
+    """G and the slice among the d^2 basis elements of each trig group m = c - b, which holds the pairs
+    (b, b + m): cos m = 0..d-1 with G = a_b^2 or sqrt2 a_b a_c, then sin m = 1..d-1 with G = -sqrt2 a_b a_c."""
+    d = amps.shape[1]
+    cos = [amps * amps] + [amps[:, : d - m] * amps[:, m:] * _SQRT2 for m in range(1, d)]
+    factors = cos + [-f for f in cos[1:]]
+    ends = itertools.accumulate(f.shape[1] for f in factors)
+    return factors, [slice(e - f.shape[1], e) for f, e in zip(factors, ends)]
 
-    `grids` holds one grid per factor. One factor: h = rowsum((V^* rho) * V)
-    over the coherent vectors V. Two factors: the module docstring's grouped
-    products, flattened from the product grid in C order (first factor outer).
-    """
+
+def husimi(rho: DensityMatrix, grids) -> np.ndarray:
+    """Diagonal coherent-state expectations h = <Omega|rho|Omega> per node, on one grid per factor, by
+    the module docstring's D_m (one factor) or grouped products (two factors), flattened from the
+    product grid in C order (first factor outer)."""
     grids = _grids_for(rho, grids)
     if len(grids) == 1:
-        v = grids[0].states
-        return ((v.conj() @ rho.mat) * v).sum(axis=1).real
+        a, d, r = grids[0].amps, rho.dim, rho.mat
+        x = np.empty((len(a), 2 * d - 1))
+        x[:, 0] = (a * a) @ r.real.diagonal()
+        for m in range(1, d):  # one theta x (d - m) product at a time
+            p = a[:, : d - m] * a[:, m:]
+            x[:, m], x[:, d - 1 + m] = p @ r.real.diagonal(m), p @ r.imag.diagonal(m)
+        x[:, 1:] *= 2
+        return (x @ grids[0].phi_factors.T).ravel()
     if len(grids) == 2:
         g1, g2 = grids
-        r, n1, s1, s2 = _basis_coords(rho, g1, g2), len(g1.theta_factors), len(g1.groups), len(g2.groups)
+        (f1, s1), (f2, s2) = _theta_factors(g1.amps), _theta_factors(g2.amps)
+        r, n1 = _basis_coords(rho), len(g1.amps)
         # x[i, s, nu] sums over mu in group s, then w[i, t, s, j] over nu in group t. w[i]
         # fills the head of h[i] (2j + 1 < n_phi), which is written after w[i] is read.
-        x = np.stack([g1.theta_factors[:, s] @ r[s] for s in g1.groups], axis=1)
+        x = np.stack([f @ r[s] for f, s in zip(f1, s1)], axis=1)
         h = np.empty((n1, len(g1.phi_factors), len(g2)))
-        w = h.reshape(n1, -1)[:, : s2 * s1 * len(g2.theta_factors)].reshape(n1, s2, s1, -1)
-        for k, t in enumerate(g2.groups):
-            np.matmul(x[:, :, t], g2.theta_factors[:, t].T, out=w[:, k])
+        w = h.reshape(n1, -1)[:, : len(s2) * len(s1) * len(g2.amps)].reshape(n1, len(s2), len(s1), -1)
+        for k, (f, t) in enumerate(zip(f2, s2)):
+            np.matmul(x[:, :, t], f.T, out=w[:, k])
         for i in range(n1):  # row i's (s, j, q) intermediate stays in cache
-            y = w[i].reshape(s2, -1).T @ g2.phi_factors.T
-            np.matmul(g1.phi_factors, y.reshape(s1, -1), out=h[i])
+            y = w[i].reshape(len(s2), -1).T @ g2.phi_factors.T
+            np.matmul(g1.phi_factors, y.reshape(len(s1), -1), out=h[i])
         return h.ravel()
     raise ValueError("husimi supports one or two spin factors")
 
@@ -204,8 +212,7 @@ def wehrl_entropy(rho: DensityMatrix, grids) -> float:
     """Quadrature value of -integral h ln h over the sphere(s), on one grid per factor; RuntimeError
     if a Husimi value lies below -CLAMP_REL or their mass misses Tr rho by more than MASS_TOL."""
     grids = _grids_for(rho, grids)
-    # Contiguous, not one factor's strided .real, so the contractions below use BLAS.
-    h = np.ascontiguousarray(husimi(rho, grids)).reshape([len(g) for g in grids])
+    h = husimi(rho, grids).reshape([len(g) for g in grids])
     if h.min() < -CLAMP_REL:
         raise RuntimeError(f"Husimi value {h.min():.3e} below -{CLAMP_REL:.0e}")
     mass = _integrate(h, grids)
@@ -265,8 +272,7 @@ def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:
     quadrature error. Besides "rows" and "summary", the result carries that
     "grid" and the first state of least S_W as "best".
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    require_trials(trials)
     grid = make_grid(two_j)
     rows = []
     min_sw, best = math.inf, None

@@ -42,7 +42,6 @@ from qssa.randgen import (
 )
 from qssa.report import judge
 from qssa.wehrl import (
-    BlochGrid,
     check_wehrl_convexity,
     check_wehrl_dominates,
     check_wehrl_mutual_info,
@@ -54,6 +53,7 @@ from qssa.wehrl import (
 
 from test_linalg import kron_oracle, ptrace_oracle
 from test_entropy import classical_entropy_oracle
+from test_wehrl import bloch_state
 
 SEED = 42
 
@@ -208,7 +208,7 @@ def test_criterion_8_wehrl_suite():
     for two_j in range(1, 11):
         theta = float(np.arccos(rng.uniform(-1, 1)))
         phi = float(rng.uniform(0, 2 * math.pi))
-        v = BlochGrid(two_j, np.array([theta]), np.array([phi]), np.ones(1)).states[0]
+        v = bloch_state(two_j, theta, phi)
         rho = DensityMatrix(np.outer(v, v.conj()), (two_j + 1,))
         err = abs(wehrl_entropy(rho, (make_grid(two_j),)) - coherent_wehrl_value(two_j))
         assert err <= 1e-6, f"two_j={two_j}: coherent error {err}"

@@ -15,7 +15,7 @@ from qssa.cli import build_parser, main
 from qssa.linalg import DensityMatrix, density_from_json
 from qssa.measurement import kraus_from_json, povm_from_json
 from qssa.randgen import random_pure_state, rng_for
-from qssa.suites import SUITES, SuiteConfig
+from qssa.suites import SUITES, WEHRL_MAX_TWO_J, SuiteConfig
 from qssa.wehrl import husimi, make_grid
 
 from test_measurement import completeness_residual
@@ -118,11 +118,13 @@ class TestCheckCommand:
         ["--suite", "counterexample", "--d", "1"],
         ["--suite", "wehrl", "--two-j", "-1"],
         ["--suite", "wehrl", "--two-j", "1030"],
+        ["--suite", "wehrl", "--two-j", str(WEHRL_MAX_TWO_J + 1)],
         ["--suite", "gibbs", "--seed", "-1"],
         ["--suite", ","],
         ["--suite", ""],
         ["--suite", "all,bogus"],
-    ], ids=["dims", "d", "two-j", "two-j-above-grid", "seed", "comma", "empty", "all-and-unknown"])
+    ], ids=["dims", "d", "two-j", "two-j-above-grid", "two-j-above-suite", "seed", "comma", "empty",
+            "all-and-unknown"])
     def test_bad_arguments_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, args):
         def never(cfg):
             raise AssertionError("suite ran")
@@ -132,6 +134,19 @@ class TestCheckCommand:
         assert run(["check", *args, "--trials", "1", "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_wehrl_suite_spin_bound(self, tmp_path, monkeypatch, capsys):
+        # the largest spin whose two-spin instances the suite builds runs; one more exits 2
+        seen = []
+        monkeypatch.setattr("qssa.cli.run_suites", lambda cfg: seen.append(cfg.two_j) or [])
+        out = tmp_path / "r.ndjson"
+        assert run(["check", "--suite", "wehrl", "--two-j", str(WEHRL_MAX_TWO_J), "--out", str(out)]) == 0
+        assert seen == [WEHRL_MAX_TWO_J]
+        out.unlink()
+        capsys.readouterr()
+        assert run(["check", "--suite", "all", "--two-j", str(WEHRL_MAX_TWO_J + 1), "--out", str(out)]) == 2
+        assert not out.exists() and seen == [WEHRL_MAX_TWO_J]
+        assert capsys.readouterr().err == f"error: suite wehrl needs two_j <= {WEHRL_MAX_TWO_J}, got {WEHRL_MAX_TWO_J + 1}\n"
 
     def test_io_failure_exits_3(self, capsys):
         code = run(["check", "--suite", "ssa", "--trials", "1",
@@ -249,6 +264,13 @@ class TestGenCommand:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: --rank applies to gen --kind density only, not {kind}\n"
 
+    @pytest.mark.parametrize("kind,dims,count", [("density", "2", "7"), ("density", "2,2", "2"), ("cq", "2,2,2", "0")])
+    def test_count_with_a_kind_that_ignores_it_exits_2(self, tmp_path, capsys, kind, dims, count):
+        out = tmp_path / "x.json"
+        assert run(["gen", "--kind", kind, "--dims", dims, "--count", count, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: --count applies to gen --kind kraus or povm only, not {kind}\n"
+
     def test_value_error_during_generation_exits_4(self, tmp_path, monkeypatch, capsys):
         # a ValueError from the numerics is a crash, not a bad argument
         def boom(*args, **kwargs):
@@ -282,6 +304,20 @@ class TestGenCommand:
             run(command + ["--dims", dims])
         assert exc.value.code == 2
         assert f"bad dims {dims!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--suite", "ssa", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["check", "--suite", "ssa", "--seed", "-3"], "seed must be >= 0, got -3"),
+    (["gen", "--kind", "density", "--seed", "-3"], "seed must be >= 0, got -3"),
+    (["wehrl", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["wehrl", "--seed", "-3"], "seed must be >= 0, got -3"),
+], ids=["check-trials", "check-seed", "gen-seed", "wehrl-trials", "wehrl-seed"])
+def test_seed_and_trials_rules_read_alike_in_every_command(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestWehrlCommand:

@@ -14,6 +14,7 @@ from qssa.measurement import KrausSet, Povm
 from qssa.report import InequalityReport
 from qssa.suites import (
     SUITES,
+    WEHRL_MAX_TWO_J,
     SuiteConfig,
     _instances,
     reports_to_csv,
@@ -176,8 +177,10 @@ class TestRun:
         (["counterexample"], {"d": 1}),
         (["wehrl"], {"two_j": -1}),
         (["wehrl"], {"two_j": 1030}),
+        (["wehrl"], {"two_j": WEHRL_MAX_TWO_J + 1}),
         (["gibbs"], {"seed": -1}),
-    ], ids=["ssa-2", "cpt-4", "holevo-1", "all-2", "d-1", "two_j", "two_j-above-grid", "seed"])
+    ], ids=["ssa-2", "cpt-4", "holevo-1", "all-2", "d-1", "two_j", "two_j-above-grid", "two_j-above-suite",
+            "seed"])
     def test_bad_settings_rejected_before_running(self, suites, kwargs):
         with pytest.raises(ValueError):
             SuiteConfig(suites=suites, trials=1, **kwargs)
@@ -185,6 +188,10 @@ class TestRun:
     def test_settings_of_unselected_suites_are_not_checked(self):
         SuiteConfig(suites=["gibbs", "wehrl"], dims=(4,), d=1)
         SuiteConfig(suites=["mutual-info"], dims=(2, 3, 4, 5), two_j=-1)
+        SuiteConfig(suites=["ssa"], two_j=WEHRL_MAX_TWO_J + 1)
+
+    def test_wehrl_suite_accepts_its_largest_spin(self):
+        assert SuiteConfig(suites=["wehrl"], two_j=WEHRL_MAX_TWO_J).two_j == WEHRL_MAX_TWO_J
 
     def test_unknown_suite_rejected_at_construction(self):
         with pytest.raises(KeyError):

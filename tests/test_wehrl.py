@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from qssa.linalg import CLAMP_REL, DensityMatrix
 from qssa.randgen import random_density, random_povm, rng_for
 from qssa.wehrl import (
     MAX_TWO_J,
+    BlochGrid,
     _basis_coords,
+    _theta_factors,
     base_grid_sizes,
     check_wehrl_convexity,
     check_wehrl_dominates,
@@ -31,12 +34,18 @@ from qssa.wehrl import (
 
 
 def bloch_state(two_j, theta, phi):
-    """Coherent unit vector at sphere direction (theta, phi): entry k = j - m is
-    sqrt(C(2j,k)) cos^(2j-k)(theta/2) sin^k(theta/2) e^{-ik phi}, in BlochGrid's operation order."""
+    """Coherent unit vector at sphere direction (theta, phi), one row per direction if they are
+    arrays: entry k = j - m is sqrt(C(2j,k)) cos^(2j-k)(theta/2) sin^k(theta/2) e^{-ik phi}, in
+    BlochGrid's operation order."""
     k = np.arange(two_j + 1)
-    half = np.array([theta]) / 2
+    half = np.asarray(theta)[..., None] / 2
     amps = np.sqrt([float(math.comb(two_j, kk)) for kk in k]) * np.cos(half) ** (two_j - k) * np.sin(half) ** k
-    return amps * np.exp(-1j * (phi * k))
+    return amps * np.exp(-1j * (np.asarray(phi)[..., None] * k))
+
+
+def grid_states(grid):
+    """bloch_state at every node of the grid, (nodes, d), in node order."""
+    return bloch_state(grid.two_j, *grid.nodes.T)
 
 
 def coherent_density(two_j, theta, phi):
@@ -56,11 +65,11 @@ def trig_basis(d):
 
 
 def husimi_oracle(rho, grids):
-    """<Omega|rho|Omega> per node as a direct complex contraction."""
+    """<Omega|rho|Omega> per node as a direct complex contraction of bloch_state vectors."""
     if len(grids) == 1:
-        v = grids[0].states
+        v = grid_states(grids[0])
         return np.einsum("na,ab,nb->n", v.conj(), rho.mat, v, optimize=True).real
-    u, v = grids[0].states, grids[1].states
+    u, v = map(grid_states, grids)
     d1, d2 = rho.dims
     t = rho.mat.reshape(d1, d2, d1, d2)
     return np.einsum("ia,kb,abcd,ic,kd->ik", u.conj(), v.conj(), t, u, v, optimize=True).real.ravel()
@@ -183,9 +192,39 @@ class TestGrid:
     @pytest.mark.parametrize("two_j", [0, 1, 2, 5, 16, 40])
     @pytest.mark.parametrize("lean", [False, True])
     def test_states_are_bloch_states(self, two_j, lean):
+        # node i * n_phi + p's vector amps[i, k] (cos k phi_p - i sin k phi_p), read from the
+        # grid's amplitudes and tau, is bloch_state at that node
         g = make_grid(two_j, *(base_grid_sizes(two_j) if lean else ()))
-        for (theta, phi), state in zip(g.nodes, g.states):
+        d, n_phi = two_j + 1, len(g.phis)
+        sin = np.hstack([np.zeros((n_phi, 1)), g.phi_factors[:, d:]])
+        states = (g.amps[:, None, :] * (g.phi_factors[:, :d] - 1j * sin)).reshape(-1, d)
+        for (theta, phi), state in zip(g.nodes, states):
             assert np.array_equal(state, bloch_state(two_j, theta, phi))
+
+    @pytest.mark.parametrize("two_j", [0, 1, 3, 16, 40])
+    def test_residual_matches_dense_sum(self, two_j):
+        # on make_grid's grid and on a random product grid that resolves nothing, the factored
+        # residual agrees with max |sum_n w_n |Omega_n><Omega_n| - I| summed node by node
+        rng = rng_for(two_j, (111,))
+        n_theta, n_phi = base_grid_sizes(two_j)
+        for g in (make_grid(two_j),
+                  BlochGrid(two_j, rng.uniform(0, math.pi, n_theta), rng.uniform(0, 2 * math.pi, n_phi),
+                            rng.uniform(0.5, 1.5, n_theta) / n_phi)):
+            v = grid_states(g)
+            dense = np.abs((v.conj().T * g.weights) @ v - np.eye(two_j + 1)).max()
+            assert abs(resolution_residual(g) - dense) <= 1e-14 * max(1.0, dense)
+
+    def test_large_spin_grid_and_entropy_stay_small(self):
+        # a grid holds O(n_theta d + n_phi d) numbers and one-spin Husimi values need no
+        # node x dim table: at 2j = 128, (n_theta n_phi) x d complex vectors alone are 70 MB
+        rho = random_density((129,), 129, 112)
+        tracemalloc.start()
+        try:
+            assert math.isfinite(wehrl_entropy(rho, (make_grid(128),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_weights_sum_to_dim(self):
         for two_j in (1, 5, 12):
@@ -331,13 +370,15 @@ class TestHusimiKernel:
         grids = tuple(make_grid(j, *base_grid_sizes(j)) for j in two_js)
         e1, e2 = (trig_basis(d) for d in dims)
         dense = np.einsum("xyuv,mux,nvy->mn", rho.mat.reshape(*dims, *dims), e1, e2).real
-        assert np.abs(_basis_coords(rho, *grids) - dense).max() <= 1e-15
+        assert np.abs(_basis_coords(rho) - dense).max() <= 1e-15
         for g, e in zip(grids, (e1, e2)):
-            direct = np.einsum("na,mab,nb->nm", g.states.conj(), e, g.states).real
+            v = grid_states(g)
+            direct = np.einsum("na,mab,nb->nm", v.conj(), e, v).real
+            factors, groups = _theta_factors(g.amps)
             group = np.zeros(len(e), dtype=int)
-            for k, sl in enumerate(g.groups):
+            for k, sl in enumerate(groups):
                 group[sl] = k
-            factored = g.theta_factors[:, None, :] * g.phi_factors[None, :, group]
+            factored = np.hstack(factors)[:, None, :] * g.phi_factors[None, :, group]
             assert np.abs(factored.reshape(len(g), -1) - direct).max() <= 1e-15
 
     @pytest.mark.parametrize("two_js", [(0, 4), (3, 3), (6, 2)])
@@ -436,7 +477,8 @@ class TestWehrlScan:
         a = wehrl_min_scan(4, 10, 7)
         b = wehrl_min_scan(4, 10, 7)
         assert (a["rows"], a["summary"]) == (b["rows"], b["summary"])
-        assert np.array_equal(a["grid"].states, b["grid"].states)
+        assert np.array_equal(grid_states(a["grid"]), grid_states(b["grid"]))
+        assert np.array_equal(a["grid"].weights, b["grid"].weights)
         assert np.array_equal(a["best"].mat, b["best"].mat)
 
     def test_scan_reports_margin(self):
