@@ -25,6 +25,7 @@ import ctypes
 import json
 import math
 import sys
+from typing import Iterable, Iterator
 
 from .linalg import as_dims, density_to_json
 from .measurement import kraus_to_json, povm_to_json
@@ -92,12 +93,13 @@ def _usage(rule, value) -> None:
         raise UsageError(exc.args[0]) from exc
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_check(args) -> int:
@@ -236,13 +238,14 @@ def _husimi_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".husimi.csv"
 
 
-def _husimi_csv(scan: dict) -> str:
-    """The scan grid's nodes and weights with its least-S_W state's (already guarded) Husimi values."""
+def _husimi_csv(scan: dict) -> Iterator[str]:
+    """The scan grid's nodes and weights with its least-S_W state's (already guarded) Husimi values,
+    as CSV text one theta row at a time."""
     grid = scan["grid"]
-    lines = ["theta,phi,weight,value"]
-    for (th, ph), w, v in zip(grid.nodes, grid.weights, husimi(scan["best"], (grid,))):
-        lines.append(f"{float(th)!r},{float(ph)!r},{float(w)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    values = husimi(scan["best"], (grid,)).reshape(len(grid.thetas), -1)
+    yield "theta,phi,weight,value\n"
+    for th, w, row in zip(grid.thetas, grid.weights[:: len(grid.phis)], values):
+        yield "".join(f"{float(th)!r},{float(ph)!r},{float(w)!r},{float(v)!r}\n" for ph, v in zip(grid.phis, row))
 
 
 def _one_blas_thread() -> None:

@@ -53,19 +53,21 @@ def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
 
 
 def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return ((M + M†)/2, max-abs asymmetry); error beyond `STATE_TOL` or on NaN/inf."""
+    """Return ((M + M†)/2, max-abs asymmetry); error beyond `STATE_TOL` or on NaN/inf. One full-size
+    buffer: M† is written into it, |M - M†| checked in ~64 KB row blocks, then M added and halved."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
-    mh = m.conj().T
-    herm = m - mh
-    asym = float(np.abs(herm).max()) if m.size else 0.0
+    herm, step = np.conjugate(m.T, order="C"), max(1, 4096 // max(1, len(m)))  # rows per ~64 KB
+    if len(m) <= step:
+        asym = float(np.abs(m - herm).max()) if m.size else 0.0
+    else:  # no temporary of M's size
+        asym = max(float(np.abs(m[lo : lo + step] - herm[lo : lo + step]).max()) for lo in range(0, len(m), step))
     if asym > STATE_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {STATE_TOL:.3e}")
-    # (M + M†)/2 reuses the buffer of M - M†: one full-size temporary fewer
-    np.add(m, mh, out=herm)
+    herm += m
     herm /= 2
     return herm, asym
 

@@ -39,8 +39,8 @@ SUITES: dict[str, Callable[[SuiteConfig], list[InequalityReport]]] = {}
 # factors), 2 the first two of at least two. Suites not listed ignore --dims.
 DIMS_FACTORS: dict[str, int] = {}
 # Largest spin the wehrl suite accepts. Each instance eigensolves (2j+1)^2-dim states and
-# integrates Husimi values on ((2j+4)(4j+4))^2 product-grid nodes: one instance took 2.1 s
-# and 165 MB peak RSS at 2j = 32, 6.9 s and 330 MB at 40, 22 s and 592 MB at 48.
+# streams Husimi values over ((2j+4)(4j+4))^2 product-grid nodes: one instance took 1.8 s
+# and 94 MB peak RSS at 2j = 32, 4.8 s and 171 MB at 40, 13-15 s and 307 MB at 48.
 WEHRL_MAX_TWO_J = 48
 _STREAM_IDS: set[int] = set()
 

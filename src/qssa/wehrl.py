@@ -13,8 +13,8 @@ small j is the worst case). `grids=None` means the resolution-exact base
 grids, and only the inequality checks default to it: every inequality among
 Wehrl-type entropies holds exactly on them, only absolute values converge less.
 The convexity check takes its worst mixture from the shared `checks.least_convex_mixture`.
-Every S_W comes from `wehrl_entropy`, the one place that checks Husimi values: none
-below -CLAMP_REL, and their weighted mass equal to Tr rho within MASS_TOL.
+Every S_W comes from `wehrl_entropy`, which streams Husimi values in blocks of theta1 rows and
+is the one place that checks them: none below -CLAMP_REL, weighted mass Tr rho within MASS_TOL.
 
 Husimi values are a real bilinear form. With the orthonormal Hermitian
 basis {E_mu} of d x d matrices (the diagonal units |b><b|, then
@@ -133,6 +133,8 @@ def _grids_for(rho: DensityMatrix, grids) -> tuple[BlochGrid, ...]:
 
     None builds one grid of the resolution-exact base sizes per factor.
     """
+    if len(rho.dims) > 2:
+        raise ValueError("husimi supports one or two spin factors")
     if grids is None:
         return tuple(make_grid(d - 1, *base_grid_sizes(d - 1)) for d in rho.dims)
     grids = tuple(grids)
@@ -169,60 +171,73 @@ def _theta_factors(amps: np.ndarray) -> tuple[list[np.ndarray], list[slice]]:
     return factors, [slice(e - f.shape[1], e) for f, e in zip(factors, ends)]
 
 
-def husimi(rho: DensityMatrix, grids) -> np.ndarray:
-    """Diagonal coherent-state expectations h = <Omega|rho|Omega> per node, on one grid per factor, by
-    the module docstring's D_m (one factor) or grouped products (two factors), flattened from the
-    product grid in C order (first factor outer)."""
-    grids = _grids_for(rho, grids)
+def _husimi_blocks(rho: DensityMatrix, grids: tuple[BlochGrid, ...]):
+    """Yield (nodes, h): Husimi values at the first factor's nodes `nodes` (a slice) times the N2 nodes
+    of the second (N2 = 1 for one spin, one block: its x is as large as h). Two spins take an even
+    number of theta1 rows per ~64 KB block, in one buffer that the next block overwrites."""
     if len(grids) == 1:
-        a, d, r = grids[0].amps, rho.dim, rho.mat
-        x = np.empty((len(a), 2 * d - 1))
-        x[:, 0] = (a * a) @ r.real.diagonal()
+        (g,), d, r = grids, rho.dim, rho.mat
+        x = np.empty((len(g.amps), 2 * d - 1))
+        x[:, 0] = (g.amps * g.amps) @ r.real.diagonal()
         for m in range(1, d):  # one theta x (d - m) product at a time
-            p = a[:, : d - m] * a[:, m:]
+            p = g.amps[:, : d - m] * g.amps[:, m:]
             x[:, m], x[:, d - 1 + m] = p @ r.real.diagonal(m), p @ r.imag.diagonal(m)
         x[:, 1:] *= 2
-        return (x @ grids[0].phi_factors.T).ravel()
-    if len(grids) == 2:
-        g1, g2 = grids
-        (f1, s1), (f2, s2) = _theta_factors(g1.amps), _theta_factors(g2.amps)
-        r, n1 = _basis_coords(rho), len(g1.amps)
-        # x[i, s, nu] sums over mu in group s, then w[i, t, s, j] over nu in group t. w[i]
-        # fills the head of h[i] (2j + 1 < n_phi), which is written after w[i] is read.
-        x = np.stack([f @ r[s] for f, s in zip(f1, s1)], axis=1)
-        h = np.empty((n1, len(g1.phi_factors), len(g2)))
-        w = h.reshape(n1, -1)[:, : len(s2) * len(s1) * len(g2.amps)].reshape(n1, len(s2), len(s1), -1)
+        h, x = x @ g.phi_factors.T, None  # x is freed before h is read
+        yield slice(None), h.reshape(-1, 1)
+        return
+    g1, g2 = grids
+    (f1, s1), (f2, s2) = _theta_factors(g1.amps), _theta_factors(g2.amps)
+    r, n1, n_phi, n2 = _basis_coords(rho), len(g1.amps), len(g1.phis), len(g2)
+    x = np.empty((n1, len(s1), r.shape[1]))  # x[i, s, nu] sums over mu in group s
+    for k, (f, s) in enumerate(zip(f1, s1)):
+        np.matmul(f, r[s], out=x[:, k])
+    del r
+    step = max(2, 8192 // (n_phi * n2) // 2 * 2)  # even: with n_phi even, h @ w2 groups rows as on all h
+    buf = np.empty((min(step, n1), n_phi, n2))
+    for lo in range(0, n1, step):
+        # w[i, t, s, j] sums over nu in group t. w[i] fills the head of h[i] (2j + 1 < n_phi),
+        # which is written after w[i] is read.
+        h = buf[: min(step, n1 - lo)]
+        w = h.reshape(len(h), -1)[:, : len(s2) * len(s1) * len(g2.amps)].reshape(len(h), len(s2), len(s1), -1)
         for k, (f, t) in enumerate(zip(f2, s2)):
-            np.matmul(x[:, :, t], f.T, out=w[:, k])
-        for i in range(n1):  # row i's (s, j, q) intermediate stays in cache
+            np.matmul(x[lo : lo + len(h), :, t], f.T, out=w[:, k])
+        for i in range(len(h)):  # row i's (s, j, q) intermediate stays in cache
             y = w[i].reshape(len(s2), -1).T @ g2.phi_factors.T
             np.matmul(g1.phi_factors, y.reshape(len(s1), -1), out=h[i])
-        return h.ravel()
-    raise ValueError("husimi supports one or two spin factors")
+        yield slice(lo * n_phi, (lo + len(h)) * n_phi), h.reshape(-1, n2)
 
 
-def _integrate(f: np.ndarray, grids: tuple[BlochGrid, ...]) -> float:
-    """sum of w f over the product grid, one factor's weights at a time: no joint-weight array."""
-    for g in reversed(grids):
-        f = f @ g.weights
-    return float(f)
+def husimi(rho: DensityMatrix, grids) -> np.ndarray:
+    """Diagonal coherent-state expectations h = <Omega|rho|Omega> per node, on one grid per factor,
+    flattened from the product grid in C order (first factor outer)."""
+    grids = _grids_for(rho, grids)
+    h = np.empty((len(grids[0]), math.prod(len(g) for g in grids[1:])))
+    for nodes, block in _husimi_blocks(rho, grids):
+        h[nodes] = block
+    return h.ravel()
 
 
 def wehrl_entropy(rho: DensityMatrix, grids) -> float:
     """Quadrature value of -integral h ln h over the sphere(s), on one grid per factor; RuntimeError
-    if a Husimi value lies below -CLAMP_REL or their mass misses Tr rho by more than MASS_TOL."""
-    grids = _grids_for(rho, grids)
-    h = husimi(rho, grids).reshape([len(g) for g in grids])
-    if h.min() < -CLAMP_REL:
-        raise RuntimeError(f"Husimi value {h.min():.3e} below -{CLAMP_REL:.0e}")
-    mass = _integrate(h, grids)
-    if abs(mass - rho.trace()) > MASS_TOL:
-        raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {rho.trace()!r}")
-    floor, step = clamp_threshold(h), max(1, 8192 * len(h) // h.size)  # rows per ~64 KB block
-    for lo in range(0, len(h), step):  # h ln h in place; nodes below the floor give exactly 0
-        block = h[lo : lo + step]
-        block *= np.log(block, out=np.zeros_like(block), where=block >= floor)
-    return -_integrate(h, grids)
+    if a Husimi value lies below -CLAMP_REL or their mass misses Tr rho by more than MASS_TOL.
+    Each block's h and h ln h are summed over the second factor, then all over the first. h ln h is 0
+    below CLAMP_REL * max(1, Tr rho): as h <= lambda_max(rho) <= Tr rho, that is CLAMP_REL * max(1,
+    max h) unless rounding lifts some h above max(1, Tr rho)."""
+    grids, tr = _grids_for(rho, grids), rho.trace()
+    w2 = grids[1].weights if len(grids) == 2 else np.ones(1)
+    least, floor, (mass, ent) = math.inf, clamp_threshold(tr), np.empty((2, len(grids[0])))
+    for nodes, h in _husimi_blocks(rho, grids):
+        least = min(least, float(h.min()))
+        np.matmul(h, w2, out=mass[nodes])
+        h *= np.log(h, out=np.zeros_like(h), where=h >= floor)  # in place
+        np.matmul(h, w2, out=ent[nodes])
+    if least < -CLAMP_REL:
+        raise RuntimeError(f"Husimi value {least:.3e} below -{CLAMP_REL:.0e}")
+    mass = float(mass @ grids[0].weights)
+    if abs(mass - tr) > MASS_TOL:
+        raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {tr!r}")
+    return -float(ent @ grids[0].weights)
 
 
 def coherent_wehrl_value(two_j: int) -> float:

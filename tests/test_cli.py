@@ -4,13 +4,16 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qssa.cli
 from qssa.cli import build_parser, main
 from qssa.linalg import DensityMatrix, density_from_json
 from qssa.measurement import kraus_from_json, povm_from_json
@@ -19,7 +22,7 @@ from qssa.suites import SUITES, WEHRL_MAX_TWO_J, SuiteConfig
 from qssa.wehrl import husimi, make_grid
 
 from test_measurement import completeness_residual
-from test_wehrl import corrupt_husimi
+from test_wehrl import GUARDS, corrupt_husimi
 
 
 def run(argv):
@@ -180,12 +183,13 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("kind", ["node", "mass"])
     def test_husimi_guard_exits_4(self, tmp_path, monkeypatch, capsys, kind):
-        # every S_W of the wehrl suite passes wehrl_entropy's guard
+        # every S_W of the wehrl suite passes wehrl_entropy's guard; the moved node also
+        # moves the mass here, so the message names which guard fired
         corrupt_husimi(monkeypatch, kind)
         out = tmp_path / "r.ndjson"
         assert run(["check", "--suite", "wehrl", "--two-j", "2", "--trials", "2",
                     "--out", str(out)]) == 4
-        assert "RuntimeError: Husimi" in capsys.readouterr().err
+        assert re.search(f"RuntimeError: Husimi .*{dict(GUARDS)[kind]}", capsys.readouterr().err)
 
     def test_multiple_suites_in_order(self, tmp_path):
         out = tmp_path / "m.ndjson"
@@ -378,6 +382,28 @@ class TestWehrlCommand:
         values = husimi(DensityMatrix(np.outer(psi, psi.conj()), (5,)), made)
         rows = (tmp_path / "scan.husimi.csv").read_text().strip().split("\n")[1:]
         assert [float(r.split(",")[3]) for r in rows] == values.tolist()
+
+    def test_emit_husimi_writes_one_theta_row_at_a_time(self, tmp_path, monkeypatch, capsys):
+        # after the scan, the node CSV is written row by row: its text is never held whole
+        scan, held = qssa.cli.wehrl_min_scan, []
+
+        def scan_then_reset_peak(*args):
+            result = scan(*args)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return result
+
+        monkeypatch.setattr(qssa.cli, "wehrl_min_scan", scan_then_reset_peak)
+        out = tmp_path / "scan.csv"
+        tracemalloc.start()
+        try:
+            assert run(["wehrl", "--two-j", "64", "--trials", "1", "--seed", "0",
+                        "--out", str(out), "--emit-husimi"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "scan.husimi.csv").stat().st_size
+        assert peak < size / 2, f"{peak} bytes allocated for a {size}-byte CSV"
 
     def test_min_below_coherent_exits_1(self, tmp_path, monkeypatch, capsys):
         # a scan minimum below the coherent value is a failed check: exit 1, files and summary kept

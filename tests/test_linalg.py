@@ -1,5 +1,7 @@
 """Core linear algebra against brute-force index oracles and golden cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,19 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix([[bad, 0], [0, 0.5]], (2,))
 
+    def test_validation_holds_one_copy_of_the_state(self):
+        # hermitize writes M† into its result and symmetrizes in place, so validating a
+        # 1089-dim state (two 2j = 32 spins) allocates its bytes once, with no temporaries
+        # of its size
+        m = np.eye(1089, dtype=complex) / 1089
+        tracemalloc.start()
+        try:
+            DensityMatrix(m, (33, 33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * m.nbytes, f"peak {peak / m.nbytes:.2f}x the state's bytes"
+
     def test_matrix_is_frozen(self):
         rho = random_density((2,), 2, 5)
         with pytest.raises(ValueError):
@@ -412,6 +427,24 @@ class TestHermitize:
     def test_rejects_non_finite(self, bad, at):
         m = np.eye(2, dtype=complex)
         m[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitize(m)
+
+    def test_row_blocks_give_the_bits_of_one_pass(self):
+        # 100 rows span three row blocks; the result and the asymmetry are those of (M + M†)/2
+        # and max |M - M†| over the whole matrix
+        m = complex_gaussian(rng_for(113), (100, 100))
+        m = m + m.conj().T
+        m[97, 3] += 1e-10
+        herm, asym = hermitize(m)
+        assert np.array_equal(herm, (m + m.conj().T) / 2) and herm.flags.c_contiguous
+        assert asym == np.abs(m - m.conj().T).max() > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("at", [(99, 0), (0, 99), (99, 99)])
+    def test_rejects_non_finite_in_a_later_block(self, at):
+        m = np.eye(100, dtype=complex)
+        m[at] = float("inf")
         with pytest.raises(ValueError, match="non-finite"):
             hermitize(m)
 

@@ -12,7 +12,7 @@ import qssa.linalg
 import qssa.wehrl
 from qssa.checks import check_convexity_cl_minus_q
 from qssa.entropy import von_neumann
-from qssa.linalg import CLAMP_REL, DensityMatrix
+from qssa.linalg import CLAMP_REL, DensityMatrix, kron_state
 from qssa.randgen import random_density, random_povm, rng_for
 from qssa.wehrl import (
     MAX_TWO_J,
@@ -81,19 +81,21 @@ def node_weights(grids):
 
 
 def corrupt_husimi(monkeypatch, kind, size=1e-9):
-    """Patch `qssa.wehrl.husimi` so its least value becomes -size ("node") or its
-    values are scaled by 1 + size, moving a unit mass by size ("mass")."""
-    real = qssa.wehrl.husimi
+    """Patch `qssa.wehrl._husimi_blocks`, the Husimi values `wehrl_entropy` reads, so their least
+    value becomes -size ("node") or they are scaled by 1 + size, moving a unit mass by size ("mass")."""
+    real = qssa.wehrl._husimi_blocks
 
     def patched(rho, grids):
-        h = real(rho, grids).copy()
+        blocks = [(nodes, h.copy()) for nodes, h in real(rho, grids)]  # each h reuses one buffer
         if kind == "node":
-            h[np.argmin(h)] = -size
-        else:
-            h *= 1 + size
-        return h
+            h = min((h for _, h in blocks), key=np.min)
+            h.flat[np.argmin(h)] = -size
+        for nodes, h in blocks:
+            if kind == "mass":
+                h *= 1 + size
+            yield nodes, h
 
-    monkeypatch.setattr(qssa.wehrl, "husimi", patched)
+    monkeypatch.setattr(qssa.wehrl, "_husimi_blocks", patched)
 
 
 def wehrl_oracle(rho, grids, floor=CLAMP_REL):
@@ -225,6 +227,19 @@ class TestGrid:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_two_spin_entropy_streams_its_husimi_values(self):
+        # wehrl_entropy reads the Husimi values in blocks of theta1 rows: at 2j = 32 on the
+        # lean grids the 2448^2 product-grid values alone would be 48 MB
+        a, b = (random_density((33,), 33, 114, k) for k in range(2))
+        rho, grid = kron_state(a, b), make_grid(32, *base_grid_sizes(32))
+        tracemalloc.start()
+        try:
+            assert math.isfinite(wehrl_entropy(rho, (grid, grid)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_weights_sum_to_dim(self):
         for two_j in (1, 5, 12):
