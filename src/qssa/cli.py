@@ -12,10 +12,11 @@ thread, as eigensolves of 192 dims and more differ between thread counts.
 lets `OSError` through (`I/O error: <exception>`, exit 3); anything else
 raised, a `ValueError` from the numerics included, exits 4.
 
-`qssa diff A B` compares two NDJSON report files line by line: 0 when they
-agree within --rtol, 1 on a verdict flip or a larger change, 2 when the
-files do not list the same reports or are not UTF-8 text, 3 on an I/O
-failure.
+`qssa diff A B` compares two NDJSON report files, pairing reports by
+(name, seed, suite, instance): 0 when they agree within --rtol, 1 on a
+verdict flip, a larger change or a report found in one file only, 2 when a
+line is not a report, an id repeats or a file is not UTF-8 text, 3 on an
+I/O failure.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ import math
 import sys
 from typing import Iterable, Iterator
 
-from .linalg import as_dims, density_to_json
-from .measurement import kraus_to_json, povm_to_json
+from .linalg import as_dims
 from .randgen import random_cq_state, random_density, random_kraus, random_povm, require_seed, require_trials
-from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites
+from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites, to_json
 from .wehrl import husimi, require_two_j, wehrl_min_scan
 
 
@@ -137,14 +137,14 @@ def cmd_gen(args) -> int:
     if args.kind in ("kraus", "povm") and count < 1:
         raise UsageError(f"count must be >= 1, got {count}")
     if args.kind == "density":
-        obj = density_to_json(random_density(args.dims, rank, args.seed))
+        obj = random_density(args.dims, rank, args.seed)
     elif args.kind == "kraus":
-        obj = kraus_to_json(random_kraus(args.dims[0], count, args.seed))
+        obj = random_kraus(args.dims[0], count, args.seed)
     elif args.kind == "povm":
-        obj = povm_to_json(random_povm(args.dims[0], count, args.seed))
+        obj = random_povm(args.dims[0], count, args.seed)
     else:
-        obj = density_to_json(random_cq_state(args.dims, args.seed))
-    _write(args.out, json.dumps(obj, separators=(",", ":")) + "\n")
+        obj = random_cq_state(args.dims, args.seed)
+    _write(args.out, json.dumps(to_json(obj), separators=(",", ":")) + "\n")
     return 0
 
 
@@ -187,30 +187,39 @@ def _delta(x, y) -> float:
     return d if d == d else math.inf
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_reports(path: str) -> dict:
+    """(name, seed, suite, instance) -> (line number, line, parsed report) of an NDJSON report file;
+    UsageError for a file that is not UTF-8 text, a line that is not a report or a repeated id."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.read().splitlines()
+            lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:
             raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+    reports = {}
+    for i, line in enumerate(lines, 1):
+        try:
+            r = json.loads(line)
+            rid = _report_id(r)
+            if rid in reports:
+                raise UsageError(f"line {i} of {path} repeats report {rid} of line {reports[rid][0]}")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UsageError(f"line {i} is not a report ({path}): {exc!r}") from exc
+        reports[rid] = (i, line, r)
+    return reports
 
 
 def cmd_diff(args) -> int:
     if not (math.isfinite(args.rtol) and args.rtol >= 0):
         raise UsageError(f"rtol must be finite and >= 0, got {args.rtol!r}")
-    lines_a, lines_b = _read_lines(args.a), _read_lines(args.b)
-    if len(lines_a) != len(lines_b):
-        raise UsageError(f"{len(lines_a)} reports in {args.a}, {len(lines_b)} in {args.b}")
+    reports_a, reports_b = _read_reports(args.a), _read_reports(args.b)
     by_name = {}  # report name -> lines changed, lines, largest |dlhs| and |drhs|
     flips, over = [], 0
-    for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
-        try:
-            ra, rb = json.loads(la), json.loads(lb)
-            id_a, id_b = _report_id(ra), _report_id(rb)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise UsageError(f"line {i} is not a report: {exc!r}") from exc
-        if id_a != id_b:
-            raise UsageError(f"line {i} is {id_a} in {args.a} but {id_b} in {args.b}")
+    only = [f"only in A: {rid}" for rid in reports_a if rid not in reports_b]
+    only += [f"only in B: {rid}" for rid in reports_b if rid not in reports_a]
+    for rid, (i, la, ra) in reports_a.items():
+        if rid not in reports_b:
+            continue
+        _, lb, rb = reports_b[rid]
         row = by_name.setdefault(ra["name"], {"changed": 0, "lines": 0, "lhs": 0.0, "rhs": 0.0})
         row["changed"] += la != lb
         row["lines"] += 1
@@ -220,18 +229,18 @@ def cmd_diff(args) -> int:
                 row[key] = max(row[key], d)
                 over += d == math.inf or d > args.rtol * max(1.0, abs(ra[key]))
         if (ra.get("pass"), ra.get("status")) != (rb.get("pass"), rb.get("status")):
-            flips.append(f"flip: line {i} {ra['name']} (suite {id_a[2]}, instance {id_a[3]}): "
+            flips.append(f"flip: line {i} {ra['name']} (suite {rid[2]}, instance {rid[3]}): "
                          f"pass {ra.get('pass')} -> {rb.get('pass')}, "
                          f"status {ra.get('status')} -> {rb.get('status')}")
     print(f"{'name':<28} {'changed':>11} {'max|dlhs|':>10} {'max|drhs|':>10}")
     for name, row in by_name.items():
         counts = f"{row['changed']}/{row['lines']}"
         print(f"{name:<28} {counts:>11} {row['lhs']:>10.2e} {row['rhs']:>10.2e}")
-    print("\n".join(flips) if flips else "no verdict flips")
-    changed = sum(row["changed"] for row in by_name.values())
-    print(f"{changed} of {len(lines_a)} lines changed; {over} values beyond rtol {args.rtol:g}; "
-          f"{len(flips)} verdict flips")
-    return 1 if flips or over else 0
+    print("\n".join(only + (flips or ["no verdict flips"])))
+    changed = sum(row["changed"] for row in by_name.values()) + len(only)
+    print(f"{changed} of {len(reports_a.keys() | reports_b.keys())} lines changed ({len(only)} in one file only); "
+          f"{over} values beyond rtol {args.rtol:g}; {len(flips)} verdict flips")
+    return 1 if flips or over or only else 0
 
 
 def _husimi_path(out: str) -> str:

@@ -3,7 +3,7 @@
 States live on a product of finite-dimensional factors, described by a
 plain tuple of factor dimensions (d1, ..., dn) that `as_dims` validates.
 Factors are labeled 1..n throughout the public API, `ptrace_mat` included
-(the same labels appear in the JSON wire formats). All operations are pure
+(the same labels appear in the JSON wire format of `suites`). All operations are pure
 functions of immutable inputs; arrays held by :class:`DensityMatrix` (its
 matrix and, once solved, its eigensystem) are frozen, and so are the copies
 `square_ops` makes of operator lists such as Kraus families and POVMs.
@@ -250,35 +250,3 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 
-
-# --- JSON wire formats -----------------------------------------------------
-#
-# ComplexMatrix: {"rows": n, "cols": m, "re": [[...]], "im": [[...]]}
-# DensityMatrix adds {"dims": [d1, ...]}.
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    m = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-    if m.shape != (obj["rows"], obj["cols"]):
-        raise ValueError(f"shape {m.shape} inconsistent with rows/cols {(obj['rows'], obj['cols'])}")
-    return m
-
-
-def density_to_json(rho: DensityMatrix) -> dict:
-    out = matrix_to_json(rho.mat)
-    out["dims"] = list(rho.dims)
-    return out
-
-
-def density_from_json(obj: dict) -> DensityMatrix:
-    return DensityMatrix(matrix_from_json(obj), obj["dims"])

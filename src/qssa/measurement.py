@@ -24,8 +24,6 @@ from .linalg import (
     _as_int,
     clamp_threshold,
     hermitize,
-    matrix_from_json,
-    matrix_to_json,
     partial_trace,
     ptrace_mat,
     require_factors,
@@ -242,21 +240,3 @@ def povm_joint_distribution(rho12: DensityMatrix, p: Povm, q: Povm) -> np.ndarra
     conds = povm_conditionals(rho12, p, factor=1)
     return (conds.reshape(len(p), -1) @ q.rows.T).real
 
-
-# --- JSON wire formats -----------------------------------------------------
-
-
-def kraus_to_json(k: KrausSet) -> dict:
-    return {"acts_on": list(k.acts_on), "ops": [matrix_to_json(op) for op in k.ops]}
-
-
-def kraus_from_json(obj: dict) -> KrausSet:
-    return KrausSet([matrix_from_json(o) for o in obj["ops"]], acts_on=tuple(obj["acts_on"]))
-
-
-def povm_to_json(p: Povm) -> dict:
-    return {"ops": [matrix_to_json(el) for el in p.elements]}
-
-
-def povm_from_json(obj: dict) -> Povm:
-    return Povm([matrix_from_json(o) for o in obj["ops"]])

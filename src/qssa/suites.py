@@ -1,4 +1,4 @@
-"""Named check suites over seeded random instances.
+"""Named check suites over seeded random instances, and the JSON wire format.
 
 Every suite is a pure function of (config, master seed). Each suite is
 registered once, by `_instances`, with its name, its fixed substream id and
@@ -6,7 +6,11 @@ the factors of --dims it reads; registration order is the `all` order.
 Instance objects draw from substreams keyed as (suite id, instance, slot),
 so replaying a seed reproduces each report bit for bit, instances are
 independent, and changing a suite's id changes its replayed stream.
-Reports are emitted in (suite, instance) order.
+
+A builder only draws its instance, `(calls, meta)`: each call is a tuple
+(check, *args), and `meta` is stamped on every report of the instance.
+`_run` alone makes the calls and stamps and judges their reports, emitted in
+(suite, instance) order. `to_json`/`from_json` are the one JSON wire format.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import checks, wehrl
-from .linalg import as_dims
+from .linalg import DensityMatrix, as_dims
+from .measurement import KrausSet, Povm
 from .randgen import (
     RNG_NAME,
     random_density,
@@ -77,41 +82,51 @@ class SuiteConfig:
                 raise ValueError(f"suite wehrl needs two_j <= {WEHRL_MAX_TWO_J}, got {self.two_j}")
 
 
-def _finish(reports: list[InequalityReport], cfg: SuiteConfig, suite: str, index: int) -> list[InequalityReport]:
-    """Judge the reports against `cfg.tol`, if set, and stamp seed, suite, instance and rng."""
+def _run(calls, meta: dict, cfg: SuiteConfig, suite: str, index: int) -> list[InequalityReport]:
+    """Make an instance's check calls in order, then judge each report against `cfg.tol`, if set,
+    and stamp it with the seed, `meta`, suite, instance and rng."""
+    reports = []
+    for check, *args in calls:
+        out = check(*args)
+        reports.extend([out] if isinstance(out, InequalityReport) else out)
     for r in reports:
         if cfg.tol is not None:
             judge(r, cfg.tol)
         r.seed = cfg.seed
-        r.meta.setdefault("suite", suite)
-        r.meta.setdefault("instance", index)
-        r.meta.setdefault("rng", RNG_NAME)
+        r.meta.update(meta, suite=suite, instance=index, rng=RNG_NAME)
     return reports
 
 
 def _instances(name: str, sid: int | None = None, factors: int | None = None):
     """Register a per-instance builder as the suite `name`; returns `(cfg) -> reports`.
 
-    The builder is called as `build(cfg, i, key)` for i in 0..trials-1 and
-    returns that instance's reports; `key(*slot)` is the substream
-    (sid, i, *slot) its objects must draw from. `sid` is fixed per suite:
-    changing it changes every replayed report of the suite. A suite without
-    an id draws no random numbers and has the one instance 0. `factors` is
-    the suite's DIMS_FACTORS entry. A name or id registered twice is an error.
+    `build(cfg, i, key)` returns instance i's `(calls, meta)`, drawn but not
+    run (the suite's `instances(cfg)` yields `(i, calls, meta)`); `key(*slot)` is
+    the substream (sid, i, *slot) its objects draw from, and each check is
+    named through its module (`checks.check_ssa`), so it is looked up at call
+    time. `sid` is fixed per suite: changing it changes every replayed report
+    of the suite. A suite without an id draws no random numbers and has the
+    one instance 0. `factors` is the suite's DIMS_FACTORS entry. A name or id
+    registered twice is an error.
     """
 
     def decorate(build):
         if name in SUITES or sid in _STREAM_IDS:
             raise ValueError(f"suite {name!r} (stream id {sid}) clashes with an earlier registration")
 
+        def instances(cfg: SuiteConfig):
+            for i in range(cfg.trials if sid is not None else 1):
+                yield i, *build(cfg, i, lambda *slot, i=i: (sid, i, *slot))
+
         def suite(cfg: SuiteConfig) -> list[InequalityReport]:
             reports = []
-            for i in range(cfg.trials if sid is not None else 1):
-                key = lambda *slot, i=i: (sid, i, *slot)
-                reports.extend(_finish(build(cfg, i, key), cfg, name, i))
+            for i, calls, meta in instances(cfg):
+                reports += _run(calls, meta, cfg, name, i)
+                del calls  # free instance i's objects before instance i + 1 is drawn
             return reports
 
         suite.__name__ = suite.__qualname__ = build.__name__
+        suite.instances = instances
         SUITES[name] = suite
         if sid is not None:
             _STREAM_IDS.add(sid)
@@ -126,10 +141,7 @@ def _instances(name: str, sid: int | None = None, factors: int | None = None):
 def suite_ssa(cfg, i, key):
     total = math.prod(cfg.dims)
     rank = total if i % 2 == 0 else max(1, total // 2)
-    rho = random_density(cfg.dims, rank, cfg.seed, key(0))
-    r = checks.check_ssa(rho)
-    r.meta["rank"] = rank
-    return [r]
+    return [(checks.check_ssa, random_density(cfg.dims, rank, cfg.seed, key(0)))], {"rank": rank}
 
 
 @_instances("stronger-ssa", 2, factors=3)
@@ -137,14 +149,14 @@ def suite_stronger_ssa(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(d1 * d2, (1, 2, 4)[i % 3], cfg.seed, key(1), acts_on=(1, 2))
-    return [checks.check_stronger_ssa(rho, k)]
+    return [(checks.check_stronger_ssa, rho, k)], {}
 
 
 @_instances("sandwich", 3, factors=3)
 def suite_sandwich(cfg, i, key):
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1), acts_on=(1,))
-    return list(checks.check_sandwich(rho, k))
+    return [(checks.check_sandwich, rho, k)], {}
 
 
 @_instances("concavity", 4)
@@ -159,17 +171,14 @@ def suite_concavity(cfg, i, key):
         ops = [op * np.sqrt(0.9) for op in ops]
     a_ops = [random_positive(dim, cfg.seed, key(2, j)) for j in range(m)]
     b_ops = [random_positive(dim, cfg.seed, key(3, j)) for j in range(m)]
-    r = checks.check_concave_map(l_op, ops, a_ops, b_ops)
-    r.meta["sub_complete"] = sub_complete
-    return [r]
+    return [(checks.check_concave_map, l_op, ops, a_ops, b_ops)], {"sub_complete": sub_complete}
 
 
 @_instances("gibbs", 5)
 def suite_gibbs(cfg, i, key):
     total = math.prod(cfg.dims)
     rho = random_density(cfg.dims, total if i % 2 == 0 else 1, cfg.seed, key(0))
-    h = random_hermitian(total, cfg.seed, key(1))
-    return [checks.check_gibbs_variational(rho, h)]
+    return [(checks.check_gibbs_variational, rho, random_hermitian(total, cfg.seed, key(1)))], {}
 
 
 @_instances("cpt", 6, factors=3)
@@ -177,15 +186,14 @@ def suite_cpt(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
     k = random_kraus(d1 * d2, (2, 3)[i % 2], cfg.seed, key(1), acts_on=(1, 2))
-    return [checks.check_cpt_monotonicity(rho, k)]
+    return [(checks.check_cpt_monotonicity, rho, k)], {}
 
 
 @_instances("improved-subadd", 7, factors=2)
 def suite_improved_subadd(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
-    p = random_povm(d1, (2, 3, 4)[i % 3], cfg.seed, key(1))
-    return list(checks.check_improved_subadd(rho, p))
+    return [(checks.check_improved_subadd, rho, random_povm(d1, (2, 3, 4)[i % 3], cfg.seed, key(1)))], {}
 
 
 @_instances("mutual-info", 8, factors=2)
@@ -195,7 +203,7 @@ def suite_mutual_info(cfg, i, key):
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     p = random_povm(d1, counts[i % 3], cfg.seed, key(1))
     q = random_povm(d2, counts[(i + 1) % 3], cfg.seed, key(2))
-    return [checks.check_classical_mutual_info(rho, p, q)]
+    return [(checks.check_classical_mutual_info, rho, p, q)], {}
 
 
 @_instances("cq-chain", 9, factors=2)
@@ -205,14 +213,13 @@ def suite_cq_chain(cfg, i, key):
     rho = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     p = random_povm(d1, counts[i % 2], cfg.seed, key(1))
     q = random_povm(d2, counts[(i + 1) % 2], cfg.seed, key(2))
-    return list(checks.check_cq_chain(rho, p, q))
+    return [(checks.check_cq_chain, rho, p, q)], {}
 
 
 @_instances("cqq", 10, factors=3)
 def suite_cqq(cfg, i, key):
     rho = random_density(cfg.dims, math.prod(cfg.dims), cfg.seed, key(0))
-    p = random_povm(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1))
-    return [checks.check_cqq(rho, p)]
+    return [(checks.check_cqq, rho, random_povm(cfg.dims[0], (2, 3, 4)[i % 3], cfg.seed, key(1)))], {}
 
 
 @_instances("convexity", 11, factors=2)
@@ -220,8 +227,7 @@ def suite_convexity(cfg, i, key):
     d1, d2 = cfg.dims[:2]
     a = random_density((d1, d2), d1 * d2, cfg.seed, key(0))
     b = random_density((d1, d2), max(1, d1 * d2 // 2), cfg.seed, key(1))
-    p = random_povm(d1, 2 + i % 2, cfg.seed, key(2))
-    return [checks.check_convexity_cl_minus_q(a, b, p)]
+    return [(checks.check_convexity_cl_minus_q, a, b, random_povm(d1, 2 + i % 2, cfg.seed, key(2)))], {}
 
 
 @_instances("holevo", 12, factors=2)
@@ -232,8 +238,7 @@ def suite_holevo(cfg, i, key):
     weights = rng_for(cfg.seed, key(0)).dirichlet(np.ones(m))
     states = [random_density((d,), d if j % 2 == 0 else 1, cfg.seed, key(1, j))
               for j in range(m)]
-    q = random_povm(d, 2 + i % 3, cfg.seed, key(2))
-    return [checks.check_holevo(weights, states, q)]
+    return [(checks.check_holevo, weights, states, random_povm(d, 2 + i % 3, cfg.seed, key(2)))], {}
 
 
 @_instances("wehrl", 13)
@@ -242,21 +247,19 @@ def suite_wehrl(cfg, i, key):
     rho12 = random_density((dim, dim), dim * dim, cfg.seed, key(0))
     a = random_density((dim,), dim, cfg.seed, key(1))
     b = random_density((dim,), max(1, dim // 2) if i % 2 else dim, cfg.seed, key(2))
-    return [
-        wehrl.check_wehrl_dominates(rho12),
-        wehrl.check_wehrl_mutual_info(rho12),
-        wehrl.check_wehrl_convexity(a, b),
-    ]
+    return [(wehrl.check_wehrl_dominates, rho12), (wehrl.check_wehrl_mutual_info, rho12),
+            (wehrl.check_wehrl_convexity, a, b)], {}
+
+
+def _counterexample(d: int) -> InequalityReport:
+    lhs, rhs = checks.counterexample_two_sided(d)
+    return make_report("counterexample_two_sided", lhs, rhs, status="expected-violation", dims=(d, d),
+                       note="two-sided split of the subadditivity bound fails by ln d", gap=lhs - rhs)
 
 
 @_instances("counterexample")
 def suite_counterexample(cfg, i, key):
-    lhs, rhs = checks.counterexample_two_sided(cfg.d)
-    return [make_report(
-        "counterexample_two_sided", lhs, rhs, status="expected-violation", dims=(cfg.d, cfg.d),
-        note="two-sided split of the subadditivity bound fails by ln d",
-        gap=lhs - rhs,
-    )]
+    return [(_counterexample, cfg.d)], {}
 
 
 def resolve_suites(names: Sequence[str]) -> list[str]:
@@ -282,6 +285,45 @@ def run_suites(cfg: SuiteConfig) -> list[InequalityReport]:
 
 
 # --- serialization ----------------------------------------------------------
+#
+# The JSON wire format of check arguments, decoded by key: a matrix is {"rows", "cols", "re",
+# "im"} (row-major lists), a density matrix adds "dims", a Kraus set is {"acts_on", "ops": [matrix,
+# ...]}, a POVM {"ops"}; a real weight vector or a number is itself, and a list of them a list.
+
+
+def to_json(x):
+    """The wire form of a matrix, state, Kraus set, POVM, real weight vector or number, or a list of them."""
+    if isinstance(x, DensityMatrix):
+        return {**to_json(x.mat), "dims": list(x.dims)}
+    if isinstance(x, KrausSet):
+        return {"acts_on": list(x.acts_on), "ops": to_json(x.ops)}
+    if isinstance(x, Povm):
+        return {"ops": to_json(x.elements)}
+    if isinstance(x, (list, tuple)):
+        return [to_json(v) for v in x]
+    if np.ndim(x) < 2 and not np.iscomplexobj(x):
+        return np.asarray(x).tolist()
+    m = np.asarray(x, dtype=complex)
+    return {"rows": m.shape[0], "cols": m.shape[1], "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def from_json(obj):
+    """Inverse of `to_json`, bit for bit: a list of numbers is a float vector. States, Kraus sets
+    and POVMs are validated by their constructors."""
+    if isinstance(obj, list):
+        numbers = all(isinstance(v, (int, float)) for v in obj)
+        return np.array(obj, dtype=float) if numbers else [from_json(v) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    if "ops" in obj:
+        ops = from_json(obj["ops"])
+        return KrausSet(ops, acts_on=obj["acts_on"]) if "acts_on" in obj else Povm(ops)
+    re, im = np.array(obj["re"], dtype=float), np.array(obj["im"], dtype=float)
+    if not re.shape == im.shape == (obj["rows"], obj["cols"]):
+        raise ValueError(f"re {re.shape} and im {im.shape} do not match rows/cols {(obj['rows'], obj['cols'])}")
+    m = np.empty(re.shape, dtype=complex)
+    m.real, m.imag = re, im  # not re + 1j*im, which loses -0.0 and turns an infinite im into a NaN re
+    return DensityMatrix(m, obj["dims"]) if "dims" in obj else m
 
 
 def reports_to_ndjson(reports: Sequence[InequalityReport]) -> str:

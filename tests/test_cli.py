@@ -15,10 +15,9 @@ import pytest
 
 import qssa.cli
 from qssa.cli import build_parser, main
-from qssa.linalg import DensityMatrix, density_from_json
-from qssa.measurement import kraus_from_json, povm_from_json
+from qssa.linalg import DensityMatrix
 from qssa.randgen import random_pure_state, rng_for
-from qssa.suites import SUITES, WEHRL_MAX_TWO_J, SuiteConfig
+from qssa.suites import SUITES, WEHRL_MAX_TWO_J, SuiteConfig, from_json
 from qssa.wehrl import husimi, make_grid
 
 from test_measurement import completeness_residual
@@ -206,7 +205,7 @@ class TestGenCommand:
         assert run(["gen", "--kind", "density", "--dims", "2,2", "--seed", "1",
                     "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
-        rho = density_from_json(obj)
+        rho = from_json(obj)
         from qssa.randgen import random_density
 
         again = random_density((2, 2), 4, 1)
@@ -218,21 +217,21 @@ class TestGenCommand:
         out = tmp_path / "k.json"
         assert run(["gen", "--kind", "kraus", "--dims", "4", "--count", "3",
                     "--seed", "2", "--out", str(out)]) == 0
-        k = kraus_from_json(json.loads(out.read_text()))
+        k = from_json(json.loads(out.read_text()))
         assert completeness_residual(k) <= 1e-12
 
     def test_povm_count_one_is_identity(self, tmp_path):
         out = tmp_path / "p.json"
         assert run(["gen", "--kind", "povm", "--dims", "3", "--count", "1",
                     "--seed", "4", "--out", str(out)]) == 0
-        p = povm_from_json(json.loads(out.read_text()))
+        p = from_json(json.loads(out.read_text()))
         assert np.abs(p.elements[0] - np.eye(3)).max() < 1e-12
 
     def test_cq_round_trip(self, tmp_path):
         out = tmp_path / "cq.json"
         assert run(["gen", "--kind", "cq", "--dims", "2,2,2", "--seed", "5",
                     "--out", str(out)]) == 0
-        rho = density_from_json(json.loads(out.read_text()))
+        rho = from_json(json.loads(out.read_text()))
         assert rho.dims == (2, 2, 2)
 
     def test_bad_dims_exit_2(self, capsys):
@@ -518,16 +517,32 @@ class TestDiffCommand:
         assert run(["diff", str(reports), str(b)]) == 1
         assert "flip: line 2 ssa (suite ssa, instance 1)" in capsys.readouterr().out
 
-    def test_mismatched_files(self, reports, tmp_path, capsys):
+    def test_reports_pair_by_id_not_by_line(self, reports, tmp_path, capsys):
         lines = reports.read_text().splitlines(keepends=True)
-        short = tmp_path / "short.ndjson"
-        short.write_text("".join(lines[:-1]))
-        assert run(["diff", str(reports), str(short)]) == 2
         swapped = tmp_path / "swapped.ndjson"
         swapped.write_text("".join([lines[1], lines[0], *lines[2:]]))
-        assert run(["diff", str(reports), str(swapped)]) == 2
+        assert run(["diff", str(reports), str(swapped), "--rtol", "0"]) == 0
+        assert "0 of 6 lines changed (0 in one file only)" in capsys.readouterr().out
+        short = tmp_path / "short.ndjson"
+        short.write_text("".join(lines[:-1]))
+        assert run(["diff", str(reports), str(short)]) == 1
+        out = capsys.readouterr().out
+        assert "only in A: ('gibbs_variational', 5, 'gibbs', 2)" in out
+        assert "1 of 6 lines changed (1 in one file only)" in out
+        assert run(["diff", str(short), str(reports)]) == 1
+        assert "only in B: ('gibbs_variational', 5, 'gibbs', 2)" in capsys.readouterr().out
         other_seed = self.rewrite(reports, tmp_path / "seed.ndjson", 0, seed=6)
-        assert run(["diff", str(reports), str(other_seed)]) == 2
+        assert run(["diff", str(reports), str(other_seed)]) == 1
+        out = capsys.readouterr().out
+        assert "only in A: ('ssa', 5, 'ssa', 0)" in out and "only in B: ('ssa', 6, 'ssa', 0)" in out
+        assert "2 of 7 lines changed (2 in one file only)" in out
+
+    def test_mismatched_files(self, reports, tmp_path, capsys):
+        lines = reports.read_text().splitlines(keepends=True)
+        duplicate = tmp_path / "duplicate.ndjson"
+        duplicate.write_text("".join([*lines, lines[0]]))
+        assert run(["diff", str(reports), str(duplicate)]) == 2
+        assert f"error: line 7 of {duplicate} repeats report ('ssa', 5, 'ssa', 0) of line 1" in capsys.readouterr().err
         garbage = tmp_path / "garbage.ndjson"
         garbage.write_text("not json\n" * len(lines))
         assert run(["diff", str(reports), str(garbage)]) == 2

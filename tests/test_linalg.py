@@ -8,15 +8,11 @@ import pytest
 from qssa.linalg import (
     DensityMatrix,
     as_dims,
-    density_from_json,
-    density_to_json,
     hermitian_eig,
     hermitize,
     kron,
     kron_state,
-    matrix_from_json,
     matrix_log,
-    matrix_to_json,
     partial_trace,
     ptrace_mat,
     require_factors,
@@ -448,22 +444,3 @@ class TestHermitize:
         with pytest.raises(ValueError, match="non-finite"):
             hermitize(m)
 
-
-class TestJson:
-    def test_matrix_round_trip(self):
-        rng = rng_for(107)
-        m = complex_gaussian(rng, (3, 4))
-        back = matrix_from_json(matrix_to_json(m))
-        assert np.array_equal(m, back)
-
-    def test_density_round_trip(self):
-        rho = random_density((2, 3), 6, 8)
-        back = density_from_json(density_to_json(rho))
-        assert np.array_equal(rho.mat, back.mat)
-        assert back.dims == rho.dims
-
-    def test_schema_fields(self):
-        obj = matrix_to_json(np.eye(2))
-        assert set(obj) == {"rows", "cols", "re", "im"}
-        obj = density_to_json(random_density((2, 2), 4, 9))
-        assert set(obj) == {"rows", "cols", "re", "im", "dims"}

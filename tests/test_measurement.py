@@ -10,20 +10,16 @@ import qssa.linalg
 import qssa.measurement
 from qssa.checks import check_concave_map
 from qssa.entropy import entropy_from_eigs, von_neumann
-from qssa.linalg import CLAMP_REL, DensityMatrix, kron, matrix_to_json, partial_trace, ptrace_mat
+from qssa.linalg import CLAMP_REL, DensityMatrix, kron, partial_trace, ptrace_mat
 from qssa.measurement import (
     KrausSet,
     Povm,
     apply_kraus_op,
     cpt_phi,
-    kraus_from_json,
-    kraus_to_json,
     measurement_ensemble,
     povm_conditionals,
-    povm_from_json,
     povm_joint_distribution,
     povm_to_kraus,
-    povm_to_json,
     povm_weights,
 )
 from qssa.randgen import (
@@ -36,6 +32,7 @@ from qssa.randgen import (
     random_unitary,
     rng_for,
 )
+from qssa.suites import from_json, to_json
 
 from test_linalg import NON_FINITE, forbid_eigensolves
 
@@ -361,7 +358,7 @@ class TestPovm:
         with pytest.raises(ValueError, match="asymmetry"):
             Povm(bad)
         with pytest.raises(ValueError, match="asymmetry"):
-            povm_from_json({"ops": [matrix_to_json(m) for m in bad]})
+            from_json({"ops": to_json(bad)})
 
     def test_joint_distribution_normalized(self):
         rho = random_density((2, 3), 6, 26)
@@ -387,17 +384,3 @@ class TestPovm:
         with pytest.raises(ValueError, match="does not match factor 1"):
             povm_weights(rho, p)
 
-
-class TestJson:
-    def test_kraus_round_trip(self):
-        k = random_kraus(4, 3, 31, acts_on=(1, 2))
-        back = kraus_from_json(kraus_to_json(k))
-        assert back.acts_on == (1, 2)
-        for a, b in zip(k.ops, back.ops):
-            assert np.array_equal(a, b)
-
-    def test_povm_round_trip(self):
-        p = random_povm(3, 3, 32)
-        back = povm_from_json(povm_to_json(p))
-        for a, b in zip(p.elements, back.elements):
-            assert np.array_equal(a, b)

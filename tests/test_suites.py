@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,16 +12,20 @@ import qssa.linalg
 from qssa.cli import main
 from qssa.linalg import STATE_TOL, DensityMatrix
 from qssa.measurement import KrausSet, Povm
+from qssa.randgen import complex_gaussian, random_density, random_kraus, random_povm, rng_for
 from qssa.report import InequalityReport
 from qssa.suites import (
     SUITES,
     WEHRL_MAX_TWO_J,
     SuiteConfig,
     _instances,
+    _run,
+    from_json,
     reports_to_csv,
     reports_to_ndjson,
     resolve_suites,
     run_suites,
+    to_json,
 )
 
 
@@ -211,6 +216,79 @@ class TestSerialization:
         assert header.startswith("name,seed,dims")
         assert row.split(",")[0] == "counterexample_two_sided"
         assert ",expected-violation," in row
+
+
+class TestWireFormat:
+    def test_matrix_round_trip(self):
+        m = complex_gaussian(rng_for(107), (3, 4))
+        assert np.array_equal(m, from_json(to_json(m)))
+
+    def test_density_round_trip(self):
+        rho = random_density((2, 3), 6, 8)
+        back = from_json(to_json(rho))
+        assert np.array_equal(rho.mat, back.mat)
+        assert back.dims == rho.dims
+
+    def test_schema_fields(self):
+        assert list(to_json(np.eye(2))) == ["rows", "cols", "re", "im"]
+        assert list(to_json(random_density((2, 2), 4, 9))) == ["rows", "cols", "re", "im", "dims"]
+        assert list(to_json(random_kraus(2, 2, 9))) == ["acts_on", "ops"]
+        assert list(to_json(random_povm(2, 2, 9))) == ["ops"]
+
+    def test_kraus_round_trip(self):
+        k = random_kraus(4, 3, 31, acts_on=(1, 2))
+        back = from_json(to_json(k))
+        assert back.acts_on == (1, 2)
+        for a, b in zip(k.ops, back.ops):
+            assert np.array_equal(a, b)
+
+    def test_povm_round_trip(self):
+        p = random_povm(3, 3, 32)
+        back = from_json(to_json(p))
+        assert isinstance(back, Povm)
+        for a, b in zip(p.elements, back.elements):
+            assert np.array_equal(a, b)
+
+    def test_lists_weights_and_numbers(self):
+        weights = np.array([0.25, 0.75, -0.0])
+        obj = json.loads(json.dumps(to_json([weights, [np.eye(2), np.zeros((2, 2))], 3])))
+        w, ops, n = (from_json(x) for x in obj)
+        assert w.dtype == float and np.array_equal(np.signbit(w), np.signbit(weights))
+        assert [o.dtype for o in ops] == [complex, complex] and np.array_equal(ops[0], np.eye(2))
+        assert n == 3
+
+    def test_signed_zeros_survive(self):
+        m = np.array([[-0.0 - 0.0j, 1 - 0.0j], [complex(-0.0, 2.0), 3 + 0j]])
+        back = from_json(json.loads(json.dumps(to_json(m))))
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(back, part)), np.signbit(getattr(m, part)))
+
+    def test_infinite_imaginary_part_decodes_without_warning(self):
+        obj = json.loads('{"rows": 1, "cols": 1, "re": [[0.0]], "im": [[Infinity]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = from_json(obj)
+        assert m[0, 0].real == 0.0 and not np.signbit(m[0, 0].real) and m[0, 0].imag == np.inf
+
+    @pytest.mark.parametrize("obj", [{"rows": 2, "cols": 1, "re": [[0.0]], "im": [[0.0]]},
+                                     {"rows": 1, "cols": 2, "re": [[0.0, 1.0]], "im": [[0.0]]}])
+    def test_shape_mismatch_rejected(self, obj):
+        with pytest.raises(ValueError, match="rows/cols"):
+            from_json(obj)
+
+    @pytest.mark.parametrize("config", [dict(dims=(2, 2, 2), trials=50, seed=42),
+                                        dict(dims=(2, 3, 4), trials=5, seed=7)], ids=["2,2,2", "2,3,4"])
+    def test_every_check_replays_from_json(self, config):
+        # each instance's arguments, sent through the wire format, give the same report bytes
+        for name in SUITES:
+            cfg = SuiteConfig(suites=[name], **config)
+            direct, replayed = [], []
+            for i, calls, meta in SUITES[name].instances(cfg):
+                wire = json.loads(json.dumps([[to_json(a) for a in args] for _, *args in calls]))
+                replayed += _run([(check, *map(from_json, args)) for (check, *_), args in zip(calls, wire)],
+                                 meta, cfg, name, i)
+                direct += _run(calls, meta, cfg, name, i)
+            assert reports_to_ndjson(replayed) == reports_to_ndjson(direct) == reports_to_ndjson(SUITES[name](cfg))
 
 
 def test_failed_check_gives_exit_1(tmp_path, monkeypatch, capsys):
