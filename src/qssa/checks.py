@@ -180,13 +180,14 @@ def check_concave_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequen
 
 
 def check_gibbs_variational(rho: DensityMatrix, h: np.ndarray) -> InequalityReport:
-    """S[rho] + Tr(rho H) <= ln Tr e^H, saturated by the Gibbs state of H."""
+    """S[rho] + Tr(rho H) <= ln Tr e^H, saturated by the Gibbs state of H. Holds one full-size
+    array besides the inputs: the hermitized H, overwritten by rho * conj(H) once it is solved."""
     h, h_asym = hermitize(h)
     if h.shape != rho.mat.shape:
         raise ValueError(f"dimension mismatch: state {rho.mat.shape} vs H {h.shape}")
-    # Tr(rho H) = sum_ij rho_ij H_ji, without the n^3 product
-    lhs = von_neumann(rho) + float(np.sum(rho.mat * h.T).real)
     w = np.linalg.eigvalsh(h)
+    # Tr(rho H) = sum_ij rho_ij H_ji, no n^3 product; H is exactly Hermitian, so H.T = conj(H)
+    lhs = von_neumann(rho) + float(np.sum(np.multiply(rho.mat, np.conjugate(h, out=h), out=h)).real)
     # log-sum-exp for a stable ln Tr e^H
     top = w[-1]
     rhs = float(top + np.log(np.sum(np.exp(w - top))))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import CLAMP_REL, STATE_TOL, DensityMatrix, clamp_threshold, partial_trace, require_factors
+from .linalg import (CLAMP_REL, STATE_TOL, DensityMatrix, _per_block, clamp_threshold, partial_trace,
+                     require_factors)
 from .measurement import Povm, povm_conditionals
 
 
@@ -55,14 +56,19 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho (ln rho - ln sigma), computed in sigma's eigenbasis (`sigma.eigh()`).
 
     Returns inf when rho carries more than STATE_TOL of weight on
-    eigenvectors of sigma whose eigenvalues sit below the clamp floor.
+    eigenvectors of sigma whose eigenvalues sit below the clamp floor; rho is then not
+    solved. Only V is full-size besides the inputs, and it is released before rho's
+    eigensolve: a `kron_state` sigma keeps no V of its own.
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     w, v = sigma.eigh()
     eps = clamp_threshold(w)
-    # diag(V† rho V): the one O(n^3) step is a BLAS matmul, the rest a row sum
-    diag = np.einsum("ij,ji->i", v.conj().T @ rho.mat, v).real
+    # diag(V† rho V) over ~64 KB column blocks of V: one BLAS matmul each, then a row sum
+    step = _per_block(len(w))
+    cols = [v[:, lo : lo + step] for lo in range(0, len(w), step)]
+    diag = np.concatenate([np.einsum("ij,ji->i", c.conj().T @ rho.mat, c).real for c in cols])
+    del v, cols
     outside = w < eps
     if float(diag[outside].sum()) > STATE_TOL:
         return float("inf")

@@ -52,6 +52,11 @@ def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return dims
 
 
+def _per_block(width: int) -> int:
+    """Items of `width` complex entries per ~64 KB block, in loops with no full-size temporary."""
+    return max(1, 4096 // max(1, width))
+
+
 def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Return ((M + M†)/2, max-abs asymmetry); error beyond `STATE_TOL` or on NaN/inf. One full-size
     buffer: M† is written into it, |M - M†| checked in ~64 KB row blocks, then M added and halved."""
@@ -60,7 +65,7 @@ def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
-    herm, step = np.conjugate(m.T, order="C"), max(1, 4096 // max(1, len(m)))  # rows per ~64 KB
+    herm, step = np.conjugate(m.T, order="C"), _per_block(len(m))
     if len(m) <= step:
         asym = float(np.abs(m - herm).max()) if m.size else 0.0
     else:  # no temporary of M's size
@@ -74,7 +79,8 @@ def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _frozen(arrays) -> tuple:
     for a in arrays:
-        a.flags.writeable = False
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
     return tuple(arrays)
 
 
@@ -105,15 +111,15 @@ class DensityMatrix:
     Trace, PSD and asymmetry are checked against `STATE_TOL`. Every state is
     normalized; blocks of smaller trace, such as the POVM conditionals and
     Kraus outcome blocks of `measurement`, stay plain arrays. `eigh()` fills the
-    eigensystem slot on first use; `kron_state` builds a product state with
-    the slot already filled from its factors.
+    eigensystem slot on first use; `kron_state` builds a product state whose
+    slot holds its spectrum and forms its eigenvectors from its factors'.
     """
 
     __slots__ = ("mat", "dims", "_eig")
 
     def __init__(self, mat, dims, _eig=None):
-        # `_eig` is for `kron_state` only: the (w ascending, V) of `mat`,
-        # derived from validated factors; the PSD check then reads its w.
+        # `_eig` is for `kron_state` only: (w ascending, a function that forms V)
+        # of `mat`, derived from validated factors; the PSD check then reads its w.
         dims = as_dims(dims)
         total = math.prod(dims)
         mat = np.asarray(mat, dtype=complex)
@@ -136,11 +142,13 @@ class DensityMatrix:
         return self.mat.shape[0]
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues ascending, eigenvector columns) of the state, solved at most once."""
+        """(eigenvalues ascending, frozen eigenvector columns), solved at most once; a `kron_state`
+        product is never solved, and forms V anew on each call without keeping it."""
         if self._eig is None:
             # `mat` is already exactly Hermitian: no second `hermitize`
             self._eig = _frozen(np.linalg.eigh(self.mat))
-        return self._eig
+        w, v = self._eig
+        return _frozen((w, v())) if callable(v) else self._eig
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -164,7 +172,8 @@ def kron_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """The product state a ⊗ b on the factors of a followed by those of b.
 
     Its eigensystem is (w_a ⊗ w_b, V_a ⊗ V_b), sorted ascending: two
-    eigensolves of the factors' sizes instead of one of the product's.
+    eigensolves of the factors' sizes instead of one of the product's. The
+    spectrum is kept; the full-size V is formed only when `eigh()` is called.
     """
     wa, va = a.eigh()
     wb, vb = b.eigh()
@@ -173,8 +182,8 @@ def kron_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     # column j of V_a ⊗ V_b is V_a[:, j // len(w_b)] ⊗ V_b[:, j % len(w_b)]: take
     # the sorted columns directly instead of permuting a full-size kron
     ia, ib = np.divmod(order, len(wb))
-    v = (va[:, None, ia] * vb[None, :, ib]).reshape(len(w), len(w))
-    return DensityMatrix(kron(a.mat, b.mat), a.dims + b.dims, _eig=(w[order], v))
+    return DensityMatrix(kron(a.mat, b.mat), a.dims + b.dims,
+                         _eig=(w[order], lambda: (va[:, None, ia] * vb[None, :, ib]).reshape(len(w), -1)))
 
 
 def _keep_to_zero_based(keep: Iterable[int], n: int) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from .linalg import (
     STATE_TOL,
     DensityMatrix,
     _as_int,
+    _per_block,
     clamp_threshold,
     hermitize,
     partial_trace,
@@ -134,21 +135,25 @@ def apply_kraus_op(rho: DensityMatrix, k: KrausSet) -> list[np.ndarray]:
     """Blocks Tr_1 (K_a ⊗ I) rho (K_a ⊗ I)†, one per operator, on factors 2..n.
 
     Every KrausSet is complete and acts on {1} or {1,2}, so only its fit to
-    rho's factor dimensions is checked here. Per operator, one gemm K @ rho
-    applies K to the rows; a batched gemm against conj(K), summed over the
-    row index of factor 1, applies K† to the columns and traces factor 1
-    away. The full image K rho K† is never built.
+    rho's factor dimensions is checked here. Per operator and ~64 KB block of
+    rho's rows (grouped by their index on the factors K leaves alone), one gemm
+    applies K to the rows; a batched gemm against conj(K), summed over the row
+    index of factor 1, applies K† to the columns and traces factor 1 away.
+    Neither K rho nor the image K rho K† is ever full-size.
     """
     d = rho.dims
     _check_fit("operator", k.dim, d, k.acts_on)
     da = k.dim
     kept = da // d[0]  # the part of the operator's space that survives Tr_1
     rest = rho.dim // da
-    rows = rho.mat.reshape(da, -1)
+    rows, step = rho.mat.reshape(da, rest, rho.dim), _per_block(da * rho.dim)
     blocks = []
     for op in k.ops:
-        x = (op @ rows).reshape(d[0], kept * rest, da, rest)
-        b = np.matmul(op.conj().reshape(d[0], 1, kept, da), x).sum(axis=0)
+        b = np.empty((kept, rest, kept, rest), dtype=complex)
+        op_conj = op.conj().reshape(d[0], 1, kept, da)
+        for lo in range(0, rest, step):
+            x = (op @ rows[:, lo : lo + step].reshape(da, -1)).reshape(d[0], -1, da, rest)
+            b[:, lo : lo + step] = np.matmul(op_conj, x).sum(axis=0).reshape(kept, -1, kept, rest)
         blocks.append(b.reshape(kept * rest, kept * rest))
     return blocks
 

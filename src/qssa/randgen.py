@@ -136,9 +136,11 @@ def random_cq_state(dims, seed: Seed, substream=0) -> DensityMatrix:
 
 
 def random_hermitian(dim: int, seed: Seed, substream=0) -> np.ndarray:
-    """(G + G†)/2 with G a (dim x dim) complex Gaussian."""
+    """(G + G†)/2 with G a (dim x dim) complex Gaussian, with that expression's bytes in one
+    buffer besides G: G† is written into it, then G added and the sum halved."""
     g = complex_gaussian(rng_for(seed, substream), (dim, dim))
-    return (g + g.conj().T) / 2
+    h = np.conjugate(g.T, order="C")
+    return np.divide(np.add(h, g, out=h), 2, out=h)
 
 
 def random_positive(dim: int, seed: Seed, substream=0) -> np.ndarray:

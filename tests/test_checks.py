@@ -23,7 +23,7 @@ from qssa.checks import (
     trace_exp_map,
 )
 from qssa.entropy import mutual_information, shannon, von_neumann
-from qssa.linalg import DensityMatrix, kron, matrix_log, partial_trace
+from qssa.linalg import DensityMatrix, hermitize, kron, matrix_log, partial_trace
 from qssa.measurement import KrausSet, Povm, povm_to_kraus
 from qssa.randgen import (
     product_basis_kraus,
@@ -35,7 +35,7 @@ from qssa.randgen import (
     random_povm,
 )
 
-from test_linalg import expm_oracle, forbid_eigensolves
+from test_linalg import expm_oracle, forbid_eigensolves, traced_peak
 from test_measurement import basis_povm
 
 
@@ -266,6 +266,25 @@ class TestGibbs:
         trace_term = np.trace(rho.mat @ h).real
         assert r.lhs - von_neumann(rho) == pytest.approx(trace_term, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (8, 8, 8)])
+    @pytest.mark.parametrize("asym", [0.0, 1e-12])
+    def test_trace_term_has_the_bytes_of_the_transposed_product(self, dims, asym):
+        # Tr(rho H) is summed from rho * conj(H) in H's own buffer: the hermitized H is exactly
+        # Hermitian, so this is sum(rho * H.T) bit for bit, also for an input H that is not
+        d = math.prod(dims)
+        rho = random_density(dims, d, 42)
+        h = random_hermitian(d, 43) + asym * np.triu(np.ones((d, d)), 1)
+        herm, _ = hermitize(h)
+        r = check_gibbs_variational(rho, h)
+        assert r.lhs == von_neumann(rho) + float(np.sum(rho.mat * herm.T).real)
+
+    def test_holds_one_full_size_array_besides_its_inputs(self):
+        # the hermitized H, overwritten by rho * conj(H) once it is solved
+        rho = random_density((8, 8, 8), 512, 44)
+        h = random_hermitian(512, 45)
+        peak = traced_peak(lambda: check_gibbs_variational(rho, h))
+        assert peak < 1.5 * rho.mat.nbytes, f"peak {peak / rho.mat.nbytes:.2f}x the state's bytes"
+
 
 class TestCptMonotonicity:
     def test_trivial_first_factor_is_relabeling(self):
@@ -344,6 +363,14 @@ class TestCptMonotonicity:
         assert (64, 64) not in shapes["eigh"]
         assert shapes["eigvalsh"].count((64, 64)) == 1
         assert sorted(shapes["eigh"])[:2] == [(4, 4), (16, 16)]
+
+    def test_peak_memory_stays_below_three_states(self):
+        # at 8,8,8 besides rho123: rho12 x rho3, its V while H(rho123, rho12 x rho3) is
+        # summed (released before rho123 is solved), and blocks of ~64 KB
+        rho = random_density((8, 8, 8), 512, 92)
+        k = random_kraus(64, 3, 93, acts_on=(1, 2))
+        peak = traced_peak(lambda: check_cpt_monotonicity(rho, k))
+        assert peak < 3 * rho.mat.nbytes, f"peak {peak / rho.mat.nbytes:.2f}x the state's bytes"
 
 
 class TestImprovedSubadd:

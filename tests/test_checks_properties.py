@@ -1,6 +1,7 @@
-"""Property tests: the SSA-type checks keep lhs and rhs, to 1e-12, under a local unitary
-U1⊗U2⊗U3 (Kraus operators and POVM elements conjugated to match), under reversed
-outcome order and with factor 3 padded from d to d+1 by zeros, at unequal factor dims."""
+"""Property tests: the SSA-type, sandwich and cpt checks keep lhs and rhs, to 1e-12, under a
+local unitary U1⊗U2⊗U3 (Kraus operators and POVM elements conjugated to match), under
+reversed outcome order and with factor 3 padded from d to d+1 by zeros, at unequal factor
+dims; the Gibbs check and relative entropy keep their values under a joint conjugation."""
 
 import math
 
@@ -10,10 +11,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from qssa.checks import check_cqq, check_ssa, check_stronger_ssa
-from qssa.linalg import DensityMatrix, kron
+from qssa.checks import (
+    check_cpt_monotonicity,
+    check_cqq,
+    check_gibbs_variational,
+    check_sandwich,
+    check_ssa,
+    check_stronger_ssa,
+)
+from qssa.entropy import relative_entropy
+from qssa.linalg import DensityMatrix, kron, kron_state, partial_trace
 from qssa.measurement import KrausSet, Povm
-from qssa.randgen import random_density, random_kraus, random_povm, random_unitary
+from qssa.randgen import random_density, random_hermitian, random_kraus, random_povm, random_unitary
 
 # lhs and rhs moved by at most 2.7e-15 under these moves at dims 2,3,4
 MOVE = 1e-12
@@ -89,3 +98,59 @@ def test_cqq_invariances(dims, count, seed):
         check_cqq(rho, Povm(p.elements[::-1])),
         check_cqq(padded(rho), p),
     )
+
+
+@SETTINGS
+@given(dims=DIMS, count=st.integers(1, 4), acts_on=st.sampled_from([(1,), (1, 2)]), seed=SEED)
+def test_cpt_monotonicity_invariances(dims, count, acts_on, seed):
+    rho = random_density(dims, 24, seed)
+    k = random_kraus(math.prod(dims[: len(acts_on)]), count, seed, 1, acts_on=acts_on)
+    us, ws = local_unitaries(dims, seed)
+    assert_unmoved(
+        check_cpt_monotonicity(rho, k),
+        check_cpt_monotonicity(rotated(rho, us), rotated_kraus(k, us, ws)),
+        check_cpt_monotonicity(rho, KrausSet(k.ops[::-1], acts_on=acts_on)),
+    )
+
+
+@SETTINGS
+@given(dims=DIMS, count=st.integers(1, 4), seed=SEED)
+def test_sandwich_invariances(dims, count, seed):
+    rho = random_density(dims, 24, seed)
+    k = random_kraus(dims[0], count, seed, 1)
+    us, ws = local_unitaries(dims, seed)
+    base = check_sandwich(rho, k)
+    for moved in (check_sandwich(rotated(rho, us), rotated_kraus(k, us, ws)),
+                  check_sandwich(rho, KrausSet(k.ops[::-1]))):
+        for b, m in zip(base, moved, strict=True):
+            assert_unmoved(b, m)
+
+
+@SETTINGS
+@given(dims=DIMS, rank=st.integers(1, 24), seed=SEED)
+def test_gibbs_variational_invariance(dims, rank, seed):
+    # rho -> U rho U† with H -> U H U†, U a unitary on the whole space
+    rho, h, u = random_density(dims, rank, seed), random_hermitian(24, seed, 1), random_unitary(24, seed, 2)
+    moved = DensityMatrix(u @ rho.mat @ u.conj().T, dims)
+    assert_unmoved(check_gibbs_variational(rho, h), check_gibbs_variational(moved, u @ h @ u.conj().T))
+
+
+@SETTINGS
+@given(dims=DIMS, rank=st.integers(1, 24), seed=SEED)
+def test_relative_entropy_invariance(dims, rank, seed):
+    # H(U rho U†, U sigma U†) = H(rho, sigma): U on the whole space for a plain sigma, and
+    # U1⊗U2⊗U3 for a kron_state sigma, whose factors are conjugated to match. The rounding
+    # of -Tr rho ln sigma grows as 1/lambda_min(sigma) (a random full-rank sigma with
+    # lambda_min = 8.9e-7 moved by 3.5e-12), so sigma is mixed with I/24: lambda_min >= 1/48
+    rho = random_density(dims, rank, seed)
+    sigma = DensityMatrix((random_density(dims, 24, seed, 1).mat + np.eye(24) / 24) / 2, dims)
+    u = random_unitary(24, seed, 2)
+    moved = relative_entropy(DensityMatrix(u @ rho.mat @ u.conj().T, dims),
+                             DensityMatrix(u @ sigma.mat @ u.conj().T, dims))
+    assert abs(moved - relative_entropy(rho, sigma)) <= MOVE
+    us, _ = local_unitaries(dims, seed)
+    u12 = kron(us[0], us[1])
+    product = kron_state(partial_trace(sigma, {1, 2}), partial_trace(sigma, {3}))
+    moved_product = kron_state(DensityMatrix(u12 @ partial_trace(sigma, {1, 2}).mat @ u12.conj().T, dims[:2]),
+                               DensityMatrix(us[2] @ partial_trace(sigma, {3}).mat @ us[2].conj().T, dims[2:]))
+    assert abs(relative_entropy(rotated(rho, us), moved_product) - relative_entropy(rho, product)) <= MOVE

@@ -1,6 +1,7 @@
 """Entropy functionals: golden values, identities, and classical bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qssa.linalg import CLAMP_REL, DensityMatrix, kron, kron_state, matrix_log, 
 from qssa.measurement import Povm, povm_conditionals, povm_joint_distribution, povm_weights
 from qssa.randgen import random_density, random_povm, random_unitary
 
-from test_linalg import KRON_FACTORS, KRON_IDS, trace_distance
+from test_linalg import KRON_FACTORS, KRON_IDS, trace_distance, traced_peak
 from test_measurement import basis_povm
 
 
@@ -172,6 +173,34 @@ class TestRelativeEntropyToKronState:
         pure3 = random_density((2,), 1, 71, substream=2)
         assert math.isinf(relative_entropy(rho123, kron_state(rho12, pure3)))
         assert math.isfinite(relative_entropy(rho123, kron_state(rho12, partial_trace(rho123, {3}))))
+
+    @pytest.mark.parametrize("product", [True, False], ids=["kron_state", "plain"])
+    @pytest.mark.parametrize("rank3, finite", [(2, True), (1, False)], ids=["finite", "inf"])
+    def test_eigensolves_per_path(self, monkeypatch, product, rank3, finite):
+        # a kron_state sigma is never solved; rho is solved only on the finite path, after
+        # the support test (a pure rho3 puts weight of rho123 on zero eigenvalues of sigma)
+        rho123 = random_density((2, 2, 2), 8, 72, substream=1)
+        rho3 = random_density((2,), rank3, 72, substream=2)
+        sigma = kron_state(partial_trace(rho123, {1, 2}), rho3)
+        if not product:
+            sigma = DensityMatrix(sigma.mat, sigma.dims)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, solve=solve, name=name: calls.append(name) or solve(m))
+        assert math.isfinite(relative_entropy(rho123, sigma)) == finite
+        assert calls == ([] if product else ["eigh"]) + (["eigvalsh"] if finite else [])
+
+    def test_holds_one_full_size_array_besides_its_inputs(self, monkeypatch):
+        # at 8,8,8 only V is full-size: diag(V† rho V) is taken over column blocks of V,
+        # and V is dropped before rho's eigensolve
+        rho = random_density((8, 8, 8), 512, 73)
+        product = kron_state(partial_trace(rho, {1, 2}), partial_trace(rho, {3}))
+        held, solve = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: held.append(tracemalloc.get_traced_memory()[0]) or solve(m))
+        peak = traced_peak(lambda: relative_entropy(rho, product))
+        assert peak < 1.5 * rho.mat.nbytes, f"peak {peak / rho.mat.nbytes:.2f}x the state's bytes"
+        assert len(held) == 1 and held[0] < 0.5 * rho.mat.nbytes, f"{held} bytes held while rho is solved"
 
 
 class TestMutualInformation:

@@ -32,6 +32,16 @@ def forbid_eigensolves(monkeypatch):
         monkeypatch.setattr(np.linalg, name, never)
 
 
+def traced_peak(fn) -> int:
+    """Bytes at the `tracemalloc` peak while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def expm_oracle(h):
     """exp(H) of a Hermitian matrix from numpy's eigh."""
     w, v = np.linalg.eigh(h)
@@ -311,12 +321,7 @@ class TestDensityMatrix:
         # 1089-dim state (two 2j = 32 spins) allocates its bytes once, with no temporaries
         # of its size
         m = np.eye(1089, dtype=complex) / 1089
-        tracemalloc.start()
-        try:
-            DensityMatrix(m, (33, 33))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: DensityMatrix(m, (33, 33)))
         assert peak < 1.2 * m.nbytes, f"peak {peak / m.nbytes:.2f}x the state's bytes"
 
     def test_matrix_is_frozen(self):
@@ -370,6 +375,21 @@ class TestKronState:
             w[0] = 0.0
         with pytest.raises(ValueError):
             v[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dims_a, dims_b", KRON_FACTORS + [((2, 3), (4,))], ids=KRON_IDS + ["6x4"])
+    def test_eigenvectors_are_the_sorted_factor_kron(self, monkeypatch, dims_a, dims_b):
+        # V is formed on each eigh() call, with no eigensolve: the columns of V_a ⊗ V_b in
+        # the stable ascending order of w_a ⊗ w_b, bit for bit, and read-only every time
+        a, b = self.factors(dims_a, dims_b)
+        prod = kron_state(a, b)
+        (wa, va), (wb, vb) = a.eigh(), b.eigh()
+        order = np.argsort(np.outer(wa, wb).ravel(), kind="stable")
+        forbid_eigensolves(monkeypatch)
+        for _ in range(2):
+            w, v = prod.eigh()
+            assert w.tobytes() == np.outer(wa, wb).ravel()[order].tobytes()
+            assert v.tobytes() == np.kron(va, vb)[:, order].tobytes()
+            assert not w.flags.writeable and not v.flags.writeable
 
     def test_psd_check_reads_the_given_spectrum(self):
         # the derived spectrum replaces the validation eigensolve, so it is

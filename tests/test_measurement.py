@@ -1,7 +1,6 @@
 """Measurement machinery: completeness, ensembles, the block channel."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from qssa.randgen import (
 )
 from qssa.suites import from_json, to_json
 
-from test_linalg import NON_FINITE, forbid_eigensolves
+from test_linalg import NON_FINITE, forbid_eigensolves, traced_peak
 
 
 def completeness_residual(k):
@@ -194,18 +193,13 @@ class TestReducedBlocks:
             assert np.abs(b - expect).max() < 1e-13
 
     @pytest.mark.parametrize("fn", [measurement_ensemble, cpt_phi])
-    def test_peak_memory_stays_below_four_states(self, fn):
-        # one operator's intermediates at a time; stacking the family's
-        # full-size images would need one state's bytes per operator
+    def test_peak_memory_stays_below_one_state(self, fn):
+        # one operator and one ~64 KB block of rho's rows at a time: neither K rho nor
+        # K rho K† is ever full-size
         rho = random_density((8, 8, 8), 512, 38)
         k = random_kraus(8, 4, 39, acts_on=(1,))
-        tracemalloc.start()
-        try:
-            fn(rho, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * rho.mat.nbytes
+        peak = traced_peak(lambda: fn(rho, k))
+        assert peak < rho.mat.nbytes, f"peak {peak / rho.mat.nbytes:.2f}x the state's bytes"
 
 
 class TestMeasurementEnsemble:

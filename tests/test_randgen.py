@@ -9,12 +9,14 @@ from qssa.randgen import (
     complex_gaussian,
     random_cq_state,
     random_density,
+    random_hermitian,
     random_kraus,
     random_povm,
     random_unitary,
     rng_for,
 )
 
+from test_linalg import traced_peak
 from test_measurement import completeness_residual
 
 
@@ -24,6 +26,18 @@ def test_complex_gaussian_has_the_bytes_of_its_formula(shape):
     x_then_y = rng_for(3, shape)
     x, y = x_then_y.standard_normal(shape), x_then_y.standard_normal(shape)
     assert complex_gaussian(rng_for(3, shape), shape).tobytes() == ((x + 1j * y) / np.sqrt(2.0)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 6, 512])
+def test_random_hermitian_has_the_bytes_of_its_formula(dim):
+    g = complex_gaussian(rng_for(4, 2), (dim, dim))
+    assert random_hermitian(dim, 4, 2).tobytes() == ((g + g.conj().T) / 2).tobytes()
+
+
+def test_random_hermitian_holds_one_buffer_besides_g():
+    # G† is written into the result, G added and the sum halved in place
+    peak = traced_peak(lambda: random_hermitian(512, 4))
+    assert peak < 2.5 * 512 * 512 * 16, f"peak {peak / (512 * 512 * 16):.2f}x the matrix's bytes"
 
 
 class TestRandomDensity:
