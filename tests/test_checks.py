@@ -366,7 +366,7 @@ class TestCptMonotonicity:
 
     def test_peak_memory_stays_below_three_states(self):
         # at 8,8,8 besides rho123: rho12 x rho3, its V while H(rho123, rho12 x rho3) is
-        # summed (released before rho123 is solved), and blocks of ~64 KB
+        # summed (released before rho123 is solved), and blocks of ~64-256 KB
         rho = random_density((8, 8, 8), 512, 92)
         k = random_kraus(64, 3, 93, acts_on=(1, 2))
         peak = traced_peak(lambda: check_cpt_monotonicity(rho, k))
