@@ -246,12 +246,12 @@ def check_improved_subadd(rho12: DensityMatrix, p: Povm) -> tuple[InequalityRepo
     return left, right
 
 
-def counterexample_two_sided(d: int) -> tuple[float, float]:
+def counterexample_two_sided(d: int) -> InequalityReport:
     """Uniformly correlated basis pairs defeat the two-sided split bound.
 
     For rho12 = (1/d) sum_a |aa><aa| and basis projectors on both factors,
     S[rho12] = ln d while every conditional state is pure, so splitting
-    both factors yields zero on the right: ln d <= 0 fails for d >= 2.
+    both factors yields zero on the right: ln d <= 0 fails, an "expected-violation".
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -263,7 +263,8 @@ def counterexample_two_sided(d: int) -> tuple[float, float]:
     lhs = von_neumann(rho12)
     projectors = Povm([np.outer(eye[:, a], eye[:, a].conj()) for a in range(d)])
     rhs = sum(_measured_conditional_entropy(rho12, projectors, factor) for factor in (1, 2))
-    return lhs, rhs
+    return make_report("counterexample_two_sided", lhs, rhs, status="expected-violation", dims=(d, d),
+                       note="two-sided split of the subadditivity bound fails by ln d", gap=lhs - rhs)
 
 
 def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm) -> InequalityReport:

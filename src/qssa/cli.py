@@ -29,7 +29,8 @@ import sys
 from typing import Iterable, Iterator
 
 from .linalg import as_dims
-from .randgen import random_cq_state, random_density, random_kraus, random_povm, require_seed, require_trials
+from .randgen import (random_cq_state, random_density, random_kraus, random_povm, require_count, require_rank,
+                      require_seed, require_trials)
 from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites, to_json
 from .wehrl import husimi, require_two_j, wehrl_min_scan
 
@@ -85,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage(rule, value) -> None:
+def _usage(rule, *values) -> None:
     """Apply a library argument rule, whose ValueError is a bad argument."""
     try:
-        rule(value)
+        rule(*values)
     except ValueError as exc:
         raise UsageError(exc.args[0]) from exc
 
@@ -130,12 +131,12 @@ def cmd_gen(args) -> int:
         raise UsageError(f"gen {args.kind} expects {factors} factor(s), e.g. --dims {example}, got {args.dims}")
     if args.kind != "density" and args.rank is not None:
         raise UsageError(f"--rank applies to gen --kind density only, not {args.kind}")
-    if args.kind == "density" and not 1 <= rank <= total:
-        raise UsageError(f"rank {rank} out of range 1..{total}")
+    if args.kind == "density":
+        _usage(require_rank, rank, total)
     if args.kind not in ("kraus", "povm") and args.count is not None:
         raise UsageError(f"--count applies to gen --kind kraus or povm only, not {args.kind}")
-    if args.kind in ("kraus", "povm") and count < 1:
-        raise UsageError(f"count must be >= 1, got {count}")
+    if args.kind in ("kraus", "povm"):
+        _usage(require_count, count)
     if args.kind == "density":
         obj = random_density(args.dims, rank, args.seed)
     elif args.kind == "kraus":

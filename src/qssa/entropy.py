@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (CLAMP_REL, STATE_TOL, DensityMatrix, _per_block, clamp_threshold, partial_trace,
-                     require_factors)
+from .linalg import (CLAMP_REL, STATE_TOL, DensityMatrix, _per_block, clamp_threshold, hermitize,
+                     partial_trace, require_factors)
 from .measurement import Povm, povm_conditionals
 
 
@@ -27,9 +27,9 @@ def entropy_from_eigs(eigs) -> float:
 
 
 def block_entropy(b: np.ndarray) -> tuple[float, float]:
-    """(-Tr B ln B, n) of a PSD block B of any trace from one eigensolve, n the mass of the
-    eigenvalues the first value keeps (`clamp_threshold`): adding n ln n gives n S[kept/n] >= 0."""
-    eigs = np.linalg.eigvalsh((b + b.conj().T) / 2)
+    """(-Tr B ln B, n) of a PSD block B of any trace from one eigensolve of `hermitize(B)`, n the mass of
+    the eigenvalues the first value keeps (`clamp_threshold`): adding n ln n gives n S[kept/n] >= 0."""
+    eigs = np.linalg.eigvalsh(hermitize(b)[0])
     kept = eigs[eigs >= clamp_threshold(eigs)]
     return entropy_from_eigs(kept), float(kept.sum())
 

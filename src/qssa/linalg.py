@@ -234,9 +234,11 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clamp_threshold(values) -> float:
-    """CLAMP_REL * max(1, largest value): values below it count as zero in x ln x."""
+    """CLAMP_REL * max(1, largest value): values below it count as zero in x ln x; a NaN or inf top is an error."""
     values = np.asarray(values)
     top = float(values.max()) if values.size else 0.0
+    if not math.isfinite(top):
+        raise ValueError(f"largest value {top} is not finite")
     return CLAMP_REL * max(1.0, top)
 
 

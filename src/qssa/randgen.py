@@ -34,6 +34,18 @@ def require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def require_rank(rank: int, total: int) -> None:
+    """ValueError unless 1 <= rank <= total, the rank of a random state of `total` dimensions."""
+    if not 1 <= rank <= total:
+        raise ValueError(f"rank {rank} out of range 1..{total}")
+
+
+def require_count(count: int) -> None:
+    """ValueError unless count >= 1: a random Kraus family or POVM has at least one operator."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+
+
 def _key(substream) -> tuple[int, ...]:
     """A substream key, an int or a sequence of ints, as a tuple of ints."""
     if isinstance(substream, (int, np.integer)):
@@ -59,8 +71,7 @@ def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:
     """Random state G G† / Tr(G G†) with G a (total x rank) complex Gaussian."""
     dims = as_dims(dims)
     total = math.prod(dims)
-    if not 1 <= rank <= total:
-        raise ValueError(f"rank {rank} out of range 1..{total}")
+    require_rank(rank, total)
     g = complex_gaussian(rng_for(seed, substream), (total, rank))
     m = g @ g.conj().T
     del g  # not held while the state is validated
@@ -85,8 +96,7 @@ def random_kraus(dim: int, count: int, seed: Seed, substream=0, acts_on=(1,)) ->
     an isometry V with V†V = I; its `count` row blocks of `dim` rows are the
     operators, so completeness holds to machine precision.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    require_count(count)
     u = random_unitary(dim * count, seed, substream)
     iso = u[:, :dim]
     ops = [iso[a * dim : (a + 1) * dim, :] for a in range(count)]
@@ -95,8 +105,7 @@ def random_kraus(dim: int, count: int, seed: Seed, substream=0, acts_on=(1,)) ->
 
 def random_povm(dim: int, count: int, seed: Seed, substream=0) -> Povm:
     """Random partition of unity P_i = T^{-1/2} A_i T^{-1/2}, A_i Gaussian PSD."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    require_count(count)
     key = _key(substream)
     for attempt in range(5):
         rng = rng_for(seed, key + (attempt,))

@@ -6,7 +6,8 @@ claimed direction; `slack` is always the margin by which the claim holds
 the report's own numbers as slack >= -tol. `judge` is the one place that
 sets `tol` and `passed`: `make_report` judges against `default_tol`, and a
 caller with its own tolerance (the suites, under `--tol`) judges again.
-Reports with status "skipped" carry no verdict (tol 0, pass); those with
+`make_report` builds every report, skipped ones too (through `skipped_report`):
+those carry no numbers and no verdict (tol 0, pass); those with
 "expected-violation" mark constructions that are meant to violate a
 hypothetical bound and always pass.
 """
@@ -77,45 +78,21 @@ def judge(report: InequalityReport, tol: float) -> InequalityReport:
     return report
 
 
-def make_report(
-    name: str,
-    lhs: float,
-    rhs: float,
-    relation: str = "<=",
-    status: str = "ok",
-    dims=None,
-    **meta,
-) -> InequalityReport:
+def make_report(name: str, lhs: float, rhs: float, relation: str = "<=", status: str = "ok", dims=None,
+                **meta) -> InequalityReport:
     if relation not in ("<=", ">="):
         raise ValueError(f"relation must be '<=' or '>=', got {relation!r}")
-    lhs = float(lhs)
-    rhs = float(rhs)
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise ValueError(f"non-finite bounds lhs={lhs} rhs={rhs}; flag via skipped_report instead")
-    slack = rhs - lhs if relation == "<=" else lhs - rhs
-    r = InequalityReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        status=status,
-        relation=relation,
-        dims=tuple(dims) if dims is not None else None,
-        meta=_check_meta(meta),
-    )
-    return judge(r, default_tol(lhs, rhs))
+    slack = None
+    if status != "skipped":
+        lhs, rhs = float(lhs), float(rhs)
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"non-finite bounds lhs={lhs} rhs={rhs}; flag via skipped_report instead")
+        slack = rhs - lhs if relation == "<=" else lhs - rhs
+    r = InequalityReport(name, lhs, rhs, slack, status=status, relation=relation,
+                         dims=tuple(dims) if dims is not None else None, meta=_check_meta(meta))
+    return r if slack is None else judge(r, default_tol(lhs, rhs))
 
 
 def skipped_report(name: str, reason: str, relation: str = "<=", dims=None, **meta) -> InequalityReport:
-    meta = _check_meta(meta)
-    meta["reason"] = reason
-    return InequalityReport(
-        name=name,
-        lhs=None,
-        rhs=None,
-        slack=None,
-        status="skipped",
-        relation=relation,
-        dims=tuple(dims) if dims is not None else None,
-        meta=meta,
-    )
+    """`make_report`'s "skipped" report: no lhs, rhs, slack or verdict, and `reason` last in meta."""
+    return make_report(name, None, None, relation, "skipped", dims, **{**meta, "reason": reason})

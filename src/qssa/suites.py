@@ -8,9 +8,10 @@ so replaying a seed reproduces each report bit for bit, instances are
 independent, and changing a suite's id changes its replayed stream.
 
 A builder only draws its instance, `(calls, meta)`: each call is a tuple
-(check, *args), and `meta` is stamped on every report of the instance.
-`_run` alone makes the calls and stamps and judges their reports, emitted in
-(suite, instance) order. `to_json`/`from_json` are the one JSON wire format.
+(check, *args) of a `checks` or `wehrl` check, and `meta` is stamped on every
+report of the instance. `SUITES[name](cfg)` yields a suite's instances and
+`run_suites` is the one loop over them: its `_run` alone makes the calls and
+stamps and judges their reports. `to_json`/`from_json` are the one JSON wire format.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,10 +37,10 @@ from .randgen import (
     require_trials,
     rng_for,
 )
-from .report import InequalityReport, judge, make_report
+from .report import InequalityReport, judge
 
 # Filled by `_instances`, in registration order.
-SUITES: dict[str, Callable[[SuiteConfig], list[InequalityReport]]] = {}
+SUITES: dict[str, Callable[[SuiteConfig], Iterator[tuple]]] = {}
 # Factors of --dims a suite reads: 3 means a tripartite state (exactly three
 # factors), 2 the first two of at least two. Suites not listed ignore --dims.
 DIMS_FACTORS: dict[str, int] = {}
@@ -98,10 +99,10 @@ def _run(calls, meta: dict, cfg: SuiteConfig, suite: str, index: int) -> list[In
 
 
 def _instances(name: str, sid: int | None = None, factors: int | None = None):
-    """Register a per-instance builder as the suite `name`; returns `(cfg) -> reports`.
+    """Register a per-instance builder as the suite `name`; returns `SUITES[name]`.
 
     `build(cfg, i, key)` returns instance i's `(calls, meta)`, drawn but not
-    run (the suite's `instances(cfg)` yields `(i, calls, meta)`); `key(*slot)` is
+    run (the suite, `SUITES[name](cfg)`, yields `(i, calls, meta)`); `key(*slot)` is
     the substream (sid, i, *slot) its objects draw from, and each check is
     named through its module (`checks.check_ssa`), so it is looked up at call
     time. `sid` is fixed per suite: changing it changes every replayed report
@@ -114,25 +115,17 @@ def _instances(name: str, sid: int | None = None, factors: int | None = None):
         if name in SUITES or sid in _STREAM_IDS:
             raise ValueError(f"suite {name!r} (stream id {sid}) clashes with an earlier registration")
 
-        def instances(cfg: SuiteConfig):
+        def instances(cfg: SuiteConfig) -> Iterator[tuple]:
             for i in range(cfg.trials if sid is not None else 1):
                 yield i, *build(cfg, i, lambda *slot, i=i: (sid, i, *slot))
 
-        def suite(cfg: SuiteConfig) -> list[InequalityReport]:
-            reports = []
-            for i, calls, meta in instances(cfg):
-                reports += _run(calls, meta, cfg, name, i)
-                del calls  # free instance i's objects before instance i + 1 is drawn
-            return reports
-
-        suite.__name__ = suite.__qualname__ = build.__name__
-        suite.instances = instances
-        SUITES[name] = suite
+        instances.__name__ = instances.__qualname__ = build.__name__
+        SUITES[name] = instances
         if sid is not None:
             _STREAM_IDS.add(sid)
         if factors is not None:
             DIMS_FACTORS[name] = factors
-        return suite
+        return instances
 
     return decorate
 
@@ -251,15 +244,9 @@ def suite_wehrl(cfg, i, key):
             (wehrl.check_wehrl_convexity, a, b)], {}
 
 
-def _counterexample(d: int) -> InequalityReport:
-    lhs, rhs = checks.counterexample_two_sided(d)
-    return make_report("counterexample_two_sided", lhs, rhs, status="expected-violation", dims=(d, d),
-                       note="two-sided split of the subadditivity bound fails by ln d", gap=lhs - rhs)
-
-
 @_instances("counterexample")
 def suite_counterexample(cfg, i, key):
-    return [(_counterexample, cfg.d)], {}
+    return [(checks.counterexample_two_sided, cfg.d)], {}
 
 
 def resolve_suites(names: Sequence[str]) -> list[str]:
@@ -278,9 +265,12 @@ def resolve_suites(names: Sequence[str]) -> list[str]:
 
 
 def run_suites(cfg: SuiteConfig) -> list[InequalityReport]:
+    """The reports of every selected suite, instance by instance, in (suite, instance) order."""
     reports = []
     for name in resolve_suites(cfg.suites):
-        reports.extend(SUITES[name](cfg))
+        for i, calls, meta in SUITES[name](cfg):
+            reports += _run(calls, meta, cfg, name, i)
+            del calls  # free instance i's objects before instance i + 1 is drawn
     return reports
 
 

@@ -9,8 +9,8 @@ cos(theta) and trigonometric degree two_j in phi. The entropy integrand
 h ln h is not polynomial, so make_grid's default grid is finer than the
 resolution minimum; the floor below keeps the coherent-state entropy
 accurate to better than 1e-6 for all j (smoothness improves quickly with j,
-small j is the worst case). `grids=None` means the resolution-exact base
-grids, and only the inequality checks default to it: every inequality among
+small j is the worst case). The inequality checks always take the resolution-exact
+base grids (`grids=None` of `husimi` and `wehrl_entropy`): every inequality among
 Wehrl-type entropies holds exactly on them, only absolute values converge less.
 The convexity check takes its worst mixture from the shared `checks.least_convex_mixture`.
 Every S_W comes from `wehrl_entropy`, which streams Husimi values in blocks of theta1 rows and
@@ -38,7 +38,8 @@ import math
 import numpy as np
 
 from .checks import least_convex_mixture
-from .linalg import CLAMP_REL, MASS_TOL, DensityMatrix, clamp_threshold, partial_trace, require_factors
+from .linalg import (CLAMP_REL, MASS_TOL, DensityMatrix, _per_block, clamp_threshold, partial_trace,
+                     require_factors)
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_pure_state, require_trials, rng_for
 from .report import InequalityReport, make_report
@@ -193,7 +194,7 @@ def _husimi_blocks(rho: DensityMatrix, grids: tuple[BlochGrid, ...]):
     for k, (f, s) in enumerate(zip(f1, s1)):
         np.matmul(f, r[s], out=x[:, k])
     del r
-    step = max(2, 8192 // (n_phi * n2) // 2 * 2)  # even: with n_phi even, h @ w2 groups rows as on all h
+    step = 2 * _per_block(n_phi * n2)  # even: with n_phi even, h @ w2 groups rows as on all h
     buf = np.empty((min(step, n1), n_phi, n2))
     for lo in range(0, n1, step):
         # w[i, t, s, j] sums over nu in group t. w[i] fills the head of h[i] (2j + 1 < n_phi),
@@ -245,19 +246,19 @@ def coherent_wehrl_value(two_j: int) -> float:
     return two_j / (two_j + 1)
 
 
-def check_wehrl_dominates(rho: DensityMatrix, grids=None) -> InequalityReport:
-    """S[rho] <= S_W[rho] on one grid per factor; holds for any resolution grids and state."""
-    grids = _grids_for(rho, grids)
+def check_wehrl_dominates(rho: DensityMatrix) -> InequalityReport:
+    """S[rho] <= S_W[rho] on the base grid of each factor; holds for any resolution grids and state."""
+    grids = _grids_for(rho, None)
     s = von_neumann(rho)
     sw = wehrl_entropy(rho, grids)
     return make_report("wehrl_dominates", s, sw, dims=rho.dims,
                        grid_nodes=[len(g) for g in grids])
 
 
-def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None) -> InequalityReport:
-    """Wehrl mutual information, on one grid per factor, is at most the quantum one."""
+def check_wehrl_mutual_info(rho12: DensityMatrix) -> InequalityReport:
+    """Wehrl mutual information, on the base grid of each factor, is at most the quantum one."""
     require_factors(rho12, 2)
-    grids = _grids_for(rho12, grids)
+    grids = _grids_for(rho12, None)
     sw12 = wehrl_entropy(rho12, grids)
     sw1 = wehrl_entropy(partial_trace(rho12, {1}), (grids[0],))
     sw2 = wehrl_entropy(partial_trace(rho12, {2}), (grids[1],))
@@ -267,10 +268,10 @@ def check_wehrl_mutual_info(rho12: DensityMatrix, grids=None) -> InequalityRepor
                        dims=rho12.dims, grid_nodes=[len(g) for g in grids])
 
 
-def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix, grids=None) -> InequalityReport:
+def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix) -> InequalityReport:
     """Convexity of rho -> S_W[rho] - S[rho] on [a, b], by `checks.least_convex_mixture`,
-    on one grid per factor."""
-    grids = _grids_for(a, grids)
+    on the base grid of each factor."""
+    grids = _grids_for(a, None)
     lam, gmix, combo, _, _ = least_convex_mixture(
         lambda rho: wehrl_entropy(rho, grids) - von_neumann(rho), a, b)
     return make_report("wehrl_convexity", gmix, combo, dims=a.dims,

@@ -110,8 +110,8 @@ def test_criterion_3_classical_equality_100():
 
 def test_criterion_4_counterexample():
     for d in range(2, 7):
-        lhs, rhs = counterexample_two_sided(d)
-        assert abs((lhs - rhs) - math.log(d)) <= 1e-10, f"d={d}"
+        r = counterexample_two_sided(d)
+        assert abs((r.lhs - r.rhs) - math.log(d)) <= 1e-10, f"d={d}"
     report(4, "two-sided counterexample d=2..6")
 
 

@@ -416,10 +416,11 @@ class TestImprovedSubadd:
 class TestCounterexample:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_gap_is_ln_d(self, d):
-        lhs, rhs = counterexample_two_sided(d)
-        assert lhs == pytest.approx(math.log(d), abs=1e-10)
-        assert abs(rhs) < 1e-12
-        assert lhs - rhs == pytest.approx(math.log(d), abs=1e-10)
+        r = counterexample_two_sided(d)
+        assert r.lhs == pytest.approx(math.log(d), abs=1e-10)
+        assert abs(r.rhs) < 1e-12
+        assert r.meta["gap"] == r.lhs - r.rhs == pytest.approx(math.log(d), abs=1e-10)
+        assert (r.status, r.passed, r.dims) == ("expected-violation", True, (d, d))
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Property tests: the SSA-type, sandwich and cpt checks keep lhs and rhs, to 1e-12, under a
 local unitary U1⊗U2⊗U3 (Kraus operators and POVM elements conjugated to match), under
 reversed outcome order and with factor 3 padded from d to d+1 by zeros, at unequal factor
-dims; the Gibbs check and relative entropy keep their values under a joint conjugation."""
+dims; the two-factor POVM checks do under U1⊗U2 and reversed outcome order; the Gibbs and
+Holevo checks and relative entropy keep their values under a joint conjugation."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,9 +14,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from qssa.checks import (
+    check_classical_mutual_info,
+    check_convexity_cl_minus_q,
     check_cpt_monotonicity,
+    check_cq_chain,
     check_cqq,
     check_gibbs_variational,
+    check_holevo,
+    check_improved_subadd,
     check_sandwich,
     check_ssa,
     check_stronger_ssa,
@@ -22,25 +29,31 @@ from qssa.checks import (
 from qssa.entropy import relative_entropy
 from qssa.linalg import DensityMatrix, kron, kron_state, partial_trace
 from qssa.measurement import KrausSet, Povm
-from qssa.randgen import random_density, random_hermitian, random_kraus, random_povm, random_unitary
+from qssa.randgen import random_density, random_hermitian, random_kraus, random_povm, random_unitary, rng_for
 
-# lhs and rhs moved by at most 2.7e-15 under these moves at dims 2,3,4
+# lhs and rhs moved by at most 2.7e-15 under these moves at dims 2,3,4, and 2.0e-15 at DIMS2
 MOVE = 1e-12
 # no two factors equal, each from 2 to 4
 DIMS = st.permutations((2, 3, 4))
+# two unequal factors, for the checks of a two-factor state
+DIMS2 = st.sampled_from([(2, 3), (3, 2), (3, 4), (4, 3), (2, 4)])
 SEED = st.integers(0, 2**32 - 1)
 SETTINGS = settings(deadline=None, max_examples=25, derandomize=True)
 
 
 def local_unitaries(dims, seed):
-    """U1, U2, U3 on the factors, and W1, W2 on the outputs of a Kraus family."""
+    """U1, U2, ... on the factors, and W1, W2 on the outputs of a Kraus family."""
     us = [random_unitary(d, seed, (1, f)) for f, d in enumerate(dims)]
     return us, [random_unitary(d, seed, (2, f)) for f, d in enumerate(dims[:2])]
 
 
 def rotated(rho, us):
-    u = kron(kron(us[0], us[1]), us[2])
+    u = functools.reduce(kron, us)
     return DensityMatrix(u @ rho.mat @ u.conj().T, rho.dims)
+
+
+def conjugated(p, u):
+    return Povm([u @ el @ u.conj().T for el in p.elements])
 
 
 def rotated_kraus(k, us, ws):
@@ -60,8 +73,11 @@ def padded(rho):
 
 
 def assert_unmoved(base, *moved):
+    """Each moved report, or tuple of reports like `base`, keeps base's lhs and rhs to MOVE."""
+    base = base if isinstance(base, tuple) else (base,)
     for r in moved:
-        assert abs(r.lhs - base.lhs) <= MOVE and abs(r.rhs - base.rhs) <= MOVE, (r, base)
+        for b, m in zip(base, r if isinstance(r, tuple) else (r,), strict=True):
+            assert abs(m.lhs - b.lhs) <= MOVE and abs(m.rhs - b.rhs) <= MOVE, (m, b)
 
 
 @SETTINGS
@@ -94,7 +110,7 @@ def test_cqq_invariances(dims, count, seed):
     us, _ = local_unitaries(dims, seed)
     assert_unmoved(
         check_cqq(rho, p),
-        check_cqq(rotated(rho, us), Povm([us[0] @ el @ us[0].conj().T for el in p.elements])),
+        check_cqq(rotated(rho, us), conjugated(p, us[0])),
         check_cqq(rho, Povm(p.elements[::-1])),
         check_cqq(padded(rho), p),
     )
@@ -119,11 +135,64 @@ def test_sandwich_invariances(dims, count, seed):
     rho = random_density(dims, 24, seed)
     k = random_kraus(dims[0], count, seed, 1)
     us, ws = local_unitaries(dims, seed)
-    base = check_sandwich(rho, k)
-    for moved in (check_sandwich(rotated(rho, us), rotated_kraus(k, us, ws)),
-                  check_sandwich(rho, KrausSet(k.ops[::-1]))):
-        for b, m in zip(base, moved, strict=True):
-            assert_unmoved(b, m)
+    assert_unmoved(
+        check_sandwich(rho, k),
+        check_sandwich(rotated(rho, us), rotated_kraus(k, us, ws)),
+        check_sandwich(rho, KrausSet(k.ops[::-1])),
+    )
+
+
+@SETTINGS
+@given(dims=DIMS2, rank=st.integers(1, 12), count=st.integers(1, 4), seed=SEED)
+def test_improved_subadd_invariances(dims, rank, count, seed):
+    rho = random_density(dims, min(rank, math.prod(dims)), seed)
+    p = random_povm(dims[0], count, seed, 1)
+    us, _ = local_unitaries(dims, seed)
+    assert_unmoved(
+        check_improved_subadd(rho, p),
+        check_improved_subadd(rotated(rho, us), conjugated(p, us[0])),
+        check_improved_subadd(rho, Povm(p.elements[::-1])),
+    )
+
+
+@SETTINGS
+@given(dims=DIMS2, rank=st.integers(1, 12), counts=st.tuples(st.integers(1, 4), st.integers(1, 4)), seed=SEED)
+def test_two_povm_invariances(dims, rank, counts, seed):
+    # the cq chain and the measured mutual information, P on factor 1 and Q on factor 2
+    rho = random_density(dims, min(rank, math.prod(dims)), seed)
+    p, q = (random_povm(d, c, seed, f) for f, (d, c) in enumerate(zip(dims, counts), 1))
+    us, _ = local_unitaries(dims, seed)
+    for check in (check_cq_chain, check_classical_mutual_info):
+        assert_unmoved(
+            check(rho, p, q),
+            check(rotated(rho, us), conjugated(p, us[0]), conjugated(q, us[1])),
+            check(rho, Povm(p.elements[::-1]), Povm(q.elements[::-1])),
+        )
+
+
+@SETTINGS
+@given(dims=DIMS2, rank=st.integers(1, 12), count=st.integers(1, 4), seed=SEED)
+def test_convexity_cl_minus_q_invariances(dims, rank, count, seed):
+    a, b = random_density(dims, math.prod(dims), seed), random_density(dims, min(rank, math.prod(dims)), seed, 1)
+    p = random_povm(dims[0], count, seed, 2)
+    us, _ = local_unitaries(dims, seed)
+    assert_unmoved(
+        check_convexity_cl_minus_q(a, b, p),
+        check_convexity_cl_minus_q(rotated(a, us), rotated(b, us), conjugated(p, us[0])),
+        check_convexity_cl_minus_q(a, b, Povm(p.elements[::-1])),
+    )
+
+
+@SETTINGS
+@given(dims=DIMS2, m=st.integers(1, 4), count=st.integers(1, 4), seed=SEED)
+def test_holevo_invariance(dims, m, count, seed):
+    # states -> U s U† with Q -> U Q U†, U a unitary on the whole space
+    d = math.prod(dims)
+    weights = rng_for(seed, 0).dirichlet(np.ones(m))
+    states = [random_density(dims, d if j % 2 == 0 else 1, seed, (1, j)) for j in range(m)]
+    q, u = random_povm(d, count, seed, 2), random_unitary(d, seed, 3)
+    moved = [DensityMatrix(u @ s.mat @ u.conj().T, dims) for s in states]
+    assert_unmoved(check_holevo(weights, states, q), check_holevo(weights, moved, conjugated(q, u)))
 
 
 @SETTINGS

@@ -8,6 +8,7 @@ import pytest
 
 from qssa.entropy import (
     bipartite_entropies,
+    block_entropy,
     classical_quantum_entropy,
     entropy_from_eigs,
     mutual_information,
@@ -87,6 +88,34 @@ class TestZeroFloor:
     def test_values_at_the_floor_are_kept(self):
         assert entropy_from_eigs([CLAMP_REL]) == -CLAMP_REL * math.log(CLAMP_REL)
         assert entropy_from_eigs([]) == 0.0
+
+
+class TestNonFiniteAndAsymmetricInputs:
+    # max(1.0, nan) is 1.0 and NaN fails every >= test, so a NaN once dropped out of x ln x unseen
+    @pytest.mark.parametrize("eigs", [[np.nan, 0.5], [0.5, np.inf], [np.nan]])
+    def test_spectrum_with_a_non_finite_top_raises(self, eigs):
+        with pytest.raises(ValueError, match="not finite"):
+            entropy_from_eigs(eigs)
+
+    def test_block_with_a_nan_entry_raises(self):
+        b = np.diag([0.5, 0.25]).astype(complex)
+        b[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            block_entropy(b)
+
+    def test_asymmetric_block_raises(self):
+        b = np.diag([0.5, 0.5]).astype(complex)
+        b[0, 1] = 0.1
+        with pytest.raises(ValueError, match="asymmetry"):
+            block_entropy(b)
+
+    def test_block_is_symmetrized_to_the_same_bytes(self):
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = g @ g.conj().T / 10
+        b[0, 1] += 1e-15
+        eigs = np.linalg.eigvalsh((b + b.conj().T) / 2)
+        assert block_entropy(b) == (entropy_from_eigs(eigs), float(eigs.sum()))
 
 
 class TestRelativeEntropy:

@@ -38,6 +38,16 @@ class TestJudge:
         judge(r, tol)
         assert (r.tol, r.passed, r.status) == (0.0, True, "skipped")
 
+    def test_skipped_report_is_built_by_make_report(self):
+        r = skipped_report("x", "support", relation=">=", dims=[2, 3], lhs_finite=False)
+        assert r == make_report("x", None, None, ">=", "skipped", (2, 3), lhs_finite=False, reason="support")
+        assert (r.lhs, r.rhs, r.slack, r.tol, r.passed) == (None, None, None, 0.0, True)
+        assert list(r.meta) == ["lhs_finite", "reason"]
+
+    def test_skipped_report_validates_its_relation(self):
+        with pytest.raises(ValueError, match="relation"):
+            skipped_report("x", "support", relation="<")
+
     def test_judges_in_place_and_returns_the_report(self):
         r = make_report("x", 0.0, 1.0)
         assert judge(r, 0.0) is r

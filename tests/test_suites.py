@@ -283,32 +283,31 @@ class TestWireFormat:
         for name in SUITES:
             cfg = SuiteConfig(suites=[name], **config)
             direct, replayed = [], []
-            for i, calls, meta in SUITES[name].instances(cfg):
+            for i, calls, meta in SUITES[name](cfg):
                 wire = json.loads(json.dumps([[to_json(a) for a in args] for _, *args in calls]))
                 replayed += _run([(check, *map(from_json, args)) for (check, *_), args in zip(calls, wire)],
                                  meta, cfg, name, i)
                 direct += _run(calls, meta, cfg, name, i)
-            assert reports_to_ndjson(replayed) == reports_to_ndjson(direct) == reports_to_ndjson(SUITES[name](cfg))
+            assert reports_to_ndjson(replayed) == reports_to_ndjson(direct) == reports_to_ndjson(run_suites(cfg))
 
 
 def test_failed_check_gives_exit_1(tmp_path, monkeypatch, capsys):
-    def broken(cfg):
-        return [InequalityReport(name="forced", lhs=1.0, rhs=0.0, slack=-1.0,
-                                 tol=1e-8, passed=False)]
+    def broken(rho):
+        return InequalityReport(name="forced", lhs=1.0, rhs=0.0, slack=-1.0, tol=1e-8, passed=False)
 
-    monkeypatch.setitem(SUITES, "ssa", broken)
-    code = main(["check", "--suite", "ssa", "--out", str(tmp_path / "x.ndjson")])
+    monkeypatch.setattr(qssa.checks, "check_ssa", broken)
+    code = main(["check", "--suite", "ssa", "--trials", "1", "--out", str(tmp_path / "x.ndjson")])
     assert code == 1
 
 
 def test_skipped_reports_do_not_fail(tmp_path, monkeypatch, capsys):
     from qssa.report import skipped_report
 
-    def skipper(cfg):
-        return [skipped_report("forced", "support")]
+    def skipper(rho):
+        return skipped_report("forced", "support")
 
-    monkeypatch.setitem(SUITES, "ssa", skipper)
-    code = main(["check", "--suite", "ssa", "--out", str(tmp_path / "x.ndjson")])
+    monkeypatch.setattr(qssa.checks, "check_ssa", skipper)
+    code = main(["check", "--suite", "ssa", "--trials", "1", "--out", str(tmp_path / "x.ndjson")])
     assert code == 0
     obj = json.loads((tmp_path / "x.ndjson").read_text())
     assert obj["status"] == "skipped"
