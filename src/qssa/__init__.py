@@ -18,10 +18,8 @@ from .entropy import (
 )
 from .measurement import (
     KrausSet,
-    MeasurementEnsemble,
     Povm,
     cpt_phi,
-    measurement_ensemble,
     povm_to_kraus,
 )
 from .randgen import (

@@ -10,6 +10,8 @@ Gibbs variational principle, monotonicity of relative entropy under the
 block-diagonal measurement channel, and the classical/quantum entropy
 comparisons down to the Holevo bound. Both convexity checks, S_cQ - S here and
 S_W - S in `wehrl`, take their worst mixture from the one scan `least_convex_mixture`.
+`_measured_split` is the one path to the split bound sum_a n_a (S[rho23_a] - S[rho2_a]): stronger
+SSA, the sandwich and cpt's identity feed it Kraus outcome blocks, `check_cqq` POVM conditionals.
 `_measured_conditional_entropy` is the one path to sum_a n_a S[rho_a] of a measured
 factor; it subtracts n ln n of the mass each block's entropy keeps, so it is never negative.
 """
@@ -36,22 +38,19 @@ from .linalg import (
     MASS_TOL,
     STATE_TOL,
     DensityMatrix,
+    clamp_threshold,
     hermitize,
     kron_state,
     matrix_log,
     partial_trace,
-    ptrace_mat,
     require_factors,
     square_ops,
 )
 from .measurement import (
     KrausSet,
-    MeasurementEnsemble,
     Povm,
     apply_kraus_op,
     cpt_phi,
-    ensemble_from_blocks,
-    measurement_ensemble,
     phi_from_blocks,
     povm_conditionals,
     povm_joint_distribution,
@@ -74,9 +73,22 @@ def trace_exp_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequence[n
     return float(np.sum(np.exp(np.linalg.eigvalsh(hermitize(h)[0]))))
 
 
-def _ensemble_bound(ens: MeasurementEnsemble) -> float:
-    """sum_a n_a (S[rho23_a] - S[rho2_a]) over retained outcomes."""
-    return sum(n * (von_neumann(r23) - von_neumann(r2)) for n, r23, r2 in ens.entries)
+def _measured_split(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> tuple[float, list, int, float]:
+    """The measured split bound sum_a n_a (S[rho23_a] - S[rho2_a]) from outcome blocks B_a on factors
+    {2,3}: (bound, its terms [(n_a, S[rho23_a], S[rho2_a])], skipped, skipped_mass). n_a = Tr B_a, and
+    B_a / n_a is validated as a DensityMatrix. A block whose n_a is below `clamp_threshold` is not
+    solved: it is counted in `skipped` and its weight in `skipped_mass`, so that sum n_a +
+    skipped_mass is the trace of the measured state; `clamp_threshold` rejects a trace below -STATE_TOL."""
+    terms, skipped, skipped_mass = [], 0, 0.0
+    for b in blocks:
+        n = float(np.trace(b).real)
+        if n < clamp_threshold(n):
+            skipped += 1
+            skipped_mass += max(n, 0.0)
+            continue
+        r23 = DensityMatrix(b / n, dims23)
+        terms.append((n, von_neumann(r23), von_neumann(partial_trace(r23, {1}))))
+    return sum(n * (s23 - s2) for n, s23, s2 in terms), terms, skipped, skipped_mass
 
 
 def _s123_minus_s12(rho123: DensityMatrix) -> float:
@@ -116,11 +128,12 @@ def check_ssa(rho123: DensityMatrix) -> InequalityReport:
 
 def check_stronger_ssa(rho123: DensityMatrix, k: KrausSet) -> InequalityReport:
     """Measured refinement: S123 - S12 <= sum_a n_a (S[rho23_a] - S[rho2_a])."""
-    ens = measurement_ensemble(rho123, k)
+    require_factors(rho123, 3)
+    bound, _, skipped, skipped_mass = _measured_split(apply_kraus_op(rho123, k), rho123.dims[1:])
     return make_report(
-        "stronger_ssa", _s123_minus_s12(rho123), _ensemble_bound(ens), dims=rho123.dims,
+        "stronger_ssa", _s123_minus_s12(rho123), bound, dims=rho123.dims,
         kraus_count=len(k), acts_on=list(k.acts_on),
-        skipped_terms=ens.skipped, skipped_mass=ens.skipped_mass,
+        skipped_terms=skipped, skipped_mass=skipped_mass,
     )
 
 
@@ -131,10 +144,10 @@ def check_sandwich(rho123: DensityMatrix, k: KrausSet) -> tuple[InequalityReport
     the weighted conditionals average back to rho23 and concavity of the
     conditional entropy applies.
     """
+    require_factors(rho123, 3)
     if k.acts_on != (1,):
         raise ValueError(f"sandwich requires a Kraus set acting on factor 1 only, got {k.acts_on}")
-    ens = measurement_ensemble(rho123, k)
-    middle = _ensemble_bound(ens)
+    middle = _measured_split(apply_kraus_op(rho123, k), rho123.dims[1:])[0]
     left = make_report("sandwich_left", _s123_minus_s12(rho123), middle, dims=rho123.dims,
                        kraus_count=len(k))
     right = make_report("sandwich_right", middle, _s23_minus_s2(rho123), dims=rho123.dims,
@@ -199,12 +212,12 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityRepo
 
     Checks H(Phi(rho123), Phi(rho12 x rho3)) <= H(rho123, rho12 x rho3) and
     records, in the metadata, the residual of the identity expressing the
-    contracted side through the ensemble entropies
+    contracted side through the `_measured_split` terms of the outcome blocks,
     sum_a n_a (S[rho2_a] - S[rho23_a] + S[rho3]).
     """
     require_factors(rho123, 3)
     d = rho123.dims
-    # rho123's outcome blocks feed both its channel image and the ensemble;
+    # rho123's outcome blocks feed both its channel image and the split terms;
     # apply_kraus_op also checks the family before any eigensolve
     blocks = apply_kraus_op(rho123, k)
     rho12 = partial_trace(rho123, {1, 2})
@@ -215,9 +228,9 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityRepo
     if not (math.isfinite(big) and math.isfinite(small)):
         return skipped_report("cpt_monotonicity", "support", relation=">=", dims=d,
                               lhs_finite=math.isfinite(big), rhs_finite=math.isfinite(small))
-    ens = ensemble_from_blocks(blocks, d[1:])
+    terms = _measured_split(blocks, d[1:])[1]
     s3 = von_neumann(rho3)
-    identity_value = sum(n * (von_neumann(r2) - von_neumann(r23) + s3) for n, r23, r2 in ens.entries)
+    identity_value = sum(n * (s2 - s23 + s3) for n, s23, s2 in terms)
     return make_report(
         "cpt_monotonicity", big, small, relation=">=", dims=d,
         kraus_count=len(k), identity_residual=abs(small - identity_value),
@@ -294,10 +307,10 @@ def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm) -> tuple[InequalityRe
     """
     s12, s1, s2 = bipartite_entropies(rho12)
     middle = _measured_conditional_entropy(rho12, p) - s2
-    s_cl_1 = entropy_from_eigs(povm_weights(rho12, p))
+    s_cl_1 = shannon(povm_weights(rho12, p))
     r = povm_joint_distribution(rho12, p, q)
-    s_cl_12 = entropy_from_eigs(r)
-    s_cl_2 = entropy_from_eigs(r.sum(axis=0))
+    s_cl_12 = shannon(r)
+    s_cl_2 = shannon(r.sum(axis=0))
     first = make_report(
         "cq_chain_quantum_to_cq", s12 - s1 - s2, middle,
         dims=rho12.dims, p_count=len(p),
@@ -313,17 +326,13 @@ def check_cqq(rho123: DensityMatrix, p: Povm) -> InequalityReport:
     """S123 - S12 <= S_cQQ - S_cQ with factor 1 measured by a POVM.
 
     S_cQQ keeps factors {2,3} quantum, S_cQ keeps factor 2; both decompose
-    through the subnormalized conditionals of the POVM, and the difference
-    equals the measured refinement bound for the square-root Kraus family.
+    through the subnormalized conditionals of the POVM, so the difference is
+    `_measured_split` of those conditionals: the measured refinement bound
+    for any Kraus family with K_a† K_a = P_a, the square roots among them.
     """
     require_factors(rho123, 3)
-    s_cqq = 0.0
-    s_cq = 0.0
-    d = rho123.dims
-    for b in povm_conditionals(rho123, p, factor=1):
-        s_cqq += block_entropy(b)[0]
-        s_cq += block_entropy(ptrace_mat(b, d[1:], (1,)))[0]
-    return make_report("cqq", _s123_minus_s12(rho123), s_cqq - s_cq, dims=d, povm_count=len(p))
+    bound = _measured_split(povm_conditionals(rho123, p, factor=1), rho123.dims[1:])[0]
+    return make_report("cqq", _s123_minus_s12(rho123), bound, dims=rho123.dims, povm_count=len(p))
 
 
 def check_convexity_cl_minus_q(a12: DensityMatrix, b12: DensityMatrix, p: Povm) -> InequalityReport:

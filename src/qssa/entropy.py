@@ -4,7 +4,8 @@ classical / classical-quantum hybrids induced by partitions of unity.
 All values are in nats. Entropies are plain floats; relative entropy
 returns `math.inf` when the first state has more than `STATE_TOL` of its
 weight outside the support of the second. Eigenvalues and weights below
-`clamp_threshold` follow the 0 ln 0 = 0 convention.
+`clamp_threshold` follow the 0 ln 0 = 0 convention; one below -`STATE_TOL`
+(relative to the largest) is an error there, never dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .measurement import Povm, povm_conditionals
 
 def entropy_from_eigs(eigs) -> float:
     """-sum x ln x over a spectrum or weight vector (any normalization),
-    dropping values below `clamp_threshold`."""
+    dropping values below `clamp_threshold` (which rejects a negative one)."""
     eigs = np.asarray(eigs, dtype=float)
     lam = eigs[eigs >= clamp_threshold(eigs)]
     if lam.size == 0:

@@ -11,7 +11,8 @@ Validation uses one bound, `STATE_TOL`, for states (and, in `measurement`, Kraus
 sets and POVMs) and for the asymmetry of any operator `hermitize` symmetrizes, a
 Gibbs H included; `MASS_TOL` bounds a mass that is computed two ways.
 `CLAMP_REL` is the one zero floor of the package: spectra, weight vectors,
-ensemble weights and Husimi values below `clamp_threshold` count as 0.
+outcome-block traces and Husimi values below `clamp_threshold` count as 0,
+and one below -`STATE_TOL` (relative to the largest) is an error there.
 """
 
 from __future__ import annotations
@@ -234,11 +235,14 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clamp_threshold(values) -> float:
-    """CLAMP_REL * max(1, largest value): values below it count as zero in x ln x; a NaN or inf top is an error."""
+    """CLAMP_REL * max(1, largest value): values below it count as zero in x ln x. A NaN or inf top, or a
+    least value below -STATE_TOL * max(1, largest value), is an error: no negative value is dropped unseen."""
     values = np.asarray(values)
-    top = float(values.max()) if values.size else 0.0
+    top, least = (float(values.max()), float(values.min())) if values.size else (0.0, 0.0)
     if not math.isfinite(top):
         raise ValueError(f"largest value {top} is not finite")
+    if least < -STATE_TOL * max(1.0, top):
+        raise ValueError(f"negative value {least:.3e} below -{STATE_TOL:.0e} * max(1, largest value)")
     return CLAMP_REL * max(1.0, top)
 
 

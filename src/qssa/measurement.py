@@ -1,10 +1,11 @@
-"""Kraus families, partitions of unity, and post-measurement ensembles.
+"""Kraus families, partitions of unity, and the measured outcome blocks.
 
 A Kraus family acts on factor 1 or on factors {1,2} of a state and is
-extended by the identity on the rest. Every measured quantity here reads
-only the outcome blocks Tr_1 (K_a ⊗ I) rho (K_a ⊗ I)†, and `apply_kraus_op`
+extended by the identity on the rest. Every measured quantity reads only
+the outcome blocks Tr_1 (K_a ⊗ I) rho (K_a ⊗ I)†, and `apply_kraus_op`
 computes them by a reduced contraction that never builds the extended
-operator or the full image K_a rho K_a†. POVM outcome tables and
+operator or the full image K_a rho K_a†. The entropies of those blocks, and
+of the POVM conditionals, are taken in `checks`. POVM outcome tables and
 conditionals are products with the stacked elements `Povm.rows`. Kraus sets
 and POVMs are validated against the same `STATE_TOL` as states; no
 constructor takes a tolerance, and `_check_fit` alone fits either to a state.
@@ -13,7 +14,6 @@ constructor takes a tolerance, and `_check_fit` alone fits either to a state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,9 +23,7 @@ from .linalg import (
     DensityMatrix,
     _as_int,
     _per_block,
-    clamp_threshold,
     hermitize,
-    partial_trace,
     ptrace_mat,
     require_factors,
     sqrtm_psd,
@@ -107,20 +105,6 @@ class Povm:
         return f"Povm(count={len(self.elements)}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class MeasurementEnsemble:
-    """Weights and conditional states {(n_a, rho23_a, rho2_a)} after measuring.
-
-    `skipped` counts terms whose weight fell below `clamp_threshold`;
-    `skipped_mass` is their total weight, so sum of n_a plus skipped_mass
-    recovers the trace of the input state.
-    """
-
-    entries: tuple
-    skipped: int
-    skipped_mass: float
-
-
 def _check_fit(what: str, dim: int, dims: tuple[int, ...], factors: int | tuple[int, ...]) -> None:
     """ValueError unless 1-based `factors` (one, or a Kraus `acts_on`) lie in `dims` and multiply to `dim`."""
     labels, named = (factors, "factors") if isinstance(factors, tuple) else ((factors,), "factor")
@@ -158,27 +142,6 @@ def apply_kraus_op(rho: DensityMatrix, k: KrausSet) -> list[np.ndarray]:
     return blocks
 
 
-def ensemble_from_blocks(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> MeasurementEnsemble:
-    """Weights n_a = Tr B_a, conditionals B_a / n_a on {2,3}, and their factor-2 reductions.
-
-    Terms with n_a below `clamp_threshold` (their conditional states are
-    numerically meaningless, and their n ln n counts as 0) are counted, not
-    materialized.
-    """
-    entries = []
-    skipped = 0
-    skipped_mass = 0.0
-    for b in blocks:
-        n = float(np.trace(b).real)
-        if n < clamp_threshold(n):
-            skipped += 1
-            skipped_mass += max(n, 0.0)
-            continue
-        r23 = DensityMatrix(b / n, dims23)
-        entries.append((n, r23, partial_trace(r23, {1})))
-    return MeasurementEnsemble(tuple(entries), skipped, skipped_mass)
-
-
 def phi_from_blocks(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> DensityMatrix:
     """The block-diagonal state ⊕_a B_a on C^M ⊗ H2 ⊗ H3."""
     d23 = blocks[0].shape[0]
@@ -186,17 +149,6 @@ def phi_from_blocks(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> De
     for a, b in enumerate(blocks):
         out[a * d23 : (a + 1) * d23, a * d23 : (a + 1) * d23] = b
     return DensityMatrix(out, (len(blocks),) + dims23)
-
-
-def measurement_ensemble(rho123: DensityMatrix, k: KrausSet) -> MeasurementEnsemble:
-    """Outcome weights and conditional reduced states of a measured tripartite state.
-
-    For each operator: weight n_a = Tr K_a rho K_a†, conditional state on
-    factors {2,3} is Tr_1 K_a rho K_a† / n_a, and its reduction to factor 2
-    (see `ensemble_from_blocks`).
-    """
-    require_factors(rho123, 3)
-    return ensemble_from_blocks(apply_kraus_op(rho123, k), rho123.dims[1:])
 
 
 def cpt_phi(rho123: DensityMatrix, k: KrausSet) -> DensityMatrix:

@@ -7,6 +7,7 @@ import pytest
 
 import qssa.checks
 from qssa.checks import (
+    _measured_split,
     check_classical_mutual_info,
     check_concave_map,
     check_convexity_cl_minus_q,
@@ -465,6 +466,48 @@ class TestCqChain:
         first, second = check_cq_chain(rho, random_povm(2, 2, 58), random_povm(3, 3, 59))
         assert first.passed and second.passed
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda r: r * (1 + 1e-6),
+        lambda r: r + np.array([[-r[0, 0] - 1e-11, r[0, 0] + 1e-11]] + [[0.0, 0.0]] * (len(r) - 1)),
+    ], ids=["unnormalized", "negative"])
+    def test_outcome_tables_are_checked_as_distributions(self, monkeypatch, corrupt):
+        # each table goes through shannon: finite, none below -CLAMP_REL, summing to 1
+        rho = random_density((2, 2), 4, 90)
+        p, q = random_povm(2, 2, 91), random_povm(2, 2, 92)
+        table = qssa.checks.povm_joint_distribution(rho, p, q)
+        monkeypatch.setattr(qssa.checks, "povm_joint_distribution", lambda *args: corrupt(table))
+        with pytest.raises(ValueError, match="probabilit"):
+            check_cq_chain(rho, p, q)
+
+
+class TestMeasuredSplit:
+    # checks._measured_split: the one path to sum_a n_a (S[rho23_a] - S[rho2_a])
+    def test_block_with_trace_below_minus_state_tol_raises(self):
+        with pytest.raises(ValueError, match="negative value"):
+            _measured_split([np.diag([-2e-9, 0.0])], (1, 2))
+
+    def test_block_with_trace_just_below_zero_is_skipped(self):
+        bound, terms, skipped, skipped_mass = _measured_split([np.diag([-5e-10, 0.0])], (1, 2))
+        assert (bound, terms, skipped, skipped_mass) == (0, [], 1, 0.0)
+
+    def test_cqq_validates_each_povm_conditional_as_a_state(self, monkeypatch):
+        # B / Tr B has eigenvalue -0.6: each conditional is checked as a state, PSD within STATE_TOL
+        rho = random_density((2, 2, 2), 8, 87)
+        bad = np.diag([0.8, -0.3, 0.0, 0.0]).astype(complex)
+        monkeypatch.setattr(qssa.checks, "povm_conditionals", lambda *args, **kwargs: np.array([bad]))
+        with pytest.raises(ValueError, match="not PSD"):
+            check_cqq(rho, Povm([np.eye(2)]))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (4, 3, 2), (3, 2, 3)])
+    def test_kraus_and_povm_paths_give_one_bound(self, dims):
+        # K on factor 1 and the POVM {K_a† K_a} have the same outcome blocks, so the same split bound
+        rho = random_density(dims, math.prod(dims), 88)
+        k = random_kraus(dims[0], 3, 89, acts_on=(1,))
+        p = Povm([op.conj().T @ op for op in k.ops])
+        left, _ = check_sandwich(rho, k)
+        bounds = [left.rhs, check_stronger_ssa(rho, k).rhs, check_cqq(rho, p).rhs]
+        assert max(bounds) - min(bounds) < 1e-13
+
 
 class TestCqq:
     def test_trivial_povm_reduces_to_ssa(self):
@@ -573,23 +616,25 @@ def test_factor_guards_raise_before_any_work(monkeypatch):
     import qssa.measurement
     import qssa.wehrl
     from qssa.entropy import classical_quantum_entropy
-    from qssa.measurement import cpt_phi, measurement_ensemble, povm_joint_distribution
+    from qssa.measurement import cpt_phi, povm_joint_distribution
     from qssa.wehrl import check_wehrl_mutual_info
 
     rho2 = random_density((2, 2), 4, 82)
     rho3 = random_density((2, 2, 2), 8, 83)
     k = random_kraus(4, 2, 84, acts_on=(1, 2))
+    k1 = random_kraus(2, 2, 86, acts_on=(1,))
     p = random_povm(2, 2, 85)
-    # each of the 11 guards, given a state with the wrong factor count
+    # each of the 12 guards, given a state with the wrong factor count
     calls = [
         (3, check_ssa, (rho2,)),
+        (3, check_stronger_ssa, (rho2, k)),
+        (3, check_sandwich, (rho2, k1)),
         (3, check_cpt_monotonicity, (rho2, k)),
         (2, check_improved_subadd, (rho3, p)),
         (2, check_cq_chain, (rho3, p, p)),
         (3, check_cqq, (rho2, p)),
         (2, mutual_information, (rho3,)),
         (2, classical_quantum_entropy, (rho3, p)),
-        (3, measurement_ensemble, (rho2, k)),
         (3, cpt_phi, (rho2, k)),
         (2, povm_joint_distribution, (rho3, p, p)),
         (2, check_wehrl_mutual_info, (rho3,)),
@@ -600,7 +645,7 @@ def test_factor_guards_raise_before_any_work(monkeypatch):
 
     for mod in (qssa.checks, qssa.entropy, qssa.measurement, qssa.wehrl):
         for name in ("partial_trace", "ptrace_mat", "von_neumann", "povm_conditionals",
-                     "apply_kraus_op", "measurement_ensemble", "relative_entropy", "_grids_for"):
+                     "apply_kraus_op", "relative_entropy", "_grids_for"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, no_work)
     for n, fn, args in calls:

@@ -16,7 +16,7 @@ from qssa.entropy import (
     shannon,
     von_neumann,
 )
-from qssa.linalg import CLAMP_REL, DensityMatrix, kron, kron_state, matrix_log, partial_trace
+from qssa.linalg import CLAMP_REL, DensityMatrix, clamp_threshold, kron, kron_state, matrix_log, partial_trace
 from qssa.measurement import Povm, povm_conditionals, povm_joint_distribution, povm_weights
 from qssa.randgen import random_density, random_povm, random_unitary
 
@@ -108,6 +108,28 @@ class TestNonFiniteAndAsymmetricInputs:
         b[0, 1] = 0.1
         with pytest.raises(ValueError, match="asymmetry"):
             block_entropy(b)
+
+    # linalg.clamp_threshold rejects a least value below -STATE_TOL * max(1, largest value), so a
+    # negative eigenvalue or weight is never dropped from x ln x unseen
+    def test_negative_spectrum_value_raises(self):
+        with pytest.raises(ValueError, match="negative value -2.000e-01"):
+            entropy_from_eigs([0.7, -0.2, 0.5])
+
+    def test_negative_block_raises(self):
+        with pytest.raises(ValueError, match="negative value -3.000e-01"):
+            block_entropy(np.diag([0.5, -0.3]))
+
+    @pytest.mark.parametrize("eigs,raises", [
+        ([1.0, -0.5e-9], False), ([1.0, -2e-9], True), ([4.0, -2e-9], False), ([4.0, -5e-9], True),
+        ([-0.5e-9], False), ([-2e-9], True),
+    ])
+    def test_negative_bound_is_relative_to_the_largest_value(self, eigs, raises):
+        if raises:
+            with pytest.raises(ValueError, match="negative value"):
+                clamp_threshold(eigs)
+        else:
+            assert clamp_threshold(eigs) == CLAMP_REL * max(1.0, max(eigs))
+            assert entropy_from_eigs(eigs) == entropy_from_eigs([x for x in eigs if x > 0])
 
     def test_block_is_symmetrized_to_the_same_bytes(self):
         rng = np.random.default_rng(3)

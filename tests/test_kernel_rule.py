@@ -87,3 +87,43 @@ def test_small_float_finder_reads_each_binding_form(tmp_path):
                     "def f():\n"
                     "    return 1e-15\n")
     assert small_module_floats(path) == [(1, 1e-15), (2, 1e-12), (3, 1e-9)]
+
+
+def unused_imports(path):
+    """(line, name) of every name a module imports and never reads, `from __future__` aside.
+
+    A name counts as read wherever it appears as an expression name, so
+    `np.linalg` reads `np`; a submodule import `import a.b` binds `a`.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names to export them; every other module imports only what it calls
+    src = Path(qssa.__file__).parent
+    offenders = [f"{path.name}:{line} imports {name}"
+                 for path in sorted(src.glob("*.py")) if path.name != "__init__.py"
+                 for line, name in unused_imports(path)]
+    assert not offenders, offenders
+
+
+def test_unused_import_finder_reads_each_import_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import math\n"
+                    "import numpy as np\n"
+                    "import os.path\n"
+                    "from .linalg import (STATE_TOL,\n"
+                    "    clamp_threshold)\n"
+                    "from typing import Sequence as Seq\n"
+                    "def f(x: Seq) -> float:\n"
+                    "    return np.log(x) + STATE_TOL\n")
+    assert unused_imports(path) == [(2, "math"), (4, "os"), (5, "clamp_threshold")]

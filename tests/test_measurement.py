@@ -1,4 +1,4 @@
-"""Measurement machinery: completeness, ensembles, the block channel."""
+"""Measurement machinery: completeness, outcome blocks, the block channel."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 import qssa.linalg
 import qssa.measurement
-from qssa.checks import check_concave_map
+from qssa.checks import _measured_split, check_concave_map, check_stronger_ssa
 from qssa.entropy import entropy_from_eigs, von_neumann
 from qssa.linalg import CLAMP_REL, DensityMatrix, kron, partial_trace, ptrace_mat
 from qssa.measurement import (
@@ -15,7 +15,6 @@ from qssa.measurement import (
     Povm,
     apply_kraus_op,
     cpt_phi,
-    measurement_ensemble,
     povm_conditionals,
     povm_joint_distribution,
     povm_to_kraus,
@@ -192,7 +191,18 @@ class TestReducedBlocks:
             expect = ptrace_mat(embed_operator(el, dims, (factor,)) @ rho.mat, dims, keep)
             assert np.abs(b - expect).max() < 1e-13
 
-    @pytest.mark.parametrize("fn", [measurement_ensemble, cpt_phi])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (4, 3, 2), (3, 2, 3)])
+    def test_kraus_blocks_are_povm_conditionals_of_the_gram_operators(self, dims):
+        # Tr_1 (K ⊗ I) rho (K ⊗ I)† = Tr_1 (K†K ⊗ I) rho: the two contractions agree block by block
+        rho = random_density(dims, math.prod(dims), 40)
+        k = random_kraus(dims[0], 3, 41, acts_on=(1,))
+        conds = povm_conditionals(rho, Povm([op.conj().T @ op for op in k.ops]), factor=1)
+        blocks = apply_kraus_op(rho, k)
+        assert len(blocks) == len(conds)
+        for b, c in zip(blocks, conds):
+            assert np.abs(b - c).max() < 1e-13
+
+    @pytest.mark.parametrize("fn", [apply_kraus_op, cpt_phi])
     def test_peak_memory_stays_below_one_state(self, fn):
         # one operator and one ~64 KB block of rho's rows at a time: neither K rho nor
         # K rho K† is ever full-size
@@ -202,33 +212,35 @@ class TestReducedBlocks:
         assert peak < rho.mat.nbytes, f"peak {peak / rho.mat.nbytes:.2f}x the state's bytes"
 
 
-class TestMeasurementEnsemble:
+class TestOutcomeBlocks:
+    # the blocks apply_kraus_op hands to checks._measured_split, the one path to the split bound
     def test_identity_measurement(self):
         rho = random_density((2, 2, 2), 8, 8)
-        ens = measurement_ensemble(rho, KrausSet([np.eye(4)], acts_on=(1, 2)))
-        assert len(ens.entries) == 1
-        n, r23, r2 = ens.entries[0]
-        assert n == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(r23.mat - partial_trace(rho, {2, 3}).mat).max() < 1e-12
-        assert np.abs(r2.mat - partial_trace(rho, {2}).mat).max() < 1e-12
+        blocks = apply_kraus_op(rho, KrausSet([np.eye(4)], acts_on=(1, 2)))
+        assert len(blocks) == 1
+        assert np.abs(blocks[0] - partial_trace(rho, {2, 3}).mat).max() < 1e-12
+        _, [(n, s23, s2)], skipped, _ = _measured_split(blocks, (2, 2))
+        assert n == pytest.approx(1.0, abs=1e-12) and skipped == 0
+        assert s23 == pytest.approx(von_neumann(partial_trace(rho, {2, 3})), abs=1e-12)
+        assert s2 == pytest.approx(von_neumann(partial_trace(rho, {2})), abs=1e-12)
 
     def test_product_basis_on_cq_state(self):
         rho = random_cq_state((2, 2, 2), 17)
-        k = product_basis_kraus(2, 2)
-        ens = measurement_ensemble(rho, k)
+        _, terms, _, _ = _measured_split(apply_kraus_op(rho, product_basis_kraus(2, 2)), (2, 2))
         joint = np.real(np.diag(partial_trace(rho, {1, 2}).mat))
-        weights = sorted(n for n, _, _ in ens.entries)
+        weights = sorted(n for n, _, _ in terms)
         assert np.allclose(weights, sorted(joint[joint > 1e-12]), atol=1e-12)
-        for n, r23, r2 in ens.entries:
+        for n, s23, s2 in terms:
             # conditional on factors (2,3) is |j><j| x sigma_ij: factor 2 stays pure
-            assert von_neumann(r2) < 1e-10
+            assert s2 < 1e-10
 
     def test_cyclicity_oracle(self):
         rho = random_density((2, 2, 2), 8, 9)
         k = random_kraus(4, 3, 10, acts_on=(1, 2))
-        ens = measurement_ensemble(rho, k)
-        assert abs(sum(n for n, _, _ in ens.entries) + ens.skipped_mass - 1.0) < 1e-10
-        for op, (n, _, _) in zip(k.ops, ens.entries):
+        _, terms, skipped, skipped_mass = _measured_split(apply_kraus_op(rho, k), (2, 2))
+        assert skipped == 0
+        assert abs(sum(n for n, _, _ in terms) + skipped_mass - 1.0) < 1e-10
+        for op, (n, _, _) in zip(k.ops, terms):
             gram = op.conj().T @ op
             expect = float(np.trace(embed_operator(gram, (2, 2, 2), (1, 2)) @ rho.mat).real)
             assert abs(n - expect) < 1e-12
@@ -236,18 +248,15 @@ class TestMeasurementEnsemble:
     def test_consistency_and_mixing(self):
         rho = random_density((2, 3, 2), 12, 11)
         k = random_kraus(2, 3, 12, acts_on=(1,))
-        ens = measurement_ensemble(rho, k)
-        for n, r23, r2 in ens.entries:
-            assert np.abs(partial_trace(r23, {1}).mat - r2.mat).max() < 1e-10
-        mixed = sum(n * r23.mat for n, r23, _ in ens.entries)
-        assert np.abs(mixed - partial_trace(rho, {2, 3}).mat).max() < 1e-10
+        blocks = apply_kraus_op(rho, k)
+        _, terms, skipped, _ = _measured_split(blocks, (3, 2))
+        assert skipped == 0
+        for b, (n, s23, s2) in zip(blocks, terms):
+            assert s23 == pytest.approx(von_neumann(DensityMatrix(b / n, (3, 2))), abs=1e-12)
+            assert s2 == pytest.approx(von_neumann(DensityMatrix(ptrace_mat(b, (3, 2), (1,)) / n, (3,))), abs=1e-12)
+        assert np.abs(sum(blocks) - partial_trace(rho, {2, 3}).mat).max() < 1e-10
 
-    def test_rejects_wrong_factors(self):
-        rho = random_density((2, 2, 2), 8, 13)
-        with pytest.raises(ValueError, match="need a 3-factor state"):
-            measurement_ensemble(partial_trace(rho, {1, 2}), KrausSet([np.eye(4)], acts_on=(1, 2)))
-
-    @pytest.mark.parametrize("fn", [measurement_ensemble, cpt_phi])
+    @pytest.mark.parametrize("fn", [apply_kraus_op, cpt_phi])
     def test_rejects_operator_dim_mismatch(self, fn):
         rho = random_density((2, 2, 2), 8, 13)
         with pytest.raises(ValueError, match="does not match factors"):
@@ -268,12 +277,14 @@ class TestMeasurementEnsemble:
         p[0], p[4] = floor / 2, floor
         p[8] = p[11] = (1 - 1.5 * floor) / 2
         rho = DensityMatrix(np.diag(p), (3, 2, 2))
-        ens = measurement_ensemble(rho, KrausSet(np.diag(e) for e in np.eye(3)))
-        assert (ens.skipped, ens.skipped_mass) == (1, floor / 2)
-        assert [n for n, _, _ in ens.entries] == [floor, pytest.approx(1 - 1.5 * floor)]
+        k = KrausSet(np.diag(e) for e in np.eye(3))
+        r = check_stronger_ssa(rho, k)
+        assert (r.meta["skipped_terms"], r.meta["skipped_mass"]) == (1, floor / 2)
+        _, terms, _, _ = _measured_split(apply_kraus_op(rho, k), (2, 2))
+        assert [n for n, _, _ in terms] == [floor, pytest.approx(1 - 1.5 * floor)]
 
     def test_rejects_sub_complete(self, monkeypatch):
-        # no ensemble or channel is ever handed a sub-complete family:
+        # no check or channel is ever handed a sub-complete family:
         # KrausSet refuses one, from a max-abs residual, before any eigensolve
         ops = [op * np.sqrt(0.5) for op in random_kraus(2, 2, 15).ops]
         forbid_eigensolves(monkeypatch)
@@ -294,21 +305,20 @@ class TestCptPhi:
         product = DensityMatrix(kron(rho12.mat, rho3.mat), (2, 2, 3))
         k = random_kraus(4, 2, 20, acts_on=(1, 2))
         out = cpt_phi(product, k)
-        ens = measurement_ensemble(product, k)
         d23 = 2 * 3
-        for a, (n, _, r2) in enumerate(ens.entries):
+        for a, op in enumerate(k.ops):
+            # Tr_1 K (rho12 ⊗ rho3) K† = Tr_1 (K rho12 K†) ⊗ rho3
+            reduced = ptrace_mat(op @ rho12.mat @ op.conj().T, (2, 2), (2,))
             block = out.mat[a * d23 : (a + 1) * d23, a * d23 : (a + 1) * d23]
-            assert np.abs(block - n * kron(r2.mat, rho3.mat)).max() < 1e-12
+            assert np.abs(block - kron(reduced, rho3.mat)).max() < 1e-12
 
     def test_block_entropy_oracle(self):
         rho = random_density((2, 2, 2), 8, 21)
         k = random_kraus(4, 3, 22, acts_on=(1, 2))
         out = cpt_phi(rho, k)
-        ens = measurement_ensemble(rho, k)
-        weights = np.array([n for n, _, _ in ens.entries])
-        expect = entropy_from_eigs(weights) + sum(
-            n * von_neumann(r23) for n, r23, _ in ens.entries
-        )
+        _, terms, _, _ = _measured_split(apply_kraus_op(rho, k), (2, 2))
+        weights = np.array([n for n, _, _ in terms])
+        expect = entropy_from_eigs(weights) + sum(n * s23 for n, s23, _ in terms)
         assert von_neumann(out) == pytest.approx(expect, abs=1e-9)
 
     def test_trace_and_psd(self):
