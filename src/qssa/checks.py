@@ -38,6 +38,7 @@ from .linalg import (
     MASS_TOL,
     STATE_TOL,
     DensityMatrix,
+    _int_in,
     clamp_threshold,
     hermitize,
     kron_state,
@@ -56,7 +57,7 @@ from .measurement import (
     povm_joint_distribution,
     povm_weights,
 )
-from .report import InequalityReport, make_report, skipped_report
+from .report import InequalityReport, make_report
 
 DEFAULT_LAMBDAS = (0.25, 0.5, 0.75)
 
@@ -226,8 +227,8 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityRepo
     big = relative_entropy(rho123, product)
     small = relative_entropy(phi_from_blocks(blocks, d[1:]), cpt_phi(product, k))
     if not (math.isfinite(big) and math.isfinite(small)):
-        return skipped_report("cpt_monotonicity", "support", relation=">=", dims=d,
-                              lhs_finite=math.isfinite(big), rhs_finite=math.isfinite(small))
+        return make_report("cpt_monotonicity", None, None, ">=", "skipped", d,
+                           lhs_finite=math.isfinite(big), rhs_finite=math.isfinite(small), reason="support")
     terms = _measured_split(blocks, d[1:])[1]
     s3 = von_neumann(rho3)
     identity_value = sum(n * (s2 - s23 + s3) for n, s23, s2 in terms)
@@ -259,6 +260,11 @@ def check_improved_subadd(rho12: DensityMatrix, p: Povm) -> tuple[InequalityRepo
     return left, right
 
 
+def require_counterexample_d(d: int) -> int:
+    """d as an int; ValueError unless it is an integer >= 2, the factor dimension of `counterexample_two_sided`."""
+    return _int_in(d, "counterexample d", 2)
+
+
 def counterexample_two_sided(d: int) -> InequalityReport:
     """Uniformly correlated basis pairs defeat the two-sided split bound.
 
@@ -266,8 +272,7 @@ def counterexample_two_sided(d: int) -> InequalityReport:
     S[rho12] = ln d while every conditional state is pure, so splitting
     both factors yields zero on the right: ln d <= 0 fails, an "expected-violation".
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    d = require_counterexample_d(d)
     eye = np.eye(d, dtype=complex)
     mat = np.zeros((d * d, d * d), dtype=complex)
     for a in range(d):

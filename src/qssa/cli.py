@@ -111,7 +111,7 @@ def cmd_check(args) -> int:
         raise UsageError(exc.args[0]) from exc
     reports = run_suites(cfg)
     _write(args.out, reports_to_csv(reports) if args.format == "csv" else reports_to_ndjson(reports))
-    n_fail = sum(1 for r in reports if r.status == "ok" and not r.passed)
+    n_fail = sum(1 for r in reports if not r.passed)
     n_skip = sum(1 for r in reports if r.status == "skipped")
     print(f"{len(reports)} reports, {n_fail} failed, {n_skip} skipped", file=sys.stderr)
     return 1 if n_fail else 0

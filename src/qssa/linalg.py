@@ -43,6 +43,14 @@ def _as_int(x) -> int:
     return n
 
 
+def _int_in(x, what: str, low: int, high: int | None = None) -> int:
+    """x as an int (`_as_int`); ValueError unless low <= x and, given `high`, x <= high. `what` names x."""
+    n = _as_int(x)
+    if n < low or (high is not None and n > high):
+        raise ValueError(f"{what} must be >= {low}{'' if high is None else f' and <= {high}'}, got {n}")
+    return n
+
+
 def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """Factor dimensions (d1, d2, ...) as a tuple: at least one, each >= 1."""
     dims = tuple(_as_int(d) for d in dims)
@@ -67,10 +75,8 @@ def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
     herm, step = np.conjugate(m.T, order="C"), _per_block(len(m))
-    if len(m) <= step:
-        asym = float(np.abs(m - herm).max()) if m.size else 0.0
-    else:  # no temporary of M's size
-        asym = max(float(np.abs(m[lo : lo + step] - herm[lo : lo + step]).max()) for lo in range(0, len(m), step))
+    asym = max((float(np.abs(m[lo : lo + step] - herm[lo : lo + step]).max()) for lo in range(0, len(m), step)),
+               default=0.0)
     if asym > STATE_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {STATE_TOL:.3e}")
     herm += m

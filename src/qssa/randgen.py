@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, as_dims, hermitian_eig
+from .linalg import DensityMatrix, _int_in, as_dims, hermitian_eig
 from .measurement import KrausSet, Povm
 
 RNG_NAME = "numpy-PCG64"
@@ -22,28 +22,24 @@ RNG_NAME = "numpy-PCG64"
 Seed = int
 
 
-def require_seed(seed: Seed) -> None:
-    """ValueError unless seed >= 0, the one seed rule of the library and the CLI."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+def require_seed(seed: Seed) -> int:
+    """seed as an int; ValueError unless it is an integer >= 0, the one seed rule of library and CLI."""
+    return _int_in(seed, "seed", 0)
 
 
-def require_trials(trials: int) -> None:
-    """ValueError unless trials >= 1: a run draws at least one random instance."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+def require_trials(trials: int) -> int:
+    """trials as an int; ValueError unless it is an integer >= 1: a run draws at least one random instance."""
+    return _int_in(trials, "trials", 1)
 
 
-def require_rank(rank: int, total: int) -> None:
-    """ValueError unless 1 <= rank <= total, the rank of a random state of `total` dimensions."""
-    if not 1 <= rank <= total:
-        raise ValueError(f"rank {rank} out of range 1..{total}")
+def require_rank(rank: int, total: int) -> int:
+    """rank as an int; ValueError unless it is an integer in 1..total, a random state's rank on `total` dims."""
+    return _int_in(rank, "rank", 1, total)
 
 
-def require_count(count: int) -> None:
-    """ValueError unless count >= 1: a random Kraus family or POVM has at least one operator."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+def require_count(count: int) -> int:
+    """count as an int; ValueError unless it is an integer >= 1: a random Kraus set or POVM has an operator."""
+    return _int_in(count, "count", 1)
 
 
 def _key(substream) -> tuple[int, ...]:
@@ -55,7 +51,7 @@ def _key(substream) -> tuple[int, ...]:
 
 def rng_for(seed: Seed, substream=()) -> np.random.Generator:
     """Generator for a (seed, substream) pair; substream is an int or tuple."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_key(substream))
+    ss = np.random.SeedSequence(entropy=require_seed(seed), spawn_key=_key(substream))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -71,7 +67,7 @@ def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:
     """Random state G G† / Tr(G G†) with G a (total x rank) complex Gaussian."""
     dims = as_dims(dims)
     total = math.prod(dims)
-    require_rank(rank, total)
+    rank = require_rank(rank, total)
     g = complex_gaussian(rng_for(seed, substream), (total, rank))
     m = g @ g.conj().T
     del g  # not held while the state is validated
@@ -81,8 +77,7 @@ def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:
 
 def random_unitary(dim: int, seed: Seed, substream=0) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian with phase-fixed R."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _int_in(dim, "dim", 1)
     g = complex_gaussian(rng_for(seed, substream), (dim, dim))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
@@ -96,7 +91,7 @@ def random_kraus(dim: int, count: int, seed: Seed, substream=0, acts_on=(1,)) ->
     an isometry V with V†V = I; its `count` row blocks of `dim` rows are the
     operators, so completeness holds to machine precision.
     """
-    require_count(count)
+    count = require_count(count)
     u = random_unitary(dim * count, seed, substream)
     iso = u[:, :dim]
     ops = [iso[a * dim : (a + 1) * dim, :] for a in range(count)]
@@ -105,7 +100,7 @@ def random_kraus(dim: int, count: int, seed: Seed, substream=0, acts_on=(1,)) ->
 
 def random_povm(dim: int, count: int, seed: Seed, substream=0) -> Povm:
     """Random partition of unity P_i = T^{-1/2} A_i T^{-1/2}, A_i Gaussian PSD."""
-    require_count(count)
+    count = require_count(count)
     key = _key(substream)
     for attempt in range(5):
         rng = rng_for(seed, key + (attempt,))

@@ -1,15 +1,14 @@
 """Structured results for inequality checks.
 
-Every check produces an InequalityReport. The `relation` field records the
-claimed direction; `slack` is always the margin by which the claim holds
-(rhs - lhs for "<=", lhs - rhs for ">="), so `passed` is recomputable from
-the report's own numbers as slack >= -tol. `judge` is the one place that
-sets `tol` and `passed`: `make_report` judges against `default_tol`, and a
-caller with its own tolerance (the suites, under `--tol`) judges again.
-`make_report` builds every report, skipped ones too (through `skipped_report`):
-those carry no numbers and no verdict (tol 0, pass); those with
-"expected-violation" mark constructions that are meant to violate a
-hypothetical bound and always pass.
+Every check produces an InequalityReport through `make_report`. A report
+stores what its check measured (lhs, rhs, the claimed `relation`, `status`)
+and the `tol` it is judged at; `slack` (rhs - lhs for "<=", lhs - rhs for
+">=") and `passed` (slack >= -tol) are derived from them, never stored.
+`judge` is the one place that sets `tol`: `make_report` judges at
+`default_tol`, and a caller with its own tolerance (the suites, under
+`--tol`) judges again. A "skipped" report carries no numbers (slack None,
+tol 0, pass); an "expected-violation" one marks a construction meant to
+violate a hypothetical bound and passes at any tolerance.
 """
 
 from __future__ import annotations
@@ -29,14 +28,22 @@ class InequalityReport:
     name: str
     lhs: Optional[float]
     rhs: Optional[float]
-    slack: Optional[float]
     tol: float = 0.0
-    passed: bool = True
     status: str = "ok"
     relation: str = "<="
     seed: Optional[int] = None
     dims: Optional[tuple] = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def slack(self) -> Optional[float]:
+        if self.status == "skipped":
+            return None
+        return self.rhs - self.lhs if self.relation == "<=" else self.lhs - self.rhs
+
+    @property
+    def passed(self) -> bool:
+        return self.status != "ok" or self.slack >= -self.tol
 
     def to_json_dict(self) -> dict:
         meta = dict(self.meta)
@@ -55,26 +62,14 @@ class InequalityReport:
         }
 
 
-# Keys that metadata may not use: the report's own fields and their JSON names.
-_RESERVED_META = frozenset(f.name for f in fields(InequalityReport)) | {"pass"}
-
-
-def _check_meta(meta: dict) -> dict:
-    clash = sorted(_RESERVED_META & meta.keys())
-    if clash:
-        raise TypeError(f"metadata may not name a report field: {', '.join(clash)}")
-    return meta
+# Keys that metadata may not use: the report's own fields, its derived values and their JSON names.
+_RESERVED_META = frozenset(f.name for f in fields(InequalityReport)) | {"slack", "passed", "pass"}
 
 
 def judge(report: InequalityReport, tol: float) -> InequalityReport:
-    """Judge a non-skipped report against `tol`: pass iff slack >= -tol.
-
-    An "expected-violation" report passes at any tolerance; a skipped one
-    is left as it is (tol 0, pass).
-    """
+    """Set the `tol` a non-skipped report is judged at; a skipped one keeps tol 0."""
     if report.status != "skipped":
         report.tol = float(tol)
-        report.passed = report.status == "expected-violation" or report.slack >= -report.tol
     return report
 
 
@@ -82,17 +77,13 @@ def make_report(name: str, lhs: float, rhs: float, relation: str = "<=", status:
                 **meta) -> InequalityReport:
     if relation not in ("<=", ">="):
         raise ValueError(f"relation must be '<=' or '>=', got {relation!r}")
-    slack = None
+    clash = sorted(_RESERVED_META & meta.keys())
+    if clash:
+        raise TypeError(f"metadata may not name a report field: {', '.join(clash)}")
     if status != "skipped":
         lhs, rhs = float(lhs), float(rhs)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            raise ValueError(f"non-finite bounds lhs={lhs} rhs={rhs}; flag via skipped_report instead")
-        slack = rhs - lhs if relation == "<=" else lhs - rhs
-    r = InequalityReport(name, lhs, rhs, slack, status=status, relation=relation,
-                         dims=tuple(dims) if dims is not None else None, meta=_check_meta(meta))
-    return r if slack is None else judge(r, default_tol(lhs, rhs))
-
-
-def skipped_report(name: str, reason: str, relation: str = "<=", dims=None, **meta) -> InequalityReport:
-    """`make_report`'s "skipped" report: no lhs, rhs, slack or verdict, and `reason` last in meta."""
-    return make_report(name, None, None, relation, "skipped", dims, **{**meta, "reason": reason})
+            raise ValueError(f"non-finite bounds lhs={lhs} rhs={rhs}; flag via status 'skipped' instead")
+    r = InequalityReport(name, lhs, rhs, status=status, relation=relation,
+                         dims=tuple(dims) if dims is not None else None, meta=meta)
+    return r if status == "skipped" else judge(r, default_tol(lhs, rhs))

@@ -11,7 +11,7 @@ A builder only draws its instance, `(calls, meta)`: each call is a tuple
 (check, *args) of a `checks` or `wehrl` check, and `meta` is stamped on every
 report of the instance. `SUITES[name](cfg)` yields a suite's instances and
 `run_suites` is the one loop over them: its `_run` alone makes the calls and
-stamps and judges their reports. `to_json`/`from_json` are the one JSON wire format.
+stamps their reports and re-judges them under `--tol`. `to_json`/`from_json` are the one JSON wire format.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         """Reject every bad setting before any suite runs (unknown suite: KeyError)."""
-        require_trials(self.trials)
-        require_seed(self.seed)
+        self.trials, self.seed = require_trials(self.trials), require_seed(self.seed)
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
         self.dims = as_dims(self.dims)
@@ -75,17 +74,17 @@ class SuiteConfig:
                 raise ValueError(f"suite {name} needs a 3-factor state, got dims {self.dims}")
             if need == 2 and len(self.dims) < 2:
                 raise ValueError(f"suite {name} needs at least two factors, got dims {self.dims}")
-        if "counterexample" in names and self.d < 2:
-            raise ValueError(f"counterexample needs d >= 2, got {self.d}")
+        if "counterexample" in names:
+            self.d = checks.require_counterexample_d(self.d)
         if "wehrl" in names:
-            wehrl.require_two_j(self.two_j)
+            self.two_j = wehrl.require_two_j(self.two_j)
             if self.two_j > WEHRL_MAX_TWO_J:
                 raise ValueError(f"suite wehrl needs two_j <= {WEHRL_MAX_TWO_J}, got {self.two_j}")
 
 
 def _run(calls, meta: dict, cfg: SuiteConfig, suite: str, index: int) -> list[InequalityReport]:
-    """Make an instance's check calls in order, then judge each report against `cfg.tol`, if set,
-    and stamp it with the seed, `meta`, suite, instance and rng."""
+    """Make an instance's check calls in order, then set each report's tol to `cfg.tol`, if set (by `judge`,
+    which leaves a skipped report at 0), and stamp it with the seed, `meta`, suite, instance and rng."""
     reports = []
     for check, *args in calls:
         out = check(*args)

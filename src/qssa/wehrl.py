@@ -38,10 +38,10 @@ import math
 import numpy as np
 
 from .checks import least_convex_mixture
-from .linalg import (CLAMP_REL, MASS_TOL, DensityMatrix, _per_block, clamp_threshold, partial_trace,
+from .linalg import (CLAMP_REL, MASS_TOL, DensityMatrix, _int_in, _per_block, clamp_threshold, partial_trace,
                      require_factors)
 from .entropy import mutual_information, von_neumann
-from .randgen import Seed, random_pure_state, require_trials, rng_for
+from .randgen import Seed, random_pure_state, require_seed, require_trials, rng_for
 from .report import InequalityReport, make_report
 
 # Minimum node counts of the default grids; below ~48 theta nodes the
@@ -53,10 +53,9 @@ _SQRT2 = math.sqrt(2.0)
 MAX_TWO_J = 1029
 
 
-def require_two_j(two_j: int) -> None:
-    """ValueError unless 0 <= two_j <= MAX_TWO_J: float(C(2j, k)) overflows from 2j = 1030 on."""
-    if not 0 <= two_j <= MAX_TWO_J:
-        raise ValueError(f"two_j must be >= 0 and <= {MAX_TWO_J}, got {two_j}")
+def require_two_j(two_j: int) -> int:
+    """two_j as an int; ValueError unless it is an integer in 0..MAX_TWO_J (float(C(2j, k)) overflows at 1030)."""
+    return _int_in(two_j, "two_j", 0, MAX_TWO_J)
 
 
 class BlochGrid:
@@ -105,7 +104,7 @@ def make_grid(two_j: int, n_theta: int | None = None, n_phi: int | None = None) 
     Gauss-Legendre nodes, n_phi >= 2 two_j + 2 uniform nodes keep the
     resolution exact). two_j is twice the spin, so j may be half-integer.
     """
-    require_two_j(two_j)
+    two_j = require_two_j(two_j)
     base_t, base_p = base_grid_sizes(two_j)
     if n_theta is None:
         n_theta = max(base_t, THETA_FLOOR)
@@ -288,7 +287,7 @@ def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:
     quadrature error. Besides "rows" and "summary", the result carries that
     "grid" and the first state of least S_W as "best".
     """
-    require_trials(trials)
+    trials, seed, two_j = require_trials(trials), require_seed(seed), require_two_j(two_j)
     grid = make_grid(two_j)
     rows = []
     min_sw, best = math.inf, None
@@ -297,7 +296,7 @@ def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:
         rho = DensityMatrix(np.outer(psi, psi.conj()), (two_j + 1,))
         sw = wehrl_entropy(rho, (grid,))
         s = von_neumann(rho)
-        rows.append({"trial": t, "seed": int(seed), "two_j": two_j,
+        rows.append({"trial": t, "seed": seed, "two_j": two_j,
                      "S_W": sw, "S": s, "diff": sw - s})
         if sw < min_sw:
             min_sw, best = sw, rho
@@ -309,7 +308,7 @@ def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:
         "summary": {
             "two_j": two_j,
             "trials": trials,
-            "seed": int(seed),
+            "seed": seed,
             "min_S_W": min_sw,
             "coherent_value": coherent,
             "margin": min_sw - coherent,

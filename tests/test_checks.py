@@ -312,7 +312,7 @@ class TestCptMonotonicity:
         s3 = von_neumann(partial_trace(rho, {3}))
         assert r.lhs == pytest.approx(s12 + s3 - von_neumann(rho), abs=1e-9)
 
-    def test_skipped_report_is_oriented_like_a_passing_one(self, monkeypatch):
+    def test_skip_is_oriented_like_a_passing_report(self, monkeypatch):
         rho = random_density((2, 2, 2), 8, 41)
         k = random_kraus(4, 3, 42, acts_on=(1, 2))
         ok = check_cpt_monotonicity(rho, k)
@@ -322,6 +322,9 @@ class TestCptMonotonicity:
         assert skipped.status == "skipped" and skipped.meta["reason"] == "support"
         assert skipped.relation == ok.relation == ">="
         assert skipped.meta["lhs_finite"] is False and skipped.meta["rhs_finite"] is True
+        assert list(skipped.meta) == ["lhs_finite", "rhs_finite", "reason"]  # reason last, as every skip
+        assert (skipped.lhs, skipped.rhs, skipped.slack) == (None, None, None)
+        assert (skipped.tol, skipped.passed) == (0.0, True)
 
     def test_each_state_is_measured_once(self, monkeypatch):
         # rho123's outcome blocks serve both Phi(rho123) and the ensemble
@@ -426,6 +429,11 @@ class TestCounterexample:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             counterexample_two_sided(1)
+
+    def test_d_is_an_integer(self):
+        with pytest.raises(ValueError, match="expected an integer, got 2.5"):
+            counterexample_two_sided(2.5)
+        assert counterexample_two_sided(3.0) == counterexample_two_sided(3)
 
 
 class TestClassicalMutualInfo:

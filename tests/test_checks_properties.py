@@ -1,8 +1,10 @@
 """Property tests: the SSA-type, sandwich and cpt checks keep lhs and rhs, to 1e-12, under a
 local unitary U1⊗U2⊗U3 (Kraus operators and POVM elements conjugated to match), under
 reversed outcome order and with factor 3 padded from d to d+1 by zeros, at unequal factor
-dims; the two-factor POVM checks do under U1⊗U2 and reversed outcome order; the Gibbs and
-Holevo checks and relative entropy keep their values under a joint conjugation."""
+dims; stronger SSA, the sandwich and cpt also under the Kraus gauge K_a -> (W_a⊗I) K_a; the
+two-factor POVM checks under U1⊗U2 and reversed outcome order; the Gibbs, Holevo and
+concave-map checks and relative entropy under a joint conjugation; the Wehrl checks under a
+z-rotation of each spin that maps its lean grid onto itself."""
 
 import functools
 import math
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from qssa.checks import (
     check_classical_mutual_info,
+    check_concave_map,
     check_convexity_cl_minus_q,
     check_cpt_monotonicity,
     check_cq_chain,
@@ -29,7 +32,9 @@ from qssa.checks import (
 from qssa.entropy import relative_entropy
 from qssa.linalg import DensityMatrix, kron, kron_state, partial_trace
 from qssa.measurement import KrausSet, Povm
-from qssa.randgen import random_density, random_hermitian, random_kraus, random_povm, random_unitary, rng_for
+from qssa.randgen import (random_density, random_hermitian, random_kraus, random_positive, random_povm,
+                          random_unitary, rng_for)
+from qssa.wehrl import base_grid_sizes, check_wehrl_convexity, check_wehrl_dominates, check_wehrl_mutual_info
 
 # lhs and rhs moved by at most 2.7e-15 under these moves at dims 2,3,4, and 2.0e-15 at DIMS2
 MOVE = 1e-12
@@ -62,6 +67,12 @@ def rotated_kraus(k, us, ws):
     if k.acts_on == (1, 2):
         u_in, w_out = kron(u_in, us[1]), kron(w_out, ws[1])
     return KrausSet([w_out @ op @ u_in.conj().T for op in k.ops], acts_on=k.acts_on)
+
+
+def gauged(k, dims, seed):
+    """K_a -> (W_a⊗I) K_a, W_a a unitary on factor 1 per outcome: Tr_1 leaves every outcome block as it is."""
+    ws = [np.kron(random_unitary(dims[0], seed, (3, a)), np.eye(k.dim // dims[0])) for a in range(len(k))]
+    return KrausSet([w @ op for w, op in zip(ws, k.ops)], acts_on=k.acts_on)
 
 
 def padded(rho):
@@ -99,6 +110,7 @@ def test_stronger_ssa_invariances(dims, count, acts_on, seed):
         check_stronger_ssa(rotated(rho, us), rotated_kraus(k, us, ws)),
         check_stronger_ssa(rho, KrausSet(k.ops[::-1], acts_on=acts_on)),
         check_stronger_ssa(padded(rho), k),
+        check_stronger_ssa(rho, gauged(k, dims, seed)),
     )
 
 
@@ -126,6 +138,7 @@ def test_cpt_monotonicity_invariances(dims, count, acts_on, seed):
         check_cpt_monotonicity(rho, k),
         check_cpt_monotonicity(rotated(rho, us), rotated_kraus(k, us, ws)),
         check_cpt_monotonicity(rho, KrausSet(k.ops[::-1], acts_on=acts_on)),
+        check_cpt_monotonicity(rho, gauged(k, dims, seed)),
     )
 
 
@@ -139,6 +152,7 @@ def test_sandwich_invariances(dims, count, seed):
         check_sandwich(rho, k),
         check_sandwich(rotated(rho, us), rotated_kraus(k, us, ws)),
         check_sandwich(rho, KrausSet(k.ops[::-1])),
+        check_sandwich(rho, gauged(k, dims, seed)),
     )
 
 
@@ -223,3 +237,40 @@ def test_relative_entropy_invariance(dims, rank, seed):
     moved_product = kron_state(DensityMatrix(u12 @ partial_trace(sigma, {1, 2}).mat @ u12.conj().T, dims[:2]),
                                DensityMatrix(us[2] @ partial_trace(sigma, {3}).mat @ us[2].conj().T, dims[2:]))
     assert abs(relative_entropy(rotated(rho, us), moved_product) - relative_entropy(rho, product)) <= MOVE
+
+
+@SETTINGS
+@given(dim=st.integers(2, 4), m=st.integers(1, 3), sub_complete=st.booleans(), seed=SEED)
+def test_concave_map_invariance(dim, m, sub_complete, seed):
+    # L, K, A and B all conjugated by one U: the exponent becomes U (L + sum K†(ln A)K) U†. Values
+    # reach ~120 here, so the move is taken relative to max(1, |value|): at most 4.9e-15 over 300
+    # suite-like instances, 3.7e-13 absolute
+    l_op, u = random_hermitian(dim, seed, 0), random_unitary(dim, seed, 1)
+    ops = [op * (np.sqrt(0.9) if sub_complete else 1.0) for op in random_kraus(dim, m, seed, 2).ops]
+    a, b = ([random_positive(dim, seed, (side, j)) for j in range(m)] for side in (3, 4))
+    def conj(xs):
+        return [u @ x @ u.conj().T for x in xs]
+
+    base, moved = check_concave_map(l_op, ops, a, b), check_concave_map(u @ l_op @ u.conj().T, *map(conj, (ops, a, b)))
+    for x, y in ((base.lhs, moved.lhs), (base.rhs, moved.rhs)):
+        assert abs(x - y) <= MOVE * max(1.0, abs(x)), (base, moved)
+
+
+def z_rotated(rho, steps):
+    """rho under exp(-i alpha_f J_z) on each spin f, alpha_f = 2 pi steps[f] / n_phi of its lean grid: the
+    Husimi function moves by alpha_f in phi, which maps the lean grid onto itself."""
+    phases = [np.exp(-2j * np.pi * s * np.arange(d) / base_grid_sizes(d - 1)[1]) for d, s in zip(rho.dims, steps)]
+    diag = functools.reduce(np.kron, phases)
+    return DensityMatrix(diag[:, None] * rho.mat * diag.conj(), rho.dims)
+
+
+@SETTINGS
+@given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5)), rank=st.integers(1, 25),
+       steps=st.tuples(st.integers(1, 13), st.integers(1, 13)), seed=SEED)
+def test_wehrl_invariances(dims, rank, steps, seed):
+    rho12 = random_density(dims, min(rank, math.prod(dims)), seed)
+    a, b = random_density(dims[:1], dims[0], seed, 1), random_density(dims[:1], 1, seed, 2)
+    moved12 = z_rotated(rho12, steps)
+    for check in (check_wehrl_dominates, check_wehrl_mutual_info):
+        assert_unmoved(check(rho12), check(moved12))
+    assert_unmoved(check_wehrl_convexity(a, b), check_wehrl_convexity(z_rotated(a, steps), z_rotated(b, steps)))

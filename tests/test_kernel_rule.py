@@ -127,3 +127,52 @@ def test_unused_import_finder_reads_each_import_form(tmp_path):
                     "def f(x: Seq) -> float:\n"
                     "    return np.log(x) + STATE_TOL\n")
     assert unused_imports(path) == [(2, "math"), (4, "os"), (5, "clamp_threshold")]
+
+
+def report_writes(path):
+    """(line, "build" or "tol", enclosing function) of every `InequalityReport(...)` call and every
+    assignment to an attribute `tol` (any store target, or `setattr(x, "tol", ...)`) in one source file."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name == "InequalityReport":
+                found.append((node.lineno, "build", func))
+            elif name == "setattr" and len(node.args) > 1 and getattr(node.args[1], "value", None) == "tol":
+                found.append((node.lineno, "tol", func))
+        if isinstance(node, ast.Attribute) and node.attr == "tol" and isinstance(node.ctx, ast.Store):
+            found.append((node.lineno, "tol", func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_only_report_builds_reports_and_only_judge_sets_tol():
+    # a report stores what its check measured; `make_report` builds it and `judge` alone sets
+    # the tol that its derived pass reads
+    src = Path(qssa.__file__).parent
+    offenders = [f"{path.name}:{line} {'builds an InequalityReport' if kind == 'build' else 'sets tol'} in {func}"
+                 for path in sorted(src.glob("*.py"))
+                 for line, kind, func in report_writes(path)
+                 if not (path.name == "report.py" and (kind == "build" or func == "judge"))]
+    assert not offenders, offenders
+
+
+def test_report_write_finder_reads_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("r = InequalityReport('x', 1.0, 2.0)\n"
+                    "def f(r, cfg):\n"
+                    "    r.tol = 1.0\n"
+                    "    r.tol += 1.0\n"
+                    "    cfg.report.tol, n = 0.0, 1\n"
+                    "    setattr(r, 'tol', 0.0)\n"
+                    "    return report.InequalityReport(r.name, r.tol, cfg.tol)\n"
+                    "class C:\n"
+                    "    tol: float = 0.0\n")
+    assert report_writes(path) == [(1, "build", None), (3, "tol", "f"), (4, "tol", "f"), (5, "tol", "f"),
+                                   (6, "tol", "f"), (7, "build", "f")]

@@ -13,6 +13,10 @@ from qssa.randgen import (
     random_kraus,
     random_povm,
     random_unitary,
+    require_count,
+    require_rank,
+    require_seed,
+    require_trials,
     rng_for,
 )
 
@@ -154,3 +158,40 @@ def test_rng_for_is_stateless():
     assert np.array_equal(r1, r2)
     r3 = rng_for(1, (2, 4)).standard_normal(4)
     assert not np.array_equal(r1, r3)
+
+
+class TestIntegerRule:
+    # seeds, counts, ranks and sizes are integers: a non-integral value is an error, never
+    # truncated, and an integral float or numpy value is taken as that int
+    @pytest.mark.parametrize("make", [
+        lambda: random_density((2, 2), 2.5, 0),
+        lambda: random_kraus(2, 2.5, 0),
+        lambda: random_povm(2, 2.5, 0),
+        lambda: random_unitary(2.5, 0),
+        lambda: rng_for(1.5),
+        lambda: random_density((2, 2), 4, 1.5),
+    ], ids=["rank", "kraus-count", "povm-count", "unitary-dim", "rng-seed", "density-seed"])
+    def test_non_integral_value_rejected(self, make):
+        with pytest.raises(ValueError, match="expected an integer"):
+            make()
+
+    def test_rules_return_ints(self):
+        values = (require_seed(np.float64(3.0)), require_trials(2.0), require_count(np.int64(4)), require_rank(1.0, 4))
+        assert values == (3, 2, 4, 1) and all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("rule, value, message", [
+        (require_seed, -1, "seed must be >= 0, got -1"),
+        (require_trials, 0, "trials must be >= 1, got 0"),
+        (require_count, 0, "count must be >= 1, got 0"),
+    ])
+    def test_bounds_keep_their_messages(self, rule, value, message):
+        with pytest.raises(ValueError, match=message):
+            rule(value)
+
+    def test_integral_floats_draw_the_int_streams(self):
+        assert rng_for(5.0, 2).standard_normal(3).tobytes() == rng_for(5, 2).standard_normal(3).tobytes()
+        assert random_density((2, 2), 2.0, 5.0).mat.tobytes() == random_density((2, 2), 2, 5).mat.tobytes()
+        for a, b in zip(random_kraus(2, 3.0, 5).ops, random_kraus(2, 3, 5).ops):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(random_povm(2, 3.0, 5).elements, random_povm(2, 3, 5).elements):
+            assert a.tobytes() == b.tobytes()

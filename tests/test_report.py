@@ -1,9 +1,16 @@
-"""The one verdict: `judge` sets tol and pass, `make_report` judges at the default."""
+"""The one verdict: slack and pass derive from lhs, rhs, relation, status and tol; `judge` sets tol,
+`make_report` judges at the default."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from qssa.report import default_tol, judge, make_report, skipped_report
+from qssa.report import InequalityReport, default_tol, judge, make_report
+
+
+def skipped(**meta):
+    return make_report("x", None, None, status="skipped", **meta)
 
 
 class TestJudge:
@@ -32,21 +39,22 @@ class TestJudge:
         assert r.tol == tol
 
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
-    def test_skipped_report_keeps_zero_tol(self, tol):
-        r = skipped_report("x", "support")
+    def test_skipped_keeps_zero_tol(self, tol):
+        r = skipped(reason="support")
         assert (r.tol, r.passed) == (0.0, True)
         judge(r, tol)
         assert (r.tol, r.passed, r.status) == (0.0, True, "skipped")
 
-    def test_skipped_report_is_built_by_make_report(self):
-        r = skipped_report("x", "support", relation=">=", dims=[2, 3], lhs_finite=False)
-        assert r == make_report("x", None, None, ">=", "skipped", (2, 3), lhs_finite=False, reason="support")
+    def test_skipped_is_built_by_make_report(self):
+        r = make_report("x", None, None, ">=", "skipped", [2, 3], lhs_finite=False, reason="support")
+        assert r == InequalityReport("x", None, None, status="skipped", relation=">=", dims=(2, 3),
+                                     meta={"lhs_finite": False, "reason": "support"})
         assert (r.lhs, r.rhs, r.slack, r.tol, r.passed) == (None, None, None, 0.0, True)
         assert list(r.meta) == ["lhs_finite", "reason"]
 
-    def test_skipped_report_validates_its_relation(self):
+    def test_skipped_validates_its_relation(self):
         with pytest.raises(ValueError, match="relation"):
-            skipped_report("x", "support", relation="<")
+            make_report("x", None, None, "<", "skipped")
 
     def test_judges_in_place_and_returns_the_report(self):
         r = make_report("x", 0.0, 1.0)
@@ -64,6 +72,49 @@ class TestJudge:
         r = judge(make_report("x", 0.0, 1.0), 0)
         assert type(r.tol) is float
 
+    def test_judge_sets_only_tol(self):
+        r = make_report("x", 1.0, 0.5, relation=">=", kraus_count=2)
+        before = dataclasses.replace(r, meta=dict(r.meta))
+        judge(r, 0.25)
+        assert r == dataclasses.replace(before, tol=0.25)
+
+
+class TestDerivedVerdict:
+    def test_slack_and_passed_are_not_fields(self):
+        names = {f.name for f in dataclasses.fields(InequalityReport)}
+        assert names.isdisjoint({"slack", "passed", "pass"})
+
+    @pytest.mark.parametrize("attr", ["slack", "passed"])
+    def test_slack_and_passed_cannot_be_assigned(self, attr):
+        r = make_report("x", 1.0, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(r, attr, 0.0)
+
+    @pytest.mark.parametrize("relation, slack", [("<=", 0.5), (">=", -0.5)])
+    def test_slack_is_oriented_by_the_relation(self, relation, slack):
+        assert make_report("x", 0.25, 0.75, relation=relation).slack == slack
+
+    def test_verdict_follows_the_stored_values(self):
+        # nothing derived is cached: a changed rhs, relation or tol moves slack and pass at once
+        r = make_report("x", 1.0, 2.0)
+        assert (r.slack, r.passed) == (1.0, True)
+        r.rhs = 0.5
+        assert (r.slack, r.passed) == (-0.5, False)
+        r.relation = ">="
+        assert (r.slack, r.passed) == (0.5, True)
+        r.relation, r.tol = "<=", 0.5
+        assert (r.slack, r.passed) == (-0.5, True)
+
+    def test_only_an_ok_report_can_fail(self):
+        for status in ("expected-violation", "skipped"):
+            assert InequalityReport("x", 1.0, 0.0, status=status).passed
+        assert not InequalityReport("x", 1.0, 0.0).passed
+
+    def test_json_carries_the_derived_values(self):
+        d = make_report("x", 1.0, 0.5).to_json_dict()
+        assert (d["slack"], d["pass"]) == (-0.5, False)
+        assert skipped(reason="support").to_json_dict()["slack"] is None
+
 
 class TestMetadataKeys:
     # Metadata that named a report field would shadow it: make_report("x", 1, 0.5,
@@ -76,10 +127,10 @@ class TestMetadataKeys:
             make_report("x", 1.0, 0.5, **{key: 1.0})
 
     @pytest.mark.parametrize("key", FIELD_KEYS + ("lhs", "rhs", "status"))
-    def test_skipped_report_rejects_a_report_field(self, key):
+    def test_skipped_rejects_a_report_field(self, key):
         with pytest.raises(TypeError, match=key):
-            skipped_report("x", "support", **{key: 3})
+            skipped(reason="support", **{key: 3})
 
     def test_other_metadata_is_kept(self):
         assert make_report("x", 1.0, 0.5, kraus_count=2).meta == {"kraus_count": 2}
-        assert skipped_report("x", "support", lhs_finite=False).meta == {"lhs_finite": False, "reason": "support"}
+        assert skipped(lhs_finite=False, reason="support").meta == {"lhs_finite": False, "reason": "support"}

@@ -190,6 +190,31 @@ class TestRun:
         with pytest.raises(ValueError):
             SuiteConfig(suites=suites, trials=1, **kwargs)
 
+    @pytest.mark.parametrize("suites,kwargs", [
+        (["ssa"], {"seed": 1.5}),
+        (["ssa"], {"trials": 2.5}),
+        (["counterexample"], {"d": 2.5}),
+        (["wehrl"], {"two_j": 1.5}),
+    ], ids=["seed", "trials", "d", "two_j"])
+    def test_non_integral_settings_rejected_before_running(self, suites, kwargs):
+        # int() would truncate them: seed 1.5 replayed seed 1's bytes under the label 1.5
+        with pytest.raises(ValueError, match="expected an integer"):
+            SuiteConfig(suites=suites, **kwargs)
+
+    def test_integral_settings_are_stored_as_ints(self):
+        cfg = SuiteConfig(suites=["counterexample", "wehrl"], trials=2.0, seed=np.float64(7.0), d=3.0,
+                          two_j=np.int64(2))
+        values = (cfg.trials, cfg.seed, cfg.d, cfg.two_j)
+        assert values == (2, 7, 3, 2) and all(type(v) is int for v in values)
+
+    def test_a_float_seed_writes_the_int_seeds_bytes(self):
+        # one seed, one label: `qssa diff` pairs reports by (name, seed, suite, instance)
+        def ndjson(seed, d):
+            return reports_to_ndjson(run_suites(SuiteConfig(suites=["ssa", "counterexample"], trials=2, seed=seed, d=d)))
+
+        assert ndjson(1.0, 2.0) == ndjson(1, 2)
+        assert '"seed":1,' in ndjson(1, 2)
+
     def test_settings_of_unselected_suites_are_not_checked(self):
         SuiteConfig(suites=["gibbs", "wehrl"], dims=(4,), d=1)
         SuiteConfig(suites=["mutual-info"], dims=(2, 3, 4, 5), two_j=-1)
@@ -293,18 +318,18 @@ class TestWireFormat:
 
 def test_failed_check_gives_exit_1(tmp_path, monkeypatch, capsys):
     def broken(rho):
-        return InequalityReport(name="forced", lhs=1.0, rhs=0.0, slack=-1.0, tol=1e-8, passed=False)
+        return InequalityReport(name="forced", lhs=1.0, rhs=0.0, tol=1e-8)  # slack -1: fails
 
     monkeypatch.setattr(qssa.checks, "check_ssa", broken)
     code = main(["check", "--suite", "ssa", "--trials", "1", "--out", str(tmp_path / "x.ndjson")])
     assert code == 1
 
 
-def test_skipped_reports_do_not_fail(tmp_path, monkeypatch, capsys):
-    from qssa.report import skipped_report
+def test_skipped_checks_do_not_fail(tmp_path, monkeypatch, capsys):
+    from qssa.report import make_report
 
     def skipper(rho):
-        return skipped_report("forced", "support")
+        return make_report("forced", None, None, status="skipped", reason="support")
 
     monkeypatch.setattr(qssa.checks, "check_ssa", skipper)
     code = main(["check", "--suite", "ssa", "--trials", "1", "--out", str(tmp_path / "x.ndjson")])
@@ -314,11 +339,12 @@ def test_skipped_reports_do_not_fail(tmp_path, monkeypatch, capsys):
     assert obj["lhs"] is None
 
 
-def test_tol_leaves_skipped_reports_unjudged(tmp_path, monkeypatch, capsys):
+def test_tol_leaves_skipped_checks_unjudged(tmp_path, monkeypatch, capsys):
     from qssa import checks
-    from qssa.report import skipped_report
+    from qssa.report import make_report
 
-    monkeypatch.setattr(checks, "check_ssa", lambda rho: skipped_report("ssa", "support"))
+    monkeypatch.setattr(checks, "check_ssa", lambda rho: make_report("ssa", None, None, status="skipped",
+                                                                     reason="support"))
     code = main(["check", "--suite", "ssa", "--trials", "2", "--tol", "1e-3",
                  "--out", str(tmp_path / "x.ndjson")])
     assert code == 0

@@ -177,6 +177,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="two_j must be >= 0"):
             make_grid(-1)
 
+    def test_two_j_is_an_integer(self):
+        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+            make_grid(1.5)
+        assert require_two_j(np.float64(4.0)) == 4 and type(require_two_j(4.0)) is int
+        assert make_grid(4.0).two_j == 4 and type(make_grid(4.0).two_j) is int
+
     def test_rejects_two_j_above_float_binomials(self, monkeypatch):
         def never(n):
             raise AssertionError("nodes computed")
@@ -495,6 +501,13 @@ class TestWehrlScan:
         assert np.array_equal(grid_states(a["grid"]), grid_states(b["grid"]))
         assert np.array_equal(a["grid"].weights, b["grid"].weights)
         assert np.array_equal(a["best"].mat, b["best"].mat)
+
+    def test_integral_floats_scan_as_ints(self):
+        a, b = wehrl_min_scan(2, 3, 5), wehrl_min_scan(2.0, 3.0, 5.0)
+        assert (a["rows"], a["summary"]) == (b["rows"], b["summary"])
+        assert [type(b["rows"][0][k]) for k in ("seed", "two_j")] == [int, int]
+        with pytest.raises(ValueError, match="expected an integer"):
+            wehrl_min_scan(2, 3, 5.5)
 
     def test_scan_reports_margin(self):
         scan = wehrl_min_scan(2, 50, 11)
