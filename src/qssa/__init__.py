@@ -10,7 +10,6 @@ from .linalg import (
     sqrtm_psd,
 )
 from .entropy import (
-    classical_quantum_entropy,
     mutual_information,
     relative_entropy,
     shannon,
@@ -43,6 +42,7 @@ from .checks import (
     check_sandwich,
     check_ssa,
     check_stronger_ssa,
+    classical_quantum_entropy,
     counterexample_two_sided,
 )
 from .report import InequalityReport

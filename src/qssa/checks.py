@@ -14,6 +14,7 @@ S_W - S in `wehrl`, take their worst mixture from the one scan `least_convex_mix
 SSA, the sandwich and cpt's identity feed it Kraus outcome blocks, `check_cqq` POVM conditionals.
 `_measured_conditional_entropy` is the one path to sum_a n_a S[rho_a] of a measured
 factor; it subtracts n ln n of the mass each block's entropy keeps, so it is never negative.
+It and `classical_quantum_entropy` read the conditionals' block entropies from `_conditional_entropies`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .entropy import (
     bipartite_entropies,
     block_entropy,
-    classical_quantum_entropy,
     entropy_from_eigs,
     mutual_information,
     relative_entropy,
@@ -34,9 +34,6 @@ from .entropy import (
     von_neumann,
 )
 from .linalg import (
-    CLAMP_REL,
-    MASS_TOL,
-    STATE_TOL,
     DensityMatrix,
     _int_in,
     clamp_threshold,
@@ -44,7 +41,10 @@ from .linalg import (
     kron_state,
     matrix_log,
     partial_trace,
+    require_distribution,
     require_factors,
+    require_psd,
+    require_same_mass,
     square_ops,
 )
 from .measurement import (
@@ -162,7 +162,7 @@ def check_concave_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequen
 
     Lieb's theorem is the case of one K = I. Checked before any log: the K
     list (`linalg.square_ops`), L, A and B of K's size, one A and one B per
-    K, and the hypothesis: no eigenvalue of I - sum K†K below -STATE_TOL.
+    K, and the hypothesis: I - sum K†K is PSD (`require_psd`).
     f(A) and f(B), evaluated before any mixture, reject an argument that is
     not positive definite. Reports the minimum concavity margin over the
     mixing weights DEFAULT_LAMBDAS.
@@ -175,9 +175,8 @@ def check_concave_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequen
                 raise ValueError(f"{name} shape {np.shape(x)} does not match K dim {d}")
     if len(a_ops) != len(ops) or len(b_ops) != len(ops):
         raise ValueError(f"{len(a_ops)} A and {len(b_ops)} B operators for {len(ops)} K operators")
-    gap = np.linalg.eigvalsh(np.eye(d) - sum(k.conj().T @ k for k in ops))[0]
-    if gap < -STATE_TOL:
-        raise ValueError(f"sum K†K exceeds I: I - sum K†K has eigenvalue {gap:.3e}")
+    w = np.linalg.eigvalsh(np.eye(d) - sum(k.conj().T @ k for k in ops))
+    require_psd(w, "sum K†K exceeds I: I - sum K†K")
     a_ops, b_ops = ([np.asarray(a, dtype=complex) for a in group] for group in (a_ops, b_ops))
     fa = trace_exp_map(l_op, ops, a_ops)
     fb = trace_exp_map(l_op, ops, b_ops)
@@ -238,11 +237,29 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityRepo
     )
 
 
+def _conditional_entropies(rho12: DensityMatrix, p: Povm, factor: int = 1) -> list[tuple[float, float]]:
+    """(-Tr B ln B, n) of each POVM conditional B of measuring `factor` (`block_entropy`)."""
+    return [block_entropy(b) for b in povm_conditionals(rho12, p, factor=factor)]
+
+
+def classical_quantum_entropy(rho12: DensityMatrix, p: Povm) -> float:
+    """Entropy that is classical on factor 1 and quantum on factor 2.
+
+    Equals -sum_a Tr[B_a ln B_a] over the subnormalized conditionals
+    B_a = Tr_1[(P_a x I) rho12], which decomposes as Shannon(n) plus the
+    weighted conditional entropies sum_a n_a S[rho2_a].
+    """
+    require_factors(rho12, 2)
+    total = 0.0
+    for s_b, _ in _conditional_entropies(rho12, p):
+        total += s_b
+    return total
+
+
 def _measured_conditional_entropy(rho12: DensityMatrix, p: Povm, factor: int = 1) -> float:
     """sum_a n_a S[rho_a] >= 0 (S_cQ - S_cl) for the POVM measured on `factor`, rho_a on the other."""
     cond_entropy = 0.0
-    for b in povm_conditionals(rho12, p, factor=factor):
-        s_b, n = block_entropy(b)
+    for s_b, n in _conditional_entropies(rho12, p, factor):
         # adding n ln n to -Tr B ln B recovers n S[rho_a]; n is the mass of the
         # eigenvalues B's entropy keeps, so a block below the floor adds exactly 0
         cond_entropy += s_b - entropy_from_eigs([n])
@@ -292,10 +309,8 @@ def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm) -> Inequ
     marg_q = r.sum(axis=0)
     classical_mi = shannon(marg_p) + shannon(marg_q) - shannon(r.ravel())
     quantum_mi = mutual_information(rho12)
-    direct = povm_weights(rho12, p)
-    marginal_residual = float(np.abs(direct - marg_p).max())
-    if marginal_residual > MASS_TOL:
-        raise RuntimeError(f"outcome-table marginal disagrees with direct weights by {marginal_residual:.3e}")
+    marginal_residual = require_same_mass(povm_weights(rho12, p), marg_p,
+                                          "outcome-table marginal disagrees with direct weights")
     return make_report(
         "classical_mutual_info", quantum_mi, classical_mi, relation=">=",
         dims=rho12.dims, p_count=len(p), q_count=len(q),
@@ -350,18 +365,16 @@ def check_convexity_cl_minus_q(a12: DensityMatrix, b12: DensityMatrix, p: Povm) 
 
 def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm) -> InequalityReport:
     """Accessible information of an ensemble is at most its Holevo quantity. The weights are
-    checked first: finite, 1-D, none below -CLAMP_REL, summing to 1, one per state."""
+    checked first: a 1-D probability vector (`require_distribution`), one per state."""
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or not np.isfinite(weights).all() or weights.min(initial=0.0) < -CLAMP_REL:
-        raise ValueError(f"ensemble weights must be a finite, non-negative 1-D vector, got {weights.tolist()}")
-    if abs(weights.sum() - 1.0) > STATE_TOL:
-        raise ValueError(f"ensemble weights sum to {weights.sum()!r}")
+    if weights.ndim != 1:
+        raise ValueError(f"ensemble weights must be a 1-D vector, got {weights.tolist()}")
+    require_distribution(weights, "ensemble weights")
     if len(weights) != len(states):
         raise ValueError(f"{len(weights)} weights for {len(states)} states")
     dims = states[0].dims
-    for s in states:
-        if s.dims != dims:
-            raise ValueError("ensemble states must share dimensions")
+    if any(s.dims != dims for s in states):
+        raise ValueError("ensemble states must share dimensions")
     if q.dim != states[0].dim:
         raise ValueError(f"POVM dim {q.dim} does not match state dim {states[0].dim}")
     r = weights[:, None] * (np.array([s.mat.ravel() for s in states]) @ q.rows.T).real

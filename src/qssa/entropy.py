@@ -1,5 +1,5 @@
-"""Entropy functionals: von Neumann, Shannon, relative, mutual, and the
-classical / classical-quantum hybrids induced by partitions of unity.
+"""Entropy functionals: von Neumann, Shannon, relative and mutual entropies,
+and the entropy of a measured block.
 
 All values are in nats. Entropies are plain floats; relative entropy
 returns `math.inf` when the first state has more than `STATE_TOL` of its
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (CLAMP_REL, STATE_TOL, DensityMatrix, _per_block, clamp_threshold, hermitize,
-                     partial_trace, require_factors)
-from .measurement import Povm, povm_conditionals
+from .linalg import (STATE_TOL, DensityMatrix, _per_block, clamp_threshold, hermitize, partial_trace,
+                     require_distribution, require_factors)
 
 
 def entropy_from_eigs(eigs) -> float:
@@ -41,15 +40,9 @@ def von_neumann(rho: DensityMatrix) -> float:
 
 
 def shannon(p) -> float:
-    """-sum p ln p of a probability vector (entries may carry tiny roundoff)."""
+    """-sum p ln p of a probability vector (`require_distribution`: entries may carry tiny roundoff)."""
     p = np.asarray(p, dtype=float).ravel()
-    if not np.isfinite(p).all():
-        raise ValueError("probabilities must be finite")
-    if p.size and p.min() < -CLAMP_REL:
-        raise ValueError(f"negative probability {p.min():.3e}")
-    total = float(p.sum())
-    if abs(total - 1.0) > STATE_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    require_distribution(p, "probabilities")
     return entropy_from_eigs(p)
 
 
@@ -89,16 +82,3 @@ def mutual_information(rho12: DensityMatrix) -> float:
     s12, s1, s2 = bipartite_entropies(rho12)
     return s1 + s2 - s12
 
-
-def classical_quantum_entropy(rho12: DensityMatrix, p: Povm) -> float:
-    """Entropy that is classical on factor 1 and quantum on factor 2.
-
-    Equals -sum_a Tr[B_a ln B_a] over the subnormalized conditionals
-    B_a = Tr_1[(P_a x I) rho12], which decomposes as Shannon(n) plus the
-    weighted conditional entropies sum_a n_a S[rho2_a].
-    """
-    require_factors(rho12, 2)
-    total = 0.0
-    for b in povm_conditionals(rho12, p, factor=1):
-        total += block_entropy(b)[0]
-    return total

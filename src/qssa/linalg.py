@@ -7,12 +7,14 @@ Factors are labeled 1..n throughout the public API, `ptrace_mat` included
 functions of immutable inputs; arrays held by :class:`DensityMatrix` (its
 matrix and, once solved, its eigensystem) are frozen, and so are the copies
 `square_ops` makes of operator lists such as Kraus families and POVMs.
-Validation uses one bound, `STATE_TOL`, for states (and, in `measurement`, Kraus
-sets and POVMs) and for the asymmetry of any operator `hermitize` symmetrizes, a
-Gibbs H included; `MASS_TOL` bounds a mass that is computed two ways.
-`CLAMP_REL` is the one zero floor of the package: spectra, weight vectors,
-outcome-block traces and Husimi values below `clamp_threshold` count as 0,
-and one below -`STATE_TOL` (relative to the largest) is an error there.
+Each bound is compared in one guard, which takes no tolerance: `require_residual`
+holds an identity's error (an asymmetry, a trace, a sum, a completeness residual)
+within `STATE_TOL`, `require_psd` a least eigenvalue above -`STATE_TOL`,
+`require_distribution` a probability vector (finite, none below -`CLAMP_REL`, sum
+1), and `require_same_mass` a mass computed two ways within `MASS_TOL`
+(a `RuntimeError`). `CLAMP_REL` is the one zero floor of the package: spectra,
+weight vectors, outcome-block traces and Husimi values below `clamp_threshold`
+count as 0, and one below -`STATE_TOL` (relative to the largest) is an error there.
 """
 
 from __future__ import annotations
@@ -26,13 +28,40 @@ import numpy as np
 # as 0 (0 ln 0 = 0); matrix logarithms reject eigenvalues below it.
 CLAMP_REL = 1e-12
 
-# The one bound for validating states, Kraus sets and POVMs (trace, negative
-# eigenvalues, completeness) and the asymmetry of any operator `hermitize`
-# symmetrizes; generated objects stay below 1e-12.
+# The validation bound of `require_residual` and `require_psd`; generated objects stay below 1e-12.
 STATE_TOL = 1e-9
 
-# Bound on a mass computed two ways: Husimi mass vs Tr rho, table marginal vs POVM weights.
+# The bound of `require_same_mass`: Husimi mass vs Tr rho, table marginal vs POVM weights.
 MASS_TOL = 1e-10
+
+
+def require_residual(residual: float, what: str) -> None:
+    """ValueError if |residual|, the error of an identity that holds exactly, exceeds STATE_TOL."""
+    if abs(residual) > STATE_TOL:
+        raise ValueError(f"{what} {residual:.3e} exceeds tolerance {STATE_TOL:.3e}")
+
+
+def require_psd(eigs, what: str) -> None:
+    """ValueError if the least of the ascending eigenvalues `eigs` of `what` is below -STATE_TOL."""
+    if eigs[0] < -STATE_TOL:
+        raise ValueError(f"{what} is not PSD: min eigenvalue {eigs[0]:.3e} < -{STATE_TOL:.3e}")
+
+
+def require_distribution(p: np.ndarray, what: str) -> None:
+    """ValueError unless p, a float array of `what`, is finite, >= -CLAMP_REL, sums to 1 (`require_residual`)."""
+    if not np.isfinite(p).all():
+        raise ValueError(f"{what} must be finite")
+    if p.min(initial=0.0) < -CLAMP_REL:
+        raise ValueError(f"{what} have a negative entry {p.min():.3e}")
+    require_residual(float(p.sum()) - 1.0, f"sum of {what} minus 1")
+
+
+def require_same_mass(mass, reference, what: str) -> float:
+    """max |mass - reference| of a mass computed two ways; RuntimeError beyond MASS_TOL: `what` disagrees."""
+    residual = float(np.abs(np.subtract(mass, reference)).max())
+    if residual > MASS_TOL:
+        raise RuntimeError(f"{what} by {residual:.3e}, beyond {MASS_TOL:.0e}")
+    return residual
 
 
 def _as_int(x) -> int:
@@ -53,11 +82,9 @@ def _int_in(x, what: str, low: int, high: int | None = None) -> int:
 
 def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """Factor dimensions (d1, d2, ...) as a tuple: at least one, each >= 1."""
-    dims = tuple(_as_int(d) for d in dims)
+    dims = tuple(_int_in(d, "factor dimension", 1) for d in dims)
     if len(dims) < 1:
         raise ValueError("need at least one factor")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"factor dimensions must be >= 1, got {dims}")
     return dims
 
 
@@ -67,7 +94,7 @@ def _per_block(width: int) -> int:
 
 
 def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return ((M + M†)/2, max-abs asymmetry); error beyond `STATE_TOL` or on NaN/inf. One full-size
+    """Return ((M + M†)/2, max-abs asymmetry); `require_residual` on it, error on NaN/inf. One full-size
     buffer: M† is written into it, |M - M†| checked in ~64 KB row blocks, then M added and halved."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -77,8 +104,7 @@ def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
     herm, step = np.conjugate(m.T, order="C"), _per_block(len(m))
     asym = max((float(np.abs(m[lo : lo + step] - herm[lo : lo + step]).max()) for lo in range(0, len(m), step)),
                default=0.0)
-    if asym > STATE_TOL:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {STATE_TOL:.3e}")
+    require_residual(asym, "matrix asymmetry")
     herm += m
     herm /= 2
     return herm, asym
@@ -115,7 +141,7 @@ def square_ops(ops: Iterable, what: str) -> tuple[np.ndarray, ...]:
 class DensityMatrix:
     """A PSD, unit-trace complex matrix tagged with tensor factor dimensions.
 
-    Trace, PSD and asymmetry are checked against `STATE_TOL`. Every state is
+    Asymmetry, PSD and trace are checked against `STATE_TOL`. Every state is
     normalized; blocks of smaller trace, such as the POVM conditionals and
     Kraus outcome blocks of `measurement`, stay plain arrays. `eigh()` fills the
     eigensystem slot on first use; `kron_state` builds a product state whose
@@ -133,12 +159,8 @@ class DensityMatrix:
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} (total {total})")
         herm, _ = hermitize(mat)
-        eigs = np.linalg.eigvalsh(herm) if _eig is None else _eig[0]
-        if eigs[0] < -STATE_TOL:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {eigs[0]:.3e} < -{STATE_TOL:.3e}")
-        tr = float(np.trace(herm).real)
-        if abs(tr - 1.0) > STATE_TOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {STATE_TOL:.3e}")
+        require_psd(np.linalg.eigvalsh(herm) if _eig is None else _eig[0], "matrix")
+        require_residual(float(np.trace(herm).real) - 1.0, "trace minus 1")
         herm.flags.writeable = False
         self.mat = herm
         self.dims = dims
@@ -194,11 +216,9 @@ def kron_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 
 def _keep_to_zero_based(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    keep = sorted(set(_as_int(k) for k in keep))
+    keep = sorted(set(_int_in(k, "factor label", 1, n) for k in keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
-    if keep[0] < 1 or keep[-1] > n:
-        raise ValueError(f"factor indices {keep} out of range 1..{n}")
     return tuple(k - 1 for k in keep)
 
 
@@ -233,11 +253,9 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns eigenvalues ascending and the matrix whose columns are the
     corresponding orthonormal eigenvectors. Input is symmetrized first
-    (asymmetry beyond `STATE_TOL` is an error, as for a state).
+    by `hermitize`, with the asymmetry check a state gets.
     """
-    herm, _ = hermitize(m)
-    w, v = np.linalg.eigh(herm)
-    return w, v
+    return np.linalg.eigh(hermitize(m)[0])
 
 
 def clamp_threshold(values) -> float:
@@ -265,9 +283,8 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
 
 
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix (eigenvalues >= -STATE_TOL)."""
+    """Principal square root of a PSD Hermitian matrix (`require_psd`)."""
     w, v = hermitian_eig(m)
-    if w[0] < -STATE_TOL:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    require_psd(w, "matrix")
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 

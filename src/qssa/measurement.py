@@ -7,8 +7,9 @@ computes them by a reduced contraction that never builds the extended
 operator or the full image K_a rho K_a†. The entropies of those blocks, and
 of the POVM conditionals, are taken in `checks`. POVM outcome tables and
 conditionals are products with the stacked elements `Povm.rows`. Kraus sets
-and POVMs are validated against the same `STATE_TOL` as states; no
-constructor takes a tolerance, and `_check_fit` alone fits either to a state.
+and POVMs are validated by the guards states use (`require_residual`,
+`require_psd`); no constructor takes a tolerance, and `_check_fit` alone fits
+either to a state.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
-    STATE_TOL,
     DensityMatrix,
     _as_int,
     _per_block,
     hermitize,
     ptrace_mat,
     require_factors,
+    require_psd,
+    require_residual,
     sqrtm_psd,
     square_ops,
 )
@@ -37,8 +39,8 @@ class KrausSet:
     `acts_on` is (1,) or (1, 2); on a larger state each K_a is extended by
     the identity on the other factors. The constructor keeps frozen copies
     of the operators and raises ValueError on a malformed list (see
-    `linalg.square_ops`), a bad `acts_on` or a completeness residual above
-    `STATE_TOL`. The one sub-complete family (sum K†K <= I) is
+    `linalg.square_ops`), a bad `acts_on` or a completeness residual beyond
+    `require_residual`. The one sub-complete family (sum K†K <= I) is
     `checks.check_concave_map`'s, which takes plain arrays.
     """
 
@@ -51,8 +53,7 @@ class KrausSet:
         if acts_on not in ((1,), (1, 2)):
             raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {acts_on}")
         residual = float(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(d)).max())
-        if residual > STATE_TOL:
-            raise ValueError(f"completeness residual {residual:.3e} exceeds tol {STATE_TOL:.3e}")
+        require_residual(residual, "completeness residual")
         self.ops = ops
         self.acts_on = acts_on
 
@@ -68,7 +69,7 @@ class KrausSet:
 
 
 class Povm:
-    """Hermitian positive operators summing to the identity, all within `STATE_TOL`.
+    """Hermitian positive operators summing to the identity (`require_psd`, `require_residual`).
 
     The constructor keeps frozen copies of the elements and raises
     ValueError on a malformed list (see `linalg.square_ops`), an element
@@ -84,12 +85,8 @@ class Povm:
         elements = square_ops(elements, "POVM element")
         d = elements[0].shape[0]
         for p in elements:
-            w = np.linalg.eigvalsh(hermitize(p)[0])
-            if w[0] < -STATE_TOL:
-                raise ValueError(f"POVM element not PSD: min eigenvalue {w[0]:.3e}")
-        residual = float(np.abs(sum(elements) - np.eye(d)).max())
-        if residual > STATE_TOL:
-            raise ValueError(f"POVM does not sum to identity: residual {residual:.3e}")
+            require_psd(np.linalg.eigvalsh(hermitize(p)[0]), "POVM element")
+        require_residual(float(np.abs(sum(elements) - np.eye(d)).max()), "POVM sum residual")
         self.elements = elements
         self.rows = np.array(elements).transpose(0, 2, 1).reshape(len(elements), d * d)
         self.rows.flags.writeable = False

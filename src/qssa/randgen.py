@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, _int_in, as_dims, hermitian_eig
+from .linalg import DensityMatrix, _as_int, _int_in, as_dims, hermitian_eig
 from .measurement import KrausSet, Povm
 
 RNG_NAME = "numpy-PCG64"
@@ -43,10 +43,10 @@ def require_count(count: int) -> int:
 
 
 def _key(substream) -> tuple[int, ...]:
-    """A substream key, an int or a sequence of ints, as a tuple of ints."""
-    if isinstance(substream, (int, np.integer)):
-        return (int(substream),)
-    return tuple(int(s) for s in substream)
+    """A substream key, an integer or a sequence of integers, as a tuple of ints (`_as_int`: never truncated)."""
+    if np.ndim(substream) == 0:
+        return (_as_int(substream),)
+    return tuple(_as_int(s) for s in substream)
 
 
 def rng_for(seed: Seed, substream=()) -> np.random.Generator:
@@ -91,7 +91,7 @@ def random_kraus(dim: int, count: int, seed: Seed, substream=0, acts_on=(1,)) ->
     an isometry V with V†V = I; its `count` row blocks of `dim` rows are the
     operators, so completeness holds to machine precision.
     """
-    count = require_count(count)
+    dim, count = _int_in(dim, "dim", 1), require_count(count)
     u = random_unitary(dim * count, seed, substream)
     iso = u[:, :dim]
     ops = [iso[a * dim : (a + 1) * dim, :] for a in range(count)]
@@ -100,7 +100,7 @@ def random_kraus(dim: int, count: int, seed: Seed, substream=0, acts_on=(1,)) ->
 
 def random_povm(dim: int, count: int, seed: Seed, substream=0) -> Povm:
     """Random partition of unity P_i = T^{-1/2} A_i T^{-1/2}, A_i Gaussian PSD."""
-    count = require_count(count)
+    dim, count = _int_in(dim, "dim", 1), require_count(count)
     key = _key(substream)
     for attempt in range(5):
         rng = rng_for(seed, key + (attempt,))

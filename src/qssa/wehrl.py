@@ -14,7 +14,7 @@ base grids (`grids=None` of `husimi` and `wehrl_entropy`): every inequality amon
 Wehrl-type entropies holds exactly on them, only absolute values converge less.
 The convexity check takes its worst mixture from the shared `checks.least_convex_mixture`.
 Every S_W comes from `wehrl_entropy`, which streams Husimi values in blocks of theta1 rows and
-is the one place that checks them: none below -CLAMP_REL, weighted mass Tr rho within MASS_TOL.
+is the one place that checks them: none below -CLAMP_REL, weighted mass Tr rho (`require_same_mass`).
 
 Husimi values are a real bilinear form. With the orthonormal Hermitian
 basis {E_mu} of d x d matrices (the diagonal units |b><b|, then
@@ -38,8 +38,8 @@ import math
 import numpy as np
 
 from .checks import least_convex_mixture
-from .linalg import (CLAMP_REL, MASS_TOL, DensityMatrix, _int_in, _per_block, clamp_threshold, partial_trace,
-                     require_factors)
+from .linalg import (CLAMP_REL, DensityMatrix, _int_in, _per_block, clamp_threshold, partial_trace,
+                     require_factors, require_same_mass)
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_pure_state, require_seed, require_trials, rng_for
 from .report import InequalityReport, make_report
@@ -102,18 +102,13 @@ def make_grid(two_j: int, n_theta: int | None = None, n_phi: int | None = None) 
     Defaults apply an accuracy floor on top of the resolution-exact base
     sizes; pass explicit counts for leaner grids (n_theta >= two_j + 1
     Gauss-Legendre nodes, n_phi >= 2 two_j + 2 uniform nodes keep the
-    resolution exact). two_j is twice the spin, so j may be half-integer.
+    resolution exact: below that minimum, or not an integer, a count is an
+    error). two_j is twice the spin, so j may be half-integer.
     """
     two_j = require_two_j(two_j)
     base_t, base_p = base_grid_sizes(two_j)
-    if n_theta is None:
-        n_theta = max(base_t, THETA_FLOOR)
-    if n_phi is None:
-        n_phi = max(base_p, PHI_FLOOR)
-    if n_theta < two_j + 1:
-        raise ValueError(f"n_theta={n_theta} below resolution minimum {two_j + 1}")
-    if n_phi < 2 * two_j + 2:
-        raise ValueError(f"n_phi={n_phi} below resolution minimum {2 * two_j + 2}")
+    n_theta = _int_in(max(base_t, THETA_FLOOR) if n_theta is None else n_theta, "n_theta", two_j + 1)
+    n_phi = _int_in(max(base_p, PHI_FLOOR) if n_phi is None else n_phi, "n_phi", 2 * two_j + 2)
     x, wx = np.polynomial.legendre.leggauss(n_theta)
     # Node weight = (2j+1)/(4pi) * (GL weight in cos theta) * (2pi / n_phi).
     return BlochGrid(two_j, np.arccos(x), 2 * np.pi * np.arange(n_phi) / n_phi,
@@ -220,7 +215,7 @@ def husimi(rho: DensityMatrix, grids) -> np.ndarray:
 
 def wehrl_entropy(rho: DensityMatrix, grids) -> float:
     """Quadrature value of -integral h ln h over the sphere(s), on one grid per factor; RuntimeError
-    if a Husimi value lies below -CLAMP_REL or their mass misses Tr rho by more than MASS_TOL.
+    if a Husimi value lies below -CLAMP_REL or their mass misses Tr rho (`require_same_mass`).
     Each block's h and h ln h are summed over the second factor, then all over the first. h ln h is 0
     below CLAMP_REL * max(1, Tr rho): as h <= lambda_max(rho) <= Tr rho, that is CLAMP_REL * max(1,
     max h) unless rounding lifts some h above max(1, Tr rho)."""
@@ -234,9 +229,7 @@ def wehrl_entropy(rho: DensityMatrix, grids) -> float:
         np.matmul(h, w2, out=ent[nodes])
     if least < -CLAMP_REL:
         raise RuntimeError(f"Husimi value {least:.3e} below -{CLAMP_REL:.0e}")
-    mass = float(mass @ grids[0].weights)
-    if abs(mass - tr) > MASS_TOL:
-        raise RuntimeError(f"Husimi mass {mass!r} disagrees with trace {tr!r}")
+    require_same_mass(float(mass @ grids[0].weights), tr, "Husimi mass disagrees with trace")
     return -float(ent @ grids[0].weights)
 
 

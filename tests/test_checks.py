@@ -20,6 +20,7 @@ from qssa.checks import (
     check_sandwich,
     check_ssa,
     check_stronger_ssa,
+    classical_quantum_entropy,
     counterexample_two_sided,
     trace_exp_map,
 )
@@ -454,6 +455,21 @@ class TestClassicalMutualInfo:
         assert r.passed
         assert r.meta["marginal_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("offset", [2e-10, 5e-11])
+    def test_marginal_guard(self, monkeypatch, offset):
+        # the table marginal must match the direct weights within MASS_TOL = 1e-10, or the check raises
+        rho = random_density((2, 3), 6, 53)
+        p, q = random_povm(2, 3, 54), random_povm(3, 2, 55)
+        weights = qssa.checks.povm_weights(rho, p)
+        weights[1] += offset
+        monkeypatch.setattr(qssa.checks, "povm_weights", lambda *args: weights)
+        if offset > 1e-10:
+            with pytest.raises(RuntimeError, match="outcome-table marginal disagrees with direct weights"):
+                check_classical_mutual_info(rho, p, q)
+        else:
+            r = check_classical_mutual_info(rho, p, q)
+            assert r.meta["marginal_residual"] == pytest.approx(offset, rel=1e-3)
+
 
 class TestCqChain:
     def test_trivial_povms(self):
@@ -623,7 +639,6 @@ def test_factor_guards_raise_before_any_work(monkeypatch):
     import qssa.entropy
     import qssa.measurement
     import qssa.wehrl
-    from qssa.entropy import classical_quantum_entropy
     from qssa.measurement import cpt_phi, povm_joint_distribution
     from qssa.wehrl import check_wehrl_mutual_info
 

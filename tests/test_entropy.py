@@ -9,13 +9,13 @@ import pytest
 from qssa.entropy import (
     bipartite_entropies,
     block_entropy,
-    classical_quantum_entropy,
     entropy_from_eigs,
     mutual_information,
     relative_entropy,
     shannon,
     von_neumann,
 )
+from qssa.checks import classical_quantum_entropy
 from qssa.linalg import CLAMP_REL, DensityMatrix, clamp_threshold, kron, kron_state, matrix_log, partial_trace
 from qssa.measurement import Povm, povm_conditionals, povm_joint_distribution, povm_weights
 from qssa.randgen import random_density, random_povm, random_unitary

@@ -176,3 +176,61 @@ def test_report_write_finder_reads_each_form(tmp_path):
                     "    tol: float = 0.0\n")
     assert report_writes(path) == [(1, "build", None), (3, "tol", "f"), (4, "tol", "f"), (5, "tol", "f"),
                                    (6, "tol", "f"), (7, "build", "f")]
+
+
+TOLERANCES = {"STATE_TOL", "CLAMP_REL", "MASS_TOL"}
+
+# the one guard per bound, and the two decisions that are no guard: relative entropy's support
+# (it returns inf) and the Husimi floor (a RuntimeError where S_W integrates the values)
+TOLERANCE_HOMES = {("linalg.py", "require_residual"), ("linalg.py", "require_psd"),
+                   ("linalg.py", "require_distribution"), ("linalg.py", "require_same_mass"),
+                   ("linalg.py", "clamp_threshold"), ("entropy.py", "relative_entropy"),
+                   ("wehrl.py", "wehrl_entropy")}
+
+
+def tolerance_comparisons(path):
+    """(line, enclosing function) of every comparison that reads STATE_TOL, CLAMP_REL or MASS_TOL,
+    as a name or as an attribute such as `linalg.STATE_TOL`; a method is named `Class.method`."""
+    found = []
+
+    def visit(node, func, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func, cls = (node.name if cls is None else f"{cls}.{node.name}"), None
+        if isinstance(node, ast.Compare) and any(
+                getattr(n, "id", getattr(n, "attr", None)) in TOLERANCES for n in ast.walk(node)):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, cls)
+
+    visit(ast.parse(path.read_text(), str(path)), None, None)
+    return found
+
+
+def test_every_tolerance_is_compared_in_its_home():
+    # a bound compared inline is a second copy of its rule: call the guard in linalg instead
+    src = Path(qssa.__file__).parent
+    offenders = [f"{path.name}:{line} compares a tolerance in {func}"
+                 for path in sorted(src.glob("*.py"))
+                 for line, func in tolerance_comparisons(path) if (path.name, func) not in TOLERANCE_HOMES]
+    assert not offenders, offenders
+    # one comparison in each home
+    found = [(path.name, func) for path in src.glob("*.py") for _, func in tolerance_comparisons(path)]
+    assert sorted(found) == sorted(TOLERANCE_HOMES)
+
+
+def test_tolerance_comparison_finder_reads_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("X = 2 * STATE_TOL\n"
+                    "def f(r):\n"
+                    "    if abs(r - 1.0) > STATE_TOL:\n"
+                    "        raise ValueError(r)\n"
+                    "    return r < -CLAMP_REL * max(1, r) or linalg.MASS_TOL >= r\n"
+                    "class C:\n"
+                    "    def __init__(self, w):\n"
+                    "        self.ok = w[0] >= -STATE_TOL\n"
+                    "        self.tol = STATE_TOL\n"
+                    "    def g(self, w):\n"
+                    "        return w < self.tol\n")
+    assert tolerance_comparisons(path) == [(3, "f"), (5, "f"), (5, "f"), (8, "C.__init__")]

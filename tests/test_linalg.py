@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qssa.linalg import (
+    CLAMP_REL,
+    STATE_TOL,
     DensityMatrix,
     as_dims,
     hermitian_eig,
@@ -15,7 +17,11 @@ from qssa.linalg import (
     matrix_log,
     partial_trace,
     ptrace_mat,
+    require_distribution,
     require_factors,
+    require_psd,
+    require_residual,
+    require_same_mass,
     sqrtm_psd,
 )
 from qssa.randgen import complex_gaussian, random_density, rng_for
@@ -464,3 +470,43 @@ class TestHermitize:
         with pytest.raises(ValueError, match="non-finite"):
             hermitize(m)
 
+
+
+class TestGuards:
+    # each bound is compared in one guard, which takes no tolerance; a value at the bound passes
+    def test_residual_bound_is_two_sided(self):
+        for r in (0.0, STATE_TOL, -STATE_TOL):
+            require_residual(r, "x")
+        for r in (2e-9, -2e-9):
+            with pytest.raises(ValueError, match=f"x {r:.3e} exceeds tolerance 1.000e-09"):
+                require_residual(r, "x")
+
+    def test_psd_reads_the_least_eigenvalue(self):
+        require_psd(np.array([-STATE_TOL, 1.0]), "m")
+        with pytest.raises(ValueError, match="m is not PSD: min eigenvalue -2.000e-09"):
+            require_psd(np.array([-2e-9, 1.0]), "m")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p, message", [
+        ([0.5, float("nan")], "p must be finite"),
+        ([1.5, -0.5], "p have a negative entry -5.000e-01"),
+        ([0.5, 0.5 + 2e-9], "sum of p minus 1 2.000e-09 exceeds tolerance"),
+        ([], "sum of p minus 1 -1.000e"),
+    ], ids=["nan", "negative", "sum", "empty"])
+    def test_distribution_rejects(self, p, message):
+        with pytest.raises(ValueError, match=message):
+            require_distribution(np.array(p, dtype=float), "p")
+
+    def test_distribution_allows_roundoff(self):
+        require_distribution(np.array([-CLAMP_REL, 0.5, 0.5 + CLAMP_REL]), "p")
+
+    def test_same_mass_is_a_runtime_error(self):
+        # a mass computed two ways that disagrees is a fault of the program, not of its input
+        residual = require_same_mass(np.array([1.0, 2.0]), np.array([1.0, 2.0 + 5e-11]), "m disagrees")
+        assert residual == pytest.approx(5e-11, rel=1e-4)
+        with pytest.raises(RuntimeError, match="m disagrees by 2.000e-10, beyond 1e-10"):
+            require_same_mass(1.0, 1.0 + 2e-10, "m disagrees")
+
+    def test_state_trace_goes_through_the_residual_guard(self):
+        with pytest.raises(ValueError, match="trace minus 1 -2.000e-09 exceeds tolerance"):
+            DensityMatrix(np.eye(2) * (0.5 - 1e-9), (2,))

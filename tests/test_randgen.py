@@ -170,10 +170,23 @@ class TestIntegerRule:
         lambda: random_unitary(2.5, 0),
         lambda: rng_for(1.5),
         lambda: random_density((2, 2), 4, 1.5),
-    ], ids=["rank", "kraus-count", "povm-count", "unitary-dim", "rng-seed", "density-seed"])
+        lambda: random_kraus(2.5, 2, 0),
+        lambda: random_povm(2.5, 2, 0),
+        lambda: rng_for(1, (1.5,)),
+        lambda: rng_for(1, 1.5),
+    ], ids=["rank", "kraus-count", "povm-count", "unitary-dim", "rng-seed", "density-seed", "kraus-dim", "povm-dim",
+            "substream-entry", "substream"])
     def test_non_integral_value_rejected(self, make):
         with pytest.raises(ValueError, match="expected an integer"):
             make()
+
+    @pytest.mark.parametrize("substream, key", [
+        (3, (3,)), (np.int64(3), (3,)), ((2, np.int32(5)), (2, 5)), ((), ()), (2.0, (2,)), ((1.0, 4), (1, 4)),
+    ])
+    def test_substream_keys_keep_their_streams(self, substream, key):
+        # an integer entry, Python or numpy, keys the stream of its int; an integral float is that int
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7, spawn_key=key)))
+        assert rng_for(7, substream).standard_normal(4).tobytes() == stream.standard_normal(4).tobytes()
 
     def test_rules_return_ints(self):
         values = (require_seed(np.float64(3.0)), require_trials(2.0), require_count(np.int64(4)), require_rank(1.0, 4))

@@ -183,6 +183,15 @@ class TestGrid:
         assert require_two_j(np.float64(4.0)) == 4 and type(require_two_j(4.0)) is int
         assert make_grid(4.0).two_j == 4 and type(make_grid(4.0).two_j) is int
 
+    @pytest.mark.parametrize("sizes", [(5.5,), (None, 6.5)], ids=["n_theta", "n_phi"])
+    def test_grid_sizes_are_integers(self, sizes):
+        with pytest.raises(ValueError, match="expected an integer"):
+            make_grid(2, *sizes)
+
+    def test_integral_float_sizes_build_the_int_grid(self):
+        a, b = make_grid(2, 5.0, 6.0), make_grid(2, 5, 6)
+        assert a.nodes.tobytes() == b.nodes.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+
     def test_rejects_two_j_above_float_binomials(self, monkeypatch):
         def never(n):
             raise AssertionError("nodes computed")
