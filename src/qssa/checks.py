@@ -71,7 +71,7 @@ def trace_exp_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequence[n
     for k, a in zip(ops, a_ops, strict=True):
         h = h + k.conj().T @ matrix_log(a) @ k
     # Tr exp(H) = sum exp(spectrum); exp(H) itself is never needed
-    return float(np.sum(np.exp(np.linalg.eigvalsh(hermitize(h)[0]))))
+    return math.fsum(np.exp(np.linalg.eigvalsh(hermitize(h)[0])))
 
 
 def _measured_split(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> tuple[float, list, int, float]:
@@ -80,16 +80,15 @@ def _measured_split(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> tu
     B_a / n_a is validated as a DensityMatrix. A block whose n_a is below `clamp_threshold` is not
     solved: it is counted in `skipped` and its weight in `skipped_mass`, so that sum n_a +
     skipped_mass is the trace of the measured state; `clamp_threshold` rejects a trace below -STATE_TOL."""
-    terms, skipped, skipped_mass = [], 0, 0.0
+    terms, skipped = [], []
     for b in blocks:
         n = float(np.trace(b).real)
         if n < clamp_threshold(n):
-            skipped += 1
-            skipped_mass += max(n, 0.0)
+            skipped.append(max(n, 0.0))
             continue
         r23 = DensityMatrix(b / n, dims23)
         terms.append((n, von_neumann(r23), von_neumann(partial_trace(r23, {1}))))
-    return sum(n * (s23 - s2) for n, s23, s2 in terms), terms, skipped, skipped_mass
+    return math.fsum(n * (s23 - s2) for n, s23, s2 in terms), terms, len(skipped), math.fsum(skipped)
 
 
 def _s123_minus_s12(rho123: DensityMatrix) -> float:
@@ -203,7 +202,7 @@ def check_gibbs_variational(rho: DensityMatrix, h: np.ndarray) -> InequalityRepo
     lhs = von_neumann(rho) + float(np.sum(np.multiply(rho.mat, np.conjugate(h, out=h), out=h)).real)
     # log-sum-exp for a stable ln Tr e^H
     top = w[-1]
-    rhs = float(top + np.log(np.sum(np.exp(w - top))))
+    rhs = float(top + np.log(math.fsum(np.exp(w - top))))
     return make_report("gibbs_variational", lhs, rhs, dims=rho.dims, h_asymmetry=h_asym)
 
 
@@ -230,7 +229,7 @@ def check_cpt_monotonicity(rho123: DensityMatrix, k: KrausSet) -> InequalityRepo
                            lhs_finite=math.isfinite(big), rhs_finite=math.isfinite(small), reason="support")
     terms = _measured_split(blocks, d[1:])[1]
     s3 = von_neumann(rho3)
-    identity_value = sum(n * (s2 - s23 + s3) for n, s23, s2 in terms)
+    identity_value = math.fsum(n * (s2 - s23 + s3) for n, s23, s2 in terms)
     return make_report(
         "cpt_monotonicity", big, small, relation=">=", dims=d,
         kraus_count=len(k), identity_residual=abs(small - identity_value),
@@ -250,20 +249,14 @@ def classical_quantum_entropy(rho12: DensityMatrix, p: Povm) -> float:
     weighted conditional entropies sum_a n_a S[rho2_a].
     """
     require_factors(rho12, 2)
-    total = 0.0
-    for s_b, _ in _conditional_entropies(rho12, p):
-        total += s_b
-    return total
+    return math.fsum(s_b for s_b, _ in _conditional_entropies(rho12, p))
 
 
 def _measured_conditional_entropy(rho12: DensityMatrix, p: Povm, factor: int = 1) -> float:
     """sum_a n_a S[rho_a] >= 0 (S_cQ - S_cl) for the POVM measured on `factor`, rho_a on the other."""
-    cond_entropy = 0.0
-    for s_b, n in _conditional_entropies(rho12, p, factor):
-        # adding n ln n to -Tr B ln B recovers n S[rho_a]; n is the mass of the
-        # eigenvalues B's entropy keeps, so a block below the floor adds exactly 0
-        cond_entropy += s_b - entropy_from_eigs([n])
-    return cond_entropy
+    # adding n ln n to -Tr B ln B recovers n S[rho_a]; n is the mass of the
+    # eigenvalues B's entropy keeps, so a block below the floor adds exactly 0
+    return math.fsum(s_b - entropy_from_eigs([n]) for s_b, n in _conditional_entropies(rho12, p, factor))
 
 
 def check_improved_subadd(rho12: DensityMatrix, p: Povm) -> tuple[InequalityReport, InequalityReport]:
@@ -380,6 +373,6 @@ def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm) -> Inequalit
     r = weights[:, None] * (np.array([s.mat.ravel() for s in states]) @ q.rows.T).real
     accessible = shannon(r.sum(axis=1)) + shannon(r.sum(axis=0)) - shannon(r.ravel())
     avg = DensityMatrix(sum(w * s.mat for w, s in zip(weights, states)), dims)
-    chi = von_neumann(avg) - sum(w * von_neumann(s) for w, s in zip(weights, states))
+    chi = von_neumann(avg) - math.fsum(w * von_neumann(s) for w, s in zip(weights, states))
     return make_report("holevo", accessible, chi, dims=dims,
                        ensemble_size=len(states), povm_count=len(q))

@@ -6,9 +6,15 @@ returns `math.inf` when the first state has more than `STATE_TOL` of its
 weight outside the support of the second. Eigenvalues and weights below
 `clamp_threshold` follow the 0 ln 0 = 0 convention; one below -`STATE_TOL`
 (relative to the largest) is an error there, never dropped.
+
+One exactly rounded `math.fsum` sums each spectrum, weight vector and measured outcome set (here and
+in `checks`): an entropy depends only on the multiset of its kept values, and reversing a family leaves
+the split bound and S_cQ bitwise unchanged. Matrix entries, table marginals and Wehrl quadrature do not.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,7 +29,7 @@ def entropy_from_eigs(eigs) -> float:
     lam = eigs[eigs >= clamp_threshold(eigs)]
     if lam.size == 0:
         return 0.0
-    return float(-np.sum(lam * np.log(lam)))
+    return -math.fsum(lam * np.log(lam))
 
 
 def block_entropy(b: np.ndarray) -> tuple[float, float]:
@@ -31,7 +37,7 @@ def block_entropy(b: np.ndarray) -> tuple[float, float]:
     the eigenvalues the first value keeps (`clamp_threshold`): adding n ln n gives n S[kept/n] >= 0."""
     eigs = np.linalg.eigvalsh(hermitize(b)[0])
     kept = eigs[eigs >= clamp_threshold(eigs)]
-    return entropy_from_eigs(kept), float(kept.sum())
+    return entropy_from_eigs(kept), math.fsum(kept)
 
 
 def von_neumann(rho: DensityMatrix) -> float:
@@ -65,9 +71,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     diag = np.concatenate([np.einsum("ij,ji->i", c.conj().T @ rho.mat, c).real for c in cols])
     del v, cols
     outside = w < eps
-    if float(diag[outside].sum()) > STATE_TOL:
+    if math.fsum(diag[outside]) > STATE_TOL:
         return float("inf")
-    tr_rho_ln_sigma = float(np.sum(diag[~outside] * np.log(w[~outside])))
+    tr_rho_ln_sigma = math.fsum(diag[~outside] * np.log(w[~outside]))
     return -von_neumann(rho) - tr_rho_ln_sigma
 
 

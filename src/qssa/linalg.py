@@ -53,7 +53,7 @@ def require_distribution(p: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
     if p.min(initial=0.0) < -CLAMP_REL:
         raise ValueError(f"{what} have a negative entry {p.min():.3e}")
-    require_residual(float(p.sum()) - 1.0, f"sum of {what} minus 1")
+    require_residual(math.fsum(p) - 1.0, f"sum of {what} minus 1")
 
 
 def require_same_mass(mass, reference, what: str) -> float:

@@ -4,7 +4,9 @@ reversed outcome order and with factor 3 padded from d to d+1 by zeros, at unequ
 dims; stronger SSA, the sandwich and cpt also under the Kraus gauge K_a -> (W_a⊗I) K_a; the
 two-factor POVM checks under U1⊗U2 and reversed outcome order; the Gibbs, Holevo and
 concave-map checks and relative entropy under a joint conjugation; the Wehrl checks under a
-z-rotation of each spin that maps its lean grid onto itself."""
+z-rotation of each spin that maps its lean grid onto itself. Reversed outcome order keeps the
+bits of every check whose outcome sum is one `math.fsum`, and `entropy_from_eigs` and
+`shannon` keep theirs under any permutation of their values and with zeros appended."""
 
 import functools
 import math
@@ -29,7 +31,7 @@ from qssa.checks import (
     check_ssa,
     check_stronger_ssa,
 )
-from qssa.entropy import relative_entropy
+from qssa.entropy import entropy_from_eigs, relative_entropy, shannon
 from qssa.linalg import DensityMatrix, kron, kron_state, partial_trace
 from qssa.measurement import KrausSet, Povm
 from qssa.randgen import (random_density, random_hermitian, random_kraus, random_positive, random_povm,
@@ -91,6 +93,13 @@ def assert_unmoved(base, *moved):
             assert abs(m.lhs - b.lhs) <= MOVE and abs(m.rhs - b.rhs) <= MOVE, (m, b)
 
 
+def assert_same(base, moved):
+    """`moved`, a report or a tuple of reports like `base`, keeps base's lhs and rhs bit for bit."""
+    pairs = zip(base, moved, strict=True) if isinstance(base, tuple) else [(base, moved)]
+    for b, m in pairs:
+        assert (m.lhs, m.rhs) == (b.lhs, b.rhs), (m, b)
+
+
 @SETTINGS
 @given(dims=DIMS, rank=st.integers(1, 24), seed=SEED)
 def test_ssa_invariances(dims, rank, seed):
@@ -105,13 +114,14 @@ def test_stronger_ssa_invariances(dims, count, acts_on, seed):
     rho = random_density(dims, 24, seed)
     k = random_kraus(math.prod(dims[: len(acts_on)]), count, seed, 1, acts_on=acts_on)
     us, ws = local_unitaries(dims, seed)
+    base = check_stronger_ssa(rho, k)
     assert_unmoved(
-        check_stronger_ssa(rho, k),
+        base,
         check_stronger_ssa(rotated(rho, us), rotated_kraus(k, us, ws)),
-        check_stronger_ssa(rho, KrausSet(k.ops[::-1], acts_on=acts_on)),
         check_stronger_ssa(padded(rho), k),
         check_stronger_ssa(rho, gauged(k, dims, seed)),
     )
+    assert_same(base, check_stronger_ssa(rho, KrausSet(k.ops[::-1], acts_on=acts_on)))
 
 
 @SETTINGS
@@ -120,12 +130,9 @@ def test_cqq_invariances(dims, count, seed):
     rho = random_density(dims, 24, seed)
     p = random_povm(dims[0], count, seed, 1)
     us, _ = local_unitaries(dims, seed)
-    assert_unmoved(
-        check_cqq(rho, p),
-        check_cqq(rotated(rho, us), conjugated(p, us[0])),
-        check_cqq(rho, Povm(p.elements[::-1])),
-        check_cqq(padded(rho), p),
-    )
+    base = check_cqq(rho, p)
+    assert_unmoved(base, check_cqq(rotated(rho, us), conjugated(p, us[0])), check_cqq(padded(rho), p))
+    assert_same(base, check_cqq(rho, Povm(p.elements[::-1])))
 
 
 @SETTINGS
@@ -148,12 +155,13 @@ def test_sandwich_invariances(dims, count, seed):
     rho = random_density(dims, 24, seed)
     k = random_kraus(dims[0], count, seed, 1)
     us, ws = local_unitaries(dims, seed)
+    base = check_sandwich(rho, k)
     assert_unmoved(
-        check_sandwich(rho, k),
+        base,
         check_sandwich(rotated(rho, us), rotated_kraus(k, us, ws)),
-        check_sandwich(rho, KrausSet(k.ops[::-1])),
         check_sandwich(rho, gauged(k, dims, seed)),
     )
+    assert_same(base, check_sandwich(rho, KrausSet(k.ops[::-1])))
 
 
 @SETTINGS
@@ -162,26 +170,28 @@ def test_improved_subadd_invariances(dims, rank, count, seed):
     rho = random_density(dims, min(rank, math.prod(dims)), seed)
     p = random_povm(dims[0], count, seed, 1)
     us, _ = local_unitaries(dims, seed)
-    assert_unmoved(
-        check_improved_subadd(rho, p),
-        check_improved_subadd(rotated(rho, us), conjugated(p, us[0])),
-        check_improved_subadd(rho, Povm(p.elements[::-1])),
-    )
+    base = check_improved_subadd(rho, p)
+    assert_unmoved(base, check_improved_subadd(rotated(rho, us), conjugated(p, us[0])))
+    assert_same(base, check_improved_subadd(rho, Povm(p.elements[::-1])))
 
 
 @SETTINGS
 @given(dims=DIMS2, rank=st.integers(1, 12), counts=st.tuples(st.integers(1, 4), st.integers(1, 4)), seed=SEED)
 def test_two_povm_invariances(dims, rank, counts, seed):
-    # the cq chain and the measured mutual information, P on factor 1 and Q on factor 2
+    # the cq chain and the measured mutual information, P on factor 1 and Q on factor 2. Reversal keeps
+    # the chain's first link bit for bit; its second link and the mutual information read outcome-table
+    # marginals, numpy sums, which may move
     rho = random_density(dims, min(rank, math.prod(dims)), seed)
     p, q = (random_povm(d, c, seed, f) for f, (d, c) in enumerate(zip(dims, counts), 1))
     us, _ = local_unitaries(dims, seed)
+    reversed_p, reversed_q = Povm(p.elements[::-1]), Povm(q.elements[::-1])
     for check in (check_cq_chain, check_classical_mutual_info):
         assert_unmoved(
             check(rho, p, q),
             check(rotated(rho, us), conjugated(p, us[0]), conjugated(q, us[1])),
-            check(rho, Povm(p.elements[::-1]), Povm(q.elements[::-1])),
+            check(rho, reversed_p, reversed_q),
         )
+    assert_same(check_cq_chain(rho, p, q)[0], check_cq_chain(rho, reversed_p, reversed_q)[0])
 
 
 @SETTINGS
@@ -190,11 +200,9 @@ def test_convexity_cl_minus_q_invariances(dims, rank, count, seed):
     a, b = random_density(dims, math.prod(dims), seed), random_density(dims, min(rank, math.prod(dims)), seed, 1)
     p = random_povm(dims[0], count, seed, 2)
     us, _ = local_unitaries(dims, seed)
-    assert_unmoved(
-        check_convexity_cl_minus_q(a, b, p),
-        check_convexity_cl_minus_q(rotated(a, us), rotated(b, us), conjugated(p, us[0])),
-        check_convexity_cl_minus_q(a, b, Povm(p.elements[::-1])),
-    )
+    base = check_convexity_cl_minus_q(a, b, p)
+    assert_unmoved(base, check_convexity_cl_minus_q(rotated(a, us), rotated(b, us), conjugated(p, us[0])))
+    assert_same(base, check_convexity_cl_minus_q(a, b, Povm(p.elements[::-1])))
 
 
 @SETTINGS
@@ -254,6 +262,17 @@ def test_concave_map_invariance(dim, m, sub_complete, seed):
     base, moved = check_concave_map(l_op, ops, a, b), check_concave_map(u @ l_op @ u.conj().T, *map(conj, (ops, a, b)))
     for x, y in ((base.lhs, moved.lhs), (base.rhs, moved.rhs)):
         assert abs(x - y) <= MOVE * max(1.0, abs(x)), (base, moved)
+
+
+@SETTINGS
+@given(n=st.integers(1, 64), zeros=st.integers(0, 8), seed=SEED)
+def test_entropy_keeps_its_bits_under_permutation_and_zero_padding(n, zeros, seed):
+    # one math.fsum over the kept values: the entropy is a function of their multiset
+    rng = rng_for(seed, 0)
+    p = rng.dirichlet(np.ones(n))
+    moved = rng.permutation(np.concatenate([p, np.zeros(zeros)]))
+    for entropy in (entropy_from_eigs, shannon):
+        assert entropy(moved) == entropy(p), (p, moved)
 
 
 def z_rotated(rho, steps):

@@ -180,17 +180,28 @@ def test_report_write_finder_reads_each_form(tmp_path):
 
 TOLERANCES = {"STATE_TOL", "CLAMP_REL", "MASS_TOL"}
 
-# the one guard per bound, and the two decisions that are no guard: relative entropy's support
-# (it returns inf) and the Husimi floor (a RuntimeError where S_W integrates the values)
+# the one guard per bound, the two decisions that are no guard: relative entropy's support
+# (it returns inf) and the Husimi floor (a RuntimeError where S_W integrates the values), and the
+# two inline literal bounds: random_povm's normalizer floor and the Wehrl scan's quadrature allowance
 TOLERANCE_HOMES = {("linalg.py", "require_residual"), ("linalg.py", "require_psd"),
                    ("linalg.py", "require_distribution"), ("linalg.py", "require_same_mass"),
                    ("linalg.py", "clamp_threshold"), ("entropy.py", "relative_entropy"),
-                   ("wehrl.py", "wehrl_entropy")}
+                   ("wehrl.py", "wehrl_entropy"), ("randgen.py", "random_povm"),
+                   ("wehrl.py", "wehrl_min_scan")}
+
+
+def is_bound(node):
+    """True for a name or attribute such as `linalg.STATE_TOL` of a tolerance, and for a float
+    literal with 0 < |x| < 1e-5."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float) and 0 < abs(node.value) < 1e-5
+    return getattr(node, "id", getattr(node, "attr", None)) in TOLERANCES
 
 
 def tolerance_comparisons(path):
     """(line, enclosing function) of every comparison that reads STATE_TOL, CLAMP_REL or MASS_TOL,
-    as a name or as an attribute such as `linalg.STATE_TOL`; a method is named `Class.method`."""
+    as a name or as an attribute such as `linalg.STATE_TOL`, or a float literal with 0 < |x| < 1e-5;
+    a method is named `Class.method`."""
     found = []
 
     def visit(node, func, cls):
@@ -198,8 +209,7 @@ def tolerance_comparisons(path):
             cls = node.name
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func, cls = (node.name if cls is None else f"{cls}.{node.name}"), None
-        if isinstance(node, ast.Compare) and any(
-                getattr(n, "id", getattr(n, "attr", None)) in TOLERANCES for n in ast.walk(node)):
+        if isinstance(node, ast.Compare) and any(is_bound(n) for n in ast.walk(node)):
             found.append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func, cls)
@@ -232,5 +242,42 @@ def test_tolerance_comparison_finder_reads_each_form(tmp_path):
                     "        self.ok = w[0] >= -STATE_TOL\n"
                     "        self.tol = STATE_TOL\n"
                     "    def g(self, w):\n"
-                    "        return w < self.tol\n")
-    assert tolerance_comparisons(path) == [(3, "f"), (5, "f"), (5, "f"), (8, "C.__init__")]
+                    "        return w < self.tol\n"
+                    "def h(w, x):\n"
+                    "    return w[0] > 1e-10 * w[-1] or x >= 1 - 1e-6 or x > 1e-5 or x != 0.0 or x < 2.0\n")
+    assert tolerance_comparisons(path) == [(3, "f"), (5, "f"), (5, "f"), (8, "C.__init__"), (13, "h"), (13, "h")]
+
+
+def plain_sums(path):
+    """(line, enclosing function) of every call to the builtin `sum`, to `np.sum` or to a `.sum`
+    method in one source file; `math.fsum` is none of these."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and "sum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_every_entropy_sum_is_fsum():
+    # math.fsum is exactly rounded, so an entropy depends only on the multiset of its kept values
+    path = Path(qssa.__file__).parent / "entropy.py"
+    offenders = [f"entropy.py:{line} calls a sum other than math.fsum in {func}" for line, func in plain_sums(path)]
+    assert not offenders, offenders
+
+
+def test_plain_sum_finder_reads_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import math\n"
+                    "def f(x):\n"
+                    "    return np.sum(x) + x.sum(axis=0) + x[0].sum()\n"
+                    "def g(x):\n"
+                    "    return sum(x) + math.fsum(x) + fsum(x) + np.cumsum(x) + x.summary\n"
+                    "TOTAL = sum([1, 2])\n")
+    assert plain_sums(path) == [(3, "f"), (3, "f"), (3, "f"), (5, "g"), (6, None)]
