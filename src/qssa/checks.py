@@ -159,24 +159,23 @@ def check_concave_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequen
                       b_ops: Sequence[np.ndarray]) -> InequalityReport:
     """Joint concavity of (A_1,...,A_M) -> Tr exp(L + sum K†(ln A)K) for sum K†K <= I.
 
-    Lieb's theorem is the case of one K = I. Checked before any log: the K
-    list (`linalg.square_ops`), L, A and B of K's size, one A and one B per
-    K, and the hypothesis: I - sum K†K is PSD (`require_psd`).
+    Lieb's theorem is the case of one K = I. Checked before any log: the K,
+    A and B lists (`linalg.square_ops`), L, A and B of K's size, one A and
+    one B per K, and the hypothesis: I - sum K†K is PSD (`require_psd`).
     f(A) and f(B), evaluated before any mixture, reject an argument that is
     not positive definite. Reports the minimum concavity margin over the
     mixing weights DEFAULT_LAMBDAS.
     """
-    ops = square_ops(ops, "K operator")
+    ops, a_ops, b_ops = (square_ops(group, f"{name} operator") for name, group in
+                         (("K", ops), ("A", a_ops), ("B", b_ops)))
     d = ops[0].shape[0]
-    for name, group in (("L", [l_op]), ("A", a_ops), ("B", b_ops)):
-        for x in group:
-            if np.shape(x) != (d, d):
-                raise ValueError(f"{name} shape {np.shape(x)} does not match K dim {d}")
+    for name, x in (("L", l_op), ("A", a_ops[0]), ("B", b_ops[0])):
+        if np.shape(x) != (d, d):
+            raise ValueError(f"{name} shape {np.shape(x)} does not match K dim {d}")
     if len(a_ops) != len(ops) or len(b_ops) != len(ops):
         raise ValueError(f"{len(a_ops)} A and {len(b_ops)} B operators for {len(ops)} K operators")
     w = np.linalg.eigvalsh(np.eye(d) - sum(k.conj().T @ k for k in ops))
     require_psd(w, "sum K†K exceeds I: I - sum K†K")
-    a_ops, b_ops = ([np.asarray(a, dtype=complex) for a in group] for group in (a_ops, b_ops))
     fa = trace_exp_map(l_op, ops, a_ops)
     fb = trace_exp_map(l_op, ops, b_ops)
     worst = None
@@ -295,12 +294,15 @@ def counterexample_two_sided(d: int) -> InequalityReport:
                        note="two-sided split of the subadditivity bound fails by ln d", gap=lhs - rhs)
 
 
+def _table_information(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """(mutual information, row marginal) of an outcome table r[a, b]; a marginal entry is one `math.fsum`."""
+    marg_a, marg_b = (np.array([math.fsum(x) for x in t]) for t in (r, r.T))
+    return shannon(marg_a) + shannon(marg_b) - shannon(r), marg_a
+
+
 def check_classical_mutual_info(rho12: DensityMatrix, p: Povm, q: Povm) -> InequalityReport:
     """Quantum mutual information dominates the measured mutual information."""
-    r = povm_joint_distribution(rho12, p, q)
-    marg_p = r.sum(axis=1)
-    marg_q = r.sum(axis=0)
-    classical_mi = shannon(marg_p) + shannon(marg_q) - shannon(r.ravel())
+    classical_mi, marg_p = _table_information(povm_joint_distribution(rho12, p, q))
     quantum_mi = mutual_information(rho12)
     marginal_residual = require_same_mass(povm_weights(rho12, p), marg_p,
                                           "outcome-table marginal disagrees with direct weights")
@@ -323,7 +325,7 @@ def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm) -> tuple[InequalityRe
     s_cl_1 = shannon(povm_weights(rho12, p))
     r = povm_joint_distribution(rho12, p, q)
     s_cl_12 = shannon(r)
-    s_cl_2 = shannon(r.sum(axis=0))
+    s_cl_2 = shannon([math.fsum(col) for col in r.T])
     first = make_report(
         "cq_chain_quantum_to_cq", s12 - s1 - s2, middle,
         dims=rho12.dims, p_count=len(p),
@@ -371,7 +373,7 @@ def check_holevo(weights, states: Sequence[DensityMatrix], q: Povm) -> Inequalit
     if q.dim != states[0].dim:
         raise ValueError(f"POVM dim {q.dim} does not match state dim {states[0].dim}")
     r = weights[:, None] * (np.array([s.mat.ravel() for s in states]) @ q.rows.T).real
-    accessible = shannon(r.sum(axis=1)) + shannon(r.sum(axis=0)) - shannon(r.ravel())
+    accessible = _table_information(r)[0]
     avg = DensityMatrix(sum(w * s.mat for w, s in zip(weights, states)), dims)
     chi = von_neumann(avg) - math.fsum(w * von_neumann(s) for w, s in zip(weights, states))
     return make_report("holevo", accessible, chi, dims=dims,

@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_gen = sub.add_parser("gen", help="generate a random object and write its JSON")
-    p_gen.add_argument("--kind", choices=("density", "kraus", "povm", "cq"), required=True)
+    p_gen.add_argument("--kind", choices=tuple(GEN_KINDS), required=True)
     p_gen.add_argument("--dims", type=_parse_dims, default=(2, 2))
     p_gen.add_argument("--rank", type=int, default=None)
     p_gen.add_argument("--count", type=int, default=None, help="operators of gen kraus or povm (default 2)")
@@ -86,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage(rule, *values) -> None:
-    """Apply a library argument rule, whose ValueError is a bad argument."""
+def _usage(rule, *values):
+    """Apply a library argument rule and return its value; its ValueError is a bad argument."""
     try:
-        rule(*values)
+        return rule(*values)
     except ValueError as exc:
         raise UsageError(exc.args[0]) from exc
 
@@ -117,34 +117,31 @@ def cmd_check(args) -> int:
     return 1 if n_fail else 0
 
 
-# Factor count and an example --dims for the kinds of `gen` that need one.
-GEN_DIMS = {"kraus": (1, "4"), "povm": (1, "3"), "cq": (3, "2,2,2")}
+# What each `gen` kind takes: factor count (None: any), an example --dims, its size option (None:
+# neither) and its draw from (dims, size, seed), which looks its generator up when called.
+GEN_KINDS = {
+    "density": (None, None, "rank", lambda dims, rank, seed: random_density(dims, rank, seed)),
+    "kraus": (1, "4", "count", lambda dims, count, seed: random_kraus(dims[0], count, seed)),
+    "povm": (1, "3", "count", lambda dims, count, seed: random_povm(dims[0], count, seed)),
+    "cq": (3, "2,2,2", None, lambda dims, _, seed: random_cq_state(dims, seed)),
+}
 
 
 def cmd_gen(args) -> int:
+    factors, example, takes, draw = GEN_KINDS[args.kind]
     total = math.prod(args.dims)
-    rank = total if args.rank is None else args.rank
-    count = 2 if args.count is None else args.count
-    factors, example = GEN_DIMS.get(args.kind, (None, None))
     _usage(require_seed, args.seed)
     if factors is not None and len(args.dims) != factors:
         raise UsageError(f"gen {args.kind} expects {factors} factor(s), e.g. --dims {example}, got {args.dims}")
-    if args.kind != "density" and args.rank is not None:
-        raise UsageError(f"--rank applies to gen --kind density only, not {args.kind}")
-    if args.kind == "density":
-        _usage(require_rank, rank, total)
-    if args.kind not in ("kraus", "povm") and args.count is not None:
-        raise UsageError(f"--count applies to gen --kind kraus or povm only, not {args.kind}")
-    if args.kind in ("kraus", "povm"):
-        _usage(require_count, count)
-    if args.kind == "density":
-        obj = random_density(args.dims, rank, args.seed)
-    elif args.kind == "kraus":
-        obj = random_kraus(args.dims[0], count, args.seed)
-    elif args.kind == "povm":
-        obj = random_povm(args.dims[0], count, args.seed)
-    else:
-        obj = random_cq_state(args.dims, args.seed)
+    size = None
+    for option, rule, default in (("rank", lambda r: require_rank(r, total), total), ("count", require_count, 2)):
+        value = getattr(args, option)
+        if option == takes:
+            size = _usage(rule, default if value is None else value)
+        elif value is not None:
+            kinds = " or ".join(kind for kind, spec in GEN_KINDS.items() if spec[2] == option)
+            raise UsageError(f"--{option} applies to gen --kind {kinds} only, not {args.kind}")
+    obj = draw(args.dims, size, args.seed)
     _write(args.out, json.dumps(to_json(obj), separators=(",", ":")) + "\n")
     return 0
 

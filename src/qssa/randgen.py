@@ -63,14 +63,18 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
+def _gram(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """G G† of a (rows x cols) complex Gaussian G drawn from rng; G is released on return."""
+    g = complex_gaussian(rng, (rows, cols))
+    return g @ g.conj().T
+
+
 def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:
-    """Random state G G† / Tr(G G†) with G a (total x rank) complex Gaussian."""
+    """Random state G G† / Tr(G G†) with G a (total x rank) complex Gaussian (`_gram`)."""
     dims = as_dims(dims)
     total = math.prod(dims)
     rank = require_rank(rank, total)
-    g = complex_gaussian(rng_for(seed, substream), (total, rank))
-    m = g @ g.conj().T
-    del g  # not held while the state is validated
+    m = _gram(rng_for(seed, substream), total, rank)
     m /= np.trace(m).real
     return DensityMatrix(m, dims)
 
@@ -99,15 +103,12 @@ def random_kraus(dim: int, count: int, seed: Seed, substream=0, acts_on=(1,)) ->
 
 
 def random_povm(dim: int, count: int, seed: Seed, substream=0) -> Povm:
-    """Random partition of unity P_i = T^{-1/2} A_i T^{-1/2}, A_i Gaussian PSD."""
+    """Random partition of unity P_i = T^{-1/2} A_i T^{-1/2}, A_i = G G† (`_gram`)."""
     dim, count = _int_in(dim, "dim", 1), require_count(count)
     key = _key(substream)
     for attempt in range(5):
         rng = rng_for(seed, key + (attempt,))
-        mats = []
-        for _ in range(count):
-            g = complex_gaussian(rng, (dim, dim))
-            mats.append(g @ g.conj().T)
+        mats = [_gram(rng, dim, dim) for _ in range(count)]
         total = sum(mats)
         w, v = hermitian_eig(total)
         if w[0] > 1e-10 * w[-1]:
@@ -131,8 +132,7 @@ def random_cq_state(dims, seed: Seed, substream=0) -> DensityMatrix:
     mat = np.zeros((d1 * d2 * d3, d1 * d2 * d3), dtype=complex)
     for i in range(d1):
         for j in range(d2):
-            g = complex_gaussian(rng, (d3, d3))
-            sigma = g @ g.conj().T
+            sigma = _gram(rng, d3, d3)
             sigma /= np.trace(sigma).real
             base = (i * d2 + j) * d3
             mat[base : base + d3, base : base + d3] = p[i, j] * sigma

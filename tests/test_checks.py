@@ -186,6 +186,7 @@ class TestConcaveMap:
 
     @pytest.mark.parametrize("case,evaluations", [
         ("b-indefinite", 2), ("a-count", 0), ("b-count", 0), ("operator-shape", 0), ("l-shape", 0),
+        ("a-non-finite", 0), ("b-non-finite", 0),
     ])
     def test_rejects_bad_arguments_before_any_mixture(self, monkeypatch, case, evaluations):
         k = random_kraus(2, 2, 43).ops
@@ -200,6 +201,10 @@ class TestConcaveMap:
             b.append(random_positive(2, 47))
         elif case == "operator-shape":
             b[0] = random_positive(3, 47)
+        elif case == "a-non-finite":
+            a[0] = np.diag([1.0, np.nan])
+        elif case == "b-non-finite":
+            b[1] = np.diag([np.inf, 1.0])
         else:
             l_op = random_hermitian(3, 44)
         calls = []
@@ -208,7 +213,7 @@ class TestConcaveMap:
                             lambda *args: calls.append(args) or real(*args))
         with pytest.raises(ValueError):
             check_concave_map(l_op, k, a, b)
-        # shapes and counts fail before f(A); a non-PD B fails in f(B), before any mixture
+        # shapes, counts and non-finite entries fail before f(A); a non-PD B fails in f(B), before any mixture
         assert len(calls) == evaluations
 
     @pytest.mark.parametrize("case", ["over-complete", "non-finite"])

@@ -4,9 +4,12 @@ reversed outcome order and with factor 3 padded from d to d+1 by zeros, at unequ
 dims; stronger SSA, the sandwich and cpt also under the Kraus gauge K_a -> (W_a⊗I) K_a; the
 two-factor POVM checks under U1⊗U2 and reversed outcome order; the Gibbs, Holevo and
 concave-map checks and relative entropy under a joint conjugation; the Wehrl checks under a
-z-rotation of each spin that maps its lean grid onto itself. Reversed outcome order keeps the
-bits of every check whose outcome sum is one `math.fsum`, and `entropy_from_eigs` and
-`shannon` keep theirs under any permutation of their values and with zeros appended."""
+z-rotation of each spin that maps its lean grid onto itself. SSA keeps its slack when factors
+1 and 3 swap, and the measured and Wehrl mutual informations keep lhs and rhs when the two
+factors swap (with P and Q). Reversed outcome order keeps the bits of every check whose
+outcome sums are each one `math.fsum`, outcome-table marginals and Holevo's accessible
+information included, and `entropy_from_eigs` and `shannon` keep theirs under any
+permutation of their values and with zeros appended."""
 
 import functools
 import math
@@ -85,6 +88,13 @@ def padded(rho):
     return DensityMatrix(t.reshape(n, n), (d1, d2, d3 + 1))
 
 
+def swapped(rho, order):
+    """rho with its factors reordered: factor f of the result is factor order[f] (0-based) of rho."""
+    n = len(rho.dims)
+    t = rho.mat.reshape(rho.dims * 2).transpose(*order, *(n + f for f in order))
+    return DensityMatrix(t.reshape(rho.dim, rho.dim), tuple(rho.dims[f] for f in order))
+
+
 def assert_unmoved(base, *moved):
     """Each moved report, or tuple of reports like `base`, keeps base's lhs and rhs to MOVE."""
     base = base if isinstance(base, tuple) else (base,)
@@ -105,7 +115,10 @@ def assert_same(base, moved):
 def test_ssa_invariances(dims, rank, seed):
     rho = random_density(dims, rank, seed)
     us, _ = local_unitaries(dims, seed)
-    assert_unmoved(check_ssa(rho), check_ssa(rotated(rho, us)), check_ssa(padded(rho)))
+    base = check_ssa(rho)
+    assert_unmoved(base, check_ssa(rotated(rho, us)), check_ssa(padded(rho)))
+    # swapping factors 1 and 3 exchanges S12 - S2 and S23 - S2 between the sides; the slack stays
+    assert abs(check_ssa(swapped(rho, (2, 1, 0))).slack - base.slack) <= MOVE
 
 
 @SETTINGS
@@ -175,23 +188,21 @@ def test_improved_subadd_invariances(dims, rank, count, seed):
     assert_same(base, check_improved_subadd(rho, Povm(p.elements[::-1])))
 
 
-@SETTINGS
+# 100 examples: a marginal summed in another order moves in about 1 instance of 14
+@settings(SETTINGS, max_examples=100)
 @given(dims=DIMS2, rank=st.integers(1, 12), counts=st.tuples(st.integers(1, 4), st.integers(1, 4)), seed=SEED)
 def test_two_povm_invariances(dims, rank, counts, seed):
-    # the cq chain and the measured mutual information, P on factor 1 and Q on factor 2. Reversal keeps
-    # the chain's first link bit for bit; its second link and the mutual information read outcome-table
-    # marginals, numpy sums, which may move
+    # the cq chain and the measured mutual information, P on factor 1 and Q on factor 2. Every sum over
+    # outcomes, outcome-table marginals included, is one math.fsum, so reversal keeps both bit for bit
     rho = random_density(dims, min(rank, math.prod(dims)), seed)
     p, q = (random_povm(d, c, seed, f) for f, (d, c) in enumerate(zip(dims, counts), 1))
     us, _ = local_unitaries(dims, seed)
-    reversed_p, reversed_q = Povm(p.elements[::-1]), Povm(q.elements[::-1])
     for check in (check_cq_chain, check_classical_mutual_info):
-        assert_unmoved(
-            check(rho, p, q),
-            check(rotated(rho, us), conjugated(p, us[0]), conjugated(q, us[1])),
-            check(rho, reversed_p, reversed_q),
-        )
-    assert_same(check_cq_chain(rho, p, q)[0], check_cq_chain(rho, reversed_p, reversed_q)[0])
+        base = check(rho, p, q)
+        assert_unmoved(base, check(rotated(rho, us), conjugated(p, us[0]), conjugated(q, us[1])))
+        assert_same(base, check(rho, Povm(p.elements[::-1]), Povm(q.elements[::-1])))
+    # both mutual informations are symmetric in the two factors
+    assert_unmoved(check_classical_mutual_info(rho, p, q), check_classical_mutual_info(swapped(rho, (1, 0)), q, p))
 
 
 @SETTINGS
@@ -214,7 +225,13 @@ def test_holevo_invariance(dims, m, count, seed):
     states = [random_density(dims, d if j % 2 == 0 else 1, seed, (1, j)) for j in range(m)]
     q, u = random_povm(d, count, seed, 2), random_unitary(d, seed, 3)
     moved = [DensityMatrix(u @ s.mat @ u.conj().T, dims) for s in states]
-    assert_unmoved(check_holevo(weights, states, q), check_holevo(weights, moved, conjugated(q, u)))
+    base = check_holevo(weights, states, q)
+    reversed_q = check_holevo(weights, states, Povm(q.elements[::-1]))
+    reversed_ensemble = check_holevo(weights[::-1], states[::-1], q)
+    assert_unmoved(base, check_holevo(weights, moved, conjugated(q, u)), reversed_q, reversed_ensemble)
+    # the accessible information's marginals are one math.fsum per entry: reversal keeps its bits; chi's
+    # sum w rho is a sum over matrix entries, which may move
+    assert reversed_q.lhs == base.lhs and reversed_ensemble.lhs == base.lhs, (base, reversed_q, reversed_ensemble)
 
 
 @SETTINGS
@@ -292,4 +309,5 @@ def test_wehrl_invariances(dims, rank, steps, seed):
     moved12 = z_rotated(rho12, steps)
     for check in (check_wehrl_dominates, check_wehrl_mutual_info):
         assert_unmoved(check(rho12), check(moved12))
+    assert_unmoved(check_wehrl_mutual_info(rho12), check_wehrl_mutual_info(swapped(rho12, (1, 0))))
     assert_unmoved(check_wehrl_convexity(a, b), check_wehrl_convexity(z_rotated(a, steps), z_rotated(b, steps)))
