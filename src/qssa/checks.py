@@ -37,6 +37,7 @@ from .linalg import (
     DensityMatrix,
     _int_in,
     clamp_threshold,
+    hermitian_eigvalsh,
     hermitize,
     kron_state,
     matrix_log,
@@ -71,7 +72,7 @@ def trace_exp_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequence[n
     for k, a in zip(ops, a_ops, strict=True):
         h = h + k.conj().T @ matrix_log(a) @ k
     # Tr exp(H) = sum exp(spectrum); exp(H) itself is never needed
-    return math.fsum(np.exp(np.linalg.eigvalsh(hermitize(h)[0])))
+    return math.fsum(np.exp(hermitian_eigvalsh(h)))
 
 
 def _measured_split(blocks: Sequence[np.ndarray], dims23: tuple[int, ...]) -> tuple[float, list, int, float]:
@@ -161,10 +162,10 @@ def check_concave_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequen
 
     Lieb's theorem is the case of one K = I. Checked before any log: the K,
     A and B lists (`linalg.square_ops`), L, A and B of K's size, one A and
-    one B per K, and the hypothesis: I - sum K†K is PSD (`require_psd`).
-    f(A) and f(B), evaluated before any mixture, reject an argument that is
-    not positive definite. Reports the minimum concavity margin over the
-    mixing weights DEFAULT_LAMBDAS.
+    one B per K, and the hypothesis: I - sum K†K, through `hermitize`'s
+    guards, is PSD (`require_psd`). f(A) and f(B), evaluated before any
+    mixture, reject an argument that is not positive definite. Reports the
+    minimum concavity margin over the mixing weights DEFAULT_LAMBDAS.
     """
     ops, a_ops, b_ops = (square_ops(group, f"{name} operator") for name, group in
                          (("K", ops), ("A", a_ops), ("B", b_ops)))
@@ -174,8 +175,8 @@ def check_concave_map(l_op: np.ndarray, ops: Sequence[np.ndarray], a_ops: Sequen
             raise ValueError(f"{name} shape {np.shape(x)} does not match K dim {d}")
     if len(a_ops) != len(ops) or len(b_ops) != len(ops):
         raise ValueError(f"{len(a_ops)} A and {len(b_ops)} B operators for {len(ops)} K operators")
-    w = np.linalg.eigvalsh(np.eye(d) - sum(k.conj().T @ k for k in ops))
-    require_psd(w, "sum K†K exceeds I: I - sum K†K")
+    gap = np.eye(d) - sum(k.conj().T @ k for k in ops)
+    require_psd(hermitian_eigvalsh(gap), "sum K†K exceeds I: I - sum K†K")
     fa = trace_exp_map(l_op, ops, a_ops)
     fb = trace_exp_map(l_op, ops, b_ops)
     worst = None

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .linalg import (STATE_TOL, DensityMatrix, _per_block, clamp_threshold, hermitize, partial_trace,
+from .linalg import (STATE_TOL, DensityMatrix, _per_block, clamp_threshold, hermitian_eigvalsh, partial_trace,
                      require_distribution, require_factors)
 
 
@@ -33,9 +33,9 @@ def entropy_from_eigs(eigs) -> float:
 
 
 def block_entropy(b: np.ndarray) -> tuple[float, float]:
-    """(-Tr B ln B, n) of a PSD block B of any trace from one eigensolve of `hermitize(B)`, n the mass of
-    the eigenvalues the first value keeps (`clamp_threshold`): adding n ln n gives n S[kept/n] >= 0."""
-    eigs = np.linalg.eigvalsh(hermitize(b)[0])
+    """(-Tr B ln B, n) of a PSD block B of any trace from one `hermitian_eigvalsh`, n the mass of the
+    eigenvalues the first value keeps (`clamp_threshold`): adding n ln n gives n S[kept/n] >= 0."""
+    eigs = hermitian_eigvalsh(b)
     kept = eigs[eigs >= clamp_threshold(eigs)]
     return entropy_from_eigs(kept), math.fsum(kept)
 

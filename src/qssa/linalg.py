@@ -15,6 +15,9 @@ within `STATE_TOL`, `require_psd` a least eigenvalue above -`STATE_TOL`,
 (a `RuntimeError`). `CLAMP_REL` is the one zero floor of the package: spectra,
 weight vectors, outcome-block traces and Husimi values below `clamp_threshold`
 count as 0, and one below -`STATE_TOL` (relative to the largest) is an error there.
+No eigensolve reads a matrix that has not passed `hermitize` or `DensityMatrix`. Each has one of six homes:
+`DensityMatrix.__init__` (validation), `DensityMatrix.eigh`, `hermitian_eig`, `hermitian_eigvalsh`,
+`entropy.von_neumann` (a state's `mat`) and `checks.check_gibbs_variational` (it keeps H's asymmetry).
 """
 
 from __future__ import annotations
@@ -249,13 +252,14 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (nearly) Hermitian matrix.
-
-    Returns eigenvalues ascending and the matrix whose columns are the
-    corresponding orthonormal eigenvectors. Input is symmetrized first
-    by `hermitize`, with the asymmetry check a state gets.
-    """
+    """(eigenvalues ascending, orthonormal eigenvector columns) of a (nearly) Hermitian matrix,
+    symmetrized first by `hermitize`, with the asymmetry and non-finite checks a state gets."""
     return np.linalg.eigh(hermitize(m)[0])
+
+
+def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues ascending of a (nearly) Hermitian matrix, symmetrized first by `hermitize`."""
+    return np.linalg.eigvalsh(hermitize(m)[0])
 
 
 def clamp_threshold(values) -> float:

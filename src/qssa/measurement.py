@@ -23,7 +23,7 @@ from .linalg import (
     DensityMatrix,
     _as_int,
     _per_block,
-    hermitize,
+    hermitian_eigvalsh,
     ptrace_mat,
     require_factors,
     require_psd,
@@ -85,7 +85,7 @@ class Povm:
         elements = square_ops(elements, "POVM element")
         d = elements[0].shape[0]
         for p in elements:
-            require_psd(np.linalg.eigvalsh(hermitize(p)[0]), "POVM element")
+            require_psd(hermitian_eigvalsh(p), "POVM element")
         require_residual(float(np.abs(sum(elements) - np.eye(d)).max()), "POVM sum residual")
         self.elements = elements
         self.rows = np.array(elements).transpose(0, 2, 1).reshape(len(elements), d * d)

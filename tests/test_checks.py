@@ -180,6 +180,13 @@ class TestConcaveMap:
         oracle = np.trace(expm_oracle(h)).real
         assert trace_exp_map(l_op, ops, a_ops) == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's warnings of the overflow and its inf * 0
+    def test_rejects_a_kraus_sum_that_overflows(self):
+        # K†K overflows, so I - sum K†K is non-finite: hermitize rejects it before its solve,
+        # since a NaN spectrum would pass require_psd
+        with pytest.raises(ValueError, match="non-finite"):
+            check_concave_map(np.zeros((2, 2)), [np.diag([1e200, 0.0])], [np.eye(2)], [np.eye(2)])
+
     def test_rejects_indefinite_argument(self):
         with pytest.raises(ValueError):
             check_concave_map(np.zeros((2, 2)), [np.eye(2)], [np.diag([1.0, -0.2])], [random_positive(2, 21, 1)])

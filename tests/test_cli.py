@@ -573,3 +573,19 @@ class TestBlasThreads:
                            env=env, check=True, capture_output=True)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestBenchReference:
+    @pytest.mark.parametrize("workload", ["small-all", "wehrl-spin"])
+    def test_reports_match_the_committed_reference(self, tmp_path, workload):
+        # the reference a benchmark workload recorded at its commit: each report keeps its name, and its
+        # lhs and rhs within 1e-12 relative, so a change that moves a value is seen before CI's gate runs
+        ref = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference" / f"{workload}.json")
+                         .read_text())
+        out = tmp_path / f"{workload}.ndjson"
+        assert run(ref["argv"] + ["--out", str(out)]) == 0
+        reports = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["name"] for r in reports] == [name for name, _, _ in ref["reports"]]
+        for r, (name, lhs, rhs) in zip(reports, ref["reports"]):
+            for got, want in ((r["lhs"], lhs), (r["rhs"], rhs)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, got, want)

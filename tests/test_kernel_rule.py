@@ -281,3 +281,66 @@ def test_plain_sum_finder_reads_each_form(tmp_path):
                     "    return sum(x) + math.fsum(x) + fsum(x) + np.cumsum(x) + x.summary\n"
                     "TOTAL = sum([1, 2])\n")
     assert plain_sums(path) == [(3, "f"), (3, "f"), (3, "f"), (5, "g"), (6, None)]
+
+
+EIG_FUNCS = {"eigvalsh", "eigh"}
+
+# the six homes of a Hermitian eigensolve, each with the one matrix it reads: a matrix that has
+# passed `hermitize` or `DensityMatrix`. check_gibbs_variational keeps its own hermitized H, since
+# it reports H's asymmetry and reuses the buffer for Tr(rho H)
+EIG_HOMES = {("linalg.py", "DensityMatrix.__init__"): "herm", ("linalg.py", "DensityMatrix.eigh"): "self.mat",
+             ("linalg.py", "hermitian_eig"): "hermitize(m)[0]",
+             ("linalg.py", "hermitian_eigvalsh"): "hermitize(m)[0]",
+             ("entropy.py", "von_neumann"): "rho.mat", ("checks.py", "check_gibbs_variational"): "h"}
+
+
+def eigensolves(path):
+    """(line, enclosing function, source of the first argument) of every eigvalsh/eigh call in one
+    source file: through a `linalg` attribute such as `np.linalg.eigh`, or through a bare name that
+    `from ... import eigvalsh [as x]` binds. A method such as `rho.eigh()` is no solve; a method is
+    named `Class.method`."""
+    tree = ast.parse(path.read_text(), str(path))
+    bare = EIG_FUNCS | {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                        for alias in node.names if alias.name in EIG_FUNCS}
+    found = []
+
+    def visit(node, func, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func, cls = (node.name if cls is None else f"{cls}.{node.name}"), None
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in bare) or (
+                    isinstance(f, ast.Attribute) and f.attr in EIG_FUNCS
+                    and getattr(f.value, "attr", getattr(f.value, "id", None)) == "linalg"):
+                found.append((node.lineno, func, ast.unparse(node.args[0]) if node.args else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, cls)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_every_eigensolve_sits_in_its_home():
+    # a solve outside the six homes is a second copy of the rule that a solved matrix is hermitized
+    # first: call linalg.hermitian_eigvalsh or hermitian_eig instead
+    src = Path(qssa.__file__).parent
+    solves = [(path.name, func, arg) for path in sorted(src.glob("*.py")) for _, func, arg in eigensolves(path)]
+    offenders = [f"{name} solves {arg} in {func}" for name, func, arg in solves if EIG_HOMES.get((name, func)) != arg]
+    assert not offenders, offenders
+    # one solve in each home
+    assert sorted((name, func) for name, func, _ in solves) == sorted(EIG_HOMES)
+
+
+def test_eigensolve_finder_reads_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from numpy.linalg import eigvalsh as ev\n"
+                    "def f(m):\n"
+                    "    return np.linalg.eigvalsh(hermitize(m)[0]), numpy.linalg.eigh(m)\n"
+                    "class C:\n"
+                    "    def g(self, rho):\n"
+                    "        return ev(rho.mat), eigh(self.mat), rho.eigh(), linalg.eigvalsh(x)\n"
+                    "w = np.linalg.eigvalsh(a @ b)\n")
+    assert eigensolves(path) == [(3, "f", "hermitize(m)[0]"), (3, "f", "m"), (6, "C.g", "rho.mat"),
+                                 (6, "C.g", "self.mat"), (6, "C.g", "x"), (7, None, "a @ b")]

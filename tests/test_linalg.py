@@ -11,6 +11,7 @@ from qssa.linalg import (
     DensityMatrix,
     as_dims,
     hermitian_eig,
+    hermitian_eigvalsh,
     hermitize,
     kron,
     kron_state,
@@ -437,7 +438,7 @@ class TestHermitize:
         # and is rejected before any eigensolve
         m = np.array([[1.0, 5e-9], [0.0, 1.0]])
         forbid_eigensolves(monkeypatch)
-        for fn in (hermitize, hermitian_eig):
+        for fn in (hermitize, hermitian_eig, hermitian_eigvalsh):
             with pytest.raises(ValueError, match="asymmetry 5.000e-09 exceeds tolerance 1.000e-09"):
                 fn(m)
         with pytest.raises(ValueError, match="asymmetry"):

@@ -470,6 +470,17 @@ class TestWehrlChecks:
         r = check_wehrl_dominates(rho)
         assert r.passed and r.slack >= -1e-8
 
+    @pytest.mark.parametrize("two_j", [8, 16])
+    def test_dominates_at_its_equality_case(self, two_j):
+        # a product of two coherent states is pure (S = 0) and its Wehrl entropy is the sum of the
+        # factors', 2 * 2j/(2j+1), which the base grid reproduces to 1.7e-10 here. At 2j = 4 it is off
+        # by up to 2.6e-7 at these angles, so 2j = 4 is left out
+        for a, b in (((1.2, 0.0), (0.7, 2.5)), ((0.4, 3.9), (2.8, 1.1)), ((2.2, 5.3), (1.6, 0.2)),
+                     ((0.0, 0.0), (3.0, 4.4))):
+            r = check_wehrl_dominates(kron_state(coherent_density(two_j, *a), coherent_density(two_j, *b)))
+            assert abs(r.lhs) <= 1e-12, (a, b, r.lhs)
+            assert abs(r.rhs - 2 * coherent_wehrl_value(two_j)) <= 1e-9, (a, b, r.rhs)
+
     def test_convexity_equal_args(self):
         a = random_density((3,), 3, 100)
         assert abs(check_wehrl_convexity(a, a).slack) < 1e-10
