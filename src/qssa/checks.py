@@ -296,7 +296,8 @@ def counterexample_two_sided(d: int) -> InequalityReport:
 
 
 def _table_information(r: np.ndarray) -> tuple[float, np.ndarray]:
-    """(mutual information, row marginal) of an outcome table r[a, b]; a marginal entry is one `math.fsum`."""
+    """(mutual information, row marginal) of an outcome table r[a, b]; a marginal entry is one `math.fsum`.
+    The one rule for a table's information: the measured and accessible information and cq-chain's classical end."""
     marg_a, marg_b = (np.array([math.fsum(x) for x in t]) for t in (r, r.T))
     return shannon(marg_a) + shannon(marg_b) - shannon(r), marg_a
 
@@ -319,20 +320,17 @@ def check_cq_chain(rho12: DensityMatrix, p: Povm, q: Povm) -> tuple[InequalityRe
 
     First: S12 - S1 - S2 <= S_cQ - S_cl[rho1] - S2, where S_cQ measures
     factor 1 and keeps factor 2 quantum (S_cQ - S_cl[rho1] from `_measured_conditional_entropy`).
-    Second: the same quantity is bounded by the fully classical S_cl[rho12] - S_cl[rho1] - S_cl[rho2].
+    Second: the same quantity is bounded by the fully classical S_cl[rho12] - S_cl[rho1] - S_cl[rho2],
+    the negated information of the outcome table of p and q (`_table_information`).
     """
     s12, s1, s2 = bipartite_entropies(rho12)
     middle = _measured_conditional_entropy(rho12, p) - s2
-    s_cl_1 = shannon(povm_weights(rho12, p))
-    r = povm_joint_distribution(rho12, p, q)
-    s_cl_12 = shannon(r)
-    s_cl_2 = shannon([math.fsum(col) for col in r.T])
     first = make_report(
         "cq_chain_quantum_to_cq", s12 - s1 - s2, middle,
         dims=rho12.dims, p_count=len(p),
     )
     second = make_report(
-        "cq_chain_cq_to_classical", middle, s_cl_12 - s_cl_1 - s_cl_2,
+        "cq_chain_cq_to_classical", middle, -_table_information(povm_joint_distribution(rho12, p, q))[0],
         dims=rho12.dims, p_count=len(p), q_count=len(q),
     )
     return first, second

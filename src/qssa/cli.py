@@ -87,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _usage(rule, *values):
-    """Apply a library argument rule and return its value; its ValueError is a bad argument."""
+    """Apply a library argument rule and return its value; its ValueError or KeyError is a bad argument."""
     try:
         return rule(*values)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(exc.args[0]) from exc
 
 
@@ -104,11 +104,8 @@ def _write(path: str | None, text: str | Iterable[str]) -> None:
 
 
 def cmd_check(args) -> int:
-    try:
-        cfg = SuiteConfig(suites=args.suite or SuiteConfig.suites, dims=args.dims, trials=args.trials,
-                          seed=args.seed, tol=args.tol, d=args.d, two_j=args.two_j)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(exc.args[0]) from exc
+    cfg = _usage(lambda: SuiteConfig(suites=args.suite or SuiteConfig.suites, dims=args.dims, trials=args.trials,
+                                     seed=args.seed, tol=args.tol, d=args.d, two_j=args.two_j))
     reports = run_suites(cfg)
     _write(args.out, reports_to_csv(reports) if args.format == "csv" else reports_to_ndjson(reports))
     n_fail = sum(1 for r in reports if not r.passed)

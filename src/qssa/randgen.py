@@ -155,12 +155,6 @@ def random_positive(dim: int, seed: Seed, substream=0) -> np.ndarray:
     return (u * w) @ u.conj().T
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector, drawn from an existing generator."""
-    v = complex_gaussian(rng, dim)
-    return v / np.linalg.norm(v)
-
-
 def product_basis_kraus(d1: int, d2: int) -> KrausSet:
     """Rank-1 product-basis projectors |ij><ij| as a Kraus set on factors {1,2}."""
     ops = []

@@ -62,12 +62,12 @@ class SuiteConfig:
     two_j: int = 1
 
     def __post_init__(self):
-        """Reject every bad setting before any suite runs (unknown suite: KeyError)."""
+        """Reject every bad setting before any suite runs (unknown suite: KeyError); keep the resolved names."""
         self.trials, self.seed = require_trials(self.trials), require_seed(self.seed)
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
         self.dims = as_dims(self.dims)
-        names = resolve_suites(self.suites)
+        self.suites = names = tuple(resolve_suites(self.suites))
         for name in names:
             need = DIMS_FACTORS.get(name)
             if need == 3 and len(self.dims) != 3:
@@ -266,7 +266,7 @@ def resolve_suites(names: Sequence[str]) -> list[str]:
 def run_suites(cfg: SuiteConfig) -> list[InequalityReport]:
     """The reports of every selected suite, instance by instance, in (suite, instance) order."""
     reports = []
-    for name in resolve_suites(cfg.suites):
+    for name in cfg.suites:
         for i, calls, meta in SUITES[name](cfg):
             reports += _run(calls, meta, cfg, name, i)
             del calls  # free instance i's objects before instance i + 1 is drawn
@@ -323,23 +323,19 @@ def reports_to_ndjson(reports: Sequence[InequalityReport]) -> str:
 CSV_HEADER = "name,seed,dims,lhs,rhs,slack,tol,pass,status,meta"
 
 
+def _csv_cell(value) -> str:
+    """A `to_json_dict` value as a CSV cell: None empty, a bool true/false, a number its repr,
+    a string itself, dims joined by x, meta as JSON in double quotes with its own quotes as '."""
+    if value is None or isinstance(value, bool):
+        return "" if value is None else str(value).lower()
+    if isinstance(value, list):
+        return "x".join(map(str, value))
+    if isinstance(value, dict):
+        return '"' + json.dumps(value, separators=(",", ":")).replace('"', "'") + '"'
+    return value if isinstance(value, str) else repr(value)
+
+
 def reports_to_csv(reports: Sequence[InequalityReport]) -> str:
-    rows = [CSV_HEADER]
-    for r in reports:
-        d = r.to_json_dict()
-        dims = "x".join(str(x) for x in d["dims"]) if d["dims"] else ""
-        meta = json.dumps(d["meta"], separators=(",", ":")).replace('"', "'")
-        cells = [
-            d["name"],
-            "" if d["seed"] is None else str(d["seed"]),
-            dims,
-            "" if d["lhs"] is None else repr(d["lhs"]),
-            "" if d["rhs"] is None else repr(d["rhs"]),
-            "" if d["slack"] is None else repr(d["slack"]),
-            repr(d["tol"]),
-            str(d["pass"]).lower(),
-            d["status"],
-            '"' + meta + '"',
-        ]
-        rows.append(",".join(cells))
+    """CSV_HEADER, then one row per report: the values of its `to_json_dict`, in order."""
+    rows = [CSV_HEADER] + [",".join(map(_csv_cell, r.to_json_dict().values())) for r in reports]
     return "\n".join(rows) + "\n"

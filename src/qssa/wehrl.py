@@ -41,7 +41,7 @@ from .checks import least_convex_mixture
 from .linalg import (CLAMP_REL, DensityMatrix, _int_in, _per_block, clamp_threshold, partial_trace,
                      require_factors, require_same_mass)
 from .entropy import mutual_information, von_neumann
-from .randgen import Seed, random_pure_state, require_seed, require_trials, rng_for
+from .randgen import Seed, random_density, require_seed, require_trials
 from .report import InequalityReport, make_report
 
 # Minimum node counts of the default grids; below ~48 theta nodes the
@@ -285,8 +285,7 @@ def wehrl_min_scan(two_j: int, trials: int, seed: Seed) -> dict:
     rows = []
     min_sw, best = math.inf, None
     for t in range(trials):
-        psi = random_pure_state(two_j + 1, rng_for(seed, (t,)))
-        rho = DensityMatrix(np.outer(psi, psi.conj()), (two_j + 1,))
+        rho = random_density((two_j + 1,), 1, seed, (t,))
         sw = wehrl_entropy(rho, (grid,))
         s = von_neumann(rho)
         rows.append({"trial": t, "seed": seed, "two_j": two_j,

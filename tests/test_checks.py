@@ -263,6 +263,12 @@ class TestGibbs:
         h = random_hermitian(6, 36)
         assert check_gibbs_variational(rho, h).passed
 
+    def test_rejects_h_of_another_size_before_any_eigensolve(self, monkeypatch):
+        rho = random_density((2,), 2, 34)
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=r"dimension mismatch: state \(2, 2\) vs H \(3, 3\)"):
+            check_gibbs_variational(rho, np.eye(3))
+
     def test_rejects_h_beyond_the_state_asymmetry_bound(self, monkeypatch):
         rho = random_density((2,), 2, 34)
         h = np.array([[0.0, 5e-9], [0.0, 1.0]])
@@ -502,6 +508,14 @@ class TestCqChain:
         first, second = check_cq_chain(rho, random_povm(2, 2, 58), random_povm(3, 3, 59))
         assert first.passed and second.passed
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_classical_end_is_minus_the_measured_mutual_information(self, dims):
+        # S_cl[rho12] - S_cl[rho1] - S_cl[rho2] comes from the outcome table by the one rule of
+        # the measured mutual information, so the two agree bit for bit
+        rho = random_density(dims, math.prod(dims), 93)
+        p, q = random_povm(dims[0], 2, 94), random_povm(dims[1], 3, 95)
+        assert check_cq_chain(rho, p, q)[1].rhs == -check_classical_mutual_info(rho, p, q).rhs
+
     @pytest.mark.parametrize("corrupt", [
         lambda r: r * (1 + 1e-6),
         lambda r: r + np.array([[-r[0, 0] - 1e-11, r[0, 0] + 1e-11]] + [[0.0, 0.0]] * (len(r) - 1)),
@@ -585,6 +599,13 @@ class TestConvexityClMinusQ:
         p = random_povm(2, 2, 72)
         assert check_convexity_cl_minus_q(a, b, p).slack >= -1e-9
 
+    def test_least_convex_mixture_rejects_unequal_dims_before_any_eigensolve(self, monkeypatch):
+        a, b = random_density((2, 2), 4, 65), random_density((4,), 4, 66)
+        p = random_povm(2, 2, 66)
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(4,\)"):
+            check_convexity_cl_minus_q(a, b, p)
+
 
 class TestHolevo:
     def test_identical_states(self):
@@ -600,6 +621,19 @@ class TestHolevo:
         r = check_holevo(weights, states, q)
         assert r.lhs == pytest.approx(shannon(weights), abs=1e-10)
         assert r.rhs == pytest.approx(shannon(weights), abs=1e-10)
+
+    @pytest.mark.parametrize("case, message", [
+        ("count", "2 weights for 3 states"),
+        ("dims", "ensemble states must share dimensions"),
+        ("povm", "POVM dim 3 does not match state dim 4"),
+    ])
+    def test_rejects_a_mismatched_ensemble_before_any_eigensolve(self, monkeypatch, case, message):
+        s4, s22, q4 = random_density((4,), 4, 96), random_density((2, 2), 4, 97), random_povm(4, 2, 98)
+        states, q = {"count": ([s4, s4, s4], q4), "dims": ([s4, s22], q4),
+                     "povm": ([s4, s4], random_povm(3, 2, 99))}[case]
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            check_holevo([0.5, 0.5], states, q)
 
     def test_random(self):
         states = [random_density((4,), 4, 75, substream=j) for j in range(3)]

@@ -15,8 +15,7 @@ import pytest
 
 import qssa.cli
 from qssa.cli import build_parser, main
-from qssa.linalg import DensityMatrix
-from qssa.randgen import random_pure_state, rng_for
+from qssa.randgen import random_density
 from qssa.suites import SUITES, WEHRL_MAX_TWO_J, SuiteConfig, from_json
 from qssa.wehrl import husimi, make_grid
 
@@ -59,7 +58,20 @@ class TestCheckCommand:
         assert obj["rhs"] == pytest.approx(0.0, abs=1e-12)
 
     def test_unknown_suite_exits_2(self, capsys):
+        # SuiteConfig's KeyError becomes a bad argument through the one rule, cli._usage
         assert run(["check", "--suite", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown suite(s): bogus; known: {', '.join(SUITES)}, all\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_gets_the_bytes_of_the_out_file(self, tmp_path, capsysbinary, fmt):
+        args = ["check", "--suite", "ssa,counterexample", "--trials", "2", "--seed", "3", "--format", fmt]
+        out = tmp_path / "r.out"
+        assert run(args + ["--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert run(args) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_too_few_factors_exits_2(self, capsys):
         assert run(["check", "--suite", "improved-subadd", "--dims", "2", "--trials", "1"]) == 2
@@ -377,8 +389,7 @@ class TestWehrlCommand:
                     "--out", str(out), "--emit-husimi"]) == 0
         assert len(made) == 1
         s_w = [float(r.split(",")[3]) for r in out.read_text().strip().split("\n")[1:]]
-        psi = random_pure_state(5, rng_for(5, (s_w.index(min(s_w)),)))
-        values = husimi(DensityMatrix(np.outer(psi, psi.conj()), (5,)), made)
+        values = husimi(random_density((5,), 1, 5, (s_w.index(min(s_w)),)), made)
         rows = (tmp_path / "scan.husimi.csv").read_text().strip().split("\n")[1:]
         assert [float(r.split(",")[3]) for r in rows] == values.tolist()
 
@@ -559,6 +570,14 @@ class TestDiffCommand:
 
 
 class TestBlasThreads:
+    def test_pin_is_skipped_where_openblas_cannot_be_loaded(self, tmp_path, monkeypatch, capsys):
+        def no_library(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(qssa.cli.ctypes, "CDLL", no_library)
+        assert qssa.cli._one_blas_thread() is None
+        assert run(["check", "--suite", "counterexample", "--out", str(tmp_path / "r.ndjson")]) == 0
+
     def test_replay_bytes_do_not_depend_on_thread_count(self, tmp_path):
         # two 17-dim spins: 289-dim eigensolves, which differ between 1 and 2
         # OpenBLAS threads unless main pins the count

@@ -331,6 +331,9 @@ class TestDensityMatrix:
         peak = traced_peak(lambda: DensityMatrix(m, (33, 33)))
         assert peak < 1.2 * m.nbytes, f"peak {peak / m.nbytes:.2f}x the state's bytes"
 
+    def test_repr(self):
+        assert repr(DensityMatrix(np.eye(6) / 6, (2, 3))) == "DensityMatrix(dims=(2, 3), trace=1.000000)"
+
     def test_matrix_is_frozen(self):
         rho = random_density((2,), 2, 5)
         with pytest.raises(ValueError):

@@ -330,6 +330,10 @@ class TestCptPhi:
 
 
 class TestPovm:
+    def test_reprs(self):
+        assert repr(basis_povm(3)) == "Povm(count=3, dim=3)"
+        assert repr(product_basis_kraus(2, 3)) == "KrausSet(count=6, dim=6, acts_on=(1, 2))"
+
     def test_povm_to_kraus_identity(self):
         k = povm_to_kraus(Povm([np.eye(3)]))
         assert np.abs(k.ops[0] - np.eye(3)).max() < 1e-12

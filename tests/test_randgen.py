@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qssa.randgen
 from qssa.entropy import von_neumann
 from qssa.linalg import partial_trace
 from qssa.randgen import (
@@ -20,7 +21,7 @@ from qssa.randgen import (
     rng_for,
 )
 
-from test_linalg import traced_peak
+from test_linalg import forbid_eigensolves, traced_peak
 from test_measurement import completeness_residual
 
 
@@ -129,6 +130,35 @@ class TestRandomPovm:
         for x, y in zip(a.elements, b.elements):
             assert np.array_equal(x, y)
 
+    def test_ill_conditioned_normalizer_is_redrawn_from_the_next_substream(self, monkeypatch):
+        # attempt a draws from key + (a,): with attempt 0's T made ill-conditioned, the POVM is
+        # the one drawn from key + (1,)
+        eig, keys = qssa.randgen.hermitian_eig, []
+        monkeypatch.setattr(qssa.randgen, "rng_for", lambda seed, key: keys.append(key) or rng_for(seed, key))
+
+        def first_ill_conditioned(m):
+            w, v = eig(m)
+            return (np.array([0.0, *w[1:]]) if len(keys) == 1 else w), v
+
+        monkeypatch.setattr(qssa.randgen, "hermitian_eig", first_ill_conditioned)
+        p = random_povm(3, 2, 7, 4)
+        assert keys == [(4, 0), (4, 1)]
+        rng = rng_for(7, (4, 1))
+        gs = [complex_gaussian(rng, (3, 3)) for _ in range(2)]
+        a_ops = [g @ g.conj().T for g in gs]
+        w, v = np.linalg.eigh(sum(a_ops))
+        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+        for el, a in zip(p.elements, a_ops, strict=True):
+            assert np.abs(el - inv_sqrt @ a @ inv_sqrt).max() < 1e-12
+
+    def test_gives_up_after_five_ill_conditioned_normalizers(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qssa.randgen, "hermitian_eig",
+                            lambda m: calls.append(m) or (np.array([0.0, 1.0, 1.0]), np.eye(3)))
+        with pytest.raises(RuntimeError, match=r"singular normalizer after 5 attempts \(dim=3, count=2\)"):
+            random_povm(3, 2, 7)
+        assert len(calls) == 5
+
 
 class TestRandomCqState:
     def test_block_diagonal_in_product_basis(self):
@@ -145,6 +175,12 @@ class TestRandomCqState:
         r12 = partial_trace(rho, {1, 2}).mat
         off = r12 - np.diag(np.diag(r12))
         assert np.abs(off).max() < 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)])
+    def test_rejects_other_factor_counts_before_any_eigensolve(self, monkeypatch, dims):
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="need exactly 3 factors"):
+            random_cq_state(dims, 13)
 
     def test_replay(self):
         a = random_cq_state((2, 2, 2), 42)

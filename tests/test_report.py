@@ -2,11 +2,14 @@
 `make_report` judges at the default."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from qssa.report import InequalityReport, default_tol, judge, make_report
+
+from test_linalg import forbid_eigensolves
 
 
 def skipped(**meta):
@@ -109,6 +112,13 @@ class TestDerivedVerdict:
         for status in ("expected-violation", "skipped"):
             assert InequalityReport("x", 1.0, 0.0, status=status).passed
         assert not InequalityReport("x", 1.0, 0.0).passed
+
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 0.5), (1.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_bounds_are_rejected(self, monkeypatch, lhs, rhs):
+        # a bound that cannot be judged is a "skipped" report, never a verdict
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite bounds"):
+            make_report("x", lhs, rhs)
 
     def test_json_carries_the_derived_values(self):
         d = make_report("x", 1.0, 0.5).to_json_dict()

@@ -9,12 +9,14 @@ import pytest
 
 import qssa.checks
 import qssa.linalg
+import qssa.suites
 from qssa.cli import main
 from qssa.linalg import STATE_TOL, DensityMatrix
 from qssa.measurement import KrausSet, Povm
 from qssa.randgen import complex_gaussian, random_density, random_kraus, random_povm, rng_for
-from qssa.report import InequalityReport
+from qssa.report import InequalityReport, make_report
 from qssa.suites import (
+    CSV_HEADER,
     SUITES,
     WEHRL_MAX_TWO_J,
     SuiteConfig,
@@ -44,6 +46,14 @@ class TestResolve:
 
     def test_duplicates_dropped(self):
         assert resolve_suites(["ssa", "ssa"]) == ["ssa"]
+
+    def test_config_keeps_the_resolved_names(self):
+        assert SuiteConfig(suites=("cq-chain,ssa",)).suites == ("ssa", "cq-chain")
+
+    def test_run_reads_the_names_the_config_resolved(self, monkeypatch):
+        cfg = SuiteConfig(suites=["counterexample,counterexample"])
+        monkeypatch.setattr(qssa.suites, "resolve_suites", lambda names: pytest.fail("suites resolved again"))
+        assert [r.name for r in run_suites(cfg)] == ["counterexample_two_sided"]
 
     @pytest.mark.parametrize("names", [[], [""], [","], [" , ", ""]])
     def test_empty_selection_raises(self, names):
@@ -235,6 +245,20 @@ class TestSerialization:
         cfg = SuiteConfig(suites=["ssa"], trials=3, seed=1)
         text = reports_to_ndjson(run_suites(cfg))
         assert len(text.strip().split("\n")) == 3
+
+    def test_csv_header_names_the_json_keys(self):
+        assert CSV_HEADER.split(",") == list(make_report("x", 1.0, 0.5).to_json_dict())
+
+    def test_csv_cell_of_each_value_type(self):
+        # a row is the to_json_dict values: None empty, bools lower case, numbers by repr,
+        # dims joined by x, meta as JSON in double quotes with ' for its own quotes
+        ok = make_report("x", 1.0, 0.5, dims=(2, 3), kraus_count=2)
+        ok.seed = 7
+        skipped = make_report("y", None, None, status="skipped", reason="support")
+        assert reports_to_csv([ok, skipped]).splitlines()[1:] == [
+            "x,7,2x3,1.0,0.5,-0.5,1e-08,false,ok,\"{'kraus_count':2,'relation':'<='}\"",
+            "y,,,,,,0.0,true,skipped,\"{'reason':'support','relation':'<='}\"",
+        ]
 
     def test_csv_round_trip_fields(self):
         cfg = SuiteConfig(suites=["counterexample"], d=4, seed=1)

@@ -32,6 +32,8 @@ from qssa.wehrl import (
     wehrl_min_scan,
 )
 
+from test_linalg import forbid_eigensolves
+
 
 def bloch_state(two_j, theta, phi):
     """Coherent unit vector at sphere direction (theta, phi), one row per direction if they are
@@ -166,6 +168,23 @@ class TestGrid:
     def test_minimal_sizes_still_resolve(self):
         g = make_grid(6, n_theta=7, n_phi=14)  # two_j + 1, 2 two_j + 2
         assert resolution_residual(g) <= 1e-12
+
+    def test_repr(self):
+        assert repr(make_grid(2, n_theta=3, n_phi=6)) == "BlochGrid(two_j=2, nodes=18)"
+
+    def test_rejects_three_factors_before_any_eigensolve(self, monkeypatch):
+        rho = random_density((2, 2, 2), 8, 111)
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="one or two spin factors"):
+            husimi(rho, None)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_a_grid_per_factor_mismatch_before_any_eigensolve(self, monkeypatch, count):
+        rho = random_density((2, 2), 4, 112)
+        grids = (make_grid(1),) * count
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=f"{count} grids for 2 factors"):
+            wehrl_entropy(rho, grids)
 
     def test_rejects_below_minimum(self):
         with pytest.raises(ValueError):
