@@ -45,6 +45,7 @@ from .linalg import (
     require_distribution,
     require_factors,
     require_psd,
+    require_same_dims,
     require_same_mass,
     square_ops,
 )
@@ -108,8 +109,7 @@ def least_convex_mixture(g: Callable[[DensityMatrix], float], a: DensityMatrix, 
     with mix = lambda a + (1 - lambda) b and chord = lambda g(a) + (1 - lambda) g(b). The second
     g(mix) at each new least margin only keeps the eigensolve and grid counts that the
     benchmark's tracer tests pin; ROADMAP item 2 removes it here, in the one scan."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
+    require_same_dims(a, b)
     ga, gb = g(a), g(b)
     worst = None
     for lam in DEFAULT_LAMBDAS:

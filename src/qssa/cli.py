@@ -7,6 +7,11 @@ traceback goes to stderr). Replaying with the same seed produces
 byte-identical output files; `main` runs numpy's bundled OpenBLAS on one
 thread, as eigensolves of 192 dims and more differ between thread counts.
 
+`check` opens its output (`--out` or stdout) before the first suite runs and
+writes each instance's reports as that instance finishes, so an unwritable
+`--out` exits 3 before any work, and after an exit 4 the file holds the
+complete lines of the instances that finished.
+
 `main` alone maps errors to exit codes: a command returns 0 or 1, raises
 `UsageError` for a bad argument or input (`error: <message>`, exit 2) and
 lets `OSError` through (`I/O error: <exception>`, exit 3); anything else
@@ -31,7 +36,7 @@ from typing import Iterable, Iterator
 from .linalg import as_dims
 from .randgen import (random_cq_state, random_density, random_kraus, random_povm, require_count, require_rank,
                       require_seed, require_trials)
-from .suites import SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites, to_json
+from .suites import CSV_HEADER, SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites, to_json
 from .wehrl import husimi, require_two_j, wehrl_min_scan
 
 
@@ -106,11 +111,22 @@ def _write(path: str | None, text: str | Iterable[str]) -> None:
 def cmd_check(args) -> int:
     cfg = _usage(lambda: SuiteConfig(suites=args.suite or SuiteConfig.suites, dims=args.dims, trials=args.trials,
                                      seed=args.seed, tol=args.tol, d=args.d, two_j=args.two_j))
-    reports = run_suites(cfg)
-    _write(args.out, reports_to_csv(reports) if args.format == "csv" else reports_to_ndjson(reports))
-    n_fail = sum(1 for r in reports if not r.passed)
-    n_skip = sum(1 for r in reports if r.status == "skipped")
-    print(f"{len(reports)} reports, {n_fail} failed, {n_skip} skipped", file=sys.stderr)
+    csv = args.format == "csv"
+    n = n_fail = n_skip = 0
+
+    def chunks() -> Iterator[str]:
+        """The output text one instance at a time, tallying its reports; `_write` opens the file first."""
+        nonlocal n, n_fail, n_skip
+        if csv:
+            yield CSV_HEADER + "\n"
+        for batch in run_suites(cfg):
+            n += len(batch)
+            n_fail += sum(not r.passed for r in batch)
+            n_skip += sum(r.status == "skipped" for r in batch)
+            yield reports_to_csv(batch) if csv else reports_to_ndjson(batch)
+
+    _write(args.out, chunks())
+    print(f"{n} reports, {n_fail} failed, {n_skip} skipped", file=sys.stderr)
     return 1 if n_fail else 0
 
 
@@ -154,7 +170,9 @@ def cmd_wehrl(args) -> int:
     summary = scan["summary"]
     _write(args.out, "\n".join(lines) + "\n")
     if args.emit_husimi:
-        _write(_husimi_path(args.out), _husimi_csv(scan))
+        # the least-S_W state's (already guarded) values, computed before the file is opened
+        grid = scan["grid"]
+        _write(_husimi_path(args.out), _husimi_csv(grid, husimi(scan["best"], (grid,))))
     print(
         f"two_j={summary['two_j']} trials={summary['trials']} "
         f"min_S_W={summary['min_S_W']!r} coherent={summary['coherent_value']!r} "
@@ -242,13 +260,10 @@ def _husimi_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".husimi.csv"
 
 
-def _husimi_csv(scan: dict) -> Iterator[str]:
-    """The scan grid's nodes and weights with its least-S_W state's (already guarded) Husimi values,
-    as CSV text one theta row at a time."""
-    grid = scan["grid"]
-    values = husimi(scan["best"], (grid,)).reshape(len(grid.thetas), -1)
+def _husimi_csv(grid, values) -> Iterator[str]:
+    """A grid's nodes and weights with the Husimi values on it, as CSV text one theta row at a time."""
     yield "theta,phi,weight,value\n"
-    for th, w, row in zip(grid.thetas, grid.weights[:: len(grid.phis)], values):
+    for th, w, row in zip(grid.thetas, grid.weights[:: len(grid.phis)], values.reshape(len(grid.thetas), -1)):
         yield "".join(f"{float(th)!r},{float(ph)!r},{float(w)!r},{float(v)!r}\n" for ph, v in zip(grid.phis, row))
 
 

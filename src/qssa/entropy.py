@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .linalg import (STATE_TOL, DensityMatrix, _per_block, clamp_threshold, hermitian_eigvalsh, partial_trace,
-                     require_distribution, require_factors)
+                     require_distribution, require_factors, require_same_dims)
 
 
 def entropy_from_eigs(eigs) -> float:
@@ -60,8 +60,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     solved. Only V is full-size besides the inputs, and it is released before rho's
     eigensolve: a `kron_state` sigma keeps no V of its own.
     """
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
+    require_same_dims(rho, sigma)
     w, v = sigma.eigh()
     eps = clamp_threshold(w)
     # diag(V† rho V) over ~256 KB column blocks of V: one BLAS matmul each, then a row sum.

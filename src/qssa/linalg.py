@@ -195,6 +195,12 @@ def require_factors(rho: DensityMatrix, n: int) -> None:
         raise ValueError(f"need a {n}-factor state, got dims {rho.dims}")
 
 
+def require_same_dims(a: DensityMatrix, b: DensityMatrix) -> None:
+    """ValueError unless `a` and `b` have the same factor dimensions."""
+    if a.dims != b.dims:
+        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; (A ⊗ B)[ip+k, jq+l] = A[i,j] B[k,l]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

@@ -11,7 +11,11 @@ A builder only draws its instance, `(calls, meta)`: each call is a tuple
 (check, *args) of a `checks` or `wehrl` check, and `meta` is stamped on every
 report of the instance. `SUITES[name](cfg)` yields a suite's instances and
 `run_suites` is the one loop over them: its `_run` alone makes the calls and
-stamps their reports and re-judges them under `--tol`. `to_json`/`from_json` are the one JSON wire format.
+stamps their reports and re-judges them under `--tol`, and `run_suites` yields
+each instance's reports as one batch as soon as `_run` returns them, so a caller
+can write and drop them before the next instance runs. `reports_to_ndjson` and
+`reports_to_csv` (rows only; `CSV_HEADER` is written once by the caller) turn a
+batch into text. `to_json`/`from_json` are the one JSON wire format.
 """
 
 from __future__ import annotations
@@ -263,14 +267,13 @@ def resolve_suites(names: Sequence[str]) -> list[str]:
     return [n for n in SUITES if n in requested]
 
 
-def run_suites(cfg: SuiteConfig) -> list[InequalityReport]:
-    """The reports of every selected suite, instance by instance, in (suite, instance) order."""
-    reports = []
+def run_suites(cfg: SuiteConfig) -> Iterator[list[InequalityReport]]:
+    """Yield each instance's reports as soon as they are made, in (suite, instance) order; a caller
+    that wants one list flattens the batches. Nothing runs until the first batch is asked for."""
     for name in cfg.suites:
         for i, calls, meta in SUITES[name](cfg):
-            reports += _run(calls, meta, cfg, name, i)
+            yield _run(calls, meta, cfg, name, i)
             del calls  # free instance i's objects before instance i + 1 is drawn
-    return reports
 
 
 # --- serialization ----------------------------------------------------------
@@ -336,6 +339,5 @@ def _csv_cell(value) -> str:
 
 
 def reports_to_csv(reports: Sequence[InequalityReport]) -> str:
-    """CSV_HEADER, then one row per report: the values of its `to_json_dict`, in order."""
-    rows = [CSV_HEADER] + [",".join(map(_csv_cell, r.to_json_dict().values())) for r in reports]
-    return "\n".join(rows) + "\n"
+    """One row per report, without the header `CSV_HEADER`: the values of its `to_json_dict`, in order."""
+    return "".join(",".join(map(_csv_cell, r.to_json_dict().values())) + "\n" for r in reports)

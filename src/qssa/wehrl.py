@@ -39,7 +39,7 @@ import numpy as np
 
 from .checks import least_convex_mixture
 from .linalg import (CLAMP_REL, DensityMatrix, _int_in, _per_block, clamp_threshold, partial_trace,
-                     require_factors, require_same_mass)
+                     require_factors, require_same_dims, require_same_mass)
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_density, require_seed, require_trials
 from .report import InequalityReport, make_report
@@ -263,6 +263,7 @@ def check_wehrl_mutual_info(rho12: DensityMatrix) -> InequalityReport:
 def check_wehrl_convexity(a: DensityMatrix, b: DensityMatrix) -> InequalityReport:
     """Convexity of rho -> S_W[rho] - S[rho] on [a, b], by `checks.least_convex_mixture`,
     on the base grid of each factor."""
+    require_same_dims(a, b)  # before the grids, whose Gauss-Legendre nodes come from an eigensolve
     grids = _grids_for(a, None)
     lam, gmix, combo, _, _ = least_convex_mixture(
         lambda rho: wehrl_entropy(rho, grids) - von_neumann(rho), a, b)

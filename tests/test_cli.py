@@ -19,6 +19,7 @@ from qssa.randgen import random_density
 from qssa.suites import SUITES, WEHRL_MAX_TWO_J, SuiteConfig, from_json
 from qssa.wehrl import husimi, make_grid
 
+from test_linalg import forbid_eigensolves
 from test_measurement import completeness_residual
 from test_wehrl import GUARDS, corrupt_husimi
 
@@ -166,6 +167,50 @@ class TestCheckCommand:
         code = run(["check", "--suite", "ssa", "--trials", "1",
                     "--out", "/nonexistent-dir/x.ndjson"])
         assert code == 3
+
+    def test_unwritable_out_exits_3_before_any_eigensolve(self, tmp_path, monkeypatch, capsys):
+        # the output file is opened before the first suite runs
+        forbid_eigensolves(monkeypatch)
+        out = tmp_path / "missing" / "r.ndjson"
+        assert run(["check", "--suite", "all", "--trials", "20", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("I/O error: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_crash_keeps_the_lines_of_finished_instances(self, tmp_path, monkeypatch, capsys, fmt):
+        # each instance's reports are written as it finishes: after exit 4 the file holds a clean
+        # run's first lines, through the last finished instance (two sandwich reports each)
+        args = ["check", "--suite", "sandwich", "--trials", "6", "--seed", "3", "--format", fmt]
+        clean, cut = tmp_path / "clean", tmp_path / "cut"
+        assert run(args + ["--out", str(clean)]) == 0
+        real, calls = qssa.checks.check_sandwich, []
+
+        def fail_on_instance_3(*check_args):
+            calls.append(check_args)
+            if len(calls) == 4:
+                raise RuntimeError("instance 3")
+            return real(*check_args)
+
+        monkeypatch.setattr(qssa.checks, "check_sandwich", fail_on_instance_3)
+        assert run(args + ["--out", str(cut)]) == 4
+        assert "RuntimeError: instance 3" in capsys.readouterr().err
+        header = 1 if fmt == "csv" else 0
+        assert cut.read_bytes() == b"".join(clean.read_bytes().splitlines(keepends=True)[: header + 2 * 3])
+
+    def test_memory_does_not_grow_with_trials(self, tmp_path, capsys):
+        # reports are written and dropped instance by instance, so a run holds one instance's reports
+        args = ["check", "--suite", "ssa,cqq,holevo,wehrl", "--seed", "5", "--out", str(tmp_path / "r.ndjson")]
+        assert run(args + ["--trials", "2"]) == 0  # lazy imports and caches, outside the peaks
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert run(args + ["--trials", str(trials)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(30), peak(120)
+        assert abs(many - few) < 100_000, f"peak {few} bytes at 30 trials, {many} at 120"
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -372,6 +417,18 @@ class TestWehrlCommand:
         assert rows[0] == "theta,phi,weight,value"
         mass = sum(float(r.split(",")[2]) * float(r.split(",")[3]) for r in rows[1:])
         assert abs(mass - 1.0) < 1e-10
+
+    def test_failed_husimi_leaves_no_node_file(self, tmp_path, monkeypatch, capsys):
+        # the node values are computed before <out>.husimi.csv is opened
+        def boom(*args):
+            raise RuntimeError("husimi")
+
+        monkeypatch.setattr(qssa.cli, "husimi", boom)
+        out = tmp_path / "scan.csv"
+        assert run(["wehrl", "--two-j", "2", "--trials", "3", "--seed", "1",
+                    "--out", str(out), "--emit-husimi"]) == 4
+        assert "RuntimeError: husimi" in capsys.readouterr().err
+        assert out.exists() and not (tmp_path / "scan.husimi.csv").exists()
 
     def test_emit_husimi_builds_one_grid(self, tmp_path, monkeypatch, capsys):
         # the node dump reuses the scan's grid and its least-S_W state

@@ -20,7 +20,7 @@ from qssa.linalg import CLAMP_REL, DensityMatrix, clamp_threshold, kron, kron_st
 from qssa.measurement import Povm, povm_conditionals, povm_joint_distribution, povm_weights
 from qssa.randgen import random_density, random_povm, random_unitary
 
-from test_linalg import KRON_FACTORS, KRON_IDS, trace_distance, traced_peak
+from test_linalg import KRON_FACTORS, KRON_IDS, forbid_eigensolves, trace_distance, traced_peak
 from test_measurement import basis_povm
 
 
@@ -144,6 +144,12 @@ class TestRelativeEntropy:
     def test_self_is_zero(self):
         rho = random_density((2, 2), 4, 6)
         assert abs(relative_entropy(rho, rho)) < 1e-10
+
+    def test_unequal_dims_rejected_before_any_eigensolve(self, monkeypatch):
+        rho, sigma = random_density((2, 2), 4, 6), random_density((4,), 4, 7)
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(4,\)"):
+            relative_entropy(rho, sigma)
 
     def test_pure_vs_mixed(self):
         for d in (2, 4):

@@ -20,6 +20,7 @@ from qssa.linalg import (
     ptrace_mat,
     require_distribution,
     require_factors,
+    require_same_dims,
     require_psd,
     require_residual,
     require_same_mass,
@@ -344,6 +345,12 @@ class TestDensityMatrix:
         require_factors(rho, 2)
         with pytest.raises(ValueError, match=r"need a 3-factor state, got dims \(2, 3\)"):
             require_factors(rho, 3)
+
+    def test_require_same_dims(self):
+        a, b = random_density((2, 3), 6, 5), random_density((6,), 6, 5)
+        require_same_dims(a, random_density((2, 3), 3, 6))
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 3\) vs \(6,\)"):
+            require_same_dims(a, b)
 
 
 # Factor dims of the two states of a product: 2x2, 4x2 and 8x8.

@@ -31,6 +31,11 @@ from qssa.suites import (
 )
 
 
+def reports_of(cfg):
+    """Every report of a run: the per-instance batches of `run_suites`, flattened."""
+    return [r for batch in run_suites(cfg) for r in batch]
+
+
 class TestResolve:
     def test_all_expands_in_registry_order(self):
         assert resolve_suites(["all"]) == list(SUITES)
@@ -53,7 +58,7 @@ class TestResolve:
     def test_run_reads_the_names_the_config_resolved(self, monkeypatch):
         cfg = SuiteConfig(suites=["counterexample,counterexample"])
         monkeypatch.setattr(qssa.suites, "resolve_suites", lambda names: pytest.fail("suites resolved again"))
-        assert [r.name for r in run_suites(cfg)] == ["counterexample_two_sided"]
+        assert [r.name for r in reports_of(cfg)] == ["counterexample_two_sided"]
 
     @pytest.mark.parametrize("names", [[], [""], [","], [" , ", ""]])
     def test_empty_selection_raises(self, names):
@@ -66,7 +71,7 @@ class TestRegistry:
     def test_each_suite_alone_equals_its_lines_in_all(self, dims):
         def lines(names):
             cfg = SuiteConfig(suites=names, dims=dims, trials=2, seed=42)
-            return reports_to_ndjson(run_suites(cfg)).splitlines()
+            return reports_to_ndjson(reports_of(cfg)).splitlines()
 
         alone = {name: lines([name]) for name in SUITES}
         assert all(alone.values())
@@ -137,7 +142,7 @@ class TestValidationHeadroom:
         for module in modules:
             monkeypatch.setattr(module, "hermitize", record_hermitize)
         for dims in ((2, 2, 2), (2, 3, 4)):
-            run_suites(SuiteConfig(suites=["all"], dims=dims, trials=3, seed=11))
+            reports_of(SuiteConfig(suites=["all"], dims=dims, trials=3, seed=11))
         # every state is hermitized once; the surplus are operators
         assert len(residuals["hermitize_input"]) > len(residuals["trace"])
         for name, values in residuals.items():
@@ -148,7 +153,7 @@ class TestValidationHeadroom:
 class TestRun:
     def test_every_suite_emits_passing_reports(self):
         cfg = SuiteConfig(suites=["all"], trials=2, seed=5)
-        reports = run_suites(cfg)
+        reports = reports_of(cfg)
         suites_seen = {r.meta["suite"] for r in reports}
         assert suites_seen == set(SUITES)
         for r in reports:
@@ -156,7 +161,7 @@ class TestRun:
 
     def test_pass_recomputable_across_all_reports(self):
         cfg = SuiteConfig(suites=["all"], trials=2, seed=6)
-        for r in run_suites(cfg):
+        for r in reports_of(cfg):
             if r.status == "skipped":
                 continue
             margin = (r.rhs - r.lhs) if r.relation == "<=" else (r.lhs - r.rhs)
@@ -166,15 +171,15 @@ class TestRun:
 
     def test_wehrl_suite_three_reports_per_instance(self):
         cfg = SuiteConfig(suites=["wehrl"], trials=2, seed=5)
-        names = [r.name for r in run_suites(cfg)]
-        assert names == ["wehrl_dominates", "wehrl_mutual_info", "wehrl_convexity"] * 2
+        batches = [[r.name for r in batch] for batch in run_suites(cfg)]
+        assert batches == [["wehrl_dominates", "wehrl_mutual_info", "wehrl_convexity"]] * 2
 
     def test_every_third_concavity_instance_is_sub_complete(self, monkeypatch):
         families = []
         real = qssa.checks.check_concave_map
         monkeypatch.setattr(qssa.checks, "check_concave_map",
                             lambda l_op, ops, a, b: families.append(ops) or real(l_op, ops, a, b))
-        reports = run_suites(SuiteConfig(suites=["concavity"], trials=9, seed=3))
+        reports = reports_of(SuiteConfig(suites=["concavity"], trials=9, seed=3))
         assert len(families) == len(reports) == 9
         for i, (r, ops) in enumerate(zip(reports, families)):
             assert r.meta["sub_complete"] is (i % 3 == 2)
@@ -222,7 +227,7 @@ class TestRun:
     def test_a_float_seed_writes_the_int_seeds_bytes(self):
         # one seed, one label: `qssa diff` pairs reports by (name, seed, suite, instance)
         def ndjson(seed, d):
-            return reports_to_ndjson(run_suites(SuiteConfig(suites=["ssa", "counterexample"], trials=2, seed=seed, d=d)))
+            return reports_to_ndjson(reports_of(SuiteConfig(suites=["ssa", "counterexample"], trials=2, seed=seed, d=d)))
 
         assert ndjson(1.0, 2.0) == ndjson(1, 2)
         assert '"seed":1,' in ndjson(1, 2)
@@ -243,7 +248,7 @@ class TestRun:
 class TestSerialization:
     def test_ndjson_line_count(self):
         cfg = SuiteConfig(suites=["ssa"], trials=3, seed=1)
-        text = reports_to_ndjson(run_suites(cfg))
+        text = reports_to_ndjson(reports_of(cfg))
         assert len(text.strip().split("\n")) == 3
 
     def test_csv_header_names_the_json_keys(self):
@@ -255,14 +260,14 @@ class TestSerialization:
         ok = make_report("x", 1.0, 0.5, dims=(2, 3), kraus_count=2)
         ok.seed = 7
         skipped = make_report("y", None, None, status="skipped", reason="support")
-        assert reports_to_csv([ok, skipped]).splitlines()[1:] == [
+        assert reports_to_csv([ok, skipped]).splitlines() == [
             "x,7,2x3,1.0,0.5,-0.5,1e-08,false,ok,\"{'kraus_count':2,'relation':'<='}\"",
             "y,,,,,,0.0,true,skipped,\"{'reason':'support','relation':'<='}\"",
         ]
 
     def test_csv_round_trip_fields(self):
         cfg = SuiteConfig(suites=["counterexample"], d=4, seed=1)
-        text = reports_to_csv(run_suites(cfg))
+        text = CSV_HEADER + "\n" + reports_to_csv(reports_of(cfg))
         header, row = text.strip().split("\n")
         assert header.startswith("name,seed,dims")
         assert row.split(",")[0] == "counterexample_two_sided"
@@ -339,7 +344,7 @@ class TestWireFormat:
                 replayed += _run([(check, *map(from_json, args)) for (check, *_), args in zip(calls, wire)],
                                  meta, cfg, name, i)
                 direct += _run(calls, meta, cfg, name, i)
-            assert reports_to_ndjson(replayed) == reports_to_ndjson(direct) == reports_to_ndjson(run_suites(cfg))
+            assert reports_to_ndjson(replayed) == reports_to_ndjson(direct) == reports_to_ndjson(reports_of(cfg))
 
 
 def test_failed_check_gives_exit_1(tmp_path, monkeypatch, capsys):

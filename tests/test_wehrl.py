@@ -515,6 +515,13 @@ class TestWehrlChecks:
         for r in (check_wehrl_convexity(a, b), check_convexity_cl_minus_q(a12, b12, p)):
             assert abs(r.slack) < 1e-10
 
+    def test_convexity_rejects_unequal_dims_before_any_eigensolve(self, monkeypatch):
+        # the lean grids' Gauss-Legendre nodes come from an eigensolve, so the dims are checked first
+        a, b = random_density((2,), 2, 105), random_density((3,), 3, 106)
+        forbid_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2,\) vs \(3,\)"):
+            check_wehrl_convexity(a, b)
+
     def test_convexity_random(self):
         for seed in range(5):
             a = random_density((3,), 3, seed, substream=103)
