@@ -284,12 +284,9 @@ def counterexample_two_sided(d: int) -> InequalityReport:
     """
     d = require_counterexample_d(d)
     eye = np.eye(d, dtype=complex)
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        mat[a * d + a, a * d + a] = 1.0 / d
-    rho12 = DensityMatrix(mat, (d, d))
+    rho12 = DensityMatrix(np.diag(eye.ravel() / d), (d, d))
     lhs = von_neumann(rho12)
-    projectors = Povm([np.outer(eye[:, a], eye[:, a].conj()) for a in range(d)])
+    projectors = Povm([np.diag(row) for row in eye])
     rhs = sum(_measured_conditional_entropy(rho12, projectors, factor) for factor in (1, 2))
     return make_report("counterexample_two_sided", lhs, rhs, status="expected-violation", dims=(d, d),
                        note="two-sided split of the subadditivity bound fails by ln d", gap=lhs - rhs)

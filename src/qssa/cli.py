@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 from .linalg import as_dims
 from .randgen import (random_cq_state, random_density, random_kraus, random_povm, require_count, require_rank,
                       require_seed, require_trials)
-from .suites import CSV_HEADER, SuiteConfig, reports_to_csv, reports_to_ndjson, run_suites, to_json
+from .suites import CSV_HEADER, SuiteConfig, csv_row, reports_to_csv, reports_to_ndjson, run_suites, to_json
 from .wehrl import husimi, require_two_j, wehrl_min_scan
 
 
@@ -164,11 +164,8 @@ def cmd_wehrl(args) -> int:
     _usage(require_trials, args.trials)
     _usage(require_seed, args.seed)
     scan = wehrl_min_scan(args.two_j, args.trials, args.seed)
-    lines = ["trial,seed,two_j,S_W,S,diff"]
-    for row in scan["rows"]:
-        lines.append(f"{row['trial']},{row['seed']},{row['two_j']},{row['S_W']!r},{row['S']!r},{row['diff']!r}")
     summary = scan["summary"]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, [csv_row(scan["rows"][0].keys()), *(csv_row(row.values()) for row in scan["rows"])])
     if args.emit_husimi:
         # the least-S_W state's (already guarded) values, computed before the file is opened
         grid = scan["grid"]
@@ -263,8 +260,9 @@ def _husimi_path(out: str) -> str:
 def _husimi_csv(grid, values) -> Iterator[str]:
     """A grid's nodes and weights with the Husimi values on it, as CSV text one theta row at a time."""
     yield "theta,phi,weight,value\n"
-    for th, w, row in zip(grid.thetas, grid.weights[:: len(grid.phis)], values.reshape(len(grid.thetas), -1)):
-        yield "".join(f"{float(th)!r},{float(ph)!r},{float(w)!r},{float(v)!r}\n" for ph, v in zip(grid.phis, row))
+    phis = grid.phis.tolist()
+    for th, w, row in zip(grid.thetas.tolist(), grid.weights[:: len(phis)].tolist(), values.reshape(-1, len(phis))):
+        yield "".join(csv_row((th, ph, w, v)) for ph, v in zip(phis, row.tolist()))
 
 
 def _one_blas_thread() -> None:

@@ -102,14 +102,16 @@ class Povm:
         return f"Povm(count={len(self.elements)}, dim={self.dim})"
 
 
-def _check_fit(what: str, dim: int, dims: tuple[int, ...], factors: int | tuple[int, ...]) -> None:
-    """ValueError unless 1-based `factors` (one, or a Kraus `acts_on`) lie in `dims` and multiply to `dim`."""
+def _check_fit(what: str, dim: int, dims: tuple[int, ...], factors: int | tuple[int, ...]) -> tuple[int, ...]:
+    """1-based `factors` (one, or an `acts_on`) as ints; ValueError unless they lie in `dims` and multiply to `dim`."""
     labels, named = (factors, "factors") if isinstance(factors, tuple) else ((factors,), "factor")
+    labels = tuple(map(_as_int, labels))
     if min(labels) < 1 or max(labels) > len(dims):
         raise ValueError(f"{named} {factors} out of range for dims {dims}")
     sub = math.prod([dims[f - 1] for f in labels])
     if sub != dim:
         raise ValueError(f"{what} dim {dim} does not match {named} {factors} of {dims} (product {sub})")
+    return labels
 
 
 def apply_kraus_op(rho: DensityMatrix, k: KrausSet) -> list[np.ndarray]:
@@ -173,7 +175,7 @@ def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarra
     factor's row and column indices moved first.
     """
     dims = rho.dims
-    _check_fit("POVM", p.dim, dims, factor)
+    (factor,) = _check_fit("POVM", p.dim, dims, factor)
     n = len(dims)
     df = dims[factor - 1]
     rest = rho.dim // df

@@ -142,6 +142,7 @@ def random_cq_state(dims, seed: Seed, substream=0) -> DensityMatrix:
 def random_hermitian(dim: int, seed: Seed, substream=0) -> np.ndarray:
     """(G + G†)/2 with G a (dim x dim) complex Gaussian, with that expression's bytes in one
     buffer besides G: G† is written into it, then G added and the sum halved."""
+    dim = _int_in(dim, "dim", 1)
     g = complex_gaussian(rng_for(seed, substream), (dim, dim))
     h = np.conjugate(g.T, order="C")
     return np.divide(np.add(h, g, out=h), 2, out=h)
@@ -149,7 +150,7 @@ def random_hermitian(dim: int, seed: Seed, substream=0) -> np.ndarray:
 
 def random_positive(dim: int, seed: Seed, substream=0) -> np.ndarray:
     """Random positive-definite matrix U diag(w) U†: U Haar, w uniform in [0.1, 10)."""
-    key = _key(substream)
+    dim, key = _int_in(dim, "dim", 1), _key(substream)
     u = random_unitary(dim, seed, key + (0,))
     w = rng_for(seed, key + (1,)).uniform(0.1, 10.0, size=dim)
     return (u * w) @ u.conj().T
@@ -157,8 +158,4 @@ def random_positive(dim: int, seed: Seed, substream=0) -> np.ndarray:
 
 def product_basis_kraus(d1: int, d2: int) -> KrausSet:
     """Rank-1 product-basis projectors |ij><ij| as a Kraus set on factors {1,2}."""
-    ops = []
-    eye = np.eye(d1 * d2, dtype=complex)
-    for k in range(d1 * d2):
-        ops.append(np.outer(eye[:, k], eye[:, k].conj()))
-    return KrausSet(ops, acts_on=(1, 2))
+    return KrausSet([np.diag(row) for row in np.eye(d1 * d2, dtype=complex)], acts_on=(1, 2))

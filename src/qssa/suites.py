@@ -1,21 +1,22 @@
 """Named check suites over seeded random instances, and the JSON wire format.
 
-Every suite is a pure function of (config, master seed). Each suite is
-registered once, by `_instances`, with its name, its fixed substream id and
-the factors of --dims it reads; registration order is the `all` order.
+Every suite is a pure function of (config, master seed). `SUITES[name]` is
+the suite's builder, registered once by `_instances` with its fixed substream
+id and the factors of --dims it reads; registration order is the `all` order.
 Instance objects draw from substreams keyed as (suite id, instance, slot),
 so replaying a seed reproduces each report bit for bit, instances are
 independent, and changing a suite's id changes its replayed stream.
 
 A builder only draws its instance, `(calls, meta)`: each call is a tuple
 (check, *args) of a `checks` or `wehrl` check, and `meta` is stamped on every
-report of the instance. `SUITES[name](cfg)` yields a suite's instances and
-`run_suites` is the one loop over them: its `_run` alone makes the calls and
-stamps their reports and re-judges them under `--tol`, and `run_suites` yields
-each instance's reports as one batch as soon as `_run` returns them, so a caller
-can write and drop them before the next instance runs. `reports_to_ndjson` and
-`reports_to_csv` (rows only; `CSV_HEADER` is written once by the caller) turn a
-batch into text. `to_json`/`from_json` are the one JSON wire format.
+report of the instance. `draw(name, cfg, i)` alone keys the substreams and
+gives instance i on its own; `run_suites` is the one loop over the instances,
+and its `_run` alone makes the calls, stamps their reports and re-judges them
+under `--tol`. Each instance's reports are yielded as one batch, so a caller
+can write and drop them before the next instance is drawn. `reports_to_ndjson`
+and `reports_to_csv` (rows only; the caller writes `CSV_HEADER`) turn a batch
+into text, `csv_row` is the one CSV row rule, and `to_json`/`from_json` are the
+one JSON wire format.
 """
 
 from __future__ import annotations
@@ -43,16 +44,11 @@ from .randgen import (
 )
 from .report import InequalityReport, judge
 
-# Filled by `_instances`, in registration order.
-SUITES: dict[str, Callable[[SuiteConfig], Iterator[tuple]]] = {}
-# Factors of --dims a suite reads: 3 means a tripartite state (exactly three
-# factors), 2 the first two of at least two. Suites not listed ignore --dims.
-DIMS_FACTORS: dict[str, int] = {}
+SUITES: dict[str, Callable[..., tuple[list, dict]]] = {}
 # Largest spin the wehrl suite accepts. Each instance eigensolves (2j+1)^2-dim states and
 # streams Husimi values over ((2j+4)(4j+4))^2 product-grid nodes: one instance took 1.8 s
 # and 94 MB peak RSS at 2j = 32, 4.8 s and 171 MB at 40, 13-15 s and 307 MB at 48.
 WEHRL_MAX_TWO_J = 48
-_STREAM_IDS: set[int] = set()
 
 
 @dataclass
@@ -73,7 +69,7 @@ class SuiteConfig:
         self.dims = as_dims(self.dims)
         self.suites = names = tuple(resolve_suites(self.suites))
         for name in names:
-            need = DIMS_FACTORS.get(name)
+            need = SUITES[name].factors
             if need == 3 and len(self.dims) != 3:
                 raise ValueError(f"suite {name} needs a 3-factor state, got dims {self.dims}")
             if need == 2 and len(self.dims) < 2:
@@ -102,33 +98,22 @@ def _run(calls, meta: dict, cfg: SuiteConfig, suite: str, index: int) -> list[In
 
 
 def _instances(name: str, sid: int | None = None, factors: int | None = None):
-    """Register a per-instance builder as the suite `name`; returns `SUITES[name]`.
+    """Register a builder as the suite `name`: `SUITES[name]` is the builder itself.
 
-    `build(cfg, i, key)` returns instance i's `(calls, meta)`, drawn but not
-    run (the suite, `SUITES[name](cfg)`, yields `(i, calls, meta)`); `key(*slot)` is
-    the substream (sid, i, *slot) its objects draw from, and each check is
-    named through its module (`checks.check_ssa`), so it is looked up at call
-    time. `sid` is fixed per suite: changing it changes every replayed report
-    of the suite. A suite without an id draws no random numbers and has the
-    one instance 0. `factors` is the suite's DIMS_FACTORS entry. A name or id
-    registered twice is an error.
+    `build(cfg, i, key)` returns instance i's `(calls, meta)`, drawn but not run; `key(*slot)`,
+    made by `draw`, is the substream its objects draw from, and each check is named through its
+    module (`checks.check_ssa`), so it is looked up at call time. `build.sid` is fixed: changing
+    it changes every replayed report; a suite without one draws no random numbers and has the one
+    instance 0. It reads `build.factors` of --dims: 3 (a tripartite state), 2 (the first two of
+    at least two) or None. A name or id registered twice is an error.
     """
 
     def decorate(build):
-        if name in SUITES or sid in _STREAM_IDS:
+        if name in SUITES or sid in {b.sid for b in SUITES.values()} - {None}:
             raise ValueError(f"suite {name!r} (stream id {sid}) clashes with an earlier registration")
-
-        def instances(cfg: SuiteConfig) -> Iterator[tuple]:
-            for i in range(cfg.trials if sid is not None else 1):
-                yield i, *build(cfg, i, lambda *slot, i=i: (sid, i, *slot))
-
-        instances.__name__ = instances.__qualname__ = build.__name__
-        SUITES[name] = instances
-        if sid is not None:
-            _STREAM_IDS.add(sid)
-        if factors is not None:
-            DIMS_FACTORS[name] = factors
-        return instances
+        build.sid, build.factors = sid, factors
+        SUITES[name] = build
+        return build
 
     return decorate
 
@@ -267,11 +252,18 @@ def resolve_suites(names: Sequence[str]) -> list[str]:
     return [n for n in SUITES if n in requested]
 
 
+def draw(name: str, cfg: SuiteConfig, i: int) -> tuple[list, dict]:
+    """Instance i of suite `name` as `(calls, meta)`, not run; the one maker of substream keys (sid, i, *slot)."""
+    build = SUITES[name]
+    return build(cfg, i, lambda *slot: (build.sid, i, *slot))
+
+
 def run_suites(cfg: SuiteConfig) -> Iterator[list[InequalityReport]]:
     """Yield each instance's reports as soon as they are made, in (suite, instance) order; a caller
     that wants one list flattens the batches. Nothing runs until the first batch is asked for."""
     for name in cfg.suites:
-        for i, calls, meta in SUITES[name](cfg):
+        for i in range(cfg.trials if SUITES[name].sid is not None else 1):
+            calls, meta = draw(name, cfg, i)
             yield _run(calls, meta, cfg, name, i)
             del calls  # free instance i's objects before instance i + 1 is drawn
 
@@ -319,8 +311,7 @@ def from_json(obj):
 
 
 def reports_to_ndjson(reports: Sequence[InequalityReport]) -> str:
-    lines = [json.dumps(r.to_json_dict(), separators=(",", ":")) for r in reports]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n" for r in reports)
 
 
 CSV_HEADER = "name,seed,dims,lhs,rhs,slack,tol,pass,status,meta"
@@ -338,6 +329,11 @@ def _csv_cell(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
+def csv_row(values) -> str:
+    """One CSV line: each value as a cell (`_csv_cell`), joined by commas, with its newline."""
+    return ",".join(map(_csv_cell, values)) + "\n"
+
+
 def reports_to_csv(reports: Sequence[InequalityReport]) -> str:
     """One row per report, without the header `CSV_HEADER`: the values of its `to_json_dict`, in order."""
-    return "".join(",".join(map(_csv_cell, r.to_json_dict().values())) + "\n" for r in reports)
+    return "".join(csv_row(r.to_json_dict().values()) for r in reports)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report files, round trips, replay."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -121,7 +122,8 @@ class TestCheckCommand:
 
     def test_value_error_during_run_exits_4(self, monkeypatch, capsys):
         # a ValueError from the numerics is a crash, not a bad argument
-        def boom(cfg):
+        @functools.wraps(SUITES["ssa"])  # keeps the registered stream id and factors
+        def boom(cfg, i, key):
             raise ValueError("numerics")
 
         monkeypatch.setitem(SUITES, "ssa", boom)

@@ -267,6 +267,13 @@ class TestOutcomeBlocks:
         with pytest.raises(ValueError, match="out of range"):
             apply_kraus_op(rho, KrausSet([np.eye(4)], acts_on=(1, 2)))
 
+    def test_factor_label_follows_the_integer_rule(self):
+        # an integral float label is its int; a non-integral one is the integer rule's ValueError
+        rho, p = random_density((2, 3), 6, 1), random_povm(3, 2, 2)
+        assert np.array_equal(povm_conditionals(rho, p, factor=2.0), povm_conditionals(rho, p, factor=2))
+        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+            povm_conditionals(rho, p, factor=1.5)
+
     @pytest.mark.parametrize("floor", [CLAMP_REL, 1e-3])
     def test_terms_below_the_clamp_floor_are_skipped(self, monkeypatch, floor):
         # a basis measurement on factor 1 with outcome weights floor / 2

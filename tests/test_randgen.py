@@ -12,6 +12,7 @@ from qssa.randgen import (
     random_density,
     random_hermitian,
     random_kraus,
+    random_positive,
     random_povm,
     random_unitary,
     require_count,
@@ -210,11 +211,20 @@ class TestIntegerRule:
         lambda: random_povm(2.5, 2, 0),
         lambda: rng_for(1, (1.5,)),
         lambda: rng_for(1, 1.5),
+        lambda: random_hermitian(2.5, 0),
+        lambda: random_positive(2.5, 0),
     ], ids=["rank", "kraus-count", "povm-count", "unitary-dim", "rng-seed", "density-seed", "kraus-dim", "povm-dim",
-            "substream-entry", "substream"])
+            "substream-entry", "substream", "hermitian-dim", "positive-dim"])
     def test_non_integral_value_rejected(self, make):
         with pytest.raises(ValueError, match="expected an integer"):
             make()
+
+    @pytest.mark.parametrize("make", [random_hermitian, random_positive])
+    def test_matrix_dim_follows_the_rule(self, make):
+        # dim 2.0 draws the bytes of dim 2; dim 0 is rejected, not drawn as a 0x0 matrix
+        assert make(2.0, 5, 3).tobytes() == make(2, 5, 3).tobytes()
+        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+            make(0, 5)
 
     @pytest.mark.parametrize("substream, key", [
         (3, (3,)), (np.int64(3), (3,)), ((2, np.int32(5)), (2, 5)), ((), ()), (2.0, (2,)), ((1.0, 4), (1, 4)),

@@ -22,6 +22,8 @@ from qssa.suites import (
     SuiteConfig,
     _instances,
     _run,
+    csv_row,
+    draw,
     from_json,
     reports_to_csv,
     reports_to_ndjson,
@@ -83,6 +85,29 @@ class TestRegistry:
         with pytest.raises(ValueError):
             _instances(name, sid)(lambda cfg, i, key: [])
         assert SUITES == before
+
+    def test_registry_holds_the_builders_with_their_ids_and_factors(self):
+        # SUITES[name] is the builder itself; its registration sets its stream id and --dims factors on it
+        assert SUITES["ssa"] is qssa.suites.suite_ssa
+        assert [(SUITES[n].sid, SUITES[n].factors) for n in ("ssa", "holevo", "concavity", "counterexample")] == [
+            (1, 3), (12, 2), (4, None), (None, None)]
+        assert [b.sid for b in SUITES.values()] == [*range(1, 14), None]
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4)])
+    def test_draw_alone_equals_the_last_batch(self, dims):
+        # instance i is drawn on its own, nothing before it: the last instance of every suite
+        for name in SUITES:
+            cfg = SuiteConfig(suites=[name], dims=dims, trials=4, seed=42)
+            last = cfg.trials - 1 if SUITES[name].sid is not None else 0
+            alone = _run(*draw(name, cfg, last), cfg, name, last)
+            assert reports_to_ndjson(alone) == reports_to_ndjson(list(run_suites(cfg))[-1])
+
+    def test_draw_keys_substreams_by_suite_instance_and_slot(self):
+        # ssa's one state is slot 0 of its instance; instance 3 has odd index, so rank 8 // 2
+        cfg = SuiteConfig(suites=["ssa"], seed=9)
+        [(check, rho)], meta = draw("ssa", cfg, 3)
+        assert check is qssa.checks.check_ssa and meta == {"rank": 4}
+        assert rho.mat.tobytes() == random_density((2, 2, 2), 4, 9, (1, 3, 0)).mat.tobytes()
 
 
 def _negative_part(m: np.ndarray) -> float:
@@ -264,6 +289,7 @@ class TestSerialization:
             "x,7,2x3,1.0,0.5,-0.5,1e-08,false,ok,\"{'kraus_count':2,'relation':'<='}\"",
             "y,,,,,,0.0,true,skipped,\"{'reason':'support','relation':'<='}\"",
         ]
+        assert csv_row([3, 0.1, "x", None, True, [2, 3]]) == "3,0.1,x,,true,2x3\n"
 
     def test_csv_round_trip_fields(self):
         cfg = SuiteConfig(suites=["counterexample"], d=4, seed=1)
@@ -339,7 +365,8 @@ class TestWireFormat:
         for name in SUITES:
             cfg = SuiteConfig(suites=[name], **config)
             direct, replayed = [], []
-            for i, calls, meta in SUITES[name](cfg):
+            for i in range(cfg.trials if SUITES[name].sid is not None else 1):
+                calls, meta = draw(name, cfg, i)
                 wire = json.loads(json.dumps([[to_json(a) for a in args] for _, *args in calls]))
                 replayed += _run([(check, *map(from_json, args)) for (check, *_), args in zip(calls, wire)],
                                  meta, cfg, name, i)
