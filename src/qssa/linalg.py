@@ -83,9 +83,16 @@ def _int_in(x, what: str, low: int, high: int | None = None) -> int:
     return n
 
 
+def _not_text(seq, what: str):
+    """seq itself; ValueError for a str or bytes, which iterating would split into digits. `what` names seq."""
+    if isinstance(seq, (str, bytes)):
+        raise ValueError(f"{what} must be a sequence of integers, not the string {seq!r}")
+    return seq
+
+
 def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    """Factor dimensions (d1, d2, ...) as a tuple: at least one, each >= 1."""
-    dims = tuple(_int_in(d, "factor dimension", 1) for d in dims)
+    """Factor dimensions (d1, d2, ...) as a tuple: at least one, each >= 1 (`_not_text`: never a string)."""
+    dims = tuple(_int_in(d, "factor dimension", 1) for d in _not_text(dims, "dims"))
     if len(dims) < 1:
         raise ValueError("need at least one factor")
     return dims
@@ -225,7 +232,7 @@ def kron_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 
 def _keep_to_zero_based(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    keep = sorted(set(_int_in(k, "factor label", 1, n) for k in keep))
+    keep = sorted(set(_int_in(k, "factor label", 1, n) for k in _not_text(keep, "keep")))
     if not keep:
         raise ValueError("keep set must be nonempty")
     return tuple(k - 1 for k in keep)
@@ -237,11 +244,10 @@ def ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.
     `keep` holds 1-based factor labels; kept factors retain their original
     relative order.
     """
-    dims = list(dims)
-    n = len(dims)
-    kept = _keep_to_zero_based(keep, n)
+    dims = list(as_dims(dims))
+    kept = _keep_to_zero_based(keep, len(dims))
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    for ax in sorted(set(range(n)) - set(kept), reverse=True):
+    for ax in sorted(set(range(len(dims))) - set(kept), reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + len(dims))
         del dims[ax]
     d = math.prod(dims)
@@ -250,11 +256,8 @@ def ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduce a state to the factors in `keep` (1-based labels)."""
-    keep = tuple(keep)
-    return DensityMatrix(
-        ptrace_mat(rho.mat, rho.dims, keep),
-        tuple(rho.dims[k] for k in _keep_to_zero_based(keep, len(rho.dims))),
-    )
+    kept = _keep_to_zero_based(keep, len(rho.dims))
+    return DensityMatrix(ptrace_mat(rho.mat, rho.dims, [k + 1 for k in kept]), tuple(rho.dims[k] for k in kept))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     _as_int,
+    _not_text,
     _per_block,
     hermitian_eigvalsh,
     ptrace_mat,
@@ -49,7 +50,7 @@ class KrausSet:
     def __init__(self, ops: Iterable[np.ndarray], acts_on=(1,)):
         ops = square_ops(ops, "Kraus operator")
         d = ops[0].shape[0]
-        acts_on = tuple(sorted(_as_int(a) for a in acts_on))
+        acts_on = tuple(sorted(_as_int(a) for a in _not_text(acts_on, "acts_on")))
         if acts_on not in ((1,), (1, 2)):
             raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {acts_on}")
         residual = float(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(d)).max())

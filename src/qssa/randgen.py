@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, _as_int, _int_in, as_dims, hermitian_eig
+from .linalg import DensityMatrix, _as_int, _int_in, _per_block, as_dims, hermitian_eig
 from .measurement import KrausSet, Povm
 
 RNG_NAME = "numpy-PCG64"
@@ -56,17 +56,25 @@ def rng_for(seed: Seed, substream=()) -> np.random.Generator:
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """(x + iy)/sqrt2, x drawn first, in place: that expression's bytes without its temporaries."""
+    """(x + iy)/sqrt2, x drawn first, with that expression's bytes: x and then y are drawn in ~64 KB
+    chunks (the stream of one draw), each copied into the real or imaginary part before the next."""
     z = np.empty(shape, dtype=complex)
-    z.real, z.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    flat, step = z.reshape(-1), 2 * _per_block(1)
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, step):
+            part[lo : lo + step] = rng.standard_normal(min(step, flat.size - lo))
     z /= np.sqrt(2.0)
     return z
 
 
 def _gram(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """G G† of a (rows x cols) complex Gaussian G drawn from rng; G is released on return."""
+    """G G† of a complex Gaussian G (rows x cols) with the bytes of `g @ g.conj().T`, 64 columns at a time, as one
+    product's BLAS tiles fall; a last single column joins the block before it (a one-column product is a gemv)."""
     g = complex_gaussian(rng, (rows, cols))
-    return g @ g.conj().T
+    m, ends = np.empty((rows, rows), dtype=complex), [*range(0, max(rows - 1, 1), 64), rows]
+    for lo, hi in zip(ends, ends[1:]):
+        np.matmul(g, g[lo:hi].conj().T, out=m[:, lo:hi])
+    return m
 
 
 def random_density(dims, rank: int, seed: Seed, substream=0) -> DensityMatrix:

@@ -148,8 +148,11 @@ def _basis_coords(rho: DensityMatrix) -> np.ndarray:
     (d1, d2), t = rho.dims, rho.mat.reshape(rho.dims * 2)
     (b1, c1), (b2, c2) = (np.array([(b, b + m) for m in range(d) for b in range(d - m)]).T for d in (d1, d2))
     x, y = t[c1[:, None], c2, b1[:, None], b2], t[c1[:, None], b2, b1[:, None], c2]
-    plus, minus = x + y, x - y
-    r = np.block([[plus.real, minus.imag[:, d2:]], [plus.imag[d1:], -minus.real[d1:, d2:]]])
+    (p1, p2), r = x.shape, np.empty((d1 * d1, d2 * d2))  # blocks [[Re +, Im -], [Im +, -Re -]], written in place
+    np.add(x.real, y.real, out=r[:p1, :p2])
+    np.subtract(x.imag[:, d2:], y.imag[:, d2:], out=r[:p1, p2:])
+    np.add(x.imag[d1:], y.imag[d1:], out=r[p1:, :p2])
+    np.negative(np.subtract(x.real[d1:, d2:], y.real[d1:, d2:], out=r[p1:, p2:]), out=r[p1:, p2:])
     r[:d1, :d2] /= 2  # |alpha| = 1/2 on diagonal elements, 1/sqrt2 on the others
     r[:d1, d2:] /= _SQRT2
     r[d1:, :d2] /= _SQRT2

@@ -137,6 +137,12 @@ class TestHilbertDims:
     def test_integral_floats_are_ints(self):
         assert as_dims([2.0, np.float64(3.0)]) == (2, 3)
 
+    @pytest.mark.parametrize("dims", ["222", "10", b"22"])
+    def test_rejects_a_string(self, dims):
+        # iterating "222" would give the dims (2, 2, 2); a list of digit strings, as the CLI passes, is fine
+        with pytest.raises(ValueError, match="dims must be a sequence of integers"):
+            as_dims(dims)
+
 
 class TestKron:
     def test_identity_case(self):
@@ -212,6 +218,17 @@ class TestPartialTrace:
             partial_trace(rho, keep)
         with pytest.raises(ValueError):
             ptrace_mat(rho.mat, rho.dims, keep)
+
+    def test_rejects_a_string_of_labels_or_dims(self):
+        # "13" would keep factors 1 and 3; ptrace_mat takes its dims through as_dims
+        rho = random_density((2, 2, 2), 8, 3)
+        with pytest.raises(ValueError, match="keep must be a sequence of integers"):
+            partial_trace(rho, "13")
+        with pytest.raises(ValueError, match="keep must be a sequence of integers"):
+            ptrace_mat(rho.mat, rho.dims, b"13")
+        with pytest.raises(ValueError, match="dims must be a sequence of integers"):
+            ptrace_mat(np.eye(4), "22", (1,))
+        assert np.array_equal(partial_trace(rho, iter([3, 1])).mat, ptrace_mat(rho.mat, ["2", "2", "2"], (1, 3)))
 
     @pytest.mark.parametrize("keep", [{0}, {4}, {-1}, set()], ids=["0", "4", "-1", "empty"])
     def test_ptrace_mat_rejects_bad_labels(self, keep):

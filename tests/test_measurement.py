@@ -101,6 +101,13 @@ class TestCompleteness:
         with pytest.raises(ValueError):
             KrausSet([np.eye(2)], acts_on=acts_on)
 
+    @pytest.mark.parametrize("acts_on", ["12", b"1"])
+    def test_rejects_a_string_acts_on(self, acts_on):
+        # "12" would be split into the factors (1, 2); string elements, as from JSON text, are fine
+        with pytest.raises(ValueError, match="acts_on must be a sequence of integers"):
+            KrausSet([np.eye(2)], acts_on=acts_on)
+        assert KrausSet([np.eye(2)], acts_on=["1"]).acts_on == (1,)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sub_complete", [False, True])
     @pytest.mark.parametrize("bad", NON_FINITE)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import qssa.cli
 import qssa.randgen
 from qssa.entropy import von_neumann
 from qssa.linalg import partial_trace
 from qssa.randgen import (
+    _gram,
     complex_gaussian,
     random_cq_state,
     random_density,
@@ -26,7 +28,7 @@ from test_linalg import forbid_eigensolves, traced_peak
 from test_measurement import completeness_residual
 
 
-@pytest.mark.parametrize("shape", [(1,), (7, 3), (289, 289), (512, 4)])
+@pytest.mark.parametrize("shape", [(), (0, 3), (1,), (7, 3), (8193,), (289, 289), (512, 4)])
 def test_complex_gaussian_has_the_bytes_of_its_formula(shape):
     # (x + iy)/sqrt2 with x drawn before y, as the module docstring states
     x_then_y = rng_for(3, shape)
@@ -38,6 +40,31 @@ def test_complex_gaussian_has_the_bytes_of_its_formula(shape):
 def test_random_hermitian_has_the_bytes_of_its_formula(dim):
     g = complex_gaussian(rng_for(4, 2), (dim, dim))
     assert random_hermitian(dim, 4, 2).tobytes() == ((g + g.conj().T) / 2).tobytes()
+
+
+def test_complex_gaussian_holds_one_chunk_besides_its_result():
+    # x and then y go through ~64 KB chunks, never a half-size array
+    peak = traced_peak(lambda: complex_gaussian(rng_for(1), (512, 512)))
+    assert peak < 1.1 * 512 * 512 * 16, f"peak {peak / (512 * 512 * 16):.2f}x the result's bytes"
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 63, 64, 65, 127, 128, 129, 257, 289, 512])
+def test_gram_has_the_bytes_of_one_product(n):
+    # 64-column blocks, a last single column merged into the block before: at n = 65 a one-column
+    # block would take numpy's matrix-vector path. One BLAS thread, as in every CLI run: at other
+    # thread counts the full product itself moves from n = 130 up
+    qssa.cli._one_blas_thread()
+    for rank in sorted({1, 2, n // 2, n} - {0}):
+        g = complex_gaussian(rng_for(8, (n, rank)), (n, rank))
+        assert _gram(rng_for(8, (n, rank)), n, rank).tobytes() == (g @ g.conj().T).tobytes(), rank
+
+
+@pytest.mark.parametrize("fn, bound", [(lambda: _gram(rng_for(1), 512, 512), 2.25),
+                                       (lambda: random_density((8, 8, 8), 512, 1), 2.25)], ids=["gram", "density"])
+def test_gram_holds_g_and_one_block_besides_its_result(fn, bound):
+    # G, the result and one 64-column block of G†, never a full G†
+    peak = traced_peak(fn)
+    assert peak < bound * 512 * 512 * 16, f"peak {peak / (512 * 512 * 16):.2f}x the result's bytes"
 
 
 def test_random_hermitian_holds_one_buffer_besides_g():
@@ -73,6 +100,12 @@ class TestRandomDensity:
         with pytest.raises(ValueError):
             random_density((2, 2), 5, 1)
 
+    @pytest.mark.parametrize("dims", ["222", "10", b"22"])
+    def test_rejects_a_string_of_dims(self, dims):
+        # "222" would be split into the dims (2, 2, 2), and "10" into a 0-dim factor
+        with pytest.raises(ValueError, match="dims must be a sequence of integers"):
+            random_density(dims, 1, 1)
+
     def test_substreams_differ(self):
         a = random_density((2,), 2, 7, substream=0)
         b = random_density((2,), 2, 7, substream=1)
@@ -94,6 +127,11 @@ class TestRandomUnitary:
 
 
 class TestRandomKraus:
+    def test_rejects_a_string_acts_on(self):
+        # "12" would be split into the factors (1, 2)
+        with pytest.raises(ValueError, match="acts_on must be a sequence of integers"):
+            random_kraus(4, 2, 1, acts_on="12")
+
     def test_count_one_is_unitary(self):
         k = random_kraus(3, 1, 5)
         u = k.ops[0]

@@ -1,6 +1,7 @@
 """Coherent states, sphere quadrature, and phase-space entropy bounds."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ from qssa.wehrl import (
     wehrl_min_scan,
 )
 
-from test_linalg import forbid_eigensolves
+from test_linalg import forbid_eigensolves, traced_peak
 
 
 def bloch_state(two_j, theta, phi):
@@ -429,6 +430,28 @@ class TestHusimiKernel:
                 group[sl] = k
             factored = np.hstack(factors)[:, None, :] * g.phi_factors[None, :, group]
             assert np.abs(factored.reshape(len(g), -1) - direct).max() <= 1e-15
+
+    def test_basis_coords_have_the_bytes_of_the_block_formula(self):
+        # R's four blocks are written in place; np.block of Re/Im of x +- y is the reference. The
+        # maximally mixed state has x = y = 0 off the diagonal, where -(x - y) is -0.0, not y - x = +0.0
+        for (d1, d2), full_rank in itertools.product(itertools.product(range(1, 13), repeat=2), (True, False)):
+            rho = (random_density((d1, d2), d1 * d2, d1 * 13 + d2) if full_rank
+                   else DensityMatrix(np.eye(d1 * d2) / (d1 * d2), (d1, d2)))
+            t = rho.mat.reshape(d1, d2, d1, d2)
+            (b1, c1), (b2, c2) = (np.array([(b, b + m) for m in range(d) for b in range(d - m)]).T for d in (d1, d2))
+            x, y = t[c1[:, None], c2, b1[:, None], b2], t[c1[:, None], b2, b1[:, None], c2]
+            plus, minus = x + y, x - y
+            r = np.block([[plus.real, minus.imag[:, d2:]], [plus.imag[d1:], -minus.real[d1:, d2:]]])
+            r[:d1, :d2] /= 2
+            r[:d1, d2:] /= np.sqrt(2.0)
+            r[d1:, :d2] /= np.sqrt(2.0)
+            assert _basis_coords(rho).tobytes() == r.tobytes(), (d1, d2)
+
+    def test_basis_coords_hold_the_two_gathers_besides_r(self):
+        # at 17 x 17 each gather of rho's entries is 0.56x R's bytes; no sum, difference or np.block copy
+        rho = random_density((17, 17), 289, 109)
+        peak = traced_peak(lambda: _basis_coords(rho))
+        assert peak < 3 * 289 * 289 * 8, f"peak {peak / (289 * 289 * 8):.2f}x R's bytes"
 
     @pytest.mark.parametrize("two_js", [(0, 4), (3, 3), (6, 2)])
     def test_product_state_is_outer_product(self, two_js):
