@@ -36,6 +36,7 @@ from typing import Iterable, Iterator
 from .linalg import as_dims
 from .randgen import (random_cq_state, random_density, random_kraus, random_povm, require_count, require_rank,
                       require_seed, require_trials)
+from .report import require_tol
 from .suites import CSV_HEADER, SuiteConfig, csv_row, reports_to_csv, reports_to_ndjson, run_suites, to_json
 from .wehrl import husimi, require_two_j, wehrl_min_scan
 
@@ -219,8 +220,7 @@ def _read_reports(path: str) -> dict:
 
 
 def cmd_diff(args) -> int:
-    if not (math.isfinite(args.rtol) and args.rtol >= 0):
-        raise UsageError(f"rtol must be finite and >= 0, got {args.rtol!r}")
+    _usage(require_tol, args.rtol, "rtol")
     reports_a, reports_b = _read_reports(args.a), _read_reports(args.b)
     by_name = {}  # report name -> lines changed, lines, largest |dlhs| and |drhs|
     flips, over = [], 0

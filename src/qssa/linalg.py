@@ -98,22 +98,37 @@ def as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return dims
 
 
+def factor_labels(labels: Iterable[int], n: int, what: str) -> tuple[int, ...]:
+    """Sorted 1-based labels (`_as_int`, `_not_text`); ValueError unless >= 1, none repeated, each in 1..n."""
+    given = [_as_int(k) for k in _not_text(labels, what)]
+    kept = tuple(sorted(set(given)))
+    if not kept or len(kept) != len(given):
+        raise ValueError(f"{what} must name at least one factor, each once, got {given}")
+    if kept[0] < 1 or kept[-1] > n:
+        raise ValueError(f"{what} {kept} out of range for {n} factor(s)")
+    return kept
+
+
 def _per_block(width: int) -> int:
     """Items of `width` complex entries per ~64 KB block, in loops with no full-size temporary."""
     return max(1, 4096 // max(1, width))
 
 
+def _finite_square(m: np.ndarray, what: str) -> np.ndarray:
+    """m itself; ValueError unless it is a finite, non-empty, 2-D square matrix. `what` names m."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"{what} must be a non-empty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    return m
+
+
 def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Return ((M + M†)/2, max-abs asymmetry); `require_residual` on it, error on NaN/inf. One full-size
     buffer: M† is written into it, |M - M†| checked in ~64 KB row blocks, then M added and halved."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has a non-finite entry")
+    m = _finite_square(np.asarray(m, dtype=complex), "matrix")
     herm, step = np.conjugate(m.T, order="C"), _per_block(len(m))
-    asym = max((float(np.abs(m[lo : lo + step] - herm[lo : lo + step]).max()) for lo in range(0, len(m), step)),
-               default=0.0)
+    asym = max(float(np.abs(m[lo : lo + step] - herm[lo : lo + step]).max()) for lo in range(0, len(m), step))
     require_residual(asym, "matrix asymmetry")
     herm += m
     herm /= 2
@@ -137,14 +152,9 @@ def square_ops(ops: Iterable, what: str) -> tuple[np.ndarray, ...]:
     ops = [np.array(k, dtype=complex) for k in ops]
     if not ops:
         raise ValueError(f"need at least one {what}")
-    shape = ops[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
-        raise ValueError(f"{what} must be a non-empty square matrix, got shape {shape}")
     for k in ops:
-        if k.shape != shape:
-            raise ValueError(f"all {what}s must be square of equal size, got {k.shape} vs {shape}")
-        if not np.isfinite(k).all():
-            raise ValueError(f"{what} has a non-finite entry")
+        if _finite_square(k, what).shape != ops[0].shape:
+            raise ValueError(f"all {what}s must be square of equal size, got {k.shape} vs {ops[0].shape}")
     return _frozen(ops)
 
 
@@ -231,23 +241,12 @@ def kron_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
                          _eig=(w[order], lambda: (va[:, None, ia] * vb[None, :, ib]).reshape(len(w), -1)))
 
 
-def _keep_to_zero_based(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    keep = sorted(set(_int_in(k, "factor label", 1, n) for k in _not_text(keep, "keep")))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    return tuple(k - 1 for k in keep)
-
-
 def ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Partial trace of a raw square matrix over the factors not in `keep`.
-
-    `keep` holds 1-based factor labels; kept factors retain their original
-    relative order.
-    """
+    """Partial trace of a raw square matrix over the factors not in `keep` (1-based), kept in their order."""
     dims = list(as_dims(dims))
-    kept = _keep_to_zero_based(keep, len(dims))
+    kept = factor_labels(keep, len(dims), "keep")
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    for ax in sorted(set(range(len(dims))) - set(kept), reverse=True):
+    for ax in sorted(set(range(len(dims))) - {k - 1 for k in kept}, reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + len(dims))
         del dims[ax]
     d = math.prod(dims)
@@ -256,8 +255,8 @@ def ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduce a state to the factors in `keep` (1-based labels)."""
-    kept = _keep_to_zero_based(keep, len(rho.dims))
-    return DensityMatrix(ptrace_mat(rho.mat, rho.dims, [k + 1 for k in kept]), tuple(rho.dims[k] for k in kept))
+    kept = factor_labels(keep, len(rho.dims), "keep")
+    return DensityMatrix(ptrace_mat(rho.mat, rho.dims, kept), tuple(rho.dims[k - 1] for k in kept))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,9 +21,8 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
-    _as_int,
-    _not_text,
     _per_block,
+    factor_labels,
     hermitian_eigvalsh,
     ptrace_mat,
     require_factors,
@@ -50,7 +49,7 @@ class KrausSet:
     def __init__(self, ops: Iterable[np.ndarray], acts_on=(1,)):
         ops = square_ops(ops, "Kraus operator")
         d = ops[0].shape[0]
-        acts_on = tuple(sorted(_as_int(a) for a in _not_text(acts_on, "acts_on")))
+        acts_on = factor_labels(acts_on, 2, "acts_on")
         if acts_on not in ((1,), (1, 2)):
             raise ValueError(f"Kraus set must act on {{1}} or {{1,2}}, got {acts_on}")
         residual = float(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(d)).max())
@@ -103,15 +102,12 @@ class Povm:
         return f"Povm(count={len(self.elements)}, dim={self.dim})"
 
 
-def _check_fit(what: str, dim: int, dims: tuple[int, ...], factors: int | tuple[int, ...]) -> tuple[int, ...]:
-    """1-based `factors` (one, or an `acts_on`) as ints; ValueError unless they lie in `dims` and multiply to `dim`."""
-    labels, named = (factors, "factors") if isinstance(factors, tuple) else ((factors,), "factor")
-    labels = tuple(map(_as_int, labels))
-    if min(labels) < 1 or max(labels) > len(dims):
-        raise ValueError(f"{named} {factors} out of range for dims {dims}")
+def _check_fit(what: str, dim: int, dims: tuple[int, ...], factors: tuple) -> tuple[int, ...]:
+    """The 1-based labels `factors` of `dims` (`factor_labels`); ValueError unless their dims multiply to `dim`."""
+    labels = factor_labels(factors, len(dims), "factors")
     sub = math.prod([dims[f - 1] for f in labels])
     if sub != dim:
-        raise ValueError(f"{what} dim {dim} does not match {named} {factors} of {dims} (product {sub})")
+        raise ValueError(f"{what} dim {dim} does not match factors {labels} of {dims} (product {sub})")
     return labels
 
 
@@ -176,7 +172,7 @@ def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarra
     factor's row and column indices moved first.
     """
     dims = rho.dims
-    (factor,) = _check_fit("POVM", p.dim, dims, factor)
+    (factor,) = _check_fit("POVM", p.dim, dims, (factor,))
     n = len(dims)
     df = dims[factor - 1]
     rest = rho.dim // df
@@ -186,14 +182,14 @@ def povm_conditionals(rho: DensityMatrix, p: Povm, factor: int = 1) -> np.ndarra
 
 def povm_weights(rho: DensityMatrix, p: Povm) -> np.ndarray:
     """Outcome probabilities Tr(P_a rho) of measuring factor 1."""
-    _check_fit("POVM", p.dim, rho.dims, 1)
+    _check_fit("POVM", p.dim, rho.dims, (1,))
     return (p.rows @ ptrace_mat(rho.mat, rho.dims, (1,)).ravel()).real
 
 
 def povm_joint_distribution(rho12: DensityMatrix, p: Povm, q: Povm) -> np.ndarray:
     """Outcome table r(a, b) = Tr[(P_a ⊗ Q_b) rho] of a two-factor state."""
     require_factors(rho12, 2)
-    _check_fit("POVM", q.dim, rho12.dims, 2)
+    _check_fit("POVM", q.dim, rho12.dims, (2,))
     conds = povm_conditionals(rho12, p, factor=1)
     return (conds.reshape(len(p), -1) @ q.rows.T).real
 

@@ -4,11 +4,12 @@ Every check produces an InequalityReport through `make_report`. A report
 stores what its check measured (lhs, rhs, the claimed `relation`, `status`)
 and the `tol` it is judged at; `slack` (rhs - lhs for "<=", lhs - rhs for
 ">=") and `passed` (slack >= -tol) are derived from them, never stored.
-`judge` is the one place that sets `tol`: `make_report` judges at
-`default_tol`, and a caller with its own tolerance (the suites, under
-`--tol`) judges again. A "skipped" report carries no numbers (slack None,
-tol 0, pass); an "expected-violation" one marks a construction meant to
-violate a hypothetical bound and passes at any tolerance.
+`judge` is the one place that sets `tol`, which `require_tol` holds finite
+and >= 0: `make_report` judges at `default_tol`, and a caller with its own
+tolerance (the suites, under `--tol`) judges again. A "skipped" report
+carries no numbers (slack None, tol 0, pass); an "expected-violation" one
+marks a construction meant to violate a hypothetical bound and passes at
+any tolerance.
 """
 
 from __future__ import annotations
@@ -66,10 +67,19 @@ class InequalityReport:
 _RESERVED_META = frozenset(f.name for f in fields(InequalityReport)) | {"slack", "passed", "pass"}
 
 
+def require_tol(tol: float, what: str = "tol") -> float:
+    """tol as a float; ValueError unless it is finite and >= 0. `what` names it."""
+    value = float(tol)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and >= 0, got {tol!r}")
+    return value
+
+
 def judge(report: InequalityReport, tol: float) -> InequalityReport:
-    """Set the `tol` a non-skipped report is judged at; a skipped one keeps tol 0."""
+    """Set the `tol` (`require_tol`) a non-skipped report is judged at; a skipped one keeps tol 0."""
+    tol = require_tol(tol)
     if report.status != "skipped":
-        report.tol = float(tol)
+        report.tol = tol
     return report
 
 

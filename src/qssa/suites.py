@@ -42,7 +42,7 @@ from .randgen import (
     require_trials,
     rng_for,
 )
-from .report import InequalityReport, judge
+from .report import InequalityReport, judge, require_tol
 
 SUITES: dict[str, Callable[..., tuple[list, dict]]] = {}
 # Largest spin the wehrl suite accepts. Each instance eigensolves (2j+1)^2-dim states and
@@ -64,8 +64,8 @@ class SuiteConfig:
     def __post_init__(self):
         """Reject every bad setting before any suite runs (unknown suite: KeyError); keep the resolved names."""
         self.trials, self.seed = require_trials(self.trials), require_seed(self.seed)
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        if self.tol is not None:
+            require_tol(self.tol)
         self.dims = as_dims(self.dims)
         self.suites = names = tuple(resolve_suites(self.suites))
         for name in names:

@@ -344,3 +344,71 @@ def test_eigensolve_finder_reads_each_form(tmp_path):
                     "w = np.linalg.eigvalsh(a @ b)\n")
     assert eigensolves(path) == [(3, "f", "hermitize(m)[0]"), (3, "f", "m"), (6, "C.g", "rho.mat"),
                                  (6, "C.g", "self.mat"), (6, "C.g", "x"), (7, None, "a @ b")]
+
+
+# each input rule of linalg and the functions that call it: a label or matrix read coded elsewhere is
+# a second copy of its rule. `np.isfinite` reads a whole array: a weight vector, or a matrix in
+# `_finite_square`, the one check that a matrix is finite, non-empty, 2-D and square
+RULE_CALLERS = {
+    "factor_labels": {("linalg.py", "ptrace_mat"), ("linalg.py", "partial_trace"),
+                      ("measurement.py", "_check_fit"), ("measurement.py", "KrausSet.__init__")},
+    "_finite_square": {("linalg.py", "hermitize"), ("linalg.py", "square_ops")},
+    "isfinite": {("linalg.py", "require_distribution"), ("linalg.py", "_finite_square")},
+    "_not_text": {("linalg.py", "as_dims"), ("linalg.py", "factor_labels")},
+    "_as_int": {("linalg.py", "_int_in"), ("linalg.py", "factor_labels"), ("randgen.py", "_key")},
+}
+
+
+def rule_calls(path, names):
+    """(line, callee, enclosing function) of every call to a bare name or an attribute in `names`, where
+    an attribute `isfinite` counts only as `np.isfinite`; a method is named `Class.method`."""
+    found = []
+
+    def visit(node, func, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func, cls = (node.name if cls is None else f"{cls}.{node.name}"), None
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in names and (name != "isfinite" or getattr(f.value, "id", None) == "np"):
+                found.append((node.lineno, name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, cls)
+
+    visit(ast.parse(path.read_text(), str(path)), None, None)
+    return found
+
+
+def test_each_input_rule_has_one_home():
+    src = Path(qssa.__file__).parent
+    calls = [(name, (path.name, func)) for path in sorted(src.glob("*.py"))
+             for _, name, func in rule_calls(path, RULE_CALLERS)]
+    assert {name: {site for n, site in calls if n == name} for name in RULE_CALLERS} == RULE_CALLERS
+    # the rule replaced linalg's own label reader, and measurement reads labels only through it
+    linalg, measurement = (ast.parse((src / f"{m}.py").read_text()) for m in ("linalg", "measurement"))
+    assert "_keep_to_zero_based" not in {node.name for node in ast.walk(linalg) if isinstance(node, ast.FunctionDef)}
+    imported = {alias.name for node in ast.walk(measurement) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"_as_int", "_not_text"}
+    # `_check_fit` takes one argument form, a label tuple: a tuple display or a KrausSet's acts_on
+    fits = [node for node in ast.walk(measurement) if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+            == "_check_fit"]
+    assert fits and all(isinstance(node.args[-1], ast.Tuple) or getattr(node.args[-1], "attr", None) == "acts_on"
+                        for node in fits)
+    (check_fit,) = [node for node in measurement.body if getattr(node, "name", None) == "_check_fit"]
+    assert "isinstance" not in {getattr(node, "id", None) for node in ast.walk(check_fit)}
+
+
+def test_rule_call_finder_reads_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(m):\n"
+                    "    return _finite_square(m, 'm'), linalg.factor_labels(m, 2, 'k'), np.isfinite(m)\n"
+                    "class C:\n"
+                    "    def __init__(self, x):\n"
+                    "        self.x = math.isfinite(x) and _as_int(x)\n"
+                    "y = _not_text('ab', 'y')\n")
+    assert rule_calls(path, RULE_CALLERS) == [(2, "_finite_square", "f"), (2, "factor_labels", "f"),
+                                              (2, "isfinite", "f"), (5, "_as_int", "C.__init__"),
+                                              (6, "_not_text", None)]

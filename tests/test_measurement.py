@@ -403,6 +403,6 @@ class TestPovm:
             raise AssertionError("work started before the POVM check")
 
         monkeypatch.setattr(qssa.measurement, "ptrace_mat", no_work)
-        with pytest.raises(ValueError, match="does not match factor 1"):
+        with pytest.raises(ValueError, match=r"does not match factors \(1,\)"):
             povm_weights(rho, p)
 

@@ -23,6 +23,16 @@ class TestJudge:
         assert judge(r, 0.5).passed
         assert r.tol == 0.5
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-3])
+    def test_refuses_a_tol_not_finite_and_non_negative(self, tol):
+        # at inf a violated report would pass; at NaN or below 0 a report that holds would fail
+        r = make_report("x", 1.0, 0.0)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            judge(r, tol)
+        assert (r.tol, r.passed) == (default_tol(1.0, 0.0), False)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            judge(skipped(), tol)
+
     def test_slack_below_minus_tol_fails(self):
         r = make_report("x", 1.0, 0.5)
         assert not judge(r, np.nextafter(0.5, 0.0)).passed
