@@ -3,7 +3,9 @@ phase-space (Wehrl) entropy.
 
 A spin-j factor carries the discrete resolution of identity
 sum_i w_i |Omega_i><Omega_i| = I built from a Gauss-Legendre grid in
-cos(theta) and a uniform grid in phi. The resolution is exact (up to
+cos(theta) and a uniform grid in phi. The Gauss-Legendre rule is built here (`_gauss_legendre`):
+numpy's `leggauss` algorithm step for step, so its bytes, with its one eigensolve through
+`linalg.hermitian_eigvalsh`; no run imports `numpy.polynomial`. The resolution is exact (up to
 roundoff) because the projector entries are polynomials of degree two_j in
 cos(theta) and trigonometric degree two_j in phi. The entropy integrand
 h ln h is not polynomial, so make_grid's default grid is finer than the
@@ -38,8 +40,8 @@ import math
 import numpy as np
 
 from .checks import least_convex_mixture
-from .linalg import (CLAMP_REL, DensityMatrix, _int_in, _per_block, clamp_threshold, partial_trace,
-                     require_factors, require_same_dims, require_same_mass)
+from .linalg import (CLAMP_REL, DensityMatrix, _int_in, _per_block, clamp_threshold, hermitian_eigvalsh,
+                     partial_trace, require_factors, require_same_dims, require_same_mass)
 from .entropy import mutual_information, von_neumann
 from .randgen import Seed, random_density, require_seed, require_trials
 from .report import InequalityReport, make_report
@@ -96,6 +98,31 @@ def base_grid_sizes(two_j: int) -> tuple[int, int]:
     return two_j + 4, 2 * two_j + 4
 
 
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] P_k(x) by the Clenshaw recursion of numpy's `legval`, in its order of operations."""
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] by numpy's `leggauss(n)`, step for step and so with its
+    bytes: companion-matrix eigenvalues (one `hermitian_eigvalsh`), one Newton step, weights
+    1 / (P_{n-1} P_n') from max-scaled factors, symmetrized and summing to 2."""
+    scl = 1 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = hermitian_eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n, dp_n = np.zeros(n + 1), np.zeros(n)  # P_n and P_n' = sum (2k + 1) P_k over k = n - 1, n - 3, ...
+    p_n[n], dp_n[n - 1 :: -2] = 1, 2 * np.arange(n, 0, -2) - 1
+    df = _legval(x, dp_n)
+    x -= _legval(x, p_n) / df
+    fm = _legval(x, p_n[1:])
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
+    return x, w * (2 / w.sum())
+
+
 def make_grid(two_j: int, n_theta: int | None = None, n_phi: int | None = None) -> BlochGrid:
     """Product quadrature grid realizing the resolution of identity.
 
@@ -109,7 +136,7 @@ def make_grid(two_j: int, n_theta: int | None = None, n_phi: int | None = None) 
     base_t, base_p = base_grid_sizes(two_j)
     n_theta = _int_in(max(base_t, THETA_FLOOR) if n_theta is None else n_theta, "n_theta", two_j + 1)
     n_phi = _int_in(max(base_p, PHI_FLOOR) if n_phi is None else n_phi, "n_phi", 2 * two_j + 2)
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    x, wx = _gauss_legendre(n_theta)
     # Node weight = (2j+1)/(4pi) * (GL weight in cos theta) * (2pi / n_phi).
     return BlochGrid(two_j, np.arccos(x), 2 * np.pi * np.arange(n_phi) / n_phi,
                      (two_j + 1) / (2.0 * n_phi) * wx)

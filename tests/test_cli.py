@@ -653,6 +653,25 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
+class TestImports:
+    def test_no_run_imports_numpy_polynomial(self, tmp_path):
+        # wehrl builds its Gauss-Legendre rule itself: numpy.polynomial would add about 1.1 MB to a
+        # run's peak RSS. A fresh interpreter, since other tests import numpy's rule as a reference
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = ("import sys\n"
+                  "from qssa.cli import main\n"
+                  "out = sys.argv[1]\n"
+                  "assert main(['check', '--suite', 'all', '--trials', '2', '--out', out + '/all.ndjson']) == 0\n"
+                  "assert main(['wehrl', '--two-j', '4', '--trials', '3', '--emit-husimi',\n"
+                  "             '--out', out + '/scan.csv']) == 0\n"
+                  "print('numpy.polynomial' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "all.ndjson").stat().st_size and (tmp_path / "scan.husimi.csv").exists()
+
+
 class TestBenchReference:
     @pytest.mark.parametrize("workload", ["small-all", "wehrl-spin"])
     def test_reports_match_the_committed_reference(self, tmp_path, workload):

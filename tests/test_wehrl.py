@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import qssa.checks
 import qssa.linalg
@@ -19,6 +20,7 @@ from qssa.wehrl import (
     MAX_TWO_J,
     BlochGrid,
     _basis_coords,
+    _gauss_legendre,
     _theta_factors,
     base_grid_sizes,
     check_wehrl_convexity,
@@ -216,9 +218,23 @@ class TestGrid:
         def never(n):
             raise AssertionError("nodes computed")
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+        monkeypatch.setattr(qssa.wehrl, "_gauss_legendre", never)
         with pytest.raises(ValueError, match=f"<= {MAX_TWO_J}, got {MAX_TWO_J + 1}"):
             make_grid(MAX_TWO_J + 1)
+
+    @pytest.mark.parametrize("n", [*range(1, 129), 200, 500, 1033])
+    def test_gauss_legendre_has_the_bytes_of_numpys_rule(self, n):
+        # every grid's theta nodes; 1033 is make_grid's default at MAX_TWO_J, and at n = 1 the
+        # complex solve's zero differs from numpy's in sign until the nodes are symmetrized
+        for ours, numpys in zip(_gauss_legendre(n), leggauss(n)):
+            assert ours.dtype == numpys.dtype and ours.tobytes() == numpys.tobytes()
+
+    def test_a_grid_takes_one_eigensolve(self, monkeypatch):
+        calls = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or solve(m))
+        make_grid(6)
+        assert calls == [(48, 48)]
 
     def test_max_two_j_is_the_float_binomial_limit(self):
         require_two_j(MAX_TWO_J)  # nothing is built
